@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NumericsError(ValueError):
@@ -132,6 +131,25 @@ def lift(x):
     return np.asarray(x)
 
 
+def _lift_pair(a, b):
+    """Lift both operands of a binary elementwise op.
+
+    A Python int or float operand (`np.float64` included, since it
+    subclasses float) becomes a 0-d array of the other operand's floating
+    dtype. Under NumPy 2 a 0-d float64 array is not a weak scalar, so a
+    constant such as `1 / sqrt(dk)` would otherwise promote a float32
+    graph to float64. In a float64 graph the cast changes nothing.
+    """
+    def cast(x, other):
+        if isinstance(x, (int, float)):
+            dtype = val(other).dtype
+            if dtype.kind == "f":
+                return np.asarray(x, dtype=dtype)
+        return lift(x)
+
+    return cast(a, b), cast(b, a)
+
+
 def _node(value, pairs):
     """Create a Node from (parent_node, grad_fn) pairs, or a raw array if
     no parent is a Node."""
@@ -192,7 +210,7 @@ def _unbroadcast(g, shape):
 # elementwise / structural ops
 
 def add(a, b):
-    a, b = lift(a), lift(b)
+    a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
     out = va + vb
     return _node(out, [(a, lambda g: _unbroadcast(g, va.shape)),
@@ -200,7 +218,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = lift(a), lift(b)
+    a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
     out = va - vb
     return _node(out, [(a, lambda g: _unbroadcast(g, va.shape)),
@@ -208,7 +226,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = lift(a), lift(b)
+    a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
     out = va * vb
     return _node(out, [(a, lambda g: _unbroadcast(g * vb, va.shape)),
@@ -232,8 +250,6 @@ def matmul(a, b):
                             else np.multiply.outer(g, vb), va.shape)
 
     def gb(g):
-        if vb.ndim == 1:
-            return _unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
         return _unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
 
     return _node(out, [(a, ga), (b, gb)])

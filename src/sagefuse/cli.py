@@ -58,18 +58,21 @@ def build_parser():
     return parser
 
 
+def _int_list(flag, text):
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, "
+                          f"got {text!r}")
+
+
 def _load_config(args):
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
     if args.out:
         cfg.output.dir = args.out
     if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError(f"--seeds must be comma-separated integers, "
-                              f"got {args.seeds!r}")
-        cfg.trainer.seeds = seeds
+        cfg.trainer.seeds = _int_list("--seeds", args.seeds)
     cfg.validate()
     return cfg
 
@@ -98,7 +101,11 @@ def _dispatch(args):
     elif args.command == "ablate":
         kwargs = {}
         if args.ranks:
-            kwargs["ranks"] = tuple(int(r) for r in args.ranks.split(","))
+            ranks = _int_list("--ranks", args.ranks)
+            if min(ranks) < 1:
+                raise ConfigError(f"--ranks must all be >= 1, "
+                                  f"got {args.ranks!r}")
+            kwargs["ranks"] = ranks
         if args.prompts is not None:
             kwargs["prompts"] = tuple(args.prompts.split(";"))
         _, text = pipeline.run_ablate(cfg, args.what, **kwargs)

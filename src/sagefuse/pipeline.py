@@ -212,6 +212,11 @@ def _load_checkpoint(directory, assembly):
             raise PipelineError(f"checkpoint {directory} missing tensor for "
                                 f"{p.name!r}")
         value = load_tensor(directory / files[p.name], dtype=p.value.dtype)
+        expected = np.atleast_1d(p.value).shape
+        if value.shape != expected:
+            raise PipelineError(f"checkpoint {directory}: tensor for "
+                                f"{p.name!r} has shape {value.shape}, "
+                                f"expected {expected}")
         p.value[...] = value.reshape(p.value.shape)
     return assembly
 

@@ -202,14 +202,21 @@ def load_splits(graph, path):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise GraphFormatError(f"{path}:{lineno}: bad JSON: {e}")
+            nid = obj.get("id") if isinstance(obj, dict) else None
+            if not isinstance(nid, int):
+                raise GraphFormatError(f"{path}:{lineno}: expected an object "
+                                       f"with an integer 'id', got {line!r}")
             if obj.get("split") not in SPLITS:
                 raise GraphFormatError(f"{path}:{lineno}: bad split "
                                        f"{obj.get('split')!r}")
-            if obj["id"] in assigned:
-                raise GraphFormatError(f"{path}:{lineno}: node {obj['id']} "
+            if nid in assigned:
+                raise GraphFormatError(f"{path}:{lineno}: node {nid} "
                                        "assigned twice")
-            assigned[obj["id"]] = obj["split"]
+            assigned[nid] = obj["split"]
     if sorted(assigned) != list(range(graph.num_nodes)):
         raise GraphFormatError(f"{path}: split assignment does not cover all "
                                "nodes exactly once")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sagefuse import autodiff as ad
@@ -171,3 +172,54 @@ def test_matmul_gradient_matches_transpose_identity(n, m, seed):
     x = rng.normal(0, 1, m)
     ad.backward(ad.sum_(ad.matmul(w, x)))
     assert np.allclose(w.gradient, np.outer(np.ones(n), x), atol=1e-12)
+
+
+# Every public op, applied to a (4, 4) input `x` of the dtype under test.
+# The Python-scalar and np.float64-scalar operands are the cases where
+# NumPy 2 would otherwise promote a float32 graph to float64.
+_DTYPE_OPS = {
+    "add": lambda x: ad.add(x, x),
+    "add_python_int": lambda x: ad.add(x, 2),
+    "add_python_float_left": lambda x: ad.add(0.5, x),
+    "sub": lambda x: ad.sub(x, ad.val(x)),
+    "sub_python_float": lambda x: ad.sub(1.0, x),
+    "sub_np_float64": lambda x: ad.sub(x, np.float64(0.25)),
+    "mul": lambda x: ad.mul(x, x),
+    "mul_python_float": lambda x: ad.mul(x, 3.0),
+    "mul_np_float64": lambda x: ad.mul(x, 1.0 / np.sqrt(4)),
+    "mul_np_float64_left": lambda x: ad.mul(np.float64(1.5), x),
+    "neg": ad.neg,
+    "matmul": lambda x: ad.matmul(x, x),
+    "sparse_matmul": lambda x: ad.sparse_matmul(
+        sp.identity(4, dtype=ad.val(x).dtype, format="csr"), x),
+    "concat_cols": lambda x: ad.concat_cols(x, x),
+    "reshape": lambda x: ad.reshape(x, (2, 8)),
+    "transpose": lambda x: ad.transpose(x, (1, 0)),
+    "transpose_last": ad.transpose_last,
+    "gather_rows": lambda x: ad.gather_rows(x, [0, 2, 2]),
+    "sum_": lambda x: ad.sum_(x, axis=0),
+    "mean_": lambda x: ad.mean_(x, axis=1),
+    "mean_rows": ad.mean_rows,
+    "relu": ad.relu,
+    "sigmoid": ad.sigmoid,
+    "softmax": ad.softmax,
+    "layernorm": lambda x: ad.layernorm(
+        x, np.ones(4, ad.val(x).dtype), np.zeros(4, ad.val(x).dtype)),
+    "dropout": lambda x: ad.dropout(x, 0.5, rng=np.random.default_rng(0)),
+    "attention": lambda x: ad.attention(x, x, x),
+    "attention_masked": lambda x: ad.attention(
+        x, x, x, mask_bias=np.zeros((1, 4), ad.val(x).dtype)),
+    "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1, 2, 3]),
+    "linear": lambda x: ad.linear(x, x, ad.val(x)[0]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(_DTYPE_OPS))
+def test_op_keeps_input_dtype_forward_and_backward(op, dtype):
+    rng = np.random.default_rng(0)
+    x = ad.lift(Parameter(rng.normal(0, 1, (4, 4)).astype(dtype), name="x"))
+    out = _DTYPE_OPS[op](x)
+    assert ad.val(out).dtype == dtype
+    ad.backward(ad.sum_(out))
+    assert x.grad.dtype == dtype

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
 from sagefuse import pipeline
+from sagefuse.tensorio import save_tensor
 
 MICRO_CONFIG = """\
 [dataset]
@@ -155,6 +157,28 @@ class TestCli:
         assert main(["--config", str(cfg_path), "phase1"]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("{broken", "bad JSON"),
+        ('{"split": "train"}', "'id'"),
+    ])
+    def test_malformed_splits_file_exits_2_with_line_number(
+            self, tmp_path, capsys, bad_line, message):
+        nodes = tmp_path / "nodes.jsonl"
+        nodes.write_text('{"id": 0, "text": "a", "label": 0}\n'
+                         '{"id": 1, "text": "b", "label": 1}\n')
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n")
+        splits = tmp_path / "splits.jsonl"
+        splits.write_text('{"id": 0, "split": "train"}\n' + bad_line + "\n")
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(
+            f"[dataset]\nsource = files\nnum_classes = 2\n"
+            f"nodes_path = {nodes}\nedges_path = {edges}\n"
+            f"splits_path = {splits}\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path), "phase1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{splits}:2:" in err and message in err
+
     def test_phase2_before_phase1_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "m.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out"))
@@ -172,6 +196,23 @@ class TestCli:
         assert main(["--config", str(config_path), "evaluate",
                      "--seed", "99"]) == 1
         assert "phase2" in capsys.readouterr().err
+
+    def test_corrupted_checkpoint_tensor_exits_1_naming_shapes(
+            self, run_dir, tmp_path, capsys):
+        root, config_path = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(root / "out", out)
+        cfg_path = tmp_path / "copy.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=out))
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        ckpt = out / "phase2" / "checkpoints" / "seed0"
+        head_w = json.loads((ckpt / "manifest.json").read_text())[
+            "files"]["head.w"]
+        save_tensor(ckpt / head_w, np.zeros((2, 5), dtype=np.float32))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        err = capsys.readouterr().err
+        assert "'head.w'" in err and "(2, 5)" in err and "(3, 16)" in err
 
     def test_phase2_report_tagged_with_baseline(self, run_dir):
         root, config_path = run_dir
@@ -212,6 +253,16 @@ class TestCli:
         _, config_path = run_dir
         assert main(["--config", str(config_path), "--seeds", "0,x",
                      "phase2"]) == 2
+
+    @pytest.mark.parametrize("ranks, message", [
+        ("2,x", "--ranks must be comma-separated integers"),
+        ("2,0", "--ranks must all be >= 1"),
+    ])
+    def test_bad_ranks_flag_exits_2(self, run_dir, capsys, ranks, message):
+        _, config_path = run_dir
+        assert main(["--config", str(config_path), "ablate", "--what",
+                     "rank", "--ranks", ranks]) == 2
+        assert message in capsys.readouterr().err
 
     def test_audit_command_writes_component_table(self, run_dir, capsys):
         root, config_path = run_dir

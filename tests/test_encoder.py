@@ -3,11 +3,14 @@ import pytest
 
 from conftest import make_graph
 from sagefuse import autodiff as ad
+from sagefuse.optim import AdamW
+from sagefuse.sage import SageEmbeddings
 from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
                               EncoderBackbone, PromptSpec, Vocabulary,
                               VocabError, build_vocab, encode, node_features,
                               pool_states, split_tokens, tokenize,
                               tokenize_graph)
+from sagefuse.trainer import Phase2Assembly, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +176,57 @@ class TestNodeFeatures:
         with pytest.raises(VocabError):
             node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
                           pooling="max")
+
+
+def _fused_assembly(graph, dtype):
+    vocab = build_vocab(graph)
+    backbone = EncoderBackbone(BackboneConfig(
+        vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
+        max_tokens=16, seed=0, dtype=dtype))
+    rng = np.random.default_rng(0)
+    n = graph.num_nodes
+    embeddings = SageEmbeddings(pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
+                                pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+    config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
+                       seq_len=8, baseline="fused")
+    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
+                              config, seed=0)
+    ids, mask = tokenize_graph(graph, vocab, PromptSpec(""), 8)
+    return vocab, backbone, assembly, ids, mask
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoder_outputs_keep_config_dtype(self, micro_tag, dtype):
+        vocab, backbone, assembly, ids, mask = _fused_assembly(micro_tag,
+                                                               dtype)
+        with ad.no_grad():
+            hidden = encode(backbone, ids[:4], mask[:4])
+        assert ad.val(hidden).dtype == dtype
+        x = node_features(backbone, micro_tag, vocab, PromptSpec(""),
+                          seq_len=8)
+        assert x.dtype == dtype
+        batch = micro_tag.split_ids("train")[:4]
+        logits = assembly.logits(ids[batch], mask[batch], batch)
+        assert ad.val(logits).dtype == dtype
+
+    def test_fused_phase2_step_in_f32_records_no_float64(self, micro_tag,
+                                                         monkeypatch):
+        _, _, assembly, ids, mask = _fused_assembly(micro_tag, np.float32)
+        seen = []
+        record = ad._node
+
+        def spy(value, pairs):
+            seen.append(np.asarray(value).dtype)
+            return record(value, pairs)
+
+        monkeypatch.setattr(ad, "_node", spy)
+        batch = micro_tag.split_ids("train")[:16]
+        opt = AdamW(assembly.trainable_parameters())
+        loss = ad.cross_entropy(assembly.logits(ids[batch], mask[batch], batch),
+                                micro_tag.labels()[batch])
+        ad.backward(loss)
+        opt.step()
+        assert seen and np.dtype(np.float64) not in seen
+        assert all(p.value.dtype == np.float32
+                   for p in assembly.trainable_parameters())
