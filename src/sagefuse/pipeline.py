@@ -128,13 +128,23 @@ def run_phase1(cfg):
     _write_json(out / "vocab.json", vocab.to_dict())
     backbone = _build_backbone(cfg, vocab)
 
+    key = _prefix_key(cfg)
     prompt = PromptSpec(cfg.trainer.prompt)
-    x = node_features(backbone, graph, vocab, prompt, cfg.trainer.seq_len,
-                      pooling=cfg.backbone.pooling)
+    x, states = node_features(backbone, graph, vocab, prompt,
+                              cfg.trainer.seq_len, key["layer"],
+                              pooling=cfg.backbone.pooling)
     save_tensor(out / "features.gtsr", x)
+    prefix = out / "prefix.gtsr"
+    if cfg.dtype == np.float32:
+        save_tensor(prefix, states)
+    else:  # GTSR stores float32 only: f64 runs recompute the prefix
+        key = None
+        prefix.unlink(missing_ok=True)
+    del states
     _write_json(out / "features.json", {
         "n": graph.num_nodes, "d": int(x.shape[1]),
-        "pooling": cfg.backbone.pooling, "prompt": cfg.trainer.prompt})
+        "pooling": cfg.backbone.pooling, "prompt": cfg.trainer.prompt,
+        "prefix": key})
 
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
                       hidden=cfg.sage.classifier_hidden,
@@ -156,8 +166,37 @@ def run_phase1(cfg):
     _write_manifest(out, "phase1", cfg, [
         out / "vocab.json", out / "features.gtsr", out / "features.json",
         out / "pass1.gtsr", out / "pass2.gtsr", out / "sidecar.json",
-        out / "metrics.json"])
+        out / "metrics.json"] + ([prefix] if key else []))
     return result
+
+
+def _prefix_key(cfg):
+    """What the frozen-prefix states depend on besides the phase-1 vocab and
+    dataset: the layer they stop at, the tokens and the backbone."""
+    b = cfg.backbone
+    return {"layer": cfg.run_config().first_adapted_layer(b.layers),
+            "prompt": cfg.trainer.prompt, "seq_len": cfg.trainer.seq_len,
+            "precision": b.precision,
+            "backbone": {"layers": b.layers, "dim": b.dim, "heads": b.heads,
+                         "mlp_width": b.mlp_width,
+                         "max_tokens": b.max_tokens, "seed": b.seed}}
+
+
+def load_prefix_states(cfg, graph):
+    """The phase-1 prefix states when phase 1 computed them for exactly
+    this config's prefix, else None: the trainer then computes them in
+    process, so a stale file is never reused."""
+    out = phase1_dir(cfg)
+    try:
+        with open(out / "features.json", encoding="utf-8") as f:
+            saved = json.load(f).get("prefix")
+    except FileNotFoundError:
+        return None
+    if saved != _prefix_key(cfg) or not (out / "prefix.gtsr").exists():
+        return None
+    states = load_tensor(out / "prefix.gtsr", dtype=cfg.dtype)
+    expected = (graph.num_nodes, cfg.trainer.seq_len, cfg.backbone.dim)
+    return states if states.shape == expected else None
 
 
 def load_phase1_artifacts(cfg):
@@ -172,6 +211,12 @@ def load_phase1_artifacts(cfg):
     embeddings = SageEmbeddings(
         pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.dtype),
         pass2=load_tensor(out / "pass2.gtsr", dtype=cfg.dtype))
+    for name in ("pass1", "pass2"):
+        width = getattr(embeddings, name).shape[-1]
+        if width != cfg.sage.embed_dim:
+            raise PipelineError(
+                f"phase-1 {name} embeddings in {out} are {width} wide but "
+                f"[sage] embed_dim is {cfg.sage.embed_dim}; re-run phase1")
     return vocab, embeddings
 
 
@@ -233,7 +278,8 @@ def run_phase2(cfg):
     run_cfg = cfg.run_config()
     gnn_params = _gnn_params_for_audit(cfg, graph, backbone.config.dim)
     report = train_phase2(backbone, embeddings, graph, vocab, run_cfg,
-                          gnn_params=gnn_params)
+                          gnn_params=gnn_params,
+                          states=load_prefix_states(cfg, graph))
 
     _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
     _write_json(out / "timing.json",
@@ -258,7 +304,8 @@ def run_evaluate(cfg, split="test", seed=None):
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              run_cfg, seed)
+                              run_cfg, seed,
+                              states=load_prefix_states(cfg, graph))
     _load_checkpoint(ckpt, assembly)
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(run_cfg.prompt),
                                run_cfg.seq_len)
@@ -300,7 +347,8 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
     out.mkdir(parents=True, exist_ok=True)
     if what == "rank":
         rows = rank_ablation(backbone, embeddings, graph, vocab, base,
-                             ranks=ranks)
+                             ranks=ranks,
+                             states=load_prefix_states(cfg, graph))
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
         rows = prompt_ablation(backbone, embeddings, graph, vocab, base,

@@ -123,15 +123,22 @@ def load_graph(nodes_path, edges_path, num_classes=None):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise GraphFormatError(f"{nodes_path}:{lineno}: bad JSON: {e}")
+            if not isinstance(obj, dict):
+                raise GraphFormatError(f"{nodes_path}:{lineno}: expected an "
+                                       f"object, got {line!r}")
             for key in ("id", "text", "label"):
                 if key not in obj:
                     raise GraphFormatError(
                         f"{nodes_path}:{lineno}: missing field {key!r}")
-            nid = obj["id"]
+            nid, label = obj["id"], obj["label"]
+            for key, value in (("id", nid), ("label", label)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise GraphFormatError(f"{nodes_path}:{lineno}: non-integer "
+                                           f"{key} {value!r}")
             if nid in records:
                 raise GraphFormatError(f"{nodes_path}:{lineno}: duplicate id {nid}")
             records[nid] = NodeRecord(id=nid, text=str(obj["text"]),
-                                      label=int(obj["label"]))
+                                      label=label)
     if not records:
         raise GraphFormatError(f"{nodes_path}: no nodes")
     n = len(records)

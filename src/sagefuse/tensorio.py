@@ -34,10 +34,9 @@ def load_tensor(path, dtype=np.float32):
         except struct.error:
             raise TensorFormatError(f"{path}: truncated header")
         n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = f.read(4 * n)
-        if len(payload) != 4 * n:
+        data = np.empty(n, dtype="<f4")
+        if f.readinto(data) != 4 * n:
             raise TensorFormatError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f4", count=n)
         if f.read(1):
             raise TensorFormatError(f"{path}: trailing bytes")
-    return data.reshape(shape).astype(dtype)
+    return data.reshape(shape).astype(dtype, copy=False)

@@ -188,37 +188,55 @@ def _proj(x, w, b, pair):
 
 
 def encode(backbone, ids, mask, adapters=None, node_embeddings=None,
-           lora=None, collect_layers=False):
+           lora=None, states=None, start=0, stop=None):
     """Forward pass over token ids (B, T) with attention masking of PADs.
 
     `adapters` is a FusionAdapterSet applied to the input of its layers;
     `node_embeddings` maps adapter source name to the batch's (B, g) rows.
     `lora` maps layer index to {target: LoraPair} for targets q/k/v/o.
-    Returns final hidden states (B, T, d) after the closing layernorm
-    (a list of per-layer states when collect_layers is set).
+
+    `states` (B, T, d) is the hidden state at the input of layer `start`,
+    as returned by an earlier pass with `stop=start`; the pass then runs
+    layers start.. only and `ids` is not read. Every adapter and LoRA
+    layer must lie at or above `start`, since the states skip the layers
+    below it. With `stop`, the pass ends at the input of layer `stop` and
+    returns that state, before the closing layernorm; otherwise it returns
+    the final hidden states (B, T, d) after the closing layernorm.
     """
     cfg = backbone.config
-    ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
-    bsz, seq = ids.shape
+    bsz, seq = mask.shape
     if seq > cfg.max_tokens:
         raise VocabError(f"sequence length {seq} exceeds max_tokens "
                          f"{cfg.max_tokens}")
+    end = cfg.layers if stop is None else stop
+    if not 0 <= start <= end <= cfg.layers:
+        raise VocabError(f"layer range [{start}, {end}) not within the "
+                         f"backbone's {cfg.layers} layers")
+    if start and states is None:
+        raise VocabError(f"start layer {start} needs the states at its input")
     by_layer = adapters.by_layer() if adapters is not None else {}
-    for layer in by_layer:
-        if layer >= cfg.layers:
-            raise VocabError(f"adapter layer {layer} >= backbone layers "
-                             f"{cfg.layers}")
     lora = lora or {}
+    for layer in (*by_layer, *lora):
+        if layer >= cfg.layers:
+            raise VocabError(f"adapted layer {layer} >= backbone layers "
+                             f"{cfg.layers}")
+        if layer < start:
+            raise VocabError(f"adapted layer {layer} lies below the start "
+                             f"layer {start} of the precomputed states")
     heads, dh = cfg.heads, cfg.dim // cfg.heads
     # Additive key mask: padded positions get a large negative score bias.
     neg = np.asarray(-1e9, dtype=cfg.dtype)
     mask_bias = ((1.0 - mask) * neg).reshape(bsz, 1, 1, seq).astype(cfg.dtype)
 
-    x = ad.add(ad.gather_rows(ad.lift(backbone.tok_emb), ids),
-               ad.val(backbone.pos_emb)[:seq])
-    states = []
-    for l, blk in enumerate(backbone.blocks):
+    if states is None:
+        ids = np.atleast_2d(np.asarray(ids))
+        x = ad.add(ad.gather_rows(ad.lift(backbone.tok_emb), ids),
+                   ad.val(backbone.pos_emb)[:seq])
+    else:
+        x = states
+    for l in range(start, end):
+        blk = backbone.blocks[l]
         if l in by_layer:
             adapter = by_layer[l]
             x = fusion_apply(adapter, x, node_embeddings[adapter.source])
@@ -240,13 +258,9 @@ def encode(backbone, ids, mask, adapters=None, node_embeddings=None,
         h = ad.linear(ad.relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
                       blk["mlp2"], blk["mlp2_b"])
         x = ad.add(x, h)
-        if collect_layers:
-            states.append(x)
-    x = ad.layernorm(x, backbone.ln_f_g, backbone.ln_f_b)
-    if collect_layers:
-        states.append(x)
-        return states
-    return x
+    if stop is not None:
+        return x
+    return ad.layernorm(x, backbone.ln_f_g, backbone.ln_f_b)
 
 
 def pool_states(hidden, mask, pooling="mean"):
@@ -261,15 +275,36 @@ def pool_states(hidden, mask, pooling="mean"):
     return ad.sum_(ad.mul(hidden, weights.astype(ad.val(hidden).dtype)), axis=1)
 
 
-def node_features(backbone, graph, vocab, prompt, seq_len, pooling="mean",
-                  batch_size=64):
-    """Per-node feature matrix X (N, d): pooled final hidden states of each
-    node's tokenized text under the frozen backbone."""
+def prefix_states(backbone, ids, mask, layer, batch_size=64):
+    """Hidden states (N, T, d) at the input of `layer` for every row of
+    (ids, mask), computed in batches into one preallocated array. Nothing
+    below an adapted layer trains, so these states are a fixed function of
+    the tokens and later passes can start `encode` from them."""
+    out = np.empty(ids.shape + (backbone.config.dim,),
+                   dtype=backbone.config.dtype)
+    with ad.no_grad():
+        for start in range(0, len(ids), batch_size):
+            sl = slice(start, start + batch_size)
+            out[sl] = encode(backbone, ids[sl], mask[sl], stop=layer)
+    return out
+
+
+def node_features(backbone, graph, vocab, prompt, seq_len, layer,
+                  pooling="mean", batch_size=64):
+    """Per-node features under the frozen backbone, and the prefix states
+    they pass through.
+
+    Returns (X, states): X (N, d) holds the pooled final hidden states of
+    each node's tokenized text, and states (N, T, d) the hidden states at
+    the input of `layer` (see `prefix_states`)."""
     ids, mask = tokenize_graph(graph, vocab, prompt, seq_len)
-    rows = []
+    states = prefix_states(backbone, ids, mask, layer, batch_size)
+    x = np.empty((graph.num_nodes, backbone.config.dim),
+                 dtype=backbone.config.dtype)
     with ad.no_grad():
         for start in range(0, graph.num_nodes, batch_size):
             sl = slice(start, start + batch_size)
-            hidden = encode(backbone, ids[sl], mask[sl])
-            rows.append(np.asarray(pool_states(hidden, mask[sl], pooling)))
-    return np.concatenate(rows, axis=0)
+            hidden = encode(backbone, None, mask[sl], states=states[sl],
+                            start=layer)
+            x[sl] = pool_states(hidden, mask[sl], pooling)
+    return x, states

@@ -16,7 +16,8 @@ from .fusion import (LoraPair, audit_parameters, build_adapter_set,
                      default_placement)
 from .metrics import metric_name, split_metric
 from .optim import AdamW
-from .textenc import PromptSpec, encode, pool_states, tokenize_graph
+from .textenc import (PromptSpec, encode, pool_states, prefix_states,
+                      tokenize_graph)
 
 BASELINES = ("fused", "text_only", "lora_only")
 LORA_TARGETS = ("q", "k", "v", "o")
@@ -77,15 +78,31 @@ class RunConfig:
             return tuple(self.pass1_layers), tuple(self.pass2_layers)
         return default_placement(num_layers)
 
+    def first_adapted_layer(self, num_layers):
+        """Lowest layer with an adapter or a LoRA pair; the layers below it
+        are a frozen prefix. `num_layers` when the arm adapts no layer."""
+        if not any(self.toggles()):
+            return num_layers
+        pass1, pass2 = self.placement(num_layers)
+        return min((*pass1, *pass2))
+
 
 class Phase2Assembly:
     """Frozen backbone + frozen structural embeddings, with trainable
-    fusion adapters, LoRA pairs, and a linear classification head."""
+    fusion adapters, LoRA pairs, and a linear classification head.
 
-    def __init__(self, backbone, embeddings, num_classes, config, seed):
+    `states` (N, T, d) are every node's hidden states at the input of
+    `config.first_adapted_layer`, from `prefix_states` under the same
+    tokens; the encoder pass starts there. Without them, each batch's
+    prefix is computed from its ids."""
+
+    def __init__(self, backbone, embeddings, num_classes, config, seed,
+                 states=None):
         self.backbone = backbone
         self.embeddings = embeddings
         self.config = config
+        self.states = states
+        self.start = config.first_adapted_layer(backbone.config.layers)
         d = backbone.config.dim
         g = embeddings.pass1.shape[1]
         dtype = backbone.config.dtype
@@ -153,8 +170,14 @@ class Phase2Assembly:
     def logits(self, ids, mask, node_ids):
         h2 = {"pass1": self.embeddings.pass1[node_ids],
               "pass2": self.embeddings.pass2[node_ids]}
-        hidden = encode(self.backbone, ids, mask, adapters=self.adapters,
-                        node_embeddings=h2, lora=self.lora)
+        if self.states is None:
+            with ad.no_grad():
+                states = encode(self.backbone, ids, mask, stop=self.start)
+        else:
+            states = self.states[node_ids]
+        hidden = encode(self.backbone, None, mask, adapters=self.adapters,
+                        node_embeddings=h2, lora=self.lora, states=states,
+                        start=self.start)
         pooled = pool_states(hidden, mask, self.config.pooling)
         return ad.linear(pooled, self.head_w, self.head_b)
 
@@ -194,13 +217,23 @@ class SeedResult:
                 "loss_trace": self.loss_trace, "val_trace": self.val_trace}
 
 
-def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed):
+def frozen_prefix(backbone, ids, mask, config):
+    """Every node's hidden states at the first adapted layer of `config`."""
+    return prefix_states(backbone, ids, mask,
+                         config.first_adapted_layer(backbone.config.layers))
+
+
+def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
+                    states=None):
     """One deterministic phase-2 run: minibatch AdamW over train nodes,
     early stop on the validation metric, test metric from the best
-    checkpoint."""
+    checkpoint. `states` are the `frozen_prefix` of (ids, mask), computed
+    here when not given."""
     embeddings.validate(graph)
+    if states is None:
+        states = frozen_prefix(backbone, ids, mask, config)
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              config, seed)
+                              config, seed, states=states)
     labels = graph.labels()
     train_idx = graph.split_ids("train")
     opt = AdamW(assembly.trainable_parameters(), lr=config.lr,
@@ -281,12 +314,15 @@ def seed_sweep(runner, seeds, baseline, metric, audit=None):
 
 
 def train_phase2(backbone, embeddings, graph, vocab, config,
-                 gnn_params=()):
-    """Seed sweep of phase-2 fine-tuning; tokenization is shared across
+                 gnn_params=(), states=None):
+    """Seed sweep of phase-2 fine-tuning; tokenization and the frozen
+    prefix `states` (computed here when not given) are shared across
     seeds. `gnn_params` (the phase-1 model's weights) are included in the
     report's parameter audit."""
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(config.prompt),
                                config.seq_len)
+    if states is None:
+        states = frozen_prefix(backbone, ids, mask, config)
     probe = Phase2Assembly(backbone, embeddings, graph.num_classes,
                            config, seed=0)
     audit = audit_parameters(
@@ -295,7 +331,7 @@ def train_phase2(backbone, embeddings, graph, vocab, config,
 
     def runner(seed):
         return run_phase2_seed(backbone, embeddings, graph, ids, mask,
-                               config, seed)
+                               config, seed, states=states)
 
     return seed_sweep(runner, config.seeds, config.baseline,
                       metric_name(graph.num_classes), audit=audit)
@@ -305,14 +341,22 @@ def train_phase2(backbone, embeddings, graph, vocab, config,
 # ablations
 
 def rank_ablation(backbone, embeddings, graph, vocab, base_config,
-                  ranks=(2, 4, 8)):
-    """One seed sweep per rank; trainable counts must rise with the rank."""
+                  ranks=(2, 4, 8), states=None):
+    """One seed sweep per rank; trainable counts must rise with the rank.
+    The rank leaves the frozen prefix alone, so every sweep shares
+    `states` (computed once here when not given)."""
+    if any(r < 1 for r in ranks):
+        raise TrainerConfigError(f"ranks must be >= 1, got {list(ranks)}")
+    if states is None:
+        ids, mask = tokenize_graph(graph, vocab,
+                                   PromptSpec(base_config.prompt),
+                                   base_config.seq_len)
+        states = frozen_prefix(backbone, ids, mask, base_config)
     rows = []
     for r in ranks:
-        if r < 1:
-            raise TrainerConfigError(f"rank must be >= 1, got {r}")
         cfg = replace(base_config, rank=r)
-        report = train_phase2(backbone, embeddings, graph, vocab, cfg)
+        report = train_phase2(backbone, embeddings, graph, vocab, cfg,
+                              states=states)
         probe = Phase2Assembly(backbone, embeddings, graph.num_classes, cfg,
                                seed=0)
         trainable = sum(p.size for p in probe.trainable_parameters())

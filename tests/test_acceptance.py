@@ -77,7 +77,7 @@ def test_criterion_1_gradient_fidelity():
     rng = np.random.default_rng(0)
 
     # Phase-1: GraphSAGE plus classifier on node features from the backbone.
-    x = node_features(backbone, graph, vocab, PromptSpec(""), 8)
+    x, _ = node_features(backbone, graph, vocab, PromptSpec(""), 8, layer=1)
     model = SageModel(in_dim=16, embed_dim=8, hidden=8, num_classes=2,
                       dtype=np.float64)
     # Zero-initialized biases sit exactly on the rectifier kink, where
@@ -209,8 +209,10 @@ def test_criterion_7_structure_beats_text_only():
                              cfg.split_spec())
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
     backbone = EncoderBackbone(cfg.backbone_config(vocab.size))
-    x = node_features(backbone, graph, vocab, PromptSpec(""),
-                      cfg.trainer.seq_len)
+    x, _ = node_features(backbone, graph, vocab, PromptSpec(""),
+                         cfg.trainer.seq_len,
+                         cfg.run_config().first_adapted_layer(
+                             cfg.backbone.layers))
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
                       hidden=cfg.sage.classifier_hidden,
                       num_classes=graph.num_classes, dtype=cfg.dtype)

@@ -6,8 +6,9 @@ import pytest
 
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
-from sagefuse import pipeline
+from sagefuse import pipeline, trainer
 from sagefuse.tensorio import save_tensor
+from sagefuse.textenc import EncoderBackbone
 
 MICRO_CONFIG = """\
 [dataset]
@@ -158,6 +159,27 @@ class TestCli:
         assert ":2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line, message", [
+        ("5", "expected an object"),
+        ('{"id": "1", "text": "b", "label": 1}', "non-integer id '1'"),
+        ('{"id": 1, "text": "b", "label": 0.5}', "non-integer label 0.5"),
+    ])
+    def test_malformed_node_line_exits_2_with_line_number(
+            self, tmp_path, capsys, bad_line, message):
+        nodes = tmp_path / "nodes.jsonl"
+        nodes.write_text('{"id": 0, "text": "a", "label": 0}\n'
+                         + bad_line + "\n")
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n")
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(
+            f"[dataset]\nsource = files\nnum_classes = 2\n"
+            f"nodes_path = {nodes}\nedges_path = {edges}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path), "phase1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{nodes}:2:" in err and message in err
+
+    @pytest.mark.parametrize("bad_line, message", [
         ("{broken", "bad JSON"),
         ('{"split": "train"}', "'id'"),
     ])
@@ -301,3 +323,99 @@ class TestCli:
             .splitlines()
         assert lines[0] == "rank,metric_mean,metric_std,trainable_params"
         assert len(lines) == 3
+
+
+def _copy_run(run_dir, tmp_path, *edits):
+    """The module's phase-1 run under a config with text edits applied."""
+    root, _ = run_dir
+    out = tmp_path / "out"
+    shutil.copytree(root / "out", out)
+    text = MICRO_CONFIG.format(out=out)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg_path = tmp_path / "edited.cfg"
+    cfg_path.write_text(text)
+    return out, cfg_path
+
+
+def _in_process_report(cfg_path):
+    """Phase-2 report computed directly by the trainer, which computes the
+    frozen prefix itself (no phase-1 prefix file)."""
+    cfg = ExperimentConfig.from_file(cfg_path)
+    graph = pipeline.load_dataset(cfg)
+    vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
+    backbone = EncoderBackbone(cfg.backbone_config(vocab.size))
+    report = trainer.train_phase2(backbone, embeddings, graph, vocab,
+                                  cfg.run_config())
+    return report.as_dict(include_wall_clock=False)
+
+
+def _same_training(report, reference):
+    keys = ("baseline", "per_seed", "metric_mean", "metric_std")
+    return {k: report[k] for k in keys} == {k: reference[k] for k in keys}
+
+
+class TestFrozenPrefixFile:
+    def test_phase1_records_the_prefix_key(self, run_dir):
+        root, _ = run_dir
+        features = json.loads(
+            (root / "out" / "phase1" / "features.json").read_text())
+        assert features["prefix"]["layer"] == 1
+        assert features["prefix"]["seq_len"] == 8
+        assert features["prefix"]["precision"] == "f32"
+        assert (root / "out" / "phase1" / "prefix.gtsr").exists()
+
+    def test_matching_key_reads_the_file(self, run_dir, tmp_path,
+                                         monkeypatch):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        reference = _in_process_report(cfg_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("prefix recomputed despite a matching file")
+
+        monkeypatch.setattr(trainer, "prefix_states", refuse)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "evaluate"]) == 0
+        report = json.loads((out / "phase2" / "report.json").read_text())
+        assert _same_training(report, reference)
+
+    @pytest.mark.parametrize("edit", [
+        ("pass1_layers = 1", "pass1_layers = 2"),
+        ("seq_len = 8", "seq_len = 10"),
+        ("seq_len = 8", "seq_len = 8\nprompt = classify this:"),
+        ("vocab_max = 256", "vocab_max = 256\nprecision = f64"),
+    ])
+    def test_changed_prefix_after_phase1_is_recomputed(self, run_dir,
+                                                       tmp_path, edit):
+        out, cfg_path = _copy_run(run_dir, tmp_path, edit)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        report = json.loads((out / "phase2" / "report.json").read_text())
+        assert _same_training(report, _in_process_report(cfg_path))
+
+    def test_f64_run_writes_no_prefix_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "f64.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(
+            "vocab_max = 256", "vocab_max = 256\nprecision = f64"))
+        for command in ("gen-data", "phase1", "phase2"):
+            assert main(["--config", str(cfg_path), command]) == 0
+        phase1 = tmp_path / "out" / "phase1"
+        assert not (phase1 / "prefix.gtsr").exists()
+        assert json.loads((phase1 / "features.json").read_text())[
+            "prefix"] is None
+        report = json.loads(
+            (tmp_path / "out" / "phase2" / "report.json").read_text())
+        assert _same_training(report, _in_process_report(cfg_path))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        assert evaluated["metric"] == report["per_seed"][0]["metric"]
+
+    @pytest.mark.parametrize("command", ["phase2", "evaluate"])
+    def test_embed_dim_changed_after_phase1_exits_1(self, run_dir, tmp_path,
+                                                    capsys, command):
+        _, cfg_path = _copy_run(run_dir, tmp_path,
+                                ("embed_dim = 8", "embed_dim = 12"))
+        assert main(["--config", str(cfg_path), command]) == 1
+        err = capsys.readouterr().err
+        assert "8 wide" in err and "embed_dim is 12" in err

@@ -8,9 +8,9 @@ from sagefuse.sage import SageEmbeddings
 from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
                               EncoderBackbone, PromptSpec, Vocabulary,
                               VocabError, build_vocab, encode, node_features,
-                              pool_states, split_tokens, tokenize,
-                              tokenize_graph)
-from sagefuse.trainer import Phase2Assembly, RunConfig
+                              pool_states, prefix_states, split_tokens,
+                              tokenize, tokenize_graph)
+from sagefuse.trainer import Phase2Assembly, RunConfig, predict_logits
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +118,49 @@ class TestEncode:
         with pytest.raises(VocabError, match="layer 6"):
             encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
                    adapters=adapters, node_embeddings=h)
+        from sagefuse.fusion import LoraPair
+        with pytest.raises(VocabError, match="layer 5"):
+            encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
+                   lora={5: {"q": LoraPair(16, 16, 2, "layer5.q")}})
 
     def test_sequence_longer_than_positions_rejected(self, micro_backbone):
         ids = np.zeros((1, 17), dtype=np.int64)
         with pytest.raises(VocabError, match="max_tokens"):
             encode(micro_backbone, ids, np.ones((1, 17)))
+
+    @pytest.mark.parametrize("layer", [0, 2, 4])
+    def test_pass_split_at_a_layer_equals_one_pass(self, micro_backbone,
+                                                   layer):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(3, 40, (3, 8))
+        mask = np.ones((3, 8))
+        mask[0, 4:] = 0.0
+        with ad.no_grad():
+            whole = np.asarray(encode(micro_backbone, ids, mask))
+            states = encode(micro_backbone, ids, mask, stop=layer)
+            resumed = np.asarray(encode(micro_backbone, None, mask,
+                                        states=states, start=layer))
+        assert states.shape == (3, 8, 16)
+        assert np.array_equal(resumed, whole)
+
+    def test_adapted_layer_below_start_rejected(self, micro_backbone):
+        from sagefuse.fusion import LoraPair, build_adapter_set
+        mask = np.ones((1, 4))
+        states = np.zeros((1, 4, 16))
+        adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
+        h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
+        with pytest.raises(VocabError, match="adapted layer 1 lies below"):
+            encode(micro_backbone, None, mask, adapters=adapters,
+                   node_embeddings=h, states=states, start=2)
+        lora = {1: {"q": LoraPair(16, 16, 2, "layer1.q")}}
+        with pytest.raises(VocabError, match="adapted layer 1 lies below"):
+            encode(micro_backbone, None, mask, lora=lora, states=states,
+                   start=2)
+
+    def test_start_without_states_rejected(self, micro_backbone):
+        with pytest.raises(VocabError, match="needs the states"):
+            encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
+                   start=1)
 
     def test_all_weights_frozen(self, micro_backbone):
         assert all(p.frozen for p in micro_backbone.parameters())
@@ -138,7 +176,8 @@ class TestNodeFeatures:
                        texts=["same text", "same text", "other"],
                        splits=["train"] * 3)
         v = build_vocab(g)
-        x = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8)
+        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
+                             layer=2)
         assert np.array_equal(x[0], x[1])
         assert not np.array_equal(x[0], x[2])
 
@@ -159,7 +198,8 @@ class TestNodeFeatures:
                        texts=[f"word{i} word{(i * 7) % 5}" for i in range(20)],
                        splits=["train"] * 20)
         v = build_vocab(g)
-        x = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8)
+        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
+                             layer=2)
         ids, mask = tokenize_graph(g, v, PromptSpec(""), 8)
         for i in range(20):
             with ad.no_grad():
@@ -170,12 +210,12 @@ class TestNodeFeatures:
     def test_cls_pooling_supported(self, micro_backbone):
         g = make_graph({0: []}, texts=["a b"], splits=["train"])
         v = build_vocab(g)
-        x = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                          pooling="cls")
+        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
+                             layer=2, pooling="cls")
         assert x.shape == (1, 16)
         with pytest.raises(VocabError):
             node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                          pooling="max")
+                          layer=2, pooling="max")
 
 
 def _fused_assembly(graph, dtype):
@@ -203,9 +243,9 @@ class TestPrecision:
         with ad.no_grad():
             hidden = encode(backbone, ids[:4], mask[:4])
         assert ad.val(hidden).dtype == dtype
-        x = node_features(backbone, micro_tag, vocab, PromptSpec(""),
-                          seq_len=8)
-        assert x.dtype == dtype
+        x, states = node_features(backbone, micro_tag, vocab, PromptSpec(""),
+                                  seq_len=8, layer=1)
+        assert x.dtype == dtype and states.dtype == dtype
         batch = micro_tag.split_ids("train")[:4]
         logits = assembly.logits(ids[batch], mask[batch], batch)
         assert ad.val(logits).dtype == dtype
@@ -230,3 +270,55 @@ class TestPrecision:
         assert seen and np.dtype(np.float64) not in seen
         assert all(p.value.dtype == np.float32
                    for p in assembly.trainable_parameters())
+
+
+class TestFrozenPrefix:
+    """Phase-2 logits from precomputed prefix states equal a full pass."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("baseline", ["fused", "lora_only", "text_only"])
+    def test_logits_bitwise_equal_with_and_without_states(
+            self, micro_tag, dtype, baseline):
+        vocab = build_vocab(micro_tag)
+        backbone = EncoderBackbone(BackboneConfig(
+            vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
+            max_tokens=16, seed=0, dtype=dtype))
+        rng = np.random.default_rng(0)
+        n = micro_tag.num_nodes
+        embeddings = SageEmbeddings(
+            pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
+            pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+        config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
+                           seq_len=8, baseline=baseline)
+        start = config.first_adapted_layer(4)
+        assert start == (4 if baseline == "text_only" else 1)
+        x, states = node_features(backbone, micro_tag, vocab, PromptSpec(""),
+                                  8, start)
+        ids, mask = tokenize_graph(micro_tag, vocab, PromptSpec(""), 8)
+        assert np.array_equal(states, prefix_states(backbone, ids, mask,
+                                                    start))
+        cached = Phase2Assembly(backbone, embeddings, micro_tag.num_classes,
+                                config, seed=0, states=states)
+        per_batch = Phase2Assembly(backbone, embeddings,
+                                   micro_tag.num_classes, config, seed=0)
+        # Move the zero-initialized up-projections off the identity point.
+        for a, b in zip(cached.trainable_parameters(),
+                        per_batch.trainable_parameters()):
+            a.value[...] = rng.normal(0, 0.05, a.value.shape)
+            b.value[...] = a.value
+        batch = micro_tag.split_ids("train")[:16]
+        with ad.no_grad():
+            full = encode(backbone, ids[batch], mask[batch],
+                          adapters=cached.adapters,
+                          node_embeddings={
+                              "pass1": embeddings.pass1[batch],
+                              "pass2": embeddings.pass2[batch]},
+                          lora=cached.lora)
+            reference = np.asarray(ad.linear(pool_states(full, mask[batch]),
+                                             cached.head_w, cached.head_b))
+            got = np.asarray(cached.logits(ids[batch], mask[batch], batch))
+        assert got.dtype == dtype
+        assert np.array_equal(got, reference)
+        nodes = np.arange(n)
+        assert np.array_equal(predict_logits(cached, ids, mask, nodes),
+                              predict_logits(per_batch, ids, mask, nodes))

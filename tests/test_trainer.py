@@ -9,7 +9,7 @@ from sagefuse.optim import grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
-                              build_vocab, tokenize_graph)
+                              build_vocab, prefix_states, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, RunConfig, TrainerConfigError,
                               derive_seed, evaluate, prompt_ablation,
                               rank_ablation, run_phase2_seed, seed_sweep,
@@ -82,6 +82,15 @@ class TestRunConfig:
         cfg = RunConfig(pass1_layers=(2,), pass2_layers=(5,))
         assert cfg.placement(12) == ((2,), (5,))
         assert RunConfig().placement(12) == ([5, 6, 7], [9, 10, 11])
+
+    def test_first_adapted_layer_bounds_the_frozen_prefix(self):
+        assert RunConfig(pass1_layers=(2, 4),
+                         pass2_layers=(3,)).first_adapted_layer(6) == 2
+        assert RunConfig().first_adapted_layer(12) == 5
+        assert RunConfig(baseline="lora_only").first_adapted_layer(12) == 5
+        assert RunConfig(baseline="text_only").first_adapted_layer(12) == 12
+        assert RunConfig(enable_fusion=False, enable_lora=False) \
+            .first_adapted_layer(12) == 12
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(TrainerConfigError):
@@ -188,6 +197,17 @@ class TestPhase2Training:
                                         cfg, seed=0))
         assert runs[0].loss_trace == runs[1].loss_trace
         assert runs[0].test_metric == runs[1].test_metric
+
+    def test_given_prefix_states_equal_the_computed_ones(self, setup):
+        start = setup.config.first_adapted_layer(4)
+        states = prefix_states(setup.backbone, setup.ids, setup.mask, start)
+        cfg = dataclasses.replace(setup.config, seeds=(0, 1))
+        given = train_phase2(setup.backbone, setup.embeddings, setup.graph,
+                             setup.vocab, cfg, states=states)
+        computed = train_phase2(setup.backbone, setup.embeddings,
+                                setup.graph, setup.vocab, cfg)
+        assert given.as_dict(include_wall_clock=False) == \
+            computed.as_dict(include_wall_clock=False)
 
     def test_report_serializes_without_wall_clock(self, setup):
         report = train_phase2(setup.backbone, setup.embeddings, setup.graph,
