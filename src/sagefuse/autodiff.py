@@ -331,17 +331,6 @@ def mean_(a, axis=None, keepdims=False):
     return _node(out, [(a, ga)])
 
 
-def mean_rows(x):
-    """Mean over the rows of a matrix; the empty set maps to the zero vector."""
-    x = lift(x)
-    vx = val(x)
-    if vx.ndim != 2:
-        raise ShapeError("mean_rows", vx.shape)
-    if vx.shape[0] == 0:
-        return np.zeros(vx.shape[1], dtype=vx.dtype)
-    return mean_(x, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -396,19 +385,6 @@ def layernorm(x, gamma, beta, eps=1e-5):
         return _unbroadcast(g, val(beta).shape)
 
     return _node(out, [(x, gx), (gamma, ggamma), (beta, gbeta)])
-
-
-def dropout(x, rate, rng=None):
-    """Inverted dropout; rate 0 is the identity (the default everywhere)."""
-    if not 0.0 <= rate < 1.0:
-        raise NumericsError(f"dropout rate {rate} outside [0, 1)")
-    if rate == 0.0:
-        return lift(x)
-    if rng is None:
-        raise NumericsError("dropout with rate > 0 requires an rng")
-    x = lift(x)
-    keep = (rng.random(val(x).shape) >= rate) / (1.0 - rate)
-    return mul(x, keep.astype(val(x).dtype))
 
 
 def attention(q, k, v, mask_bias=None):

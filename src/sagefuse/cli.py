@@ -73,6 +73,8 @@ def _load_config(args):
         cfg.output.dir = args.out
     if args.seeds:
         cfg.trainer.seeds = _int_list("--seeds", args.seeds)
+    if getattr(args, "baseline", None):
+        cfg.trainer.baseline = args.baseline
     cfg.validate()
     return cfg
 
@@ -88,8 +90,6 @@ def _dispatch(args):
         print(f"phase-1 done: best epoch {result.best_epoch}, "
               f"val {result.metric_name} {result.val_metric:.4f}")
     elif args.command == "phase2":
-        if args.baseline:
-            cfg.trainer.baseline = args.baseline
         report = pipeline.run_phase2(cfg)
         std = "n/a" if report.metric_std is None else f"{report.metric_std:.4f}"
         print(f"phase-2 [{report.baseline}] {report.metric_name}: "

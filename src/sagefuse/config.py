@@ -8,12 +8,12 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .sage import SageTrainConfig
+from .fusion import AdapterConfigError, check_placement
+from .sage import SageConfig
 from .tag import GeneratorParams, GraphFormatError, SplitSpec
-from .textenc import BackboneConfig
-from .trainer import RunConfig
+from .textenc import BackboneConfig, VocabError
+from .trainer import (FusionConfig, RunConfig, TrainerConfig,
+                      TrainerConfigError)
 
 
 class ConfigError(ValueError):
@@ -21,88 +21,32 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class DatasetSection:
+class DatasetSource:
     source: str = "synthetic"          # synthetic | files
     nodes_path: str = ""
     edges_path: str = ""
     splits_path: str = ""
-    n_nodes: int = 2000
-    num_classes: int = 4
-    avg_degree: float = 8.0
-    topic_vocab_size: int = 50
-    text_len: int = 16
-    text_noise: float = 0.35
-    structure_signal: float = 0.9
-    seed: int = 0
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-    split_seed: int = 0
 
 
 @dataclass
-class BackboneSection:
-    layers: int = 12
-    dim: int = 64
-    heads: int = 4
-    mlp_width: int = 256
-    max_tokens: int = 128
-    vocab_max: int = 8192
-    pooling: str = "mean"
-    seed: int = 0
-    fused_qkv: bool = False   # audit-only shape variant (fused qkv projection)
-    precision: str = "f32"    # f32 | f64
+class DatasetSection(SplitSpec, GeneratorParams, DatasetSource):
+    """The [dataset] section; it is itself the generator's params and the
+    split spec. Dataclass fields follow the reversed MRO, so the keys run
+    source, generator, then split, as in the file."""
 
-
-@dataclass
-class SageSection:
-    embed_dim: int = 64
-    classifier_hidden: int = 64
-    lr: float = 1e-2
-    weight_decay: float = 1e-2
-    epochs: int = 500
-    patience: int = 20
-    seed: int = 0
-
-
-@dataclass
-class FusionSection:
-    rank: int = 4
-    pass1_layers: tuple = ()
-    pass2_layers: tuple = ()
-    enable_fusion: bool = True
-    enable_lora: bool = True
-    lora_targets: tuple = ("q", "k", "v", "o")
-    mode: str = "residual"     # residual | replace
-    tying: str = "separate"    # separate | shared
-
-
-@dataclass
-class TrainerSection:
-    lr: float = 3e-4
-    weight_decay: float = 1e-2
-    batch_size: int = 32
-    epochs: int = 100
-    patience: int = 10
-    seeds: tuple = (0, 1, 2, 3, 4)
-    seq_len: int = 32
-    prompt: str = ""
-    baseline: str = "fused"
+    def validate(self):
+        if self.source not in ("synthetic", "files"):
+            raise ConfigError(f"dataset.source {self.source!r} must be "
+                              "'synthetic' or 'files'")
+        if self.source == "synthetic":
+            GeneratorParams.validate(self)
+        self.check_fractions()
+        return self
 
 
 @dataclass
 class OutputSection:
     dir: str = "runs/default"
-
-
-_SECTIONS = {
-    "dataset": DatasetSection,
-    "backbone": BackboneSection,
-    "sage": SageSection,
-    "fusion": FusionSection,
-    "trainer": TrainerSection,
-    "output": OutputSection,
-}
 
 
 def _parse_value(raw, template):
@@ -138,10 +82,10 @@ def _format_value(value):
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    backbone: BackboneSection = field(default_factory=BackboneSection)
-    sage: SageSection = field(default_factory=SageSection)
-    fusion: FusionSection = field(default_factory=FusionSection)
-    trainer: TrainerSection = field(default_factory=TrainerSection)
+    backbone: BackboneConfig = field(default_factory=BackboneConfig)
+    sage: SageConfig = field(default_factory=SageConfig)
+    fusion: FusionConfig = field(default_factory=FusionConfig)
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
     output: OutputSection = field(default_factory=OutputSection)
 
     @classmethod
@@ -152,10 +96,11 @@ class ExperimentConfig:
         except configparser.Error as e:
             raise ConfigError(f"config parse error: {e}")
         cfg = cls()
+        sections = [f.name for f in fields(cfg)]
         for section in parser.sections():
-            if section not in _SECTIONS:
+            if section not in sections:
                 raise ConfigError(f"unknown section [{section}]; valid: "
-                                  f"{sorted(_SECTIONS)}")
+                                  f"{sorted(sections)}")
             target = getattr(cfg, section)
             known = {f.name: f for f in fields(target)}
             for key, raw in parser.items(section):
@@ -180,85 +125,36 @@ class ExperimentConfig:
 
     def to_string(self):
         out = io.StringIO()
-        for name in _SECTIONS:
-            section = getattr(self, name)
-            out.write(f"[{name}]\n")
+        for s in fields(self):
+            section = getattr(self, s.name)
+            out.write(f"[{s.name}]\n")
             for f in fields(section):
                 out.write(f"{f.name} = {_format_value(getattr(section, f.name))}\n")
             out.write("\n")
         return out.getvalue()
 
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_string())
-
     def hash(self):
         return hashlib.sha256(self.to_string().encode()).hexdigest()
 
     def validate(self):
-        if self.dataset.source not in ("synthetic", "files"):
-            raise ConfigError(f"dataset.source {self.dataset.source!r} must "
-                              "be 'synthetic' or 'files'")
-        if self.backbone.precision not in ("f32", "f64"):
-            raise ConfigError(f"backbone.precision {self.backbone.precision!r} "
-                              "must be 'f32' or 'f64'")
+        """Check every section, and the [fusion] settings as the configured
+        arm uses them, so a bad value ends here instead of mid-run."""
+        b, t = self.backbone, self.trainer
         try:
-            if self.dataset.source == "synthetic":
-                self.generator_params().validate()
-            self.split_spec()
-        except GraphFormatError as e:
+            self.dataset.validate()
+            b.validate()
+            run = self.run_config()
+            if any(run.toggles()):
+                check_placement(b.layers, *run.placement(b.layers))
+        except (GraphFormatError, VocabError, AdapterConfigError,
+                TrainerConfigError) as e:
             raise ConfigError(str(e))
-        self.run_config()
+        if not 4 <= t.seq_len <= b.max_tokens:
+            raise ConfigError(f"trainer.seq_len {t.seq_len} outside [4, "
+                              f"backbone.max_tokens = {b.max_tokens}]")
         return self
 
-    # ------------------------------------------------------------------
-    # typed views consumed by the pipeline modules
-
-    @property
-    def dtype(self):
-        return np.float64 if self.backbone.precision == "f64" else np.float32
-
-    def generator_params(self):
-        d = self.dataset
-        return GeneratorParams(n_nodes=d.n_nodes, num_classes=d.num_classes,
-                               avg_degree=d.avg_degree,
-                               topic_vocab_size=d.topic_vocab_size,
-                               text_len=d.text_len, text_noise=d.text_noise,
-                               structure_signal=d.structure_signal,
-                               seed=d.seed)
-
-    def split_spec(self):
-        d = self.dataset
-        return SplitSpec(train_frac=d.train_frac, val_frac=d.val_frac,
-                         test_frac=d.test_frac, seed=d.split_seed)
-
-    def backbone_config(self, vocab_size):
-        b = self.backbone
-        return BackboneConfig(vocab_size=vocab_size, dim=b.dim, heads=b.heads,
-                              layers=b.layers, mlp_width=b.mlp_width,
-                              max_tokens=b.max_tokens, seed=b.seed,
-                              dtype=self.dtype)
-
-    def sage_train_config(self):
-        s = self.sage
-        return SageTrainConfig(lr=s.lr, weight_decay=s.weight_decay,
-                               epochs=s.epochs, patience=s.patience,
-                               seed=s.seed)
-
     def run_config(self, **overrides):
-        t, f = self.trainer, self.fusion
-        kwargs = dict(lr=t.lr, weight_decay=t.weight_decay,
-                      batch_size=t.batch_size, epochs=t.epochs,
-                      patience=t.patience, seeds=tuple(t.seeds),
-                      seq_len=t.seq_len, prompt=t.prompt, rank=f.rank,
-                      pass1_layers=tuple(f.pass1_layers),
-                      pass2_layers=tuple(f.pass2_layers),
-                      enable_fusion=f.enable_fusion, enable_lora=f.enable_lora,
-                      baseline=t.baseline, lora_targets=tuple(f.lora_targets),
-                      fusion_mode=f.mode, fusion_tying=f.tying,
-                      pooling=self.backbone.pooling)
-        kwargs.update(overrides)
-        try:
-            return RunConfig(**kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        """The phase-2 run settings: [trainer] and [fusion] together."""
+        return RunConfig(**{**vars(self.trainer), **vars(self.fusion),
+                            **overrides})

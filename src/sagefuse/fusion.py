@@ -16,6 +16,7 @@ class AdapterConfigError(ValueError):
 
 
 PASS1, PASS2 = "pass1", "pass2"
+LORA_TARGETS = ("q", "k", "v", "o")
 
 
 class LoraPair:
@@ -159,12 +160,9 @@ class FusionAdapterSet:
         return out
 
 
-def build_adapter_set(num_layers, pass1_layers, pass2_layers, rank, d, g,
-                      seed=0, mode="residual", tie_pairs=None,
-                      dtype=np.float64):
-    """Create one adapter per listed layer. Pass-1 layers must all sit
-    strictly below every pass-2 layer. `tie_pairs` optionally maps layer
-    index to a LoraPair whose factors the adapter reuses as W_A/W_C."""
+def check_placement(num_layers, pass1_layers, pass2_layers):
+    """Both sources need a layer, every layer lies in the backbone, and the
+    pass-1 layers all sit strictly below every pass-2 layer."""
     pass1_layers = sorted(pass1_layers)
     pass2_layers = sorted(pass2_layers)
     if not pass1_layers or not pass2_layers:
@@ -181,9 +179,18 @@ def build_adapter_set(num_layers, pass1_layers, pass2_layers, rank, d, g,
         raise AdapterConfigError(
             f"pass1 layers {pass1_layers} must all precede pass2 layers "
             f"{pass2_layers}")
+
+
+def build_adapter_set(num_layers, pass1_layers, pass2_layers, rank, d, g,
+                      seed=0, mode="residual", tie_pairs=None,
+                      dtype=np.float64):
+    """Create one adapter per listed layer, placed as `check_placement`
+    requires. `tie_pairs` optionally maps layer index to a LoraPair whose
+    factors the adapter reuses as W_A/W_C."""
+    check_placement(num_layers, pass1_layers, pass2_layers)
     adapters = []
     for source, layers in ((PASS1, pass1_layers), (PASS2, pass2_layers)):
-        for layer in layers:
+        for layer in sorted(layers):
             tie = None
             if tie_pairs and layer in tie_pairs:
                 pair = tie_pairs[layer]
@@ -292,18 +299,27 @@ class BackboneShape:
         return (self.vocab_size * d + self.max_tokens * d
                 + self.layers * per_layer + 2 * d)
 
-    def lora_target_shapes(self):
-        """(d_in, d_out) per adapted projection within one layer."""
+    def lora_target_shapes(self, targets=LORA_TARGETS):
+        """(d_in, d_out) per adapted projection within one layer. With
+        `fused_qkv`, one (d, 3d) pair serves any of the q, k, v targets."""
         d = self.dim
         if self.fused_qkv:
-            return [(d, 3 * d), (d, d)]
-        return [(d, d), (d, d), (d, d), (d, d)]
+            qkv = [(d, 3 * d)] if {"q", "k", "v"} & set(targets) else []
+            return qkv + ([(d, d)] if "o" in targets else [])
+        return [(d, d)] * len(set(targets))
+
+
+def gnn_param_count(in_dim, g, hidden, num_classes):
+    """Scalars of the phase-1 SageModel: two concat-mean layers of width g
+    over inputs of width `in_dim`, then the MLP classifier."""
+    return (g * 2 * in_dim + g) + (g * 2 * g + g) \
+        + (hidden * g + hidden) + (num_classes * hidden + num_classes)
 
 
 def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
                       gnn_hidden=64, gnn_input_dim=None,
                       enable_fusion=True, enable_lora=True,
-                      fusion_tying="separate"):
+                      fusion_tying="separate", lora_targets=LORA_TARGETS):
     """Analytic audit for a backbone given only its shape.
 
     Mirrors exactly what a live assembly registry would report: used both
@@ -312,13 +328,12 @@ def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
     """
     d = shape.dim
     k = gnn_input_dim if gnn_input_dim is not None else d
-    gnn = (g * 2 * k + g) + (g * 2 * g + g) \
-        + (gnn_hidden * g + gnn_hidden) + (num_classes * gnn_hidden + num_classes)
+    gnn = gnn_param_count(k, g, gnn_hidden, num_classes)
 
     lora = 0
     if enable_lora:
-        per_layer = sum(rank * (d_in + d_out)
-                        for d_in, d_out in shape.lora_target_shapes())
+        per_layer = sum(rank * (d_in + d_out) for d_in, d_out
+                        in shape.lora_target_shapes(lora_targets))
         lora = len(adapted_layers) * per_layer
 
     fusion = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericsError, Parameter, backward, val
+from .autodiff import NumericsError, backward, val
 
 
 class AdamW:
@@ -44,25 +44,6 @@ class AdamW:
             mhat = m / (1.0 - self.beta1 ** self.t)
             vhat = v / (1.0 - self.beta2 ** self.t)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def adamw_step(params, lr, beta1, beta2, eps, weight_decay, state, t):
-    """One functional AdamW step. `state` maps id(param) -> (m, v) and is
-    updated in place; `t` is the 1-based step count."""
-    for p in params:
-        if p.frozen:
-            continue
-        g = p.gradient
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for {p.name!r}")
-        m, v = state.setdefault(id(p), (np.zeros_like(p.value),
-                                        np.zeros_like(p.value)))
-        if weight_decay:
-            p.value -= lr * weight_decay * p.value
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p.value -= lr * (m / (1.0 - beta1 ** t)) / (
-            np.sqrt(v / (1.0 - beta2 ** t)) + eps)
 
 
 @dataclass

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .fusion import BackboneShape, audit_from_shapes
+from .fusion import audit_from_shapes, gnn_param_count
 from .metrics import metric_name
-from .sage import SageModel, train_phase1
+from .sage import SageEmbeddings, SageModel, train_phase1
 from .tag import (generate_synthetic_tag, load_graph, load_splits, save_graph,
                   save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
@@ -82,8 +82,8 @@ def run_gen_data(cfg, force=False):
         raise ConfigError(f"{out} already contains files; pass --force to "
                           "overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    graph = generate_synthetic_tag(cfg.generator_params())
-    graph = stratified_split(graph, cfg.split_spec())
+    graph = generate_synthetic_tag(cfg.dataset)
+    graph = stratified_split(graph, cfg.dataset)
     nodes, edges, splits = (out / "nodes.jsonl", out / "edges.tsv",
                             out / "splits.jsonl")
     save_graph(graph, nodes, edges)
@@ -102,7 +102,7 @@ def load_dataset(cfg):
                            num_classes=cfg.dataset.num_classes)
         if cfg.dataset.splits_path:
             return load_splits(graph, cfg.dataset.splits_path)
-        return stratified_split(graph, cfg.split_spec())
+        return stratified_split(graph, cfg.dataset)
     out = data_dir(cfg)
     nodes, edges, splits = (out / "nodes.jsonl", out / "edges.tsv",
                             out / "splits.jsonl")
@@ -111,10 +111,6 @@ def load_dataset(cfg):
             raise PipelineError(f"missing dataset file {p}; run gen-data first")
     graph = load_graph(nodes, edges, num_classes=cfg.dataset.num_classes)
     return load_splits(graph, splits)
-
-
-def _build_backbone(cfg, vocab):
-    return EncoderBackbone(cfg.backbone_config(vocab.size))
 
 
 def run_phase1(cfg):
@@ -126,7 +122,7 @@ def run_phase1(cfg):
 
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
     _write_json(out / "vocab.json", vocab.to_dict())
-    backbone = _build_backbone(cfg, vocab)
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
     key = _prefix_key(cfg)
     prompt = PromptSpec(cfg.trainer.prompt)
@@ -135,7 +131,7 @@ def run_phase1(cfg):
                               pooling=cfg.backbone.pooling)
     save_tensor(out / "features.gtsr", x)
     prefix = out / "prefix.gtsr"
-    if cfg.dtype == np.float32:
+    if cfg.backbone.dtype == np.float32:
         save_tensor(prefix, states)
     else:  # GTSR stores float32 only: f64 runs recompute the prefix
         key = None
@@ -149,9 +145,8 @@ def run_phase1(cfg):
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
                       hidden=cfg.sage.classifier_hidden,
                       num_classes=graph.num_classes, seed=cfg.sage.seed,
-                      dtype=cfg.dtype)
-    result = train_phase1(model, x.astype(cfg.dtype), graph,
-                          cfg.sage_train_config())
+                      dtype=cfg.backbone.dtype)
+    result = train_phase1(model, x.astype(cfg.backbone.dtype), graph, cfg.sage)
     save_tensor(out / "pass1.gtsr", result.embeddings.pass1)
     save_tensor(out / "pass2.gtsr", result.embeddings.pass2)
     _write_json(out / "sidecar.json", {
@@ -194,7 +189,7 @@ def load_prefix_states(cfg, graph):
         return None
     if saved != _prefix_key(cfg) or not (out / "prefix.gtsr").exists():
         return None
-    states = load_tensor(out / "prefix.gtsr", dtype=cfg.dtype)
+    states = load_tensor(out / "prefix.gtsr", dtype=cfg.backbone.dtype)
     expected = (graph.num_nodes, cfg.trainer.seq_len, cfg.backbone.dim)
     return states if states.shape == expected else None
 
@@ -207,10 +202,9 @@ def load_phase1_artifacts(cfg):
                                 "run phase1 first")
     with open(out / "vocab.json", encoding="utf-8") as f:
         vocab = Vocabulary.from_dict(json.load(f))
-    from .sage import SageEmbeddings
     embeddings = SageEmbeddings(
-        pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.dtype),
-        pass2=load_tensor(out / "pass2.gtsr", dtype=cfg.dtype))
+        pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.backbone.dtype),
+        pass2=load_tensor(out / "pass2.gtsr", dtype=cfg.backbone.dtype))
     for name in ("pass1", "pass2"):
         width = getattr(embeddings, name).shape[-1]
         if width != cfg.sage.embed_dim:
@@ -218,14 +212,6 @@ def load_phase1_artifacts(cfg):
                 f"phase-1 {name} embeddings in {out} are {width} wide but "
                 f"[sage] embed_dim is {cfg.sage.embed_dim}; re-run phase1")
     return vocab, embeddings
-
-
-def _gnn_params_for_audit(cfg, graph, feature_dim):
-    model = SageModel(in_dim=feature_dim, embed_dim=cfg.sage.embed_dim,
-                      hidden=cfg.sage.classifier_hidden,
-                      num_classes=graph.num_classes, seed=cfg.sage.seed,
-                      dtype=cfg.dtype)
-    return model.parameters()
 
 
 def _save_checkpoint(directory, assembly):
@@ -271,14 +257,14 @@ def run_phase2(cfg):
     adapter checkpoint per seed."""
     graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
-    backbone = _build_backbone(cfg, vocab)
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    run_cfg = cfg.run_config()
-    gnn_params = _gnn_params_for_audit(cfg, graph, backbone.config.dim)
-    report = train_phase2(backbone, embeddings, graph, vocab, run_cfg,
-                          gnn_params=gnn_params,
+    gnn_size = gnn_param_count(backbone.config.dim, cfg.sage.embed_dim,
+                               cfg.sage.classifier_hidden, graph.num_classes)
+    report = train_phase2(backbone, embeddings, graph, vocab,
+                          cfg.run_config(), gnn_size=gnn_size,
                           states=load_prefix_states(cfg, graph))
 
     _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
@@ -297,7 +283,7 @@ def run_evaluate(cfg, split="test", seed=None):
     """Evaluate a saved phase-2 checkpoint on one split."""
     graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
-    backbone = _build_backbone(cfg, vocab)
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     run_cfg = cfg.run_config()
     seed = run_cfg.seeds[0] if seed is None else seed
     ckpt = phase2_dir(cfg) / "checkpoints" / f"seed{seed}"
@@ -318,19 +304,16 @@ def run_evaluate(cfg, split="test", seed=None):
 def run_audit(cfg):
     """Analytic parameter audit from the configured shapes (no weights are
     instantiated, so arbitrarily large backbones are fine)."""
-    b = cfg.backbone
-    shape = BackboneShape(vocab_size=b.vocab_max, max_tokens=b.max_tokens,
-                          dim=b.dim, layers=b.layers, mlp_width=b.mlp_width,
-                          fused_qkv=b.fused_qkv)
-    run_cfg = cfg.run_config()
+    b, run_cfg = cfg.backbone, cfg.run_config()
     pass1, pass2 = run_cfg.placement(b.layers)
     fusion_on, lora_on = run_cfg.toggles()
     audit = audit_from_shapes(
-        shape, adapted_layers=list(pass1) + list(pass2), rank=cfg.fusion.rank,
-        g=cfg.sage.embed_dim, num_classes=cfg.dataset.num_classes,
+        b.shape(b.vocab_max), adapted_layers=list(pass1) + list(pass2),
+        rank=run_cfg.rank, g=cfg.sage.embed_dim,
+        num_classes=cfg.dataset.num_classes,
         gnn_hidden=cfg.sage.classifier_hidden, gnn_input_dim=b.dim,
         enable_fusion=fusion_on, enable_lora=lora_on,
-        fusion_tying=cfg.fusion.tying)
+        fusion_tying=run_cfg.tying, lora_targets=run_cfg.lora_targets)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", audit.as_dict())
@@ -341,7 +324,7 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
                prompts=DEFAULT_ABLATION_PROMPTS):
     graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
-    backbone = _build_backbone(cfg, vocab)
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     base = cfg.run_config()
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,11 @@ from .optim import AdamW
 
 
 @dataclass
-class SageTrainConfig:
+class SageConfig:
+    """The [sage] section: the phase-1 model's widths and init seed, and
+    its training schedule."""
+    embed_dim: int = 64
+    classifier_hidden: int = 64
     lr: float = 1e-2
     weight_decay: float = 1e-2
     epochs: int = 500
@@ -89,11 +93,8 @@ def mean_aggregation_matrix(graph, dtype=np.float64):
 def sage_pass(x, agg, w, b):
     """ReLU(W . concat(x_v, mean_{u in N(v)} x_u) + b) for every node.
 
-    `agg` is the graph's mean-aggregation matrix (or a graph, from which
-    one is built).
+    `agg` is the graph's `mean_aggregation_matrix`.
     """
-    if not sp.issparse(agg):
-        agg = mean_aggregation_matrix(agg, dtype=ad.val(x).dtype)
     k = ad.val(x).shape[-1]
     if ad.val(w).shape[-1] != 2 * k:
         raise ad.ShapeError("sage_pass", ad.val(w).shape, (..., 2 * k))
@@ -101,12 +102,10 @@ def sage_pass(x, agg, w, b):
     return ad.relu(ad.linear(ad.concat_cols(x, neighbor_mean), w, b))
 
 
-def forward_embeddings(model, x, graph_or_agg):
-    """(pass1, pass2): 1-hop then 2-hop aggregation, the second pass
-    consuming the first pass's states."""
-    agg = graph_or_agg
-    if not sp.issparse(agg):
-        agg = mean_aggregation_matrix(agg, dtype=ad.val(x).dtype)
+def forward_embeddings(model, x, agg):
+    """(pass1, pass2): 1-hop then 2-hop aggregation over the graph's
+    `mean_aggregation_matrix`, the second pass consuming the first pass's
+    states."""
     pass1 = sage_pass(x, agg, model.w0, model.b0)
     pass2 = sage_pass(pass1, agg, model.w1, model.b1)
     return pass1, pass2

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,12 +26,15 @@ class NodeRecord:
 
 @dataclass
 class SplitSpec:
-    train_frac: float
-    val_frac: float
-    test_frac: float
-    seed: int = 0
+    train_frac: float = 0.8
+    val_frac: float = 0.1
+    test_frac: float = 0.1
+    split_seed: int = 0
 
     def __post_init__(self):
+        self.check_fractions()
+
+    def check_fractions(self):
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise GraphFormatError(f"split fractions sum to {total}, not 1")
@@ -241,7 +244,7 @@ def stratified_split(graph, spec):
         if len(ids) < 3:
             raise GraphFormatError(f"class {c} has {len(ids)} nodes; "
                                    "stratified split needs at least 3")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.split_seed)
     assignment = {}
     for ids in nodes_by_class:
         ids = ids[rng.permutation(len(ids))]

@@ -109,25 +109,40 @@ def tokenize_graph(graph, vocab, prompt, seq_len):
 
 @dataclass
 class BackboneConfig:
-    vocab_size: int
+    """The [backbone] section: shape, init seed and precision of the frozen
+    encoder. The vocabulary size comes from the phase-1 vocab."""
+    layers: int = 12
     dim: int = 64
     heads: int = 4
-    layers: int = 12
     mlp_width: int = 256
     max_tokens: int = 128
+    vocab_max: int = 8192
+    pooling: str = "mean"     # mean | cls
     seed: int = 0
-    dtype: object = np.float64
+    fused_qkv: bool = False   # audit-only shape variant (fused qkv projection)
+    precision: str = "f32"    # f32 | f64
 
-    def __post_init__(self):
+    @property
+    def dtype(self):
+        return np.float64 if self.precision == "f64" else np.float32
+
+    def validate(self):
+        if self.precision not in ("f32", "f64"):
+            raise VocabError(f"backbone.precision {self.precision!r} must be "
+                             "'f32' or 'f64'")
+        if self.pooling not in ("mean", "cls"):
+            raise VocabError(f"unknown pooling {self.pooling!r}")
         if self.layers < 2:
             raise VocabError(f"backbone needs >= 2 layers, got {self.layers}")
-        if self.dim % self.heads != 0:
+        if self.heads < 1 or self.dim % self.heads != 0:
             raise VocabError(f"dim {self.dim} not divisible by {self.heads} heads")
+        return self
 
-    def shape(self):
-        return BackboneShape(vocab_size=self.vocab_size,
+    def shape(self, vocab_size):
+        return BackboneShape(vocab_size=vocab_size,
                              max_tokens=self.max_tokens, dim=self.dim,
-                             layers=self.layers, mlp_width=self.mlp_width)
+                             layers=self.layers, mlp_width=self.mlp_width,
+                             fused_qkv=self.fused_qkv)
 
 
 class EncoderBackbone:
@@ -137,8 +152,8 @@ class EncoderBackbone:
     layernorm gains, fixed per seed.
     """
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, config, vocab_size):
+        self.config = config.validate()
         rng = np.random.default_rng(config.seed)
         d, m, dt = config.dim, config.mlp_width, config.dtype
 
@@ -152,7 +167,7 @@ class EncoderBackbone:
         def ones(shape, name):
             return Parameter(np.ones(shape, dtype=dt), name=name, frozen=True)
 
-        self.tok_emb = w((config.vocab_size, d), "backbone.tok_emb")
+        self.tok_emb = w((vocab_size, d), "backbone.tok_emb")
         self.pos_emb = w((config.max_tokens, d), "backbone.pos_emb")
         self.blocks = []
         for l in range(config.layers):

@@ -6,21 +6,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .fusion import (LoraPair, audit_parameters, build_adapter_set,
-                     default_placement)
+from .fusion import (LORA_TARGETS, LoraPair, audit_parameters,
+                     build_adapter_set, default_placement)
 from .metrics import metric_name, split_metric
 from .optim import AdamW
 from .textenc import (PromptSpec, encode, pool_states, prefix_states,
                       tokenize_graph)
 
 BASELINES = ("fused", "text_only", "lora_only")
-LORA_TARGETS = ("q", "k", "v", "o")
 
 
 class TrainerConfigError(ValueError):
@@ -35,7 +34,21 @@ def derive_seed(*keys):
 
 
 @dataclass
-class RunConfig:
+class FusionConfig:
+    """The [fusion] section: adapter and LoRA placement, rank and targets."""
+    rank: int = 4
+    pass1_layers: tuple = ()     # empty: proportional default placement
+    pass2_layers: tuple = ()
+    enable_fusion: bool = True
+    enable_lora: bool = True
+    lora_targets: tuple = LORA_TARGETS
+    mode: str = "residual"       # residual | replace
+    tying: str = "separate"      # separate | shared
+
+
+@dataclass
+class TrainerConfig:
+    """The [trainer] section: the phase-2 schedule, tokens and arm."""
     lr: float = 3e-4
     weight_decay: float = 1e-2
     batch_size: int = 32
@@ -44,16 +57,12 @@ class RunConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     seq_len: int = 32
     prompt: str = ""
-    rank: int = 4
-    pass1_layers: tuple = ()     # empty: proportional default placement
-    pass2_layers: tuple = ()
-    enable_fusion: bool = True
-    enable_lora: bool = True
     baseline: str = "fused"
-    lora_targets: tuple = LORA_TARGETS
-    fusion_mode: str = "residual"
-    fusion_tying: str = "separate"
-    pooling: str = "mean"
+
+
+@dataclass
+class RunConfig(TrainerConfig, FusionConfig):
+    """Everything phase 2 reads: the [trainer] and [fusion] keys together."""
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -64,6 +73,16 @@ class RunConfig:
         bad = set(self.lora_targets) - set(LORA_TARGETS)
         if bad:
             raise TrainerConfigError(f"unknown LoRA targets {sorted(bad)}")
+        if self.mode not in ("residual", "replace"):
+            raise TrainerConfigError(f"unknown fusion mode {self.mode!r}")
+        if self.tying not in ("separate", "shared"):
+            raise TrainerConfigError(f"unknown fusion tying {self.tying!r}")
+        fusion_on, lora_on = self.toggles()
+        if fusion_on and self.tying == "shared" and \
+                not (lora_on and "o" in self.lora_targets):
+            raise TrainerConfigError(
+                "shared fusion tying needs LoRA pairs on the 'o' "
+                "projection to alias")
 
     def toggles(self):
         """(fusion, lora) after applying the baseline mode."""
@@ -122,16 +141,12 @@ class Phase2Assembly:
         self.adapters = None
         if use_fusion:
             tie_pairs = None
-            if config.fusion_tying == "shared":
-                if not use_lora or "o" not in config.lora_targets:
-                    raise TrainerConfigError(
-                        "shared fusion tying needs LoRA pairs on the 'o' "
-                        "projection to alias")
+            if config.tying == "shared":
                 tie_pairs = {layer: self.lora[layer]["o"] for layer in adapted}
             self.adapters = build_adapter_set(
                 backbone.config.layers, pass1_layers, pass2_layers,
                 config.rank, d, g, seed=derive_seed(seed, "fusion"),
-                mode=config.fusion_mode, tie_pairs=tie_pairs, dtype=dtype)
+                mode=config.mode, tie_pairs=tie_pairs, dtype=dtype)
 
         rng = np.random.default_rng(derive_seed(seed, "head"))
         self.head_w = Parameter(rng.normal(0.0, 0.02, (num_classes, d))
@@ -178,7 +193,7 @@ class Phase2Assembly:
         hidden = encode(self.backbone, None, mask, adapters=self.adapters,
                         node_embeddings=h2, lora=self.lora, states=states,
                         start=self.start)
-        pooled = pool_states(hidden, mask, self.config.pooling)
+        pooled = pool_states(hidden, mask, self.backbone.config.pooling)
         return ad.linear(pooled, self.head_w, self.head_b)
 
 
@@ -313,21 +328,20 @@ def seed_sweep(runner, seeds, baseline, metric, audit=None):
                      wall_clock_sec=time.perf_counter() - started)
 
 
-def train_phase2(backbone, embeddings, graph, vocab, config,
-                 gnn_params=(), states=None):
+def train_phase2(backbone, embeddings, graph, vocab, config, gnn_size=0,
+                 states=None):
     """Seed sweep of phase-2 fine-tuning; tokenization and the frozen
     prefix `states` (computed here when not given) are shared across
-    seeds. `gnn_params` (the phase-1 model's weights) are included in the
-    report's parameter audit."""
+    seeds. `gnn_size`, the phase-1 model's scalar count, is the report
+    audit's `gnn` term."""
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(config.prompt),
                                config.seq_len)
     if states is None:
         states = frozen_prefix(backbone, ids, mask, config)
     probe = Phase2Assembly(backbone, embeddings, graph.num_classes,
                            config, seed=0)
-    audit = audit_parameters(
-        [("gnn", p) for p in gnn_params] + probe.registry(),
-        backbone.param_count()).as_dict()
+    audit = replace(audit_parameters(probe.registry(), backbone.param_count()),
+                    gnn=gnn_size).as_dict()
 
     def runner(seed):
         return run_phase2_seed(backbone, embeddings, graph, ids, mask,

@@ -46,4 +46,4 @@ def micro_tag():
     graph = generate_synthetic_tag(GeneratorParams(
         n_nodes=200, num_classes=3, avg_degree=6, topic_vocab_size=20,
         text_len=8, text_noise=0.3, structure_signal=0.9, seed=7))
-    return stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, seed=0))
+    return stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))

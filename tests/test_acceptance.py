@@ -22,7 +22,8 @@ from sagefuse.config import ExperimentConfig
 from sagefuse.fusion import GPT2_SHAPE, audit_from_shapes
 from sagefuse.metrics import roc_auc
 from sagefuse.optim import grad_check
-from sagefuse.sage import SageModel, forward_embeddings, train_phase1
+from sagefuse.sage import (SageModel, forward_embeddings,
+                           mean_aggregation_matrix, train_phase1)
 from sagefuse.tag import (GeneratorParams, SplitSpec, generate_synthetic_tag,
                           stratified_split)
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
@@ -54,11 +55,11 @@ def _micro_phase2(seed=0):
                        labels=labels,
                        texts=[f"w{labels[i]} w{int(rng.integers(4))}"
                               for i in range(n)])
-    graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, seed=0))
+    graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
-        vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
-        max_tokens=8, seed=0, dtype=np.float64))
+        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
+        precision="f64"), vocab.size)
     embeddings_src = rng.normal(0, 0.5, (n, 8))
     from sagefuse.sage import SageEmbeddings
     embeddings = SageEmbeddings(pass1=embeddings_src,
@@ -86,8 +87,10 @@ def test_criterion_1_gradient_fidelity():
         if p.value.ndim == 1:
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
 
+    agg = mean_aggregation_matrix(graph)
+
     def phase1_loss():
-        _, p2 = forward_embeddings(model, x, graph)
+        _, p2 = forward_embeddings(model, x, agg)
         return ad.cross_entropy(ad.gather_rows(model.classify(p2), batch),
                                 labels[batch])
 
@@ -126,8 +129,9 @@ def test_criterion_2_aggregation_oracle():
         w1 = rng.normal(0, 0.5, (4, 10))
         b1 = rng.normal(0, 0.1, 4)
         from sagefuse.sage import sage_pass
-        pass1 = np.asarray(sage_pass(x, graph, w0, b0))
-        pass2 = np.asarray(sage_pass(pass1, graph, w1, b1))
+        agg = mean_aggregation_matrix(graph)
+        pass1 = np.asarray(sage_pass(x, agg, w0, b0))
+        pass2 = np.asarray(sage_pass(pass1, agg, w1, b1))
         ref1 = brute_force_pass(x, graph, w0, b0)
         ref2 = brute_force_pass(ref1, graph, w1, b1)
         worst = max(worst, np.abs(pass1 - ref1).max(),
@@ -205,18 +209,19 @@ def test_criterion_6_relative_fraction():
 def test_criterion_7_structure_beats_text_only():
     started = time.perf_counter()
     cfg = ExperimentConfig.from_file(CONFIG_DIR / "acceptance.cfg")
-    graph = stratified_split(generate_synthetic_tag(cfg.generator_params()),
-                             cfg.split_spec())
+    graph = stratified_split(generate_synthetic_tag(cfg.dataset),
+                             cfg.dataset)
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
-    backbone = EncoderBackbone(cfg.backbone_config(vocab.size))
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     x, _ = node_features(backbone, graph, vocab, PromptSpec(""),
                          cfg.trainer.seq_len,
                          cfg.run_config().first_adapted_layer(
                              cfg.backbone.layers))
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
                       hidden=cfg.sage.classifier_hidden,
-                      num_classes=graph.num_classes, dtype=cfg.dtype)
-    phase1 = train_phase1(model, x, graph, cfg.sage_train_config())
+                      num_classes=graph.num_classes,
+                      dtype=cfg.backbone.dtype)
+    phase1 = train_phase1(model, x, graph, cfg.sage)
 
     structural = train_phase2(backbone, phase1.embeddings, graph, vocab,
                               cfg.run_config())
@@ -255,7 +260,7 @@ def test_criterion_9_stratification():
     for seed, (tr, va, te) in enumerate(specs):
         graph = generate_synthetic_tag(GeneratorParams(
             n_nodes=500 + 37 * seed, num_classes=3 + seed, seed=seed))
-        split = stratified_split(graph, SplitSpec(tr, va, te, seed=seed))
+        split = stratified_split(graph, SplitSpec(tr, va, te, split_seed=seed))
         for c in range(split.num_classes):
             members = [n for n in split.nodes if n.label == c]
             for frac, name in ((tr, "train"), (va, "val"), (te, "test")):

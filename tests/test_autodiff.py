@@ -12,14 +12,6 @@ class TestForwardOps:
         assert np.array_equal(np.asarray(ad.relu(np.array([-1.0, 0.0, 2.0]))),
                               [0.0, 0.0, 2.0])
 
-    def test_mean_rows_single_row_is_identity(self):
-        row = np.array([[1.5, -2.0, 3.0]])
-        assert np.array_equal(np.asarray(ad.mean_rows(row)), row[0])
-
-    def test_mean_rows_empty_set_is_zero_vector(self):
-        out = np.asarray(ad.mean_rows(np.empty((0, 4))))
-        assert np.array_equal(out, np.zeros(4))
-
     def test_attention_single_token_returns_value_row(self):
         # Softmax over a singleton is 1, so the output is exactly V.
         q = np.array([[0.3, -0.7]])
@@ -45,18 +37,6 @@ class TestForwardOps:
     def test_layernorm_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="layernorm"):
             ad.layernorm(np.ones((2, 4)), np.ones(3), np.zeros(3))
-
-    def test_dropout_zero_rate_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(np.asarray(ad.dropout(x, 0.0)), x)
-
-    def test_dropout_positive_rate_requires_rng(self):
-        with pytest.raises(NumericsError):
-            ad.dropout(np.ones(3), 0.5)
-
-    def test_dropout_invalid_rate_rejected(self):
-        with pytest.raises(NumericsError):
-            ad.dropout(np.ones(3), 1.5)
 
 
 class TestCrossEntropy:
@@ -199,13 +179,11 @@ _DTYPE_OPS = {
     "gather_rows": lambda x: ad.gather_rows(x, [0, 2, 2]),
     "sum_": lambda x: ad.sum_(x, axis=0),
     "mean_": lambda x: ad.mean_(x, axis=1),
-    "mean_rows": ad.mean_rows,
     "relu": ad.relu,
     "sigmoid": ad.sigmoid,
     "softmax": ad.softmax,
     "layernorm": lambda x: ad.layernorm(
         x, np.ones(4, ad.val(x).dtype), np.zeros(4, ad.val(x).dtype)),
-    "dropout": lambda x: ad.dropout(x, 0.5, rng=np.random.default_rng(0)),
     "attention": lambda x: ad.attention(x, x, x),
     "attention_masked": lambda x: ad.attention(
         x, x, x, mask_bias=np.zeros((1, 4), ad.val(x).dtype)),

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,10 +88,15 @@ class TestConfig:
             ExperimentConfig.from_string(
                 "[dataset]\nstructure_signal = 0.4\n")
 
+    def test_default_cfg_equals_builtin_defaults(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / \
+            "default.cfg"
+        assert ExperimentConfig.from_file(path) == ExperimentConfig()
+
     def test_typed_views_reflect_sections(self):
         cfg = ExperimentConfig.from_string(
             "[backbone]\nprecision = f64\n[fusion]\nenable_lora = false\n")
-        assert cfg.dtype == np.float64
+        assert cfg.backbone.dtype == np.float64
         assert cfg.run_config().enable_lora is False
 
 
@@ -144,6 +150,41 @@ class TestCli:
         cfg_path.write_text("[dataset]\nstructure_signal = 0.4\n")
         assert main(["--config", str(cfg_path), "gen-data"]) == 2
         assert "structure_signal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (("heads = 2", "heads = 3"), "dim 16 not divisible by 3 heads"),
+        (("\nlayers = 4", "\nlayers = 1"), "needs >= 2 layers, got 1"),
+        (("seq_len = 8", "seq_len = 40"), "seq_len 40 outside [4, "),
+        (("seq_len = 8", "seq_len = 3"), "seq_len 3 outside [4, "),
+        (("pass1_layers = 1\npass2_layers = 3",
+          "pass1_layers = 3\npass2_layers = 1"), "must all precede"),
+        (("pass2_layers = 3", "pass2_layers = 3\ntying = shared\n"
+          "lora_targets = q,v"), "shared fusion tying needs LoRA pairs"),
+    ])
+    def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
+                                               message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out")
+                            .replace(*edit))
+        for command in ("audit", "gen-data"):
+            assert main(["--config", str(cfg_path), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_flag_applies_before_validation(self, tmp_path,
+                                                     capsys):
+        cfg_path = tmp_path / "text_only.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(
+            "pass1_layers = 1\npass2_layers = 3",
+            "pass1_layers = 3\npass2_layers = 1").replace(
+            "seq_len = 8", "seq_len = 8\nbaseline = text_only"))
+        assert main(["--config", str(cfg_path), "audit"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "phase2",
+                     "--baseline", "fused"]) == 2
+        assert "must all precede" in capsys.readouterr().err
 
     def test_corrupted_nodes_file_exits_2_with_line_number(self, tmp_path,
                                                            capsys):
@@ -296,6 +337,20 @@ class TestCli:
             audit["gnn"] + audit["fusion"] + audit["lora_pairs"]
             + audit["classifier_head"])
 
+    def test_audit_counts_equal_report_counts_for_lora_targets(
+            self, run_dir, tmp_path):
+        out, cfg_path = _copy_run(
+            run_dir, tmp_path,
+            ("pass2_layers = 3", "pass2_layers = 3\nlora_targets = q,v"))
+        for command in ("phase2", "audit"):
+            assert main(["--config", str(cfg_path), command]) == 0
+        audit = json.loads((out / "audit.json").read_text())
+        report = json.loads((out / "phase2" / "report.json").read_text())
+        for key in ("gnn", "fusion", "lora_pairs", "classifier_head",
+                    "phase2_trainable", "total_trainable"):
+            assert audit[key] == report["audit"][key], key
+        assert audit["lora_pairs"] == 2 * 2 * 2 * (16 + 16)
+
     def test_audit_lora_component_doubles_with_rank(self, run_dir, tmp_path):
         _, config_path = run_dir
         audits = {}
@@ -345,7 +400,7 @@ def _in_process_report(cfg_path):
     cfg = ExperimentConfig.from_file(cfg_path)
     graph = pipeline.load_dataset(cfg)
     vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
-    backbone = EncoderBackbone(cfg.backbone_config(vocab.size))
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     report = trainer.train_phase2(backbone, embeddings, graph, vocab,
                                   cfg.run_config())
     return report.as_dict(include_wall_clock=False)

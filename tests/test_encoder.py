@@ -12,12 +12,15 @@ from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
                               tokenize, tokenize_graph)
 from sagefuse.trainer import Phase2Assembly, RunConfig, predict_logits
 
+PRECISION = {np.float32: "f32", np.float64: "f64"}
+
 
 @pytest.fixture(scope="module")
 def micro_backbone():
-    return EncoderBackbone(BackboneConfig(vocab_size=40, dim=16, heads=2,
-                                          layers=4, mlp_width=32,
-                                          max_tokens=16, seed=0))
+    return EncoderBackbone(BackboneConfig(dim=16, heads=2, layers=4,
+                                          mlp_width=32, max_tokens=16,
+                                          seed=0, precision="f64"),
+                           vocab_size=40)
 
 
 def _vocab(*tokens):
@@ -166,7 +169,7 @@ class TestEncode:
         assert all(p.frozen for p in micro_backbone.parameters())
 
     def test_param_count_matches_shape_arithmetic(self, micro_backbone):
-        shape = micro_backbone.config.shape()
+        shape = micro_backbone.config.shape(vocab_size=40)
         assert micro_backbone.param_count() == shape.param_count()
 
 
@@ -221,8 +224,8 @@ class TestNodeFeatures:
 def _fused_assembly(graph, dtype):
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
-        vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
-        max_tokens=16, seed=0, dtype=dtype))
+        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
+        precision=PRECISION[dtype]), vocab.size)
     rng = np.random.default_rng(0)
     n = graph.num_nodes
     embeddings = SageEmbeddings(pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
@@ -281,8 +284,8 @@ class TestFrozenPrefix:
             self, micro_tag, dtype, baseline):
         vocab = build_vocab(micro_tag)
         backbone = EncoderBackbone(BackboneConfig(
-            vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
-            max_tokens=16, seed=0, dtype=dtype))
+            dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
+            precision=PRECISION[dtype]), vocab.size)
         rng = np.random.default_rng(0)
         n = micro_tag.num_nodes
         embeddings = SageEmbeddings(

@@ -196,9 +196,9 @@ class TestAudit:
         from sagefuse.textenc import BackboneConfig, EncoderBackbone
         from sagefuse.trainer import Phase2Assembly, RunConfig
         from sagefuse.sage import SageEmbeddings
-        cfg = BackboneConfig(vocab_size=50, dim=16, heads=2, layers=4,
-                             mlp_width=32, max_tokens=8)
-        backbone = EncoderBackbone(cfg)
+        cfg = BackboneConfig(dim=16, heads=2, layers=4, mlp_width=32,
+                             max_tokens=8, precision="f64")
+        backbone = EncoderBackbone(cfg, vocab_size=50)
         emb = SageEmbeddings(pass1=np.zeros((10, 8)), pass2=np.zeros((10, 8)))
         run = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,))
         assembly = Phase2Assembly(backbone, emb, num_classes=3, config=run,
@@ -208,8 +208,8 @@ class TestAudit:
             [("gnn", p) for p in gnn.parameters()] + assembly.registry(),
             backbone.param_count())
         analytic = audit_from_shapes(
-            cfg.shape(), adapted_layers=[1, 3], rank=2, g=8, num_classes=3,
-            gnn_hidden=6, gnn_input_dim=16)
+            cfg.shape(vocab_size=50), adapted_layers=[1, 3], rank=2, g=8,
+            num_classes=3, gnn_hidden=6, gnn_input_dim=16)
         assert walked.as_dict() == analytic.as_dict()
 
     def test_totals_are_component_sums(self):

@@ -3,7 +3,7 @@ import pytest
 
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, Parameter
-from sagefuse.optim import AdamW, adamw_step, grad_check
+from sagefuse.optim import AdamW, grad_check
 
 
 class TestAdamW:
@@ -39,22 +39,6 @@ class TestAdamW:
         p.gradient[...] = np.nan
         with pytest.raises(NumericsError, match="layer3.bias"):
             AdamW([p]).step()
-
-    def test_functional_step_matches_class(self):
-        rng = np.random.default_rng(0)
-        value = rng.normal(0, 1, 7)
-        grads = [rng.normal(0, 1, 7) for _ in range(5)]
-        a = Parameter(value.copy(), name="a")
-        b = Parameter(value.copy(), name="b")
-        opt = AdamW([a], lr=1e-3, weight_decay=1e-2)
-        state = {}
-        for t, g in enumerate(grads, start=1):
-            a.gradient[...] = g
-            b.gradient[...] = g
-            opt.step()
-            adamw_step([b], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                       weight_decay=1e-2, state=state, t=t)
-        assert np.allclose(a.value, b.value, atol=1e-15)
 
     def test_converges_on_quadratic(self):
         p = Parameter(np.array([4.0]), name="p")

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_graph, random_graph
 from sagefuse import autodiff as ad
 from sagefuse.optim import grad_check
-from sagefuse.sage import (SageModel, SageTrainConfig, forward_embeddings,
+from sagefuse.sage import (SageModel, SageConfig, forward_embeddings,
                            mean_aggregation_matrix, sage_pass, train_phase1)
 from sagefuse.tag import SplitSpec, stratified_split
 
@@ -26,13 +26,15 @@ class TestSagePass:
         x = np.array([[1.0, 2.0], [5.0, -3.0]])
         # Weights that copy the aggregated half straight through.
         w = np.hstack([np.zeros((2, 2)), np.eye(2)])
-        out = np.asarray(sage_pass(x, g, w, np.zeros(2)))
+        out = np.asarray(sage_pass(x, mean_aggregation_matrix(g), w,
+                                   np.zeros(2)))
         assert np.array_equal(out[0], np.maximum(x[1], 0.0))
 
     def test_zero_weights_give_zero_outputs(self):
         g = make_graph({0: [1], 1: [0, 2], 2: [1]})
         x = np.random.default_rng(0).normal(0, 1, (3, 4))
-        out = np.asarray(sage_pass(x, g, np.zeros((5, 8)), np.zeros(5)))
+        out = np.asarray(sage_pass(x, mean_aggregation_matrix(g),
+                                   np.zeros((5, 8)), np.zeros(5)))
         assert np.array_equal(out, np.zeros((3, 5)))
 
     def test_matches_brute_force_oracle(self):
@@ -41,19 +43,21 @@ class TestSagePass:
         x = rng.normal(0, 1, (50, 8))
         w = rng.normal(0, 0.5, (8, 16))
         b = rng.normal(0, 0.1, 8)
-        out = np.asarray(sage_pass(x, g, w, b))
+        out = np.asarray(sage_pass(x, mean_aggregation_matrix(g), w, b))
         assert np.allclose(out, brute_force_pass(x, g, w, b), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         g = make_graph({0: [1], 1: [0]})
         with pytest.raises(ad.ShapeError, match="sage_pass"):
-            sage_pass(np.ones((2, 3)), g, np.ones((4, 5)), np.zeros(4))
+            sage_pass(np.ones((2, 3)), mean_aggregation_matrix(g),
+                      np.ones((4, 5)), np.zeros(4))
 
     def test_isolated_node_aggregates_zero_vector(self):
         g = make_graph({0: [], 1: [2], 2: [1]})
         x = np.ones((3, 2))
         w = np.hstack([np.zeros((2, 2)), np.eye(2)])
-        out = np.asarray(sage_pass(x, g, w, np.zeros(2)))
+        out = np.asarray(sage_pass(x, mean_aggregation_matrix(g), w,
+                                   np.zeros(2)))
         assert np.array_equal(out[0], np.zeros(2))
 
     def test_aggregation_matrix_rows_average_neighbors(self):
@@ -68,7 +72,7 @@ class TestForwardEmbeddings:
         g = make_graph({0: [], 1: []})
         x = np.ones((2, 3))
         model = SageModel(in_dim=3, embed_dim=4, hidden=4, num_classes=2)
-        p1, p2 = forward_embeddings(model, x, g)
+        p1, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
         assert np.array_equal(np.asarray(p1)[0], np.asarray(p1)[1])
         assert np.array_equal(np.asarray(p2)[0], np.asarray(p2)[1])
 
@@ -82,10 +86,11 @@ class TestForwardEmbeddings:
         # be swallowed by a dead rectifier.
         model.b0.value[...] = 0.5
         model.b1.value[...] = 0.5
-        p1a, p2a = (np.asarray(m) for m in forward_embeddings(model, x, g))
+        agg = mean_aggregation_matrix(g)
+        p1a, p2a = (np.asarray(m) for m in forward_embeddings(model, x, agg))
         x2 = x.copy()
         x2[2] += 1.0
-        p1b, p2b = (np.asarray(m) for m in forward_embeddings(model, x2, g))
+        p1b, p2b = (np.asarray(m) for m in forward_embeddings(model, x2, agg))
         # Node 2 is two hops from node 0: invisible to pass1, visible to pass2.
         assert np.array_equal(p1a[0], p1b[0])
         assert not np.array_equal(p2a[0], p2b[0])
@@ -96,8 +101,8 @@ class TestForwardEmbeddings:
         g2 = make_graph({0: list(reversed(leaves)), **{v: [0] for v in leaves}})
         x = np.random.default_rng(3).normal(0, 1, (6, 3))
         model = SageModel(in_dim=3, embed_dim=4, hidden=4, num_classes=2)
-        p1a, _ = forward_embeddings(model, x, g1)
-        p1b, _ = forward_embeddings(model, x, g2)
+        p1a, _ = forward_embeddings(model, x, mean_aggregation_matrix(g1))
+        p1b, _ = forward_embeddings(model, x, mean_aggregation_matrix(g2))
         assert np.array_equal(np.asarray(p1a), np.asarray(p1b))
 
 
@@ -107,7 +112,7 @@ def _trainable_graph(n=60, seed=0):
     labels = (np.arange(n) % 3).tolist()
     g = random_graph(rng, n, edge_prob=0.08)
     g = make_graph({i: g.adjacency[i] for i in range(n)}, labels=labels)
-    g = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, seed=0))
+    g = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     x = rng.normal(0, 0.3, (n, 6))
     x[np.arange(n), np.array(labels)] += 3.0
     return g, x
@@ -118,9 +123,9 @@ class TestTrainPhase1:
         g, x = _trainable_graph()
         model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
         with ad.no_grad():
-            p1, p2 = forward_embeddings(model, x, g)
+            p1, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
         init_p1, init_p2 = np.asarray(p1).copy(), np.asarray(p2).copy()
-        result = train_phase1(model, x, g, SageTrainConfig(epochs=0))
+        result = train_phase1(model, x, g, SageConfig(epochs=0))
         assert np.array_equal(result.embeddings.pass1, init_p1)
         assert np.array_equal(result.embeddings.pass2, init_p2)
         assert result.best_epoch == 0
@@ -128,7 +133,7 @@ class TestTrainPhase1:
     def test_model_comes_back_frozen(self):
         g, x = _trainable_graph()
         model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
-        train_phase1(model, x, g, SageTrainConfig(epochs=2))
+        train_phase1(model, x, g, SageConfig(epochs=2))
         assert all(p.frozen for p in model.parameters())
 
     def test_separable_features_reach_high_train_accuracy(self):
@@ -137,13 +142,13 @@ class TestTrainPhase1:
         n = 60
         labels = (np.arange(n) % 3).tolist()
         g = make_graph({i: [] for i in range(n)}, labels=labels)
-        g = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, seed=0))
+        g = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
         rng = np.random.default_rng(0)
         x = rng.normal(0, 0.3, (n, 6))
         x[np.arange(n), np.array(labels)] += 3.0
         model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
         result = train_phase1(model, x, g,
-                              SageTrainConfig(epochs=200, patience=200))
+                              SageConfig(epochs=200, patience=200))
         # The final-epoch loss implies near-perfect training accuracy; the
         # returned model itself is the best-validation checkpoint, which may
         # legitimately be earlier.
@@ -157,7 +162,7 @@ class TestTrainPhase1:
             model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3,
                               seed=7)
             results.append(train_phase1(model, x, g,
-                                        SageTrainConfig(epochs=5, patience=5)))
+                                        SageConfig(epochs=5, patience=5)))
         assert results[0].loss_trace == results[1].loss_trace
         assert results[0].val_trace == results[1].val_trace
 
@@ -168,7 +173,7 @@ class TestTrainPhase1:
             model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3,
                               seed=seed)
             result = train_phase1(model, x, g,
-                                  SageTrainConfig(epochs=1, patience=1))
+                                  SageConfig(epochs=1, patience=1))
             losses.append(result.loss_trace[0])
         assert losses[0] != losses[1]
 
@@ -187,7 +192,7 @@ def test_gradients_match_finite_differences():
     train_idx = g.split_ids("train")
 
     def loss_fn():
-        _, p2 = forward_embeddings(model, x, g)
+        _, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
         logits = model.classify(p2)
         return ad.cross_entropy(ad.gather_rows(logits, train_idx),
                                 labels[train_idx])

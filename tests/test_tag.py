@@ -130,7 +130,7 @@ class TestStratifiedSplit:
     def test_exact_divisibility(self):
         labels = [i % 2 for i in range(100)]
         g = make_graph({i: [] for i in range(100)}, labels=labels)
-        split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, seed=0))
+        split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, split_seed=0))
         for c in range(2):
             counts = {s: sum(1 for n in split.nodes
                              if n.label == c and n.split == s)
@@ -140,7 +140,7 @@ class TestStratifiedSplit:
     def test_remainder_goes_to_train(self):
         # 11 nodes at 80/10/10: round(1.1)=1 val, 1 test, remainder 9 train.
         g = make_graph({i: [] for i in range(11)})
-        split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, seed=0))
+        split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, split_seed=0))
         counts = [sum(1 for n in split.nodes if n.split == s)
                   for s in ("train", "val", "test")]
         assert counts == [9, 1, 1]
@@ -149,7 +149,7 @@ class TestStratifiedSplit:
         sizes = [20000, 16000, 10198]  # 46,198 nodes total
         labels = np.repeat(np.arange(3), sizes)
         g = make_graph({i: [] for i in range(46198)}, labels=labels.tolist())
-        split = stratified_split(g, SplitSpec(0.54, 0.18, 0.28, seed=0))
+        split = stratified_split(g, SplitSpec(0.54, 0.18, 0.28, split_seed=0))
         frac = {"train": 0.54, "val": 0.18, "test": 0.28}
         by_class = {}
         for n in split.nodes:
@@ -166,8 +166,8 @@ class TestStratifiedSplit:
     def test_deterministic_given_seed(self):
         g = make_graph({i: [] for i in range(30)},
                        labels=[i % 3 for i in range(30)], num_classes=3)
-        a = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, seed=4))
-        b = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, seed=4))
+        a = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=4))
+        b = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=4))
         assert [n.split for n in a.nodes] == [n.split for n in b.nodes]
 
     def test_tiny_class_rejected(self):

@@ -35,11 +35,11 @@ def _setup(num_classes=3, n=48, seed=0, **config_overrides):
              f"w{labels[i] * 5 + int(rng.integers(5))}" for i in range(n)]
     graph = make_graph({i: base.adjacency[i] for i in range(n)},
                        labels=labels, texts=texts)
-    graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, seed=0))
+    graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
-        vocab_size=vocab.size, dim=16, heads=2, layers=4, mlp_width=32,
-        max_tokens=8, seed=0))
+        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
+        precision="f64"), vocab.size)
     g = 8
     emb_rng = np.random.default_rng(1)
     embeddings = SageEmbeddings(
