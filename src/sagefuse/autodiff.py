@@ -262,8 +262,9 @@ def sparse_matmul(m, x):
     if m.shape[1] != vx.shape[0]:
         raise ShapeError("sparse_matmul", m.shape, vx.shape)
     out = np.asarray(m @ vx)
-    mt = m.T.tocsr()
-    return _node(out, [(x, lambda g: np.asarray(mt @ g))])
+    # m.T of a CSR matrix is a CSC view: no transpose is built unless a
+    # backward pass reaches this node.
+    return _node(out, [(x, lambda g: np.asarray(m.T @ g))])
 
 
 def concat_cols(a, b):

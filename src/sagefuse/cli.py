@@ -66,6 +66,11 @@ def _int_list(flag, text):
                           f"got {text!r}")
 
 
+# Commands that build the encoder's weights. The encoder has separate q, k
+# and v projections, so `fused_qkv` describes a shape only `audit` counts.
+WEIGHT_COMMANDS = ("phase1", "phase2", "evaluate", "ablate")
+
+
 def _load_config(args):
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
@@ -76,6 +81,10 @@ def _load_config(args):
     if getattr(args, "baseline", None):
         cfg.trainer.baseline = args.baseline
     cfg.validate()
+    if cfg.backbone.fused_qkv and args.command in WEIGHT_COMMANDS:
+        raise ConfigError("backbone.fused_qkv = true is an audit-only shape; "
+                          f"{args.command} builds an encoder with separate "
+                          "q, k, v projections")
     return cfg
 
 

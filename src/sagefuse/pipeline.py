@@ -17,7 +17,7 @@ from .tag import (generate_synthetic_tag, load_graph, load_splits, save_graph,
                   save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
 from .textenc import (EncoderBackbone, PromptSpec, Vocabulary, build_vocab,
-                      node_features, tokenize_graph)
+                      node_features, prefix_states, tokenize_graph)
 from .trainer import (Phase2Assembly, evaluate, prompt_ablation,
                       rank_ablation, train_phase2, write_table_csv,
                       write_table_text)
@@ -146,7 +146,7 @@ def run_phase1(cfg):
                       hidden=cfg.sage.classifier_hidden,
                       num_classes=graph.num_classes, seed=cfg.sage.seed,
                       dtype=cfg.backbone.dtype)
-    result = train_phase1(model, x.astype(cfg.backbone.dtype), graph, cfg.sage)
+    result = train_phase1(model, x, graph, cfg.sage)
     save_tensor(out / "pass1.gtsr", result.embeddings.pass1)
     save_tensor(out / "pass2.gtsr", result.embeddings.pass2)
     _write_json(out / "sidecar.json", {
@@ -177,21 +177,35 @@ def _prefix_key(cfg):
                          "max_tokens": b.max_tokens, "seed": b.seed}}
 
 
-def load_prefix_states(cfg, graph):
-    """The phase-1 prefix states when phase 1 computed them for exactly
-    this config's prefix, else None: the trainer then computes them in
-    process, so a stale file is never reused."""
+def load_prefix_states(cfg, graph, backbone, vocab):
+    """The phase-1 prefix states for this config's prefix, else None: the
+    trainer then computes them in process, so a stale file is never
+    reused. A file saved at a lower layer under an otherwise equal key
+    (the `fused` arm's file read by `text_only`) is run forward to this
+    config's layer once."""
     out = phase1_dir(cfg)
     try:
         with open(out / "features.json", encoding="utf-8") as f:
             saved = json.load(f).get("prefix")
     except FileNotFoundError:
         return None
-    if saved != _prefix_key(cfg) or not (out / "prefix.gtsr").exists():
+    key = _prefix_key(cfg)
+    saved_layer = saved.get("layer") if isinstance(saved, dict) else None
+    if (not isinstance(saved_layer, int) or saved_layer > key["layer"]
+            or {**saved, "layer": key["layer"]} != key
+            or not (out / "prefix.gtsr").exists()):
         return None
     states = load_tensor(out / "prefix.gtsr", dtype=cfg.backbone.dtype)
     expected = (graph.num_nodes, cfg.trainer.seq_len, cfg.backbone.dim)
-    return states if states.shape == expected else None
+    if states.shape != expected:
+        return None
+    if saved_layer < key["layer"]:
+        ids, mask = tokenize_graph(graph, vocab,
+                                   PromptSpec(cfg.trainer.prompt),
+                                   cfg.trainer.seq_len)
+        states = prefix_states(backbone, ids, mask, key["layer"],
+                               states=states, start=saved_layer)
+    return states
 
 
 def load_phase1_artifacts(cfg):
@@ -263,9 +277,9 @@ def run_phase2(cfg):
 
     gnn_size = gnn_param_count(backbone.config.dim, cfg.sage.embed_dim,
                                cfg.sage.classifier_hidden, graph.num_classes)
+    states = load_prefix_states(cfg, graph, backbone, vocab)
     report = train_phase2(backbone, embeddings, graph, vocab,
-                          cfg.run_config(), gnn_size=gnn_size,
-                          states=load_prefix_states(cfg, graph))
+                          cfg.run_config(), gnn_size=gnn_size, states=states)
 
     _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
     _write_json(out / "timing.json",
@@ -289,9 +303,9 @@ def run_evaluate(cfg, split="test", seed=None):
     ckpt = phase2_dir(cfg) / "checkpoints" / f"seed{seed}"
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
+    states = load_prefix_states(cfg, graph, backbone, vocab)
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              run_cfg, seed,
-                              states=load_prefix_states(cfg, graph))
+                              run_cfg, seed, states=states)
     _load_checkpoint(ckpt, assembly)
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(run_cfg.prompt),
                                run_cfg.seq_len)
@@ -329,9 +343,9 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     if what == "rank":
+        states = load_prefix_states(cfg, graph, backbone, vocab)
         rows = rank_ablation(backbone, embeddings, graph, vocab, base,
-                             ranks=ranks,
-                             states=load_prefix_states(cfg, graph))
+                             ranks=ranks, states=states)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
         rows = prompt_ablation(backbone, embeddings, graph, vocab, base,

@@ -90,6 +90,12 @@ def mean_aggregation_matrix(graph, dtype=np.float64):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
 
 
+def neighbor_concat(x, agg):
+    """concat(x_v, mean_{u in N(v)} x_u) for every node; `agg` is the
+    graph's `mean_aggregation_matrix`."""
+    return ad.concat_cols(x, ad.sparse_matmul(agg, x))
+
+
 def sage_pass(x, agg, w, b):
     """ReLU(W . concat(x_v, mean_{u in N(v)} x_u) + b) for every node.
 
@@ -98,15 +104,17 @@ def sage_pass(x, agg, w, b):
     k = ad.val(x).shape[-1]
     if ad.val(w).shape[-1] != 2 * k:
         raise ad.ShapeError("sage_pass", ad.val(w).shape, (..., 2 * k))
-    neighbor_mean = ad.sparse_matmul(agg, x)
-    return ad.relu(ad.linear(ad.concat_cols(x, neighbor_mean), w, b))
+    return ad.relu(ad.linear(neighbor_concat(x, agg), w, b))
 
 
-def forward_embeddings(model, x, agg):
+def forward_embeddings(model, x, agg, first_hop=None):
     """(pass1, pass2): 1-hop then 2-hop aggregation over the graph's
     `mean_aggregation_matrix`, the second pass consuming the first pass's
-    states."""
-    pass1 = sage_pass(x, agg, model.w0, model.b0)
+    states. `first_hop` is `neighbor_concat(x, agg)` when the caller
+    already holds it: a constant `x` gives the same array every epoch."""
+    if first_hop is None:
+        first_hop = neighbor_concat(x, agg)
+    pass1 = ad.relu(ad.linear(first_hop, model.w0, model.b0))
     pass2 = sage_pass(pass1, agg, model.w1, model.b1)
     return pass1, pass2
 
@@ -141,8 +149,13 @@ def train_phase1(model, x, graph, config):
     """Full-batch AdamW on cross-entropy over the train nodes' pass-2
     classifier logits, early-stopped on the validation metric. Returns the
     best-validation checkpoint's model and embeddings; the model comes back
-    frozen, ready for phase-2."""
+    frozen, ready for phase-2.
+
+    Each epoch records one forward: the logits of the weights after a step
+    give that epoch's validation metric and the next epoch's loss, since
+    nothing changes in between."""
     agg = mean_aggregation_matrix(graph, dtype=ad.val(x).dtype)
+    first_hop = neighbor_concat(x, agg)
     labels = graph.labels()
     train_idx = graph.split_ids("train")
     val_idx = graph.split_ids("val")
@@ -150,28 +163,32 @@ def train_phase1(model, x, graph, config):
                 weight_decay=config.weight_decay)
     metric_name = "roc_auc" if graph.num_classes == 2 else "accuracy"
 
-    def eval_val():
-        with ad.no_grad():
-            _, pass2 = forward_embeddings(model, x, agg)
-            logits = np.asarray(model.classify(pass2))
-        return split_metric(logits[val_idx], labels[val_idx], graph.num_classes)
+    def forward_logits():
+        _, pass2 = forward_embeddings(model, x, agg, first_hop)
+        return model.classify(pass2)
 
-    best = (eval_val(), 0, model.snapshot())
+    def val_metric_of(logits):
+        logits = ad.val(logits)
+        return split_metric(logits[val_idx], labels[val_idx],
+                            graph.num_classes)
+
+    logits = forward_logits()
+    best = (val_metric_of(logits), 0, model.snapshot())
     result = Phase1Result(model=model, embeddings=None, best_epoch=0,
                           val_metric=best[0], metric_name=metric_name)
     since_best = 0
     for epoch in range(1, config.epochs + 1):
         opt.zero_grad()
-        _, pass2 = forward_embeddings(model, x, agg)
-        logits = model.classify(pass2)
         loss = ad.cross_entropy(ad.gather_rows(logits, train_idx),
                                 labels[train_idx])
         if not np.isfinite(ad.val(loss)):
             raise ad.NumericsError(f"non-finite phase-1 loss at epoch {epoch}")
         ad.backward(loss)
         opt.step()
-        val_metric = eval_val()
         result.loss_trace.append(float(ad.val(loss)))
+        logits = loss = None  # free this step's graph before the next one
+        logits = forward_logits()
+        val_metric = val_metric_of(logits)
         result.val_trace.append(float(val_metric))
         if val_metric > best[0]:
             best = (val_metric, epoch, model.snapshot())
@@ -180,11 +197,12 @@ def train_phase1(model, x, graph, config):
             since_best += 1
             if since_best >= config.patience:
                 break
+    logits = None
 
     model.restore(best[2])
     model.freeze()
     with ad.no_grad():
-        pass1, pass2 = forward_embeddings(model, x, agg)
+        pass1, pass2 = forward_embeddings(model, x, agg, first_hop)
     result.embeddings = SageEmbeddings(pass1=np.asarray(pass1),
                                        pass2=np.asarray(pass2)).validate(graph)
     result.best_epoch = best[1]

@@ -290,17 +290,22 @@ def pool_states(hidden, mask, pooling="mean"):
     return ad.sum_(ad.mul(hidden, weights.astype(ad.val(hidden).dtype)), axis=1)
 
 
-def prefix_states(backbone, ids, mask, layer, batch_size=64):
+def prefix_states(backbone, ids, mask, layer, batch_size=64, states=None,
+                  start=0):
     """Hidden states (N, T, d) at the input of `layer` for every row of
     (ids, mask), computed in batches into one preallocated array. Nothing
     below an adapted layer trains, so these states are a fixed function of
-    the tokens and later passes can start `encode` from them."""
+    the tokens and later passes can start `encode` from them. Given the
+    `states` at the input of a lower layer `start`, the passes run layers
+    start.. only and `ids` is not read."""
     out = np.empty(ids.shape + (backbone.config.dim,),
                    dtype=backbone.config.dtype)
     with ad.no_grad():
-        for start in range(0, len(ids), batch_size):
-            sl = slice(start, start + batch_size)
-            out[sl] = encode(backbone, ids[sl], mask[sl], stop=layer)
+        for lo in range(0, len(ids), batch_size):
+            sl = slice(lo, lo + batch_size)
+            out[sl] = encode(backbone, ids[sl], mask[sl],
+                             states=None if states is None else states[sl],
+                             start=start, stop=layer)
     return out
 
 

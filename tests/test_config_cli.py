@@ -7,7 +7,7 @@ import pytest
 
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
-from sagefuse import pipeline, trainer
+from sagefuse import pipeline, textenc, trainer
 from sagefuse.tensorio import save_tensor
 from sagefuse.textenc import EncoderBackbone
 
@@ -52,6 +52,9 @@ seq_len = 8
 [output]
 dir = {out}
 """
+
+# The audit-only backbone shape that commands building weights reject.
+FUSED_QKV = ("vocab_max = 256", "vocab_max = 256\nfused_qkv = true")
 
 
 class TestConfig:
@@ -379,6 +382,29 @@ class TestCli:
         assert lines[0] == "rank,metric_mean,metric_std,trainable_params"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["phase1"], ["phase2"], ["evaluate"], ["ablate", "--what", "rank"]])
+    def test_fused_qkv_rejected_before_writing(self, run_dir, tmp_path,
+                                               capsys, command):
+        out, cfg_path = _copy_run(run_dir, tmp_path, FUSED_QKV)
+
+        def files():
+            return {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+
+        before = files()
+        assert main(["--config", str(cfg_path), *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "fused_qkv" in err
+        assert files() == before
+
+    def test_fused_qkv_accepted_by_gen_data_and_audit(self, run_dir,
+                                                      tmp_path):
+        out, cfg_path = _copy_run(run_dir, tmp_path, FUSED_QKV)
+        assert main(["--config", str(cfg_path), "--force", "gen-data"]) == 0
+        assert main(["--config", str(cfg_path), "audit"]) == 0
+        assert (out / "audit.json").exists()
+
 
 def _copy_run(run_dir, tmp_path, *edits):
     """The module's phase-1 run under a config with text edits applied."""
@@ -474,3 +500,28 @@ class TestFrozenPrefixFile:
         assert main(["--config", str(cfg_path), command]) == 1
         err = capsys.readouterr().err
         assert "8 wide" in err and "embed_dim is 12" in err
+
+    def test_text_only_resumes_from_the_fused_prefix(self, run_dir, tmp_path,
+                                                     monkeypatch):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        starts = []
+
+        def spy(encode):
+            def recorded(*args, **kwargs):
+                starts.append(kwargs.get("start", 0))
+                return encode(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(textenc, "encode", spy(textenc.encode))
+        monkeypatch.setattr(trainer, "encode", spy(trainer.encode))
+        command = ["--config", str(cfg_path), "phase2",
+                   "--baseline", "text_only"]
+        assert main(command) == 0
+        resumed = (out / "phase2" / "report.json").read_bytes()
+        # The fused arm saved layer 1; no pass runs layer 0 again.
+        assert starts and min(starts) == 1
+        starts.clear()
+        (out / "phase1" / "prefix.gtsr").unlink()
+        assert main(command) == 0
+        assert min(starts) == 0  # the spy sees a pass from the tokens
+        assert (out / "phase2" / "report.json").read_bytes() == resumed

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import make_graph, random_graph
 from sagefuse import autodiff as ad
-from sagefuse.optim import grad_check
-from sagefuse.sage import (SageModel, SageConfig, forward_embeddings,
-                           mean_aggregation_matrix, sage_pass, train_phase1)
+from sagefuse import sage
+from sagefuse.metrics import split_metric
+from sagefuse.optim import AdamW, grad_check
+from sagefuse.sage import (SageModel, SageConfig, SageEmbeddings,
+                           forward_embeddings, mean_aggregation_matrix,
+                           sage_pass, train_phase1)
 from sagefuse.tag import SplitSpec, stratified_split
 
 
@@ -176,6 +180,144 @@ class TestTrainPhase1:
                                   SageConfig(epochs=1, patience=1))
             losses.append(result.loss_trace[0])
         assert losses[0] != losses[1]
+
+
+def reference_train_phase1(model, x, graph, config):
+    """The loop before each epoch's validation metric was read off its
+    recorded forward: a training forward, then a separate no-grad forward
+    for validation, both from `x` and the aggregation matrix."""
+    agg = mean_aggregation_matrix(graph, dtype=x.dtype)
+    labels = graph.labels()
+    train_idx = graph.split_ids("train")
+    val_idx = graph.split_ids("val")
+    opt = AdamW(model.parameters(), lr=config.lr,
+                weight_decay=config.weight_decay)
+
+    def eval_val():
+        with ad.no_grad():
+            _, pass2 = forward_embeddings(model, x, agg)
+            logits = np.asarray(model.classify(pass2))
+        return split_metric(logits[val_idx], labels[val_idx],
+                            graph.num_classes)
+
+    best = (eval_val(), 0, model.snapshot())
+    loss_trace, val_trace, since_best = [], [], 0
+    for epoch in range(1, config.epochs + 1):
+        opt.zero_grad()
+        _, pass2 = forward_embeddings(model, x, agg)
+        loss = ad.cross_entropy(ad.gather_rows(model.classify(pass2),
+                                               train_idx), labels[train_idx])
+        ad.backward(loss)
+        opt.step()
+        val_metric = eval_val()
+        loss_trace.append(float(ad.val(loss)))
+        val_trace.append(float(val_metric))
+        if val_metric > best[0]:
+            best = (val_metric, epoch, model.snapshot())
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+    model.restore(best[2])
+    model.freeze()
+    with ad.no_grad():
+        pass1, pass2 = forward_embeddings(model, x, agg)
+    embeddings = SageEmbeddings(pass1=np.asarray(pass1),
+                                pass2=np.asarray(pass2))
+    return embeddings, best[1], float(best[0]), loss_trace, val_trace
+
+
+class TestOneForwardPerEpoch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("epochs, patience", [(40, 3), (0, 5), (12, 12)])
+    def test_bitwise_equal_to_two_forward_loop(self, dtype, epochs,
+                                               patience):
+        g, x = _trainable_graph()
+        x = x.astype(dtype)
+        config = SageConfig(epochs=epochs, patience=patience, lr=5e-2)
+
+        def model():
+            return SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3,
+                             seed=3, dtype=dtype)
+
+        ref_model = model()
+        emb, best_epoch, val_metric, loss_trace, val_trace = \
+            reference_train_phase1(ref_model, x, g, config)
+        new_model = model()
+        result = train_phase1(new_model, x, g, config)
+        if (epochs, patience) == (40, 3):
+            assert len(loss_trace) < epochs  # the case stops early
+        assert result.loss_trace == loss_trace
+        assert result.val_trace == val_trace
+        assert result.best_epoch == best_epoch
+        assert result.val_metric == val_metric
+        for name in ("pass1", "pass2"):
+            got = getattr(result.embeddings, name)
+            assert got.dtype == dtype
+            assert got.tobytes() == getattr(emb, name).tobytes()
+        for p, q in zip(new_model.parameters(), ref_model.parameters()):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    def test_one_forward_per_epoch_and_one_first_hop(self, monkeypatch):
+        g, x = _trainable_graph()
+        forwards, first_hops = [], []
+        forward, matmul = sage.forward_embeddings, ad.sparse_matmul
+
+        def counting_forward(*args, **kwargs):
+            forwards.append(1)
+            return forward(*args, **kwargs)
+
+        def counting_matmul(m, operand):
+            first_hops.append(operand is x)
+            return matmul(m, operand)
+
+        monkeypatch.setattr(sage, "forward_embeddings", counting_forward)
+        monkeypatch.setattr(ad, "sparse_matmul", counting_matmul)
+        model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
+        result = train_phase1(model, x, g, SageConfig(epochs=30, patience=4))
+        epochs_run = len(result.loss_trace)
+        assert 0 < epochs_run < 30
+        # The two-forward loop made 2 * epochs_run + 2 calls.
+        assert len(forwards) == epochs_run + 2
+        assert sum(first_hops) == 1
+        # The other calls aggregate pass-1 states, one per forward.
+        assert len(first_hops) == 1 + len(forwards)
+
+
+class CountingTransposeCSR(sp.csr_matrix):
+    """A CSR matrix that counts the transposes built from it."""
+    transposes = 0
+
+    def transpose(self, *args, **kwargs):
+        type(self).transposes += 1
+        return super().transpose(*args, **kwargs)
+
+
+class TestSparseMatmulTranspose:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(CountingTransposeCSR, "transposes", 0)
+        g = random_graph(np.random.default_rng(4), 30)
+        return CountingTransposeCSR(mean_aggregation_matrix(g))
+
+    def test_no_transpose_without_backward(self, counted):
+        x = np.random.default_rng(5).normal(0, 1, (30, 4))
+        w = ad.Parameter(x.copy(), name="w")
+        with ad.no_grad():
+            ad.sparse_matmul(counted, w)
+        out = ad.sparse_matmul(counted, x)  # constant input, graph enabled
+        assert not isinstance(out, ad.Node)
+        assert CountingTransposeCSR.transposes == 0
+
+    def test_backward_uses_the_transpose(self, counted):
+        rng = np.random.default_rng(6)
+        w = ad.Parameter(rng.normal(0, 1, (30, 4)), name="w")
+        coeff = rng.normal(0, 1, (30, 4))
+        ad.backward(ad.sum_(ad.mul(ad.sparse_matmul(counted, w), coeff)))
+        assert CountingTransposeCSR.transposes >= 1
+        reference = sp.csr_matrix(counted).T.tocsr() @ coeff
+        assert w.gradient.tobytes() == np.asarray(reference).tobytes()
 
 
 def test_gradients_match_finite_differences():
