@@ -93,7 +93,7 @@ def _dispatch(args):
     if args.command == "gen-data":
         graph, out = pipeline.run_gen_data(cfg, force=args.force)
         print(f"wrote {graph.num_nodes} nodes, "
-              f"{sum(len(a) for a in graph.adjacency) // 2} edges to {out}")
+              f"{len(graph.indices) // 2} edges to {out}")
     elif args.command == "phase1":
         result = pipeline.run_phase1(cfg)
         print(f"phase-1 done: best epoch {result.best_epoch}, "

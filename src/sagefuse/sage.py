@@ -75,19 +75,13 @@ class SageModel:
 
 
 def mean_aggregation_matrix(graph, dtype=np.float64):
-    """Sparse N x N matrix whose row v averages over N(v); all-zero rows
-    for isolated nodes, so the empty-neighborhood mean is the zero vector."""
+    """Sparse N x N matrix whose row v averages over N(v), on the graph's
+    own CSR layout; all-zero rows for isolated nodes, so the
+    empty-neighborhood mean is the zero vector."""
+    deg = np.diff(graph.indptr)
+    data = np.repeat(1.0 / np.maximum(deg, 1), deg).astype(dtype)
     n = graph.num_nodes
-    rows, cols, vals = [], [], []
-    for v in range(n):
-        nbrs = graph.adjacency[v]
-        if not nbrs:
-            continue
-        inv = 1.0 / len(nbrs)
-        rows.extend([v] * len(nbrs))
-        cols.extend(nbrs)
-        vals.extend([inv] * len(nbrs))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
+    return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
 
 
 def neighbor_concat(x, agg):
@@ -156,7 +150,7 @@ def train_phase1(model, x, graph, config):
     nothing changes in between."""
     agg = mean_aggregation_matrix(graph, dtype=ad.val(x).dtype)
     first_hop = neighbor_concat(x, agg)
-    labels = graph.labels()
+    labels = graph.labels
     train_idx = graph.split_ids("train")
     val_idx = graph.split_ids("val")
     opt = AdamW(model.parameters(), lr=config.lr,

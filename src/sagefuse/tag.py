@@ -10,18 +10,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SPLITS = ("train", "val", "test")
+_SPLIT_CODE = {name: code for code, name in enumerate(SPLITS)}
 
 
 class GraphFormatError(ValueError):
     pass
-
-
-@dataclass
-class NodeRecord:
-    id: int
-    text: str
-    label: int
-    split: str | None = None
 
 
 @dataclass
@@ -43,71 +36,89 @@ class SplitSpec:
                 raise GraphFormatError(f"split fraction {f} outside (0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class TextAttributedGraph:
-    """Nodes with text and labels plus a symmetric, self-loop-free adjacency.
+    """Node texts, int64 labels, int8 split codes into `SPLITS` (None
+    before a split) and a symmetric, self-loop-free CSR adjacency: row v,
+    `indices[indptr[v]:indptr[v + 1]]`, is sorted and deduplicated.
 
     Immutable by convention after construction; safe to share read-only.
     """
-    nodes: list
-    adjacency: list
+    texts: list
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     num_classes: int
+    split: np.ndarray | None = None
 
     @property
     def num_nodes(self):
-        return len(self.nodes)
-
-    def neighbors(self, v):
-        if not 0 <= v < self.num_nodes:
-            raise GraphFormatError(f"node id {v} outside [0, {self.num_nodes})")
-        return self.adjacency[v]
-
-    def labels(self):
-        return np.array([n.label for n in self.nodes], dtype=np.int64)
+        return len(self.texts)
 
     def split_ids(self, split):
         if split not in SPLITS:
             raise GraphFormatError(f"unknown split {split!r}")
-        return np.array([n.id for n in self.nodes if n.split == split],
-                        dtype=np.int64)
+        if self.split is None:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(self.split == _SPLIT_CODE[split])
 
     def validate(self):
-        n = self.num_nodes
-        if len(self.adjacency) != n:
-            raise GraphFormatError("adjacency length differs from node count")
-        for i, rec in enumerate(self.nodes):
-            if rec.id != i:
-                raise GraphFormatError(f"node ids not dense: position {i} "
-                                       f"holds id {rec.id}")
-            if not rec.text.strip():
-                raise GraphFormatError(f"node {rec.id}: empty text")
-            if not 0 <= rec.label < self.num_classes:
-                raise GraphFormatError(
-                    f"node {rec.id}: label out of range "
-                    f"({rec.label} not in [0, {self.num_classes}))")
-        for u, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise GraphFormatError(f"node {u}: neighbor list not sorted "
-                                       "and deduplicated")
-            for v in nbrs:
-                if v == u:
-                    raise GraphFormatError(f"node {u}: self-loop")
-                if not 0 <= v < n:
-                    raise GraphFormatError(f"node {u}: dangling neighbor {v}")
-                if u not in self.adjacency[v]:
-                    raise GraphFormatError(f"asymmetric edge ({u}, {v})")
+        n, indptr, indices = self.num_nodes, self.indptr, self.indices
+        if (self.labels.shape != (n,) or indptr.shape != (n + 1,)
+                or indptr[0] != 0 or indptr[-1] != len(indices)
+                or np.any(np.diff(indptr) < 0)):
+            raise GraphFormatError("labels or adjacency do not match the "
+                                   "node count")
+        if not all(map(str.strip, self.texts)):
+            v = next(v for v, t in enumerate(self.texts) if not t.strip())
+            raise GraphFormatError(f"node {v}: empty text")
+        c = self.num_classes
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= c))
+        if bad.size:
+            v = bad[0]
+            raise GraphFormatError(f"node {v}: label out of range "
+                                   f"({self.labels[v]} not in [0, {c}))")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        dangling = np.flatnonzero((indices < 0) | (indices >= n))
+        if dangling.size:
+            k = dangling[0]
+            raise GraphFormatError(f"node {rows[k]}: dangling neighbor "
+                                   f"{indices[k]}")
+        loops = np.flatnonzero(indices == rows)
+        if loops.size:
+            raise GraphFormatError(f"node {rows[loops[0]]}: self-loop")
+        # Packed keys strictly increase iff every row is sorted and
+        # deduplicated; the adjacency is symmetric iff the transposed keys
+        # are the same set.
+        keys = rows * n + indices
+        unsorted = np.flatnonzero(keys[1:] <= keys[:-1])
+        if unsorted.size:
+            raise GraphFormatError(f"node {rows[unsorted[0] + 1]}: neighbor "
+                                   "list not sorted and deduplicated")
+        transposed = indices * n + rows
+        if not np.array_equal(np.sort(transposed), keys):
+            k = np.flatnonzero(~np.isin(transposed, keys))[0]
+            raise GraphFormatError(f"asymmetric edge ({rows[k]}, {indices[k]})")
         return self
 
 
-def _build_adjacency(n, edge_iter):
-    """Symmetrize and deduplicate edges into sorted per-node lists."""
-    sets = [set() for _ in range(n)]
-    for u, v in edge_iter:
-        if u == v:
-            continue
-        sets[u].add(v)
-        sets[v].add(u)
-    return [sorted(s) for s in sets]
+def csr_adjacency(n, u, v):
+    """(indptr, indices) of the undirected edges (u[i], v[i]) on n nodes:
+    symmetrized, self-loops dropped, each row sorted and deduplicated.
+
+    Works on packed `row * n + col` keys; a sort plus a neighbour-difference
+    mask deduplicates them faster than `np.unique`."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, keys - rows * n
 
 
 def load_graph(nodes_path, edges_path, num_classes=None):
@@ -116,7 +127,9 @@ def load_graph(nodes_path, edges_path, num_classes=None):
     Every format problem is reported with its line number. Duplicate edges
     are deduplicated and the edge set symmetrized.
     """
-    records = {}
+    limit = np.iinfo(np.int64).max if num_classes is None else num_classes
+    ids, texts, labels = [], [], []
+    seen = set()
     with open(nodes_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -133,31 +146,36 @@ def load_graph(nodes_path, edges_path, num_classes=None):
                 if key not in obj:
                     raise GraphFormatError(
                         f"{nodes_path}:{lineno}: missing field {key!r}")
-            nid, label = obj["id"], obj["label"]
+            nid, text, label = obj["id"], obj["text"], obj["label"]
             for key, value in (("id", nid), ("label", label)):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise GraphFormatError(f"{nodes_path}:{lineno}: non-integer "
                                            f"{key} {value!r}")
-            if nid in records:
+            if not isinstance(text, str):
+                raise GraphFormatError(f"{nodes_path}:{lineno}: non-string "
+                                       f"text {text!r}")
+            if nid in seen:
                 raise GraphFormatError(f"{nodes_path}:{lineno}: duplicate id {nid}")
-            records[nid] = NodeRecord(id=nid, text=str(obj["text"]),
-                                      label=label)
-    if not records:
+            if not 0 <= label < limit:
+                raise GraphFormatError(f"{nodes_path}:{lineno}: node {nid}: "
+                                       f"label {label} out of range [0, {limit})")
+            seen.add(nid)
+            ids.append(nid)
+            texts.append(text)
+            labels.append(label)
+    if not ids:
         raise GraphFormatError(f"{nodes_path}: no nodes")
-    n = len(records)
-    if sorted(records) != list(range(n)):
-        missing = sorted(set(range(n)) - set(records))[:5]
+    n = len(ids)
+    if min(ids) != 0 or max(ids) != n - 1:
+        missing = sorted(set(range(n)) - seen)[:5]
         raise GraphFormatError(f"{nodes_path}: node ids not dense in [0, {n}) "
                                f"(missing e.g. {missing})")
-    nodes = [records[i] for i in range(n)]
+    # Unique ids in [0, n) are a permutation: file order -> id order.
+    order = np.argsort(np.array(ids, dtype=np.int64))
+    texts = [texts[i] for i in order]
+    labels = np.array(labels, dtype=np.int64)[order]
 
-    c = num_classes if num_classes is not None else max(r.label for r in nodes) + 1
-    for rec in nodes:
-        if not 0 <= rec.label < c:
-            raise GraphFormatError(f"node {rec.id}: label out of range "
-                                   f"({rec.label} not in [0, {c}))")
-
-    edges = []
+    us, vs = [], []
     with open(edges_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -172,36 +190,38 @@ def load_graph(nodes_path, edges_path, num_classes=None):
             except ValueError:
                 raise GraphFormatError(f"{edges_path}:{lineno}: non-integer "
                                        f"endpoint in {line!r}")
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise GraphFormatError(f"{edges_path}:{lineno}: dangling "
-                                           f"endpoint {w}")
-            edges.append((u, v))
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"{edges_path}:{lineno}: dangling "
+                                       f"endpoint {v if 0 <= u < n else u}")
+            us.append(u)
+            vs.append(v)
 
-    return TextAttributedGraph(nodes=nodes,
-                               adjacency=_build_adjacency(n, edges),
-                               num_classes=c).validate()
+    indptr, indices = csr_adjacency(n, us, vs)
+    c = num_classes if num_classes is not None else int(labels.max()) + 1
+    return TextAttributedGraph(texts=texts, labels=labels, indptr=indptr,
+                               indices=indices, num_classes=c).validate()
 
 
 def save_graph(graph, nodes_path, edges_path):
-    """Write nodes as JSON Lines and each undirected edge once (u < v)."""
+    """Write nodes as JSON Lines (the bytes of `json.dumps` per record) and
+    each undirected edge once (u < v)."""
     with open(nodes_path, "w", encoding="utf-8") as f:
-        for rec in graph.nodes:
-            f.write(json.dumps({"id": rec.id, "text": rec.text,
-                                "label": rec.label}) + "\n")
+        f.writelines(f'{{"id": {i}, "text": {json.dumps(text)}, '
+                     f'"label": {label}}}\n' for i, (text, label) in
+                     enumerate(zip(graph.texts, graph.labels.tolist())))
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    upper = rows < graph.indices
     with open(edges_path, "w", encoding="utf-8") as f:
-        for u, nbrs in enumerate(graph.adjacency):
-            for v in nbrs:
-                if u < v:
-                    f.write(f"{u}\t{v}\n")
+        f.writelines(f"{u}\t{v}\n" for u, v in
+                     zip(rows[upper].tolist(), graph.indices[upper].tolist()))
 
 
 def save_splits(graph, path):
+    if graph.split is None:
+        raise GraphFormatError("split not assigned")
     with open(path, "w", encoding="utf-8") as f:
-        for rec in graph.nodes:
-            if rec.split is None:
-                raise GraphFormatError(f"node {rec.id}: split not assigned")
-            f.write(json.dumps({"id": rec.id, "split": rec.split}) + "\n")
+        f.writelines(f'{{"id": {i}, "split": "{SPLITS[code]}"}}\n'
+                     for i, code in enumerate(graph.split.tolist()))
 
 
 def load_splits(graph, path):
@@ -217,7 +237,7 @@ def load_splits(graph, path):
             except json.JSONDecodeError as e:
                 raise GraphFormatError(f"{path}:{lineno}: bad JSON: {e}")
             nid = obj.get("id") if isinstance(obj, dict) else None
-            if not isinstance(nid, int):
+            if not isinstance(nid, int) or isinstance(nid, bool):
                 raise GraphFormatError(f"{path}:{lineno}: expected an object "
                                        f"with an integer 'id', got {line!r}")
             if obj.get("split") not in SPLITS:
@@ -226,41 +246,36 @@ def load_splits(graph, path):
             if nid in assigned:
                 raise GraphFormatError(f"{path}:{lineno}: node {nid} "
                                        "assigned twice")
-            assigned[nid] = obj["split"]
+            assigned[nid] = _SPLIT_CODE[obj["split"]]
     if sorted(assigned) != list(range(graph.num_nodes)):
         raise GraphFormatError(f"{path}: split assignment does not cover all "
                                "nodes exactly once")
-    nodes = [replace(rec, split=assigned[rec.id]) for rec in graph.nodes]
-    return TextAttributedGraph(nodes=nodes, adjacency=graph.adjacency,
-                               num_classes=graph.num_classes)
+    split = np.empty(graph.num_nodes, dtype=np.int8)
+    split[list(assigned)] = list(assigned.values())
+    return replace(graph, split=split)
 
 
 def stratified_split(graph, spec):
     """Assign train/val/test per class with proportions within one node of
     the requested fractions. Rounding remainders go to train."""
-    labels = graph.labels()
+    labels = graph.labels
     nodes_by_class = [np.flatnonzero(labels == c) for c in range(graph.num_classes)]
     for c, ids in enumerate(nodes_by_class):
         if len(ids) < 3:
             raise GraphFormatError(f"class {c} has {len(ids)} nodes; "
                                    "stratified split needs at least 3")
     rng = np.random.default_rng(spec.split_seed)
-    assignment = {}
+    split = np.empty(graph.num_nodes, dtype=np.int8)
     for ids in nodes_by_class:
         ids = ids[rng.permutation(len(ids))]
         n = len(ids)
         n_val = int(round(spec.val_frac * n))
         n_test = int(round(spec.test_frac * n))
         n_train = n - n_val - n_test
-        for i in ids[:n_train]:
-            assignment[int(i)] = "train"
-        for i in ids[n_train:n_train + n_val]:
-            assignment[int(i)] = "val"
-        for i in ids[n_train + n_val:]:
-            assignment[int(i)] = "test"
-    nodes = [replace(rec, split=assignment[rec.id]) for rec in graph.nodes]
-    return TextAttributedGraph(nodes=nodes, adjacency=graph.adjacency,
-                               num_classes=graph.num_classes)
+        # Codes follow SPLITS: train, val, test.
+        for code, part in enumerate(np.split(ids, [n_train, n_train + n_val])):
+            split[part] = code
+    return replace(graph, split=split)
 
 
 @dataclass
@@ -321,10 +336,8 @@ def generate_synthetic_tag(params):
 
     v = params.topic_vocab_size
     token_ids = rng.integers(0, v, size=(n, params.text_len))
-    texts = []
-    for i in range(n):
-        base = topics[i] * v
-        texts.append(" ".join(f"w{base + t}" for t in token_ids[i]))
+    words = topics[:, None] * v + token_ids
+    texts = [" ".join(map("w{}".format, row)) for row in words.tolist()]
 
     by_class = [np.flatnonzero(labels == k) for k in range(c)]
     target_edges = int(round(params.avg_degree * n / 2))
@@ -347,19 +360,8 @@ def generate_synthetic_tag(params):
         raise GraphFormatError("edge sampling failed to reach the target "
                                "edge count; parameters too constrained")
 
-    nodes = [NodeRecord(id=i, text=texts[i], label=int(labels[i]))
-             for i in range(n)]
-    return TextAttributedGraph(nodes=nodes,
-                               adjacency=_build_adjacency(n, sorted(edges)),
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    indptr, indices = csr_adjacency(n, pairs[:, 0], pairs[:, 1])
+    return TextAttributedGraph(texts=texts, labels=labels.astype(np.int64),
+                               indptr=indptr, indices=indices,
                                num_classes=c).validate()
-
-
-def intra_class_edge_fraction(graph):
-    labels = graph.labels()
-    intra = total = 0
-    for u, nbrs in enumerate(graph.adjacency):
-        for v in nbrs:
-            if u < v:
-                total += 1
-                intra += int(labels[u] == labels[v])
-    return intra / total if total else 0.0

@@ -60,9 +60,8 @@ def build_vocab(graph, split="train", max_size=8192):
     """Most-frequent tokens from the given split's texts only (no leakage);
     frequency ties break lexicographically."""
     counts = Counter()
-    for rec in graph.nodes:
-        if rec.split == split:
-            counts.update(split_tokens(rec.text))
+    for v in graph.split_ids(split).tolist():
+        counts.update(split_tokens(graph.texts[v]))
     if not counts:
         raise VocabError(f"no text in split {split!r}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
@@ -79,32 +78,37 @@ class PromptSpec:
         return vocab.encode(self.prefix)
 
 
+def _tokenize_texts(texts, prompt, vocab, seq_len):
+    """Lay out each row: [CLS] + prompt ids + text ids, truncated to seq_len
+    and PAD-padded. The prompt is encoded once."""
+    if seq_len < 4:
+        raise VocabError(f"seq_len {seq_len} < 4")
+    head = [CLS_ID] + (prompt.ids(vocab) if prompt else [])
+    ids = np.full((len(texts), seq_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(texts), seq_len))
+    for v, text in enumerate(texts):
+        text_ids = vocab.encode(text)
+        if len(head) >= seq_len and text_ids:
+            warnings.warn("prompt fills the whole token budget; node text "
+                          "contributes zero tokens", stacklevel=3)
+        row = (head + text_ids)[:seq_len]
+        ids[v, :len(row)] = row
+        mask[v, :len(row)] = 1.0
+    return ids, mask
+
+
 def tokenize(text, prompt, vocab, seq_len):
     """[CLS] + prompt ids + text ids, truncated to seq_len and PAD-padded.
 
     Returns (ids, mask) as int64/float arrays of length seq_len.
     """
-    if seq_len < 4:
-        raise VocabError(f"seq_len {seq_len} < 4")
-    prompt_ids = prompt.ids(vocab) if prompt else []
-    text_ids = vocab.encode(text)
-    if len(prompt_ids) >= seq_len - 1 and text_ids:
-        warnings.warn("prompt fills the whole token budget; node text "
-                      "contributes zero tokens", stacklevel=2)
-    ids = [CLS_ID] + prompt_ids + text_ids
-    ids = ids[:seq_len]
-    n = len(ids)
-    ids = ids + [PAD_ID] * (seq_len - n)
-    mask = [1.0] * n + [0.0] * (seq_len - n)
-    return np.array(ids, dtype=np.int64), np.array(mask)
+    ids, mask = _tokenize_texts([text], prompt, vocab, seq_len)
+    return ids[0], mask[0]
 
 
 def tokenize_graph(graph, vocab, prompt, seq_len):
-    ids = np.empty((graph.num_nodes, seq_len), dtype=np.int64)
-    mask = np.empty((graph.num_nodes, seq_len))
-    for rec in graph.nodes:
-        ids[rec.id], mask[rec.id] = tokenize(rec.text, prompt, vocab, seq_len)
-    return ids, mask
+    """`tokenize` of every node's text, as (N, seq_len) ids and mask."""
+    return _tokenize_texts(graph.texts, prompt, vocab, seq_len)
 
 
 @dataclass

@@ -203,9 +203,8 @@ def evaluate(assembly, graph, ids, mask, split, batch_size=128):
     idx = graph.split_ids(split)
     if len(idx) == 0:
         raise TrainerConfigError(f"split {split!r} is empty")
-    labels = graph.labels()
     logits = predict_logits(assembly, ids, mask, idx, batch_size)
-    return split_metric(logits, labels[idx], graph.num_classes)
+    return split_metric(logits, graph.labels[idx], graph.num_classes)
 
 
 def predict_logits(assembly, ids, mask, node_ids, batch_size=128):
@@ -249,7 +248,7 @@ def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
         states = frozen_prefix(backbone, ids, mask, config)
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
                               config, seed, states=states)
-    labels = graph.labels()
+    labels = graph.labels
     train_idx = graph.split_ids("train")
     opt = AdamW(assembly.trainable_parameters(), lr=config.lr,
                 weight_decay=config.weight_decay)

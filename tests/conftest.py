@@ -12,22 +12,33 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from sagefuse.tag import (GeneratorParams, SplitSpec, TextAttributedGraph,
-                          NodeRecord, generate_synthetic_tag, stratified_split)
+from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
+                          TextAttributedGraph, generate_synthetic_tag,
+                          stratified_split)
 
 
 def make_graph(adjacency, labels=None, texts=None, num_classes=None,
                splits=None):
-    """Hand-rolled graph from an adjacency dict {node: [neighbors]}."""
+    """Hand-rolled graph from an adjacency dict {node: [neighbors]}; each
+    row is sorted, nothing else is checked."""
     n = len(adjacency)
     labels = labels if labels is not None else [0] * n
     texts = texts if texts is not None else [f"node {i}" for i in range(n)]
     c = num_classes if num_classes is not None else max(labels) + 1
-    nodes = [NodeRecord(id=i, text=texts[i], label=labels[i],
-                        split=splits[i] if splits else None)
-             for i in range(n)]
-    adj = [sorted(adjacency[i]) for i in range(n)]
-    return TextAttributedGraph(nodes=nodes, adjacency=adj, num_classes=c)
+    rows = [sorted(adjacency[i]) for i in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.array([v for r in rows for v in r], dtype=np.int64)
+    split = (np.array([SPLITS.index(s) for s in splits], dtype=np.int8)
+             if splits else None)
+    return TextAttributedGraph(texts=list(texts),
+                               labels=np.array(labels, dtype=np.int64),
+                               indptr=indptr, indices=indices,
+                               num_classes=c, split=split)
+
+
+def neighbors(graph, v):
+    """Row v of the graph's CSR adjacency, as a list."""
+    return graph.indices[graph.indptr[v]:graph.indptr[v + 1]].tolist()
 
 
 def random_graph(rng, n, edge_prob=0.15):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_graph, random_graph
+from conftest import make_graph, neighbors, random_graph
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
@@ -24,8 +24,8 @@ from sagefuse.metrics import roc_auc
 from sagefuse.optim import grad_check
 from sagefuse.sage import (SageModel, forward_embeddings,
                            mean_aggregation_matrix, train_phase1)
-from sagefuse.tag import (GeneratorParams, SplitSpec, generate_synthetic_tag,
-                          stratified_split)
+from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
+                          generate_synthetic_tag, stratified_split)
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
                               build_vocab, encode, node_features,
                               tokenize_graph)
@@ -51,7 +51,7 @@ def _micro_phase2(seed=0):
     n = 20
     labels = (np.arange(n) % 2).tolist()
     base = random_graph(rng, n, edge_prob=0.2)
-    graph = make_graph({i: base.adjacency[i] for i in range(n)},
+    graph = make_graph({i: neighbors(base, i) for i in range(n)},
                        labels=labels,
                        texts=[f"w{labels[i]} w{int(rng.integers(4))}"
                               for i in range(n)])
@@ -73,7 +73,7 @@ def _micro_phase2(seed=0):
 def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
     graph, vocab, backbone, embeddings, config, ids, mask = _micro_phase2()
-    labels = graph.labels()
+    labels = graph.labels
     batch = graph.split_ids("train")[:8]
     rng = np.random.default_rng(0)
 
@@ -262,9 +262,9 @@ def test_criterion_9_stratification():
             n_nodes=500 + 37 * seed, num_classes=3 + seed, seed=seed))
         split = stratified_split(graph, SplitSpec(tr, va, te, split_seed=seed))
         for c in range(split.num_classes):
-            members = [n for n in split.nodes if n.label == c]
+            members = split.split[split.labels == c]
             for frac, name in ((tr, "train"), (va, "val"), (te, "test")):
-                count = sum(1 for n in members if n.split == name)
+                count = np.count_nonzero(members == SPLITS.index(name))
                 fractions_ok = fractions_ok and (
                     abs(count - frac * len(members)) <= 1.0)
     _report(9, "per-class split sizes within one node of configured "

@@ -206,6 +206,8 @@ class TestCli:
         ("5", "expected an object"),
         ('{"id": "1", "text": "b", "label": 1}', "non-integer id '1'"),
         ('{"id": 1, "text": "b", "label": 0.5}', "non-integer label 0.5"),
+        ('{"id": 1, "text": null, "label": 1}', "non-string text None"),
+        ('{"id": 1, "text": ["b"], "label": 1}', "non-string text ['b']"),
     ])
     def test_malformed_node_line_exits_2_with_line_number(
             self, tmp_path, capsys, bad_line, message):
@@ -226,6 +228,7 @@ class TestCli:
     @pytest.mark.parametrize("bad_line, message", [
         ("{broken", "bad JSON"),
         ('{"split": "train"}', "'id'"),
+        ('{"id": true, "split": "val"}', "integer 'id'"),
     ])
     def test_malformed_splits_file_exits_2_with_line_number(
             self, tmp_path, capsys, bad_line, message):

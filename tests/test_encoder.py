@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,54 @@ class TestTokenize:
     def test_minimum_length_enforced(self):
         with pytest.raises(VocabError):
             tokenize("a", PromptSpec(""), _vocab("a"), seq_len=3)
+
+
+def reference_tokenize(text, prompt, vocab, seq_len):
+    """The list-based single-text layout the batched tokenizer replaced."""
+    prompt_ids = prompt.ids(vocab) if prompt else []
+    ids = ([CLS_ID] + prompt_ids + vocab.encode(text))[:seq_len]
+    n = len(ids)
+    return (np.array(ids + [PAD_ID] * (seq_len - n), dtype=np.int64),
+            np.array([1.0] * n + [0.0] * (seq_len - n)))
+
+
+class TestTokenizeGraph:
+    TEXTS = ["hello world", "", "unseen words only", "hello " * 12,
+             "World, hello!"]
+
+    @pytest.mark.parametrize("prompt", ["", "classify this", "hello " * 9])
+    @pytest.mark.parametrize("seq_len", [4, 8, 16])
+    def test_matches_per_node_tokenize(self, prompt, seq_len):
+        v = _vocab("hello", "world", "classify", "this")
+        g = make_graph({i: [] for i in range(len(self.TEXTS))},
+                       texts=self.TEXTS)
+        spec = PromptSpec(prompt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ids, mask = tokenize_graph(g, v, spec, seq_len)
+            single = [tokenize(t, spec, v, seq_len) for t in self.TEXTS]
+        reference = [reference_tokenize(t, spec, v, seq_len)
+                     for t in self.TEXTS]
+        assert ids.dtype == np.int64 and mask.dtype == np.float64
+        for rows in (single, reference):
+            assert np.array_equal(ids, np.stack([r[0] for r in rows]))
+            assert np.array_equal(mask, np.stack([r[1] for r in rows]))
+
+    def test_overlong_prompt_warns(self):
+        v = _vocab(*[f"p{i}" for i in range(10)], "x")
+        prompt = PromptSpec(" ".join(f"p{i}" for i in range(10)))
+        g = make_graph({0: [], 1: []}, texts=["x", "x x"])
+        with pytest.warns(UserWarning, match="budget"):
+            ids, _ = tokenize_graph(g, v, prompt, seq_len=8)
+        assert v.id_of("x") not in ids.tolist()
+
+    def test_prompt_filling_budget_without_text_does_not_warn(self):
+        v = _vocab(*[f"p{i}" for i in range(10)])
+        prompt = PromptSpec(" ".join(f"p{i}" for i in range(10)))
+        g = make_graph({0: []}, texts=["..."])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tokenize_graph(g, v, prompt, seq_len=8)
 
 
 class TestEncode:
@@ -267,7 +317,7 @@ class TestPrecision:
         batch = micro_tag.split_ids("train")[:16]
         opt = AdamW(assembly.trainable_parameters())
         loss = ad.cross_entropy(assembly.logits(ids[batch], mask[batch], batch),
-                                micro_tag.labels()[batch])
+                                micro_tag.labels[batch])
         ad.backward(loss)
         opt.step()
         assert seen and np.dtype(np.float64) not in seen

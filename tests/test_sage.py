@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, neighbors, random_graph
 from sagefuse import autodiff as ad
 from sagefuse import sage
 from sagefuse.metrics import split_metric
@@ -10,14 +10,15 @@ from sagefuse.optim import AdamW, grad_check
 from sagefuse.sage import (SageModel, SageConfig, SageEmbeddings,
                            forward_embeddings, mean_aggregation_matrix,
                            sage_pass, train_phase1)
-from sagefuse.tag import SplitSpec, stratified_split
+from sagefuse.tag import (GeneratorParams, SplitSpec, csr_adjacency,
+                          generate_synthetic_tag, stratified_split)
 
 
 def brute_force_pass(x, graph, w, b):
     """Independent per-node re-derivation of one aggregation layer."""
     out = np.zeros((graph.num_nodes, w.shape[0]))
     for v in range(graph.num_nodes):
-        nbrs = graph.neighbors(v)
+        nbrs = neighbors(graph, v)
         agg = (np.mean([x[u] for u in nbrs], axis=0) if nbrs
                else np.zeros(x.shape[1]))
         out[v] = np.maximum(w @ np.concatenate([x[v], agg]) + b, 0.0)
@@ -71,6 +72,59 @@ class TestSagePass:
         assert np.allclose(m[1], [1.0, 0.0, 0.0])
 
 
+def reference_mean_aggregation_matrix(graph, dtype=np.float64):
+    """The per-node loop the CSR wrap replaced."""
+    n = graph.num_nodes
+    rows, cols, vals = [], [], []
+    for v in range(n):
+        nbrs = neighbors(graph, v)
+        if not nbrs:
+            continue
+        inv = 1.0 / len(nbrs)
+        rows.extend([v] * len(nbrs))
+        cols.extend(nbrs)
+        vals.extend([inv] * len(nbrs))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
+
+
+def _graph_from_edges(n, edges):
+    indptr, indices = csr_adjacency(n, [u for u, _ in edges],
+                                    [v for _, v in edges])
+    g = make_graph({v: [] for v in range(n)})
+    g.indptr, g.indices = indptr, indices
+    return g.validate()
+
+
+class TestAggregationMatrixOracle:
+    GRAPHS = {
+        "isolated": lambda: _graph_from_edges(4, []),
+        "duplicates_reversed_loops": lambda: _graph_from_edges(
+            6, [(0, 1), (1, 0), (0, 1), (2, 2), (3, 5), (5, 3), (4, 4),
+                (5, 0)]),
+        "star_with_isolated": lambda: _graph_from_edges(
+            7, [(0, v) for v in range(1, 5)] + [(3, 0), (6, 6)]),
+        **{f"generated_seed{seed}": (lambda seed=seed: generate_synthetic_tag(
+            GeneratorParams(n_nodes=300, num_classes=3, avg_degree=7,
+                            topic_vocab_size=10, text_len=4, seed=seed)))
+           for seed in range(4)},
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_bit_equal_to_loop_built_matrix(self, name, dtype):
+        g = self.GRAPHS[name]()
+        got = mean_aggregation_matrix(g, dtype)
+        want = reference_mean_aggregation_matrix(g, dtype)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        x = np.random.default_rng(0).normal(0, 1, (g.num_nodes, 5))
+        x = x.astype(dtype)
+        assert np.array_equal(got @ x, want @ x)
+
+
 class TestForwardEmbeddings:
     def test_equal_isolated_nodes_get_equal_rows(self):
         g = make_graph({0: [], 1: []})
@@ -115,7 +169,7 @@ def _trainable_graph(n=60, seed=0):
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % 3).tolist()
     g = random_graph(rng, n, edge_prob=0.08)
-    g = make_graph({i: g.adjacency[i] for i in range(n)}, labels=labels)
+    g = make_graph({i: neighbors(g, i) for i in range(n)}, labels=labels)
     g = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     x = rng.normal(0, 0.3, (n, 6))
     x[np.arange(n), np.array(labels)] += 3.0
@@ -187,7 +241,7 @@ def reference_train_phase1(model, x, graph, config):
     recorded forward: a training forward, then a separate no-grad forward
     for validation, both from `x` and the aggregation matrix."""
     agg = mean_aggregation_matrix(graph, dtype=x.dtype)
-    labels = graph.labels()
+    labels = graph.labels
     train_idx = graph.split_ids("train")
     val_idx = graph.split_ids("val")
     opt = AdamW(model.parameters(), lr=config.lr,
@@ -330,7 +384,7 @@ def test_gradients_match_finite_differences():
     for p in model.parameters():
         if p.value.ndim == 1:
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
-    labels = g.labels()
+    labels = g.labels
     train_idx = g.split_ids("train")
 
     def loss_fn():

@@ -1,15 +1,34 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_graph, random_graph
-from sagefuse.tag import (GeneratorParams, GraphFormatError, NodeRecord,
-                          SplitSpec, TextAttributedGraph,
-                          generate_synthetic_tag, intra_class_edge_fraction,
+from conftest import make_graph, neighbors, random_graph
+from sagefuse.tag import (SPLITS, GeneratorParams, GraphFormatError,
+                          SplitSpec, csr_adjacency, generate_synthetic_tag,
                           load_graph, load_splits, save_graph, save_splits,
                           stratified_split)
+
+
+def intra_class_edge_fraction(graph):
+    """Share of undirected edges whose endpoints share a label."""
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    same = graph.labels[rows[upper]] == graph.labels[graph.indices[upper]]
+    return float(same.mean()) if same.size else 0.0
+
+
+def rows_of(graph):
+    return [neighbors(graph, v) for v in range(graph.num_nodes)]
+
+
+def split_count(graph, split, label=None):
+    """Nodes assigned to `split`, optionally only those with `label`."""
+    ids = graph.split_ids(split)
+    return len(ids) if label is None else int(np.sum(graph.labels[ids] == label))
 
 
 def _write_dataset(tmp_path, node_lines, edge_lines):
@@ -29,13 +48,13 @@ class TestLoadGraph:
         nodes, edges = _write_dataset(
             tmp_path, [_node_line(i) for i in range(3)], ["0\t1", "1\t2"])
         g = load_graph(nodes, edges)
-        assert g.adjacency == [[1], [0, 2], [1]]
+        assert rows_of(g) == [[1], [0, 2], [1]]
 
     def test_duplicate_and_reversed_edges_deduplicated(self, tmp_path):
         nodes, edges = _write_dataset(
             tmp_path, [_node_line(i) for i in range(2)], ["1\t0", "0\t1"])
         g = load_graph(nodes, edges)
-        assert len(g.neighbors(0)) == 1
+        assert len(neighbors(g, 0)) == 1
 
     def test_label_out_of_range_names_node(self, tmp_path):
         nodes, edges = _write_dataset(
@@ -73,9 +92,9 @@ class TestLoadGraph:
             text_len=5, seed=3))
         save_graph(g, tmp_path / "n.jsonl", tmp_path / "e.tsv")
         g2 = load_graph(tmp_path / "n.jsonl", tmp_path / "e.tsv")
-        assert g2.adjacency == g.adjacency
-        assert [r.text for r in g2.nodes] == [r.text for r in g.nodes]
-        assert np.array_equal(g2.labels(), g.labels())
+        assert rows_of(g2) == rows_of(g)
+        assert g2.texts == g.texts
+        assert np.array_equal(g2.labels, g.labels)
 
     def test_edge_file_order_does_not_matter(self, tmp_path):
         g = generate_synthetic_tag(GeneratorParams(
@@ -87,33 +106,25 @@ class TestLoadGraph:
                     np.random.default_rng(0).permutation(len(lines))]
         (tmp_path / "e2.tsv").write_text("\n".join(shuffled) + "\n")
         g2 = load_graph(tmp_path / "n.jsonl", tmp_path / "e2.tsv")
-        assert g2.adjacency == g.adjacency
+        assert rows_of(g2) == rows_of(g)
 
 
 class TestGraphInvariants:
     def test_neighbors_of_path_graph(self):
         g = make_graph({0: [1], 1: [0, 2], 2: [1]})
-        assert g.neighbors(1) == [0, 2]
+        assert neighbors(g, 1) == [0, 2]
 
     def test_isolated_node_has_no_neighbors(self):
         g = make_graph({0: [], 1: [2], 2: [1]})
-        assert g.neighbors(0) == []
-
-    def test_invalid_node_id_rejected(self):
-        g = make_graph({0: [1], 1: [0]})
-        with pytest.raises(GraphFormatError):
-            g.neighbors(5)
+        assert neighbors(g, 0) == []
 
     def test_validate_catches_asymmetry(self):
-        g = TextAttributedGraph(
-            nodes=[NodeRecord(0, "a", 0), NodeRecord(1, "b", 0)],
-            adjacency=[[1], []], num_classes=1)
+        g = make_graph({0: [1], 1: []})
         with pytest.raises(GraphFormatError, match="asymmetric"):
             g.validate()
 
     def test_validate_catches_self_loop(self):
-        g = TextAttributedGraph(
-            nodes=[NodeRecord(0, "a", 0)], adjacency=[[0]], num_classes=1)
+        g = make_graph({0: [0]})
         with pytest.raises(GraphFormatError, match="self-loop"):
             g.validate()
 
@@ -122,8 +133,8 @@ class TestGraphInvariants:
     def test_random_graph_symmetry_brute_force(self, seed):
         g = random_graph(np.random.default_rng(seed), 50)
         for u in range(50):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in neighbors(g, u):
+                assert u in neighbors(g, v)
 
 
 class TestStratifiedSplit:
@@ -132,8 +143,7 @@ class TestStratifiedSplit:
         g = make_graph({i: [] for i in range(100)}, labels=labels)
         split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, split_seed=0))
         for c in range(2):
-            counts = {s: sum(1 for n in split.nodes
-                             if n.label == c and n.split == s)
+            counts = {s: split_count(split, s, c)
                       for s in ("train", "val", "test")}
             assert counts == {"train": 40, "val": 5, "test": 5}
 
@@ -141,8 +151,7 @@ class TestStratifiedSplit:
         # 11 nodes at 80/10/10: round(1.1)=1 val, 1 test, remainder 9 train.
         g = make_graph({i: [] for i in range(11)})
         split = stratified_split(g, SplitSpec(0.8, 0.1, 0.1, split_seed=0))
-        counts = [sum(1 for n in split.nodes if n.split == s)
-                  for s in ("train", "val", "test")]
+        counts = [split_count(split, s) for s in ("train", "val", "test")]
         assert counts == [9, 1, 1]
 
     def test_large_graph_proportions_within_one_node(self):
@@ -151,24 +160,20 @@ class TestStratifiedSplit:
         g = make_graph({i: [] for i in range(46198)}, labels=labels.tolist())
         split = stratified_split(g, SplitSpec(0.54, 0.18, 0.28, split_seed=0))
         frac = {"train": 0.54, "val": 0.18, "test": 0.28}
-        by_class = {}
-        for n in split.nodes:
-            by_class.setdefault(n.label, {"train": 0, "val": 0, "test": 0})
-            by_class[n.label][n.split] += 1
         for c, size in enumerate(sizes):
             for s, f in frac.items():
-                assert abs(by_class[c][s] - f * size) <= 1.0
+                assert abs(split_count(split, s, c) - f * size) <= 1.0
 
     def test_every_node_assigned_exactly_once(self, micro_tag):
-        assert all(n.split in ("train", "val", "test")
-                   for n in micro_tag.nodes)
+        ids = np.concatenate([micro_tag.split_ids(s) for s in SPLITS])
+        assert sorted(ids.tolist()) == list(range(micro_tag.num_nodes))
 
     def test_deterministic_given_seed(self):
         g = make_graph({i: [] for i in range(30)},
                        labels=[i % 3 for i in range(30)], num_classes=3)
         a = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=4))
         b = stratified_split(g, SplitSpec(0.6, 0.2, 0.2, split_seed=4))
-        assert [n.split for n in a.nodes] == [n.split for n in b.nodes]
+        assert np.array_equal(a.split, b.split)
 
     def test_tiny_class_rejected(self):
         g = make_graph({i: [] for i in range(10)},
@@ -182,12 +187,9 @@ class TestStratifiedSplit:
 
     def test_splits_file_round_trip(self, tmp_path, micro_tag):
         save_splits(micro_tag, tmp_path / "s.jsonl")
-        bare = TextAttributedGraph(
-            nodes=[NodeRecord(n.id, n.text, n.label) for n in micro_tag.nodes],
-            adjacency=micro_tag.adjacency, num_classes=micro_tag.num_classes)
+        bare = replace(micro_tag, split=None)
         loaded = load_splits(bare, tmp_path / "s.jsonl")
-        assert [n.split for n in loaded.nodes] == \
-               [n.split for n in micro_tag.nodes]
+        assert np.array_equal(loaded.split, micro_tag.split)
 
     def test_incomplete_splits_file_rejected(self, tmp_path, micro_tag):
         (tmp_path / "s.jsonl").write_text('{"id": 0, "split": "train"}\n')
@@ -203,10 +205,10 @@ class TestGenerator:
                             topic_vocab_size=10, text_len=6, text_noise=0.0,
                             seed=0)
         g = generate_synthetic_tag(p)
-        for rec in g.nodes:
+        for text, label in zip(g.texts, g.labels):
             buckets = {int(tok[1:]) // p.topic_vocab_size
-                       for tok in rec.text.split()}
-            assert buckets == {rec.label}
+                       for tok in text.split()}
+            assert buckets == {label}
 
     def test_intra_class_edge_fraction_near_target(self):
         g = generate_synthetic_tag(GeneratorParams())
@@ -216,14 +218,14 @@ class TestGenerator:
         p = GeneratorParams(n_nodes=120, num_classes=3, avg_degree=5,
                             topic_vocab_size=8, text_len=4, seed=11)
         a, b = generate_synthetic_tag(p), generate_synthetic_tag(p)
-        assert [r.text for r in a.nodes] == [r.text for r in b.nodes]
-        assert a.adjacency == b.adjacency
-        assert np.array_equal(a.labels(), b.labels())
+        assert a.texts == b.texts
+        assert rows_of(a) == rows_of(b)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_different_seeds_differ(self):
         a = generate_synthetic_tag(GeneratorParams(n_nodes=120, seed=1))
         b = generate_synthetic_tag(GeneratorParams(n_nodes=120, seed=2))
-        assert [r.text for r in a.nodes] != [r.text for r in b.nodes]
+        assert a.texts != b.texts
 
     def test_degenerate_params_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -239,5 +241,230 @@ class TestGenerator:
 
     def test_average_degree_near_target(self):
         g = generate_synthetic_tag(GeneratorParams(n_nodes=500, seed=0))
-        degrees = [len(a) for a in g.adjacency]
+        degrees = np.diff(g.indptr)
         assert abs(np.mean(degrees) - 8.0) < 0.5
+
+
+NODE_OK = [_node_line(0), _node_line(1, label=1)]
+SPLIT_OK = ['{"id": 0, "split": "train"}', '{"id": 1, "split": "val"}']
+
+# (file holding the fault, its lines, line number named or None for a
+# whole-file fault, message); the other two files hold NODE_OK, "0\t1" and
+# SPLIT_OK.
+LOADER_ERRORS = [
+    ("nodes", [_node_line(0), "{not json"], 2, "bad JSON"),
+    ("nodes", [_node_line(0), "5"], 2, "expected an object, got '5'"),
+    ("nodes", [_node_line(0), "[1, 2]"], 2, "expected an object"),
+    ("nodes", [_node_line(0), '{"text": "x", "label": 0}'], 2,
+     "missing field 'id'"),
+    ("nodes", [_node_line(0), '{"id": 1, "label": 0}'], 2,
+     "missing field 'text'"),
+    ("nodes", [_node_line(0), '{"id": 1, "text": "x"}'], 2,
+     "missing field 'label'"),
+    ("nodes", [_node_line(0), '{"id": "1", "text": "x", "label": 0}'], 2,
+     "non-integer id '1'"),
+    ("nodes", [_node_line(0), '{"id": 1.0, "text": "x", "label": 0}'], 2,
+     "non-integer id 1.0"),
+    ("nodes", [_node_line(0), '{"id": true, "text": "x", "label": 0}'], 2,
+     "non-integer id True"),
+    ("nodes", [_node_line(0), '{"id": 1, "text": "x", "label": "1"}'], 2,
+     "non-integer label '1'"),
+    ("nodes", [_node_line(0), '{"id": 1, "text": "x", "label": false}'], 2,
+     "non-integer label False"),
+    ("nodes", [_node_line(0), '{"id": 1, "text": null, "label": 0}'], 2,
+     "non-string text None"),
+    ("nodes", [_node_line(0), '{"id": 1, "text": 7, "label": 0}'], 2,
+     "non-string text 7"),
+    ("nodes", [_node_line(0), _node_line(0)], 2, "duplicate id 0"),
+    ("nodes", [_node_line(0), _node_line(2)], None,
+     r"node ids not dense in \[0, 2\) \(missing e.g. \[1\]\)"),
+    ("nodes", [_node_line(1), _node_line(-1)], None, "not dense"),
+    ("nodes", [], None, "no nodes"),
+    ("nodes", [_node_line(0), _node_line(1, label=2)], 2,
+     r"node 1: label 2 out of range \[0, 2\)"),
+    ("nodes", [_node_line(0), _node_line(1, label=-1)], 2,
+     r"node 1: label -1 out of range"),
+    ("nodes", [_node_line(0), _node_line(1, label=2 ** 70)], 2,
+     rf"node 1: label {2 ** 70} out of range"),
+    ("edges", ["0\t1", "0 1"], 2, r"expected 'u<TAB>v', got '0 1'"),
+    ("edges", ["0\t1\t1"], 1, "expected 'u<TAB>v'"),
+    ("edges", ["0\tx"], 1, "non-integer endpoint in '0\\\\tx'"),
+    ("edges", ["0\t1", "1\t7"], 2, "dangling endpoint 7"),
+    ("edges", ["-1\t0"], 1, "dangling endpoint -1"),
+    ("splits", [SPLIT_OK[0], "{broken"], 2, "bad JSON"),
+    ("splits", [SPLIT_OK[0], "5"], 2, "integer 'id'"),
+    ("splits", [SPLIT_OK[0], '{"split": "val"}'], 2, "integer 'id'"),
+    ("splits", [SPLIT_OK[0], '{"id": "1", "split": "val"}'], 2,
+     "integer 'id'"),
+    ("splits", [SPLIT_OK[0], '{"id": true, "split": "val"}'], 2,
+     "integer 'id'"),
+    ("splits", [SPLIT_OK[0], '{"id": 1, "split": "dev"}'], 2,
+     "bad split 'dev'"),
+    ("splits", [SPLIT_OK[0], '{"id": 1}'], 2, "bad split None"),
+    ("splits", SPLIT_OK + [SPLIT_OK[1]], 3, "node 1 assigned twice"),
+    ("splits", [SPLIT_OK[0]], None, "does not cover all nodes"),
+    ("splits", [SPLIT_OK[0], '{"id": 5, "split": "val"}'], None,
+     "does not cover all nodes"),
+    ("splits", [], None, "does not cover all nodes"),
+]
+
+
+@pytest.mark.parametrize("where, lines, lineno, message", LOADER_ERRORS)
+def test_loader_error_names_file_line_and_fault(tmp_path, where, lines,
+                                                lineno, message):
+    files = {"nodes": NODE_OK, "edges": ["0\t1"], "splits": SPLIT_OK}
+    files[where] = lines
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text("".join(line + "\n" for line in content))
+    with pytest.raises(GraphFormatError) as err:
+        graph = load_graph(paths["nodes"], paths["edges"], num_classes=2)
+        load_splits(graph, paths["splits"])
+    prefix = f"{paths[where]}:{lineno}: " if lineno else f"{paths[where]}: "
+    text = str(err.value)
+    assert text.startswith(prefix), text
+    assert re.search(message, text[len(prefix):]), text
+
+
+def test_label_beyond_int64_rejected_without_num_classes(tmp_path):
+    nodes, edges = _write_dataset(
+        tmp_path, [_node_line(0), _node_line(1, label=2 ** 70)], [])
+    with pytest.raises(GraphFormatError,
+                       match=rf":2: node 1: label {2 ** 70} out of range"):
+        load_graph(nodes, edges)
+
+
+def test_nodes_in_any_file_order_load_by_id(tmp_path):
+    nodes, edges = _write_dataset(
+        tmp_path, [_node_line(2, 1, "c"), _node_line(0, 0, "a"),
+                   _node_line(1, 2, "b")], ["2\t0"])
+    g = load_graph(nodes, edges)
+    assert g.texts == ["a", "b", "c"]
+    assert g.labels.tolist() == [0, 2, 1]
+    assert rows_of(g) == [[2], [], [0]]
+
+
+def test_save_graph_writes_json_dumps_bytes(tmp_path):
+    texts = ['say "hi"', "back\\slash", "tab\there", "naïve café ☕",
+             "line\nbreak", "plain"]
+    g = make_graph({0: [3], 1: [], 2: [5], 3: [0], 4: [], 5: [2]},
+                   labels=[0, 1, 0, 1, 0, 1], texts=texts,
+                   splits=["train", "val", "test", "train", "val", "test"])
+    save_graph(g, tmp_path / "n.jsonl", tmp_path / "e.tsv")
+    save_splits(g, tmp_path / "s.jsonl")
+    assert (tmp_path / "n.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"id": i, "text": t, "label": int(g.labels[i])}) + "\n"
+        for i, t in enumerate(texts))
+    assert (tmp_path / "e.tsv").read_text() == "0\t3\n2\t5\n"
+    assert (tmp_path / "s.jsonl").read_text() == "".join(
+        json.dumps({"id": i, "split": s}) + "\n" for i, s in
+        enumerate(["train", "val", "test", "train", "val", "test"]))
+    g2 = load_splits(load_graph(tmp_path / "n.jsonl", tmp_path / "e.tsv"),
+                     tmp_path / "s.jsonl")
+    assert g2.texts == texts and rows_of(g2) == rows_of(g)
+    assert np.array_equal(g2.split, g.split)
+
+
+def reference_build_adjacency(n, edge_iter):
+    """The set-based builder the CSR replaced: symmetrize and deduplicate
+    edges into sorted per-node lists."""
+    sets = [set() for _ in range(n)]
+    for u, v in edge_iter:
+        if u == v:
+            continue
+        sets[u].add(v)
+        sets[v].add(u)
+    return [sorted(s) for s in sets]
+
+
+def _csr_rows(indptr, indices):
+    return [indices[indptr[v]:indptr[v + 1]].tolist()
+            for v in range(len(indptr) - 1)]
+
+
+class TestCsrAdjacency:
+    @pytest.mark.parametrize("n, edges", [
+        (1, []),
+        (4, []),
+        (3, [(0, 1), (1, 0), (0, 1), (1, 2)]),
+        (5, [(2, 2), (0, 4), (4, 0), (3, 3)]),
+        (6, [(5, 0), (0, 5), (1, 4), (4, 1), (1, 4), (2, 2), (5, 3)]),
+        (7, [(6, 1), (1, 6), (3, 3), (0, 2), (2, 0), (6, 5), (5, 6)]),
+    ])
+    def test_hand_made_edge_lists_match_reference(self, n, edges):
+        u = [e[0] for e in edges]
+        v = [e[1] for e in edges]
+        indptr, indices = csr_adjacency(n, u, v)
+        assert _csr_rows(indptr, indices) == \
+            reference_build_adjacency(n, edges)
+        assert indptr.dtype == indices.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_generated_graphs_match_reference(self, seed):
+        g = generate_synthetic_tag(GeneratorParams(
+            n_nodes=300, num_classes=3, avg_degree=6, topic_vocab_size=10,
+            text_len=4, seed=seed))
+        rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+        # Every directed copy of every edge, shuffled, plus self-loops.
+        rng = np.random.default_rng(seed)
+        loops = rng.integers(0, g.num_nodes, 20)
+        u = np.concatenate([rows, g.indices, loops])
+        v = np.concatenate([g.indices, rows, loops])
+        perm = rng.permutation(len(u))
+        u, v = u[perm], v[perm]
+        reference = reference_build_adjacency(
+            g.num_nodes, zip(u.tolist(), v.tolist()))
+        assert rows_of(g) == reference
+        assert _csr_rows(*csr_adjacency(g.num_nodes, u, v)) == reference
+
+
+class TestValidate:
+    def _graph(self, rows, **kw):
+        """A graph whose CSR rows are taken as given, unsorted included."""
+        g = make_graph({v: [] for v in range(len(rows))}, **kw)
+        return replace(g, indptr=np.cumsum([0] + [len(r) for r in rows]),
+                       indices=np.array([w for r in rows for w in r],
+                                        dtype=np.int64))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1], [0, 2], [1, 3], [2, 5]], "node 3: dangling neighbor 5"),
+        ([[1], [0, -1]], "node 1: dangling neighbor -1"),
+        ([[1], [0], [2], [3]], "node 2: self-loop"),
+        ([[2, 1], [0], [0]], "node 0: neighbor list not sorted"),
+        ([[1], [0], [3, 3], [2]], "node 2: neighbor list not sorted and "
+                                  "deduplicated"),
+        ([[1], [0, 2], [], [1]], r"asymmetric edge \(1, 2\)"),
+        ([[], [3], [], []], r"asymmetric edge \(1, 3\)"),
+    ])
+    def test_names_the_first_offending_node(self, rows, message):
+        with pytest.raises(GraphFormatError, match=message):
+            self._graph(rows).validate()
+
+    def test_label_out_of_range_names_first_node(self):
+        g = make_graph({v: [] for v in range(4)}, labels=[0, 1, 5, -1],
+                       num_classes=2)
+        with pytest.raises(GraphFormatError,
+                           match=r"node 2: label out of range \(5 not"):
+            g.validate()
+
+    def test_empty_text_names_first_node(self):
+        g = make_graph({v: [] for v in range(3)}, texts=["a", " ", ""])
+        with pytest.raises(GraphFormatError, match="node 1: empty text"):
+            g.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("indptr", [0, 1]),
+        ("indptr", [0, 2, 1]),
+        ("indptr", [1, 1, 2]),
+        ("labels", [0]),
+    ])
+    def test_arrays_must_match_the_node_count(self, field, value):
+        g = make_graph({0: [1], 1: [0]})
+        g = replace(g, **{field: np.array(value, dtype=np.int64)})
+        with pytest.raises(GraphFormatError, match="do not match the node"):
+            g.validate()
+
+    def test_valid_graph_passes(self):
+        g = self._graph([[1, 2], [0], [0], []])
+        assert g.validate() is g

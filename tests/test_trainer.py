@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, neighbors, random_graph
 from sagefuse import autodiff as ad
 from sagefuse.optim import grad_check
 from sagefuse.sage import SageEmbeddings
@@ -33,7 +33,7 @@ def _setup(num_classes=3, n=48, seed=0, **config_overrides):
     base = random_graph(rng, n, edge_prob=0.1)
     texts = [f"w{labels[i] * 5 + int(rng.integers(5))} "
              f"w{labels[i] * 5 + int(rng.integers(5))}" for i in range(n)]
-    graph = make_graph({i: base.adjacency[i] for i in range(n)},
+    graph = make_graph({i: neighbors(base, i) for i in range(n)},
                        labels=labels, texts=texts)
     graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     vocab = build_vocab(graph)
@@ -233,7 +233,7 @@ class TestPhase2Training:
         batch = setup.graph.split_ids("train")[:8]
         loss = ad.cross_entropy(
             assembly.logits(setup.ids[batch], setup.mask[batch], batch),
-            setup.graph.labels()[batch])
+            setup.graph.labels[batch])
         ad.backward(loss)
         grads = [abs(float(a.gate_logit.gradient))
                  for a in assembly.adapters.adapters]
@@ -281,7 +281,7 @@ def test_assembly_gradients_match_finite_differences(setup):
     for p in assembly.trainable_parameters():
         p.value[...] = rng.normal(0, 0.05, p.value.shape)
     batch = setup.graph.split_ids("train")[:8]
-    labels = setup.graph.labels()
+    labels = setup.graph.labels
 
     def loss_fn():
         logits = assembly.logits(setup.ids[batch], setup.mask[batch], batch)
