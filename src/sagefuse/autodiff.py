@@ -27,7 +27,6 @@ class ShapeError(NumericsError):
 
 
 _GRAD_ENABLED = True
-_STRICT_FINITE = False
 
 
 @contextlib.contextmanager
@@ -40,18 +39,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def strict_finite(enabled=True):
-    """Reject NaN/Inf at every op boundary (used in 64-bit test mode)."""
-    global _STRICT_FINITE
-    prev = _STRICT_FINITE
-    _STRICT_FINITE = enabled
-    try:
-        yield
-    finally:
-        _STRICT_FINITE = prev
 
 
 def _check_finite(name, arr):
@@ -153,8 +140,6 @@ def _lift_pair(a, b):
 def _node(value, pairs):
     """Create a Node from (parent_node, grad_fn) pairs, or a raw array if
     no parent is a Node."""
-    if _STRICT_FINITE:
-        _check_finite("op output", value)
     live = [(p, fn) for p, fn in pairs if isinstance(p, Node)]
     if not live:
         return value
@@ -314,20 +299,6 @@ def sum_(a, axis=None, keepdims=False):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, va.shape).copy()
-
-    return _node(out, [(a, ga)])
-
-
-def mean_(a, axis=None, keepdims=False):
-    a = lift(a)
-    va = val(a)
-    n = va.size if axis is None else va.shape[axis]
-    out = va.mean(axis=axis, keepdims=keepdims)
-
-    def ga(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, va.shape).copy() / n
 
     return _node(out, [(a, ga)])
 

@@ -42,9 +42,6 @@ class LoraPair:
     def parameters(self):
         return [self.a, self.b]
 
-    def delta_matrix(self):
-        return self.scaling * (ad.val(self.b) @ ad.val(self.a))
-
 
 def lora_apply(pair, frozen_w, x, bias=None):
     """(W + scaling * B @ A) @ x^T computed without touching the frozen W."""

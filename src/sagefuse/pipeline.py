@@ -13,14 +13,14 @@ from .config import ConfigError
 from .fusion import audit_from_shapes, gnn_param_count
 from .metrics import metric_name
 from .sage import SageEmbeddings, SageModel, train_phase1
-from .tag import (generate_synthetic_tag, load_graph, load_splits, save_graph,
-                  save_splits, stratified_split)
+from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
+                  save_graph, save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
 from .textenc import (EncoderBackbone, PromptSpec, Vocabulary, build_vocab,
                       node_features, prefix_states, tokenize_graph)
-from .trainer import (Phase2Assembly, evaluate, prompt_ablation,
-                      rank_ablation, train_phase2, write_table_csv,
-                      write_table_text)
+from .trainer import (Phase2Assembly, Phase2Inputs, evaluate,
+                      prompt_ablation, rank_ablation, train_phase2,
+                      write_table_csv, write_table_text)
 
 
 class PipelineError(RuntimeError):
@@ -40,6 +40,21 @@ def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _read_json(path):
+    """The JSON object in `path`. Bad JSON, or a top level that is not an
+    object, raises PipelineError naming the file; a missing file raises
+    FileNotFoundError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise PipelineError(f"{path}: bad JSON: {e}")
+    if not isinstance(obj, dict):
+        raise PipelineError(f"{path}: expected a JSON object, got "
+                            f"{type(obj).__name__}")
+    return obj
 
 
 def _sha256(path):
@@ -92,25 +107,49 @@ def run_gen_data(cfg, force=False):
     return graph, out
 
 
-def load_dataset(cfg):
-    """Load the graph (with splits applied) for this config."""
-    if cfg.dataset.source == "files":
-        if not cfg.dataset.nodes_path or not cfg.dataset.edges_path:
+def _dataset_files(cfg):
+    """The files `load_dataset` reads, by role: nodes, edges and, unless
+    the split is computed in process, splits."""
+    d = cfg.dataset
+    if d.source == "files":
+        if not d.nodes_path or not d.edges_path:
             raise ConfigError("dataset.source = files requires nodes_path "
                               "and edges_path")
-        graph = load_graph(cfg.dataset.nodes_path, cfg.dataset.edges_path,
-                           num_classes=cfg.dataset.num_classes)
-        if cfg.dataset.splits_path:
-            return load_splits(graph, cfg.dataset.splits_path)
-        return stratified_split(graph, cfg.dataset)
+        files = {"nodes": d.nodes_path, "edges": d.edges_path}
+        if d.splits_path:
+            files["splits"] = d.splits_path
+        return files
     out = data_dir(cfg)
-    nodes, edges, splits = (out / "nodes.jsonl", out / "edges.tsv",
-                            out / "splits.jsonl")
-    for p in (nodes, edges, splits):
+    files = {"nodes": out / "nodes.jsonl", "edges": out / "edges.tsv",
+             "splits": out / "splits.jsonl"}
+    for p in files.values():
         if not p.exists():
             raise PipelineError(f"missing dataset file {p}; run gen-data first")
-    graph = load_graph(nodes, edges, num_classes=cfg.dataset.num_classes)
-    return load_splits(graph, splits)
+    return files
+
+
+def load_dataset(cfg):
+    """Load the graph (with splits applied) for this config."""
+    files = _dataset_files(cfg)
+    graph = load_graph(files["nodes"], files["edges"],
+                       num_classes=cfg.dataset.num_classes)
+    if "splits" in files:
+        return load_splits(graph, files["splits"])
+    return stratified_split(graph, cfg.dataset)
+
+
+def _data_fingerprint(cfg, files):
+    """Everything `load_dataset` reads: the sha256 of each data file, the
+    class count and, when the split is computed in process, its keys."""
+    d = cfg.dataset
+    fingerprint = {"files": {role: _sha256(p) for role, p in files.items()},
+                   "num_classes": d.num_classes}
+    if "splits" not in files:
+        fingerprint["split"] = {"train_frac": d.train_frac,
+                                "val_frac": d.val_frac,
+                                "test_frac": d.test_frac,
+                                "split_seed": d.split_seed}
+    return fingerprint
 
 
 def run_phase1(cfg):
@@ -125,10 +164,16 @@ def run_phase1(cfg):
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
     key = _prefix_key(cfg)
-    prompt = PromptSpec(cfg.trainer.prompt)
-    x, states = node_features(backbone, graph, vocab, prompt,
-                              cfg.trainer.seq_len, key["layer"],
+    ids, mask = tokenize_graph(graph, vocab, PromptSpec(cfg.trainer.prompt),
+                               cfg.trainer.seq_len)
+    x, states = node_features(backbone, ids, mask, key["layer"],
                               pooling=cfg.backbone.pooling)
+    _write_json(out / "nodes.json", {
+        "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
+        "split": graph.split.tolist(),
+        "lengths": np.count_nonzero(mask, axis=1).tolist(),
+        "prompt": cfg.trainer.prompt, "seq_len": cfg.trainer.seq_len,
+        "fingerprint": _data_fingerprint(cfg, _dataset_files(cfg))})
     save_tensor(out / "features.gtsr", x)
     prefix = out / "prefix.gtsr"
     if cfg.backbone.dtype == np.float32:
@@ -136,7 +181,7 @@ def run_phase1(cfg):
     else:  # GTSR stores float32 only: f64 runs recompute the prefix
         key = None
         prefix.unlink(missing_ok=True)
-    del states
+    del ids, mask, states
     _write_json(out / "features.json", {
         "n": graph.num_nodes, "d": int(x.shape[1]),
         "pooling": cfg.backbone.pooling, "prompt": cfg.trainer.prompt,
@@ -159,7 +204,8 @@ def run_phase1(cfg):
         "loss_trace": result.loss_trace,
         "val_trace": result.val_trace})
     _write_manifest(out, "phase1", cfg, [
-        out / "vocab.json", out / "features.gtsr", out / "features.json",
+        out / "vocab.json", out / "nodes.json", out / "features.gtsr",
+        out / "features.json",
         out / "pass1.gtsr", out / "pass2.gtsr", out / "sidecar.json",
         out / "metrics.json"] + ([prefix] if key else []))
     return result
@@ -177,16 +223,15 @@ def _prefix_key(cfg):
                          "max_tokens": b.max_tokens, "seed": b.seed}}
 
 
-def load_prefix_states(cfg, graph, backbone, vocab):
+def load_prefix_states(cfg, backbone, mask):
     """The phase-1 prefix states for this config's prefix, else None: the
     trainer then computes them in process, so a stale file is never
-    reused. A file saved at a lower layer under an otherwise equal key
-    (the `fused` arm's file read by `text_only`) is run forward to this
-    config's layer once."""
+    reused. `mask` is the (N, T) token mask of the config's tokens. A file
+    saved at a lower layer under an otherwise equal key (the `fused` arm's
+    file read by `text_only`) is run forward to this config's layer once."""
     out = phase1_dir(cfg)
     try:
-        with open(out / "features.json", encoding="utf-8") as f:
-            saved = json.load(f).get("prefix")
+        saved = _read_json(out / "features.json").get("prefix")
     except FileNotFoundError:
         return None
     key = _prefix_key(cfg)
@@ -196,16 +241,91 @@ def load_prefix_states(cfg, graph, backbone, vocab):
             or not (out / "prefix.gtsr").exists()):
         return None
     states = load_tensor(out / "prefix.gtsr", dtype=cfg.backbone.dtype)
-    expected = (graph.num_nodes, cfg.trainer.seq_len, cfg.backbone.dim)
+    expected = (len(mask), cfg.trainer.seq_len, cfg.backbone.dim)
     if states.shape != expected:
         return None
     if saved_layer < key["layer"]:
-        ids, mask = tokenize_graph(graph, vocab,
-                                   PromptSpec(cfg.trainer.prompt),
-                                   cfg.trainer.seq_len)
-        states = prefix_states(backbone, ids, mask, key["layer"],
+        states = prefix_states(backbone, None, mask, key["layer"],
                                states=states, start=saved_layer)
     return states
+
+
+def _int_column(table, key, high, path):
+    """`table[key]` as an int64 array; every entry an int in [0, high)."""
+    values = table.get(key)
+    if not isinstance(values, list) or not all(
+            type(v) is int and 0 <= v < high for v in values):
+        raise PipelineError(f"{path}: {key!r} must be a list of integers "
+                            f"in [0, {high})")
+    return np.array(values, dtype=np.int64)
+
+
+def _read_node_table(cfg):
+    """The phase-1 node table (`nodes.json`) after checking that the data
+    it describes is still the config's dataset, or None when phase 1
+    wrote none. A changed data file raises PipelineError: the table and
+    the phase-1 embeddings all describe the old data."""
+    path = phase1_dir(cfg) / "nodes.json"
+    try:
+        table = _read_json(path)
+    except FileNotFoundError:
+        return None
+    files = _dataset_files(cfg)
+    current = _data_fingerprint(cfg, files)
+    saved = table.get("fingerprint")
+    if saved != current:
+        old = saved.get("files") if isinstance(saved, dict) else None
+        old = old if isinstance(old, dict) else {}
+        changed = [str(files[role]) for role, digest in
+                   current["files"].items() if old.get(role) != digest]
+        what = (f"data file {changed[0]}" if changed
+                else "the [dataset] settings it was read with")
+        raise PipelineError(f"{what} changed since phase1 wrote {path}; "
+                            "re-run phase1")
+    num_classes = table.get("num_classes")
+    seq_len = table.get("seq_len")
+    for key, value in (("num_classes", num_classes), ("seq_len", seq_len)):
+        if type(value) is not int or value < 1:
+            raise PipelineError(f"{path}: {key!r} must be a positive integer")
+    if not isinstance(table.get("prompt"), str):
+        raise PipelineError(f"{path}: 'prompt' must be a string")
+    columns = {"labels": _int_column(table, "labels", num_classes, path),
+               "split": _int_column(table, "split", len(SPLITS), path),
+               "lengths": _int_column(table, "lengths", seq_len + 1, path)}
+    counts = {len(c) for c in columns.values()}
+    if len(counts) != 1 or not columns["labels"].size:
+        raise PipelineError(f"{path}: 'labels', 'split' and 'lengths' must "
+                            "hold one entry per node")
+    if not columns["lengths"].all():
+        raise PipelineError(f"{path}: 'lengths' must be at least 1")
+    return {**table, **columns}
+
+
+def load_phase2_inputs(cfg, backbone, vocab):
+    """(Phase2Inputs, frozen-prefix states or None) for the commands after
+    phase 1. When the phase-1 node table matches the dataset and the
+    prefix states are usable, the table stands in for the dataset: nothing
+    is parsed or tokenized, and the inputs carry no token ids. Otherwise
+    (no table, an f64 run, or a changed prompt, seq_len, backbone or
+    placement) the dataset is loaded and tokenized."""
+    t = cfg.trainer
+    table = _read_node_table(cfg)
+    if table is not None and (table["prompt"], table["seq_len"]) == \
+            (t.prompt, t.seq_len):
+        mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
+            np.float64)
+        states = load_prefix_states(cfg, backbone, mask)
+        if states is not None:
+            return Phase2Inputs(labels=table["labels"],
+                                split=table["split"].astype(np.int8),
+                                num_classes=table["num_classes"],
+                                mask=mask), states
+    graph = load_dataset(cfg)
+    ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt), t.seq_len)
+    # A table that matched gave no usable states above.
+    states = None if table is not None else \
+        load_prefix_states(cfg, backbone, mask)
+    return Phase2Inputs.from_graph(graph, ids, mask), states
 
 
 def load_phase1_artifacts(cfg):
@@ -214,8 +334,11 @@ def load_phase1_artifacts(cfg):
         if not (out / name).exists():
             raise PipelineError(f"missing phase-1 artifact {out / name}; "
                                 "run phase1 first")
-    with open(out / "vocab.json", encoding="utf-8") as f:
-        vocab = Vocabulary.from_dict(json.load(f))
+    tokens = _read_json(out / "vocab.json")
+    if not all(type(v) is int for v in tokens.values()):
+        raise PipelineError(f"{out / 'vocab.json'}: token ids must be "
+                            "integers")
+    vocab = Vocabulary.from_dict(tokens)
     embeddings = SageEmbeddings(
         pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.backbone.dtype),
         pass2=load_tensor(out / "pass2.gtsr", dtype=cfg.backbone.dtype))
@@ -249,9 +372,12 @@ def _save_checkpoint(directory, assembly):
 
 def _load_checkpoint(directory, assembly):
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    files = manifest["files"]
+    path = directory / "manifest.json"
+    files = _read_json(path).get("files")
+    if not isinstance(files, dict) or not all(
+            isinstance(v, str) for v in files.values()):
+        raise PipelineError(f"{path}: 'files' must map tensor names to "
+                            "file names")
     for p in assembly.trainable_parameters():
         if p.name not in files:
             raise PipelineError(f"checkpoint {directory} missing tensor for "
@@ -269,17 +395,16 @@ def _load_checkpoint(directory, assembly):
 def run_phase2(cfg):
     """Seed sweep of phase-2 fine-tuning; writes the run report and one
     adapter checkpoint per seed."""
-    graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
+    inputs, states = load_phase2_inputs(cfg, backbone, vocab)
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
     gnn_size = gnn_param_count(backbone.config.dim, cfg.sage.embed_dim,
-                               cfg.sage.classifier_hidden, graph.num_classes)
-    states = load_prefix_states(cfg, graph, backbone, vocab)
-    report = train_phase2(backbone, embeddings, graph, vocab,
-                          cfg.run_config(), gnn_size=gnn_size, states=states)
+                               cfg.sage.classifier_hidden, inputs.num_classes)
+    report = train_phase2(backbone, embeddings, inputs, cfg.run_config(),
+                          gnn_size=gnn_size, states=states)
 
     _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
     _write_json(out / "timing.json",
@@ -295,23 +420,20 @@ def run_phase2(cfg):
 
 def run_evaluate(cfg, split="test", seed=None):
     """Evaluate a saved phase-2 checkpoint on one split."""
-    graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
-    backbone = EncoderBackbone(cfg.backbone, vocab.size)
     run_cfg = cfg.run_config()
     seed = run_cfg.seeds[0] if seed is None else seed
     ckpt = phase2_dir(cfg) / "checkpoints" / f"seed{seed}"
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
-    states = load_prefix_states(cfg, graph, backbone, vocab)
-    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
+    backbone = EncoderBackbone(cfg.backbone, vocab.size)
+    inputs, states = load_phase2_inputs(cfg, backbone, vocab)
+    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
                               run_cfg, seed, states=states)
     _load_checkpoint(ckpt, assembly)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(run_cfg.prompt),
-                               run_cfg.seq_len)
-    value = evaluate(assembly, graph, ids, mask, split)
+    value = evaluate(assembly, inputs, split)
     return {"split": split, "seed": seed,
-            "metric_name": metric_name(graph.num_classes),
+            "metric_name": metric_name(inputs.num_classes),
             "metric": float(value)}
 
 
@@ -336,23 +458,25 @@ def run_audit(cfg):
 
 def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
                prompts=DEFAULT_ABLATION_PROMPTS):
-    graph = load_dataset(cfg)
     vocab, embeddings = load_phase1_artifacts(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     base = cfg.run_config()
-    out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
     if what == "rank":
-        states = load_prefix_states(cfg, graph, backbone, vocab)
-        rows = rank_ablation(backbone, embeddings, graph, vocab, base,
-                             ranks=ranks, states=states)
+        inputs, states = load_phase2_inputs(cfg, backbone, vocab)
+        rows = rank_ablation(backbone, embeddings, inputs, base, ranks=ranks,
+                             states=states)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
-        rows = prompt_ablation(backbone, embeddings, graph, vocab, base,
-                               prompts=prompts)
+        # The prompts change the tokens, so the texts are always read; the
+        # node table only guards against a changed dataset.
+        _read_node_table(cfg)
+        rows = prompt_ablation(backbone, embeddings, load_dataset(cfg), vocab,
+                               base, prompts=prompts)
         columns = ["prompt", "metric_mean", "metric_std"]
     else:
         raise ConfigError(f"unknown ablation {what!r}; valid: rank, prompt")
+    out = Path(cfg.output.dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_table_csv(out / f"ablate_{what}.csv", rows, columns)
     text = write_table_text(out / f"ablate_{what}.txt", rows, columns)
     return rows, text

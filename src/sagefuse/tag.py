@@ -56,11 +56,7 @@ class TextAttributedGraph:
         return len(self.texts)
 
     def split_ids(self, split):
-        if split not in SPLITS:
-            raise GraphFormatError(f"unknown split {split!r}")
-        if self.split is None:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self.split == _SPLIT_CODE[split])
+        return ids_in_split(self.split, split)
 
     def validate(self):
         n, indptr, indices = self.num_nodes, self.indptr, self.indices
@@ -100,6 +96,16 @@ class TextAttributedGraph:
             k = np.flatnonzero(~np.isin(transposed, keys))[0]
             raise GraphFormatError(f"asymmetric edge ({rows[k]}, {indices[k]})")
         return self
+
+
+def ids_in_split(codes, split):
+    """Node ids whose split code (into `SPLITS`) is `split`; none when
+    `codes` is None, before a split is assigned."""
+    if split not in SPLITS:
+        raise GraphFormatError(f"unknown split {split!r}")
+    if codes is None:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(codes == _SPLIT_CODE[split])
 
 
 def csr_adjacency(n, u, v):

@@ -301,32 +301,32 @@ def prefix_states(backbone, ids, mask, layer, batch_size=64, states=None,
     below an adapted layer trains, so these states are a fixed function of
     the tokens and later passes can start `encode` from them. Given the
     `states` at the input of a lower layer `start`, the passes run layers
-    start.. only and `ids` is not read."""
-    out = np.empty(ids.shape + (backbone.config.dim,),
+    start.. only and `ids` is not read (it may be None)."""
+    out = np.empty(mask.shape + (backbone.config.dim,),
                    dtype=backbone.config.dtype)
     with ad.no_grad():
-        for lo in range(0, len(ids), batch_size):
+        for lo in range(0, len(mask), batch_size):
             sl = slice(lo, lo + batch_size)
-            out[sl] = encode(backbone, ids[sl], mask[sl],
-                             states=None if states is None else states[sl],
-                             start=start, stop=layer)
+            if states is None:
+                out[sl] = encode(backbone, ids[sl], mask[sl], stop=layer)
+            else:
+                out[sl] = encode(backbone, None, mask[sl], states=states[sl],
+                                 start=start, stop=layer)
     return out
 
 
-def node_features(backbone, graph, vocab, prompt, seq_len, layer,
-                  pooling="mean", batch_size=64):
+def node_features(backbone, ids, mask, layer, pooling="mean", batch_size=64):
     """Per-node features under the frozen backbone, and the prefix states
     they pass through.
 
-    Returns (X, states): X (N, d) holds the pooled final hidden states of
-    each node's tokenized text, and states (N, T, d) the hidden states at
-    the input of `layer` (see `prefix_states`)."""
-    ids, mask = tokenize_graph(graph, vocab, prompt, seq_len)
+    Returns (X, states) for the tokenized texts (ids, mask): X (N, d) holds
+    the pooled final hidden states of each row, and states (N, T, d) the
+    hidden states at the input of `layer` (see `prefix_states`)."""
     states = prefix_states(backbone, ids, mask, layer, batch_size)
-    x = np.empty((graph.num_nodes, backbone.config.dim),
+    x = np.empty((len(mask), backbone.config.dim),
                  dtype=backbone.config.dtype)
     with ad.no_grad():
-        for start in range(0, graph.num_nodes, batch_size):
+        for start in range(0, len(mask), batch_size):
             sl = slice(start, start + batch_size)
             hidden = encode(backbone, None, mask[sl], states=states[sl],
                             start=layer)

@@ -16,6 +16,7 @@ from .fusion import (LORA_TARGETS, LoraPair, audit_parameters,
                      build_adapter_set, default_placement)
 from .metrics import metric_name, split_metric
 from .optim import AdamW
+from .tag import ids_in_split
 from .textenc import (PromptSpec, encode, pool_states, prefix_states,
                       tokenize_graph)
 
@@ -104,6 +105,37 @@ class RunConfig(TrainerConfig, FusionConfig):
             return num_layers
         pass1, pass2 = self.placement(num_layers)
         return min((*pass1, *pass2))
+
+
+@dataclass
+class Phase2Inputs:
+    """What phase 2 reads of the dataset: int64 labels, int8 split codes
+    into `SPLITS`, the class count, the (N, T) token mask and the (N, T)
+    token ids. The ids are None when frozen-prefix states stand in for
+    them."""
+    labels: np.ndarray
+    split: np.ndarray | None
+    num_classes: int
+    mask: np.ndarray
+    ids: np.ndarray | None = None
+
+    @classmethod
+    def from_graph(cls, graph, ids, mask):
+        """The inputs of `graph` tokenized as (ids, mask)."""
+        return cls(labels=graph.labels, split=graph.split,
+                   num_classes=graph.num_classes, mask=mask, ids=ids)
+
+    @property
+    def num_nodes(self):
+        return len(self.labels)
+
+    def split_ids(self, split):
+        return ids_in_split(self.split, split)
+
+    def rows(self, node_ids):
+        """(ids, mask) rows of `node_ids`; ids None when there are none."""
+        ids = None if self.ids is None else self.ids[node_ids]
+        return ids, self.mask[node_ids]
 
 
 class Phase2Assembly:
@@ -197,22 +229,27 @@ class Phase2Assembly:
         return ad.linear(pooled, self.head_w, self.head_b)
 
 
-def evaluate(assembly, graph, ids, mask, split, batch_size=128):
-    """Headline metric of the assembly on one split: accuracy by argmax,
-    or ROC-AUC over positive-class scores for binary tasks."""
-    idx = graph.split_ids(split)
+def evaluate(assembly, inputs, split, batch_size=128):
+    """Headline metric of the assembly on one split of the `Phase2Inputs`:
+    accuracy by argmax, or ROC-AUC over positive-class scores for binary
+    tasks."""
+    idx = inputs.split_ids(split)
     if len(idx) == 0:
         raise TrainerConfigError(f"split {split!r} is empty")
-    logits = predict_logits(assembly, ids, mask, idx, batch_size)
-    return split_metric(logits, graph.labels[idx], graph.num_classes)
+    logits = predict_logits(assembly, inputs.ids, inputs.mask, idx,
+                            batch_size)
+    return split_metric(logits, inputs.labels[idx], inputs.num_classes)
 
 
 def predict_logits(assembly, ids, mask, node_ids, batch_size=128):
+    """Logits of `node_ids` in batches; `ids` may be None when the
+    assembly holds the frozen-prefix states."""
     rows = []
     with ad.no_grad():
         for start in range(0, len(node_ids), batch_size):
             b = node_ids[start:start + batch_size]
-            rows.append(np.asarray(assembly.logits(ids[b], mask[b], b)))
+            rows.append(np.asarray(assembly.logits(
+                None if ids is None else ids[b], mask[b], b)))
     return np.concatenate(rows, axis=0)
 
 
@@ -237,24 +274,23 @@ def frozen_prefix(backbone, ids, mask, config):
                          config.first_adapted_layer(backbone.config.layers))
 
 
-def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
-                    states=None):
-    """One deterministic phase-2 run: minibatch AdamW over train nodes,
-    early stop on the validation metric, test metric from the best
-    checkpoint. `states` are the `frozen_prefix` of (ids, mask), computed
-    here when not given."""
-    embeddings.validate(graph)
+def run_phase2_seed(backbone, embeddings, inputs, config, seed, states=None):
+    """One deterministic phase-2 run on the `Phase2Inputs`: minibatch AdamW
+    over train nodes, early stop on the validation metric, test metric
+    from the best checkpoint. `states` are the `frozen_prefix` of the
+    inputs' tokens, computed here when not given."""
+    embeddings.validate(inputs)
     if states is None:
-        states = frozen_prefix(backbone, ids, mask, config)
-    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
+        states = frozen_prefix(backbone, inputs.ids, inputs.mask, config)
+    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
                               config, seed, states=states)
-    labels = graph.labels
-    train_idx = graph.split_ids("train")
+    labels = inputs.labels
+    train_idx = inputs.split_ids("train")
     opt = AdamW(assembly.trainable_parameters(), lr=config.lr,
                 weight_decay=config.weight_decay)
     rng = np.random.default_rng(derive_seed(seed, "shuffle"))
 
-    best_val = evaluate(assembly, graph, ids, mask, "val")
+    best_val = evaluate(assembly, inputs, "val")
     best = (best_val, 0, assembly.snapshot())
     loss_trace, val_trace = [], [float(best_val)]
     since_best = 0
@@ -264,7 +300,7 @@ def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             opt.zero_grad()
-            logits = assembly.logits(ids[batch], mask[batch], batch)
+            logits = assembly.logits(*inputs.rows(batch), batch)
             loss = ad.cross_entropy(logits, labels[batch])
             if not np.isfinite(ad.val(loss)):
                 raise ad.NumericsError(f"non-finite phase-2 loss at epoch "
@@ -273,7 +309,7 @@ def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
             opt.step()
             epoch_loss += float(ad.val(loss)) * len(batch)
         loss_trace.append(epoch_loss / len(order))
-        val = evaluate(assembly, graph, ids, mask, "val")
+        val = evaluate(assembly, inputs, "val")
         val_trace.append(float(val))
         if val > best[0]:
             best = (val, epoch, assembly.snapshot())
@@ -284,7 +320,7 @@ def run_phase2_seed(backbone, embeddings, graph, ids, mask, config, seed,
                 break
 
     assembly.restore(best[2])
-    test = evaluate(assembly, graph, ids, mask, "test")
+    test = evaluate(assembly, inputs, "test")
     return SeedResult(seed=seed, test_metric=float(test), best_epoch=best[1],
                       loss_trace=loss_trace, val_trace=val_trace,
                       assembly=assembly)
@@ -327,50 +363,45 @@ def seed_sweep(runner, seeds, baseline, metric, audit=None):
                      wall_clock_sec=time.perf_counter() - started)
 
 
-def train_phase2(backbone, embeddings, graph, vocab, config, gnn_size=0,
+def train_phase2(backbone, embeddings, inputs, config, gnn_size=0,
                  states=None):
-    """Seed sweep of phase-2 fine-tuning; tokenization and the frozen
-    prefix `states` (computed here when not given) are shared across
-    seeds. `gnn_size`, the phase-1 model's scalar count, is the report
-    audit's `gnn` term."""
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(config.prompt),
-                               config.seq_len)
+    """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`, tokenized
+    under `config`'s prompt and seq_len; the frozen prefix `states`
+    (computed here when not given) are shared across seeds. `gnn_size`,
+    the phase-1 model's scalar count, is the report audit's `gnn` term."""
     if states is None:
-        states = frozen_prefix(backbone, ids, mask, config)
-    probe = Phase2Assembly(backbone, embeddings, graph.num_classes,
+        states = frozen_prefix(backbone, inputs.ids, inputs.mask, config)
+    probe = Phase2Assembly(backbone, embeddings, inputs.num_classes,
                            config, seed=0)
     audit = replace(audit_parameters(probe.registry(), backbone.param_count()),
                     gnn=gnn_size).as_dict()
 
     def runner(seed):
-        return run_phase2_seed(backbone, embeddings, graph, ids, mask,
-                               config, seed, states=states)
+        return run_phase2_seed(backbone, embeddings, inputs, config, seed,
+                               states=states)
 
     return seed_sweep(runner, config.seeds, config.baseline,
-                      metric_name(graph.num_classes), audit=audit)
+                      metric_name(inputs.num_classes), audit=audit)
 
 
 # ---------------------------------------------------------------------------
 # ablations
 
-def rank_ablation(backbone, embeddings, graph, vocab, base_config,
+def rank_ablation(backbone, embeddings, inputs, base_config,
                   ranks=(2, 4, 8), states=None):
-    """One seed sweep per rank; trainable counts must rise with the rank.
-    The rank leaves the frozen prefix alone, so every sweep shares
-    `states` (computed once here when not given)."""
+    """One seed sweep per rank on the `Phase2Inputs`; trainable counts must
+    rise with the rank. The rank leaves the frozen prefix alone, so every
+    sweep shares `states` (computed once here when not given)."""
     if any(r < 1 for r in ranks):
         raise TrainerConfigError(f"ranks must be >= 1, got {list(ranks)}")
     if states is None:
-        ids, mask = tokenize_graph(graph, vocab,
-                                   PromptSpec(base_config.prompt),
-                                   base_config.seq_len)
-        states = frozen_prefix(backbone, ids, mask, base_config)
+        states = frozen_prefix(backbone, inputs.ids, inputs.mask, base_config)
     rows = []
     for r in ranks:
         cfg = replace(base_config, rank=r)
-        report = train_phase2(backbone, embeddings, graph, vocab, cfg,
+        report = train_phase2(backbone, embeddings, inputs, cfg,
                               states=states)
-        probe = Phase2Assembly(backbone, embeddings, graph.num_classes, cfg,
+        probe = Phase2Assembly(backbone, embeddings, inputs.num_classes, cfg,
                                seed=0)
         trainable = sum(p.size for p in probe.trainable_parameters())
         rows.append({"rank": r, "metric_mean": report.metric_mean,
@@ -380,13 +411,17 @@ def rank_ablation(backbone, embeddings, graph, vocab, base_config,
 
 
 def prompt_ablation(backbone, embeddings, graph, vocab, base_config, prompts):
-    """One seed sweep per prompt, reported in the given order."""
+    """One seed sweep per prompt, reported in the given order; each prompt
+    tokenizes the graph's texts anew."""
     if not prompts:
         raise TrainerConfigError("prompt ablation needs at least one prompt")
     rows = []
     for prompt in prompts:
         cfg = replace(base_config, prompt=prompt)
-        report = train_phase2(backbone, embeddings, graph, vocab, cfg)
+        ids, mask = tokenize_graph(graph, vocab, PromptSpec(prompt),
+                                   cfg.seq_len)
+        report = train_phase2(backbone, embeddings,
+                              Phase2Inputs.from_graph(graph, ids, mask), cfg)
         rows.append({"prompt": prompt, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std})
     return rows

@@ -29,7 +29,8 @@ from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
                               build_vocab, encode, node_features,
                               tokenize_graph)
-from sagefuse.trainer import Phase2Assembly, RunConfig, train_phase2
+from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
+                              train_phase2)
 
 from test_metrics import pair_counting_auc
 from test_sage import brute_force_pass
@@ -78,7 +79,7 @@ def test_criterion_1_gradient_fidelity():
     rng = np.random.default_rng(0)
 
     # Phase-1: GraphSAGE plus classifier on node features from the backbone.
-    x, _ = node_features(backbone, graph, vocab, PromptSpec(""), 8, layer=1)
+    x, _ = node_features(backbone, ids, mask, layer=1)
     model = SageModel(in_dim=16, embed_dim=8, hidden=8, num_classes=2,
                       dtype=np.float64)
     # Zero-initialized biases sit exactly on the rectifier kink, where
@@ -169,8 +170,8 @@ def test_criterion_4_frozen_invariance():
     backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
     emb_before = (setup.embeddings.pass1.copy(), setup.embeddings.pass2.copy())
     from sagefuse.trainer import run_phase2_seed
-    result = run_phase2_seed(setup.backbone, setup.embeddings, setup.graph,
-                             setup.ids, setup.mask, config, seed=0)
+    result = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
+                             config, seed=0)
     ok = (len(result.loss_trace) >= 10
           and all(np.array_equal(p.value, before) for p, before in
                   zip(setup.backbone.parameters(), backbone_before))
@@ -213,8 +214,9 @@ def test_criterion_7_structure_beats_text_only():
                              cfg.dataset)
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    x, _ = node_features(backbone, graph, vocab, PromptSpec(""),
-                         cfg.trainer.seq_len,
+    ids, mask = tokenize_graph(graph, vocab, PromptSpec(""),
+                               cfg.trainer.seq_len)
+    x, _ = node_features(backbone, ids, mask,
                          cfg.run_config().first_adapted_layer(
                              cfg.backbone.layers))
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
@@ -223,9 +225,10 @@ def test_criterion_7_structure_beats_text_only():
                       dtype=cfg.backbone.dtype)
     phase1 = train_phase1(model, x, graph, cfg.sage)
 
-    structural = train_phase2(backbone, phase1.embeddings, graph, vocab,
+    inputs = Phase2Inputs.from_graph(graph, ids, mask)
+    structural = train_phase2(backbone, phase1.embeddings, inputs,
                               cfg.run_config())
-    text_only = train_phase2(backbone, phase1.embeddings, graph, vocab,
+    text_only = train_phase2(backbone, phase1.embeddings, inputs,
                              cfg.run_config(baseline="text_only"))
     elapsed = time.perf_counter() - started
     margin = structural.metric_mean - text_only.metric_mean

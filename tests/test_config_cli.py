@@ -390,16 +390,10 @@ class TestCli:
     def test_fused_qkv_rejected_before_writing(self, run_dir, tmp_path,
                                                capsys, command):
         out, cfg_path = _copy_run(run_dir, tmp_path, FUSED_QKV)
-
-        def files():
-            return {p: p.stat().st_mtime_ns for p in out.rglob("*")}
-
-        before = files()
+        before = _snapshot(out)
         assert main(["--config", str(cfg_path), *command]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "fused_qkv" in err
-        assert files() == before
+        assert "fused_qkv" in _one_error_line(capsys)
+        assert _snapshot(out) == before
 
     def test_fused_qkv_accepted_by_gen_data_and_audit(self, run_dir,
                                                       tmp_path):
@@ -430,8 +424,13 @@ def _in_process_report(cfg_path):
     graph = pipeline.load_dataset(cfg)
     vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    report = trainer.train_phase2(backbone, embeddings, graph, vocab,
-                                  cfg.run_config())
+    run_cfg = cfg.run_config()
+    ids, mask = textenc.tokenize_graph(graph, vocab,
+                                       textenc.PromptSpec(run_cfg.prompt),
+                                       run_cfg.seq_len)
+    report = trainer.train_phase2(
+        backbone, embeddings, trainer.Phase2Inputs.from_graph(graph, ids, mask),
+        run_cfg)
     return report.as_dict(include_wall_clock=False)
 
 
@@ -528,3 +527,221 @@ class TestFrozenPrefixFile:
         assert main(command) == 0
         assert min(starts) == 0  # the spy sees a pass from the tokens
         assert (out / "phase2" / "report.json").read_bytes() == resumed
+
+
+def _snapshot(out):
+    return {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.fixture(scope="module")
+def run_dir_f64(tmp_path_factory):
+    """The micro pipeline in f64 (no prefix file): gen-data + phase1."""
+    root = tmp_path_factory.mktemp("run_f64")
+    config_path = root / "micro.cfg"
+    config_path.write_text(MICRO_CONFIG.format(out=root / "out").replace(
+        "vocab_max = 256", "vocab_max = 256\nprecision = f64"))
+    assert main(["--config", str(config_path), "gen-data"]) == 0
+    assert main(["--config", str(config_path), "phase1"]) == 0
+    return root, config_path
+
+
+AFTER_PHASE1 = (["phase2"], ["evaluate"], ["ablate", "--what", "rank",
+                                           "--ranks", "2"])
+
+
+class TestNodeTable:
+    def test_phase1_writes_the_table(self, run_dir):
+        root, config_path = run_dir
+        cfg = ExperimentConfig.from_file(config_path)
+        phase1 = root / "out" / "phase1"
+        table = json.loads((phase1 / "nodes.json").read_text())
+        graph = pipeline.load_dataset(cfg)
+        vocab, _ = pipeline.load_phase1_artifacts(cfg)
+        _, mask = textenc.tokenize_graph(graph, vocab, textenc.PromptSpec(""),
+                                         8)
+        assert table["num_classes"] == 3
+        assert table["labels"] == graph.labels.tolist()
+        assert table["split"] == graph.split.tolist()
+        assert table["lengths"] == mask.sum(axis=1).astype(int).tolist()
+        assert (table["prompt"], table["seq_len"]) == ("", 8)
+        data = root / "out" / "data"
+        assert table["fingerprint"] == {
+            "files": {role: pipeline._sha256(data / name) for role, name in
+                      (("nodes", "nodes.jsonl"), ("edges", "edges.tsv"),
+                       ("splits", "splits.jsonl"))},
+            "num_classes": 3}
+        manifest = json.loads((phase1 / "manifest.json").read_text())
+        assert "nodes.json" in manifest["artifacts"]
+
+    @pytest.mark.parametrize("edits", [
+        (), (("seq_len = 8", "seq_len = 8\nbaseline = text_only"),)],
+        ids=["fused", "text_only"])
+    def test_matching_table_reads_no_dataset_file(self, run_dir, tmp_path,
+                                                  monkeypatch, edits):
+        out, cfg_path = _copy_run(run_dir, tmp_path, *edits)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset read despite a matching table")
+
+        for module, name in ((pipeline, "load_graph"),
+                             (pipeline, "load_splits"),
+                             (pipeline, "tokenize_graph"),
+                             (trainer, "tokenize_graph"),
+                             (textenc, "tokenize_graph")):
+            monkeypatch.setattr(module, name, refuse)
+        for command in AFTER_PHASE1:
+            assert main(["--config", str(cfg_path), *command]) == 0, command
+
+    @pytest.mark.parametrize("arm", ["fused", "text_only", "f64"])
+    def test_outputs_equal_the_full_load(self, run_dir, run_dir_f64,
+                                         tmp_path, capsys, arm):
+        """report.json, evaluate output and ablate_rank.csv are the same
+        bytes with the table as without it (a run from before it)."""
+        results = []
+        for name in ("table", "no_table"):
+            out = tmp_path / name / "out"
+            source = run_dir_f64 if arm == "f64" else run_dir
+            shutil.copytree(source[0] / "out", out)
+            shutil.rmtree(out / "phase2", ignore_errors=True)
+            text = source[1].read_text().replace(str(source[0] / "out"),
+                                                 str(out))
+            if arm == "text_only":  # after the fused arm's phase 1
+                text = text.replace("seq_len = 8",
+                                    "seq_len = 8\nbaseline = text_only")
+            cfg_path = tmp_path / name / "run.cfg"
+            cfg_path.write_text(text)
+            if name == "no_table":
+                (out / "phase1" / "nodes.json").unlink()
+            capsys.readouterr()
+            assert main(["--config", str(cfg_path), "phase2"]) == 0
+            assert main(["--config", str(cfg_path), "evaluate"]) == 0
+            assert main(["--config", str(cfg_path), "evaluate",
+                         "--split", "val"]) == 0
+            assert main(["--config", str(cfg_path), "ablate", "--what",
+                         "rank", "--ranks", "2,4"]) == 0
+            results.append(((out / "phase2" / "report.json").read_bytes(),
+                            capsys.readouterr().out,
+                            (out / "ablate_rank.csv").read_bytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("stale", ["dataset_seed", "edges_line"])
+    def test_changed_dataset_is_refused(self, run_dir, tmp_path, capsys,
+                                        stale):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        data = out / "data"
+        if stale == "dataset_seed":
+            reseeded = tmp_path / "reseeded.cfg"
+            reseeded.write_text(cfg_path.read_text().replace(
+                "[dataset]\n", "[dataset]\nseed = 7\n", 1))
+            assert main(["--config", str(reseeded), "--force",
+                         "gen-data"]) == 0
+            cfg_path, changed = reseeded, data / "nodes.jsonl"
+        else:
+            changed = data / "edges.tsv"
+            lines = changed.read_text().splitlines(keepends=True)
+            u, v = lines[0].split()
+            lines[0] = f"{u}\t{int(v) + 1}\n"
+            changed.write_text("".join(lines))
+        capsys.readouterr()
+        before = _snapshot(out)
+        for command in AFTER_PHASE1 + (["ablate", "--what", "prompt",
+                                        "--prompts", ""],):
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            err = _one_error_line(capsys)
+            assert f"data file {changed} changed since phase1" in err
+            assert "re-run phase1" in err
+        assert _snapshot(out) == before
+
+    def test_regenerated_identical_dataset_is_accepted(self, run_dir,
+                                                       tmp_path):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        assert main(["--config", str(cfg_path), "--force", "gen-data"]) == 0
+        for command in AFTER_PHASE1:
+            assert main(["--config", str(cfg_path), *command]) == 0, command
+
+    def test_changed_split_keys_are_refused(self, run_dir, tmp_path, capsys):
+        """A split computed in process is part of the fingerprint."""
+        root, _ = run_dir
+        data = root / "out" / "data"
+        text = MICRO_CONFIG.format(out=tmp_path / "out").replace(
+            "[dataset]\n", f"[dataset]\nsource = files\n"
+            f"nodes_path = {data / 'nodes.jsonl'}\n"
+            f"edges_path = {data / 'edges.tsv'}\n", 1)
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path), "phase1"]) == 0
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        cfg_path.write_text(text.replace("test_frac = 0.2",
+                                         "test_frac = 0.2\nsplit_seed = 3"))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        err = _one_error_line(capsys)
+        assert "[dataset] settings" in err and "re-run phase1" in err
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _rewrite_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+class TestCorruptedArtifacts:
+    """A damaged phase-1 or phase-2 JSON file ends in one error line that
+    names it, exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("phase1/features.json", _truncate, "bad JSON"),
+        ("phase1/features.json", lambda p: p.write_text("[1]"),
+         "expected a JSON object, got list"),
+        ("phase1/vocab.json", _truncate, "bad JSON"),
+        ("phase1/vocab.json", lambda p: p.write_text('{"w1": "x"}'),
+         "token ids must be integers"),
+        ("phase2/checkpoints/seed0/manifest.json", _truncate, "bad JSON"),
+        ("phase2/checkpoints/seed0/manifest.json",
+         lambda p: p.write_text('{"files": 3}'), "'files' must map"),
+        ("phase1/nodes.json", _truncate, "bad JSON"),
+        ("phase1/nodes.json", lambda p: p.write_text("3"),
+         "expected a JSON object, got int"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["labels"].__setitem__(0, 3)),
+         "'labels' must be a list of integers in [0, 3)"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["labels"].__setitem__(
+             0, True)), "'labels' must be a list of integers"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["split"].__setitem__(0, 3)),
+         "'split' must be a list of integers in [0, 3)"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["lengths"].__setitem__(0, 9)),
+         "'lengths' must be a list of integers in [0, 9)"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["lengths"].__setitem__(0, 0)),
+         "'lengths' must be at least 1"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t["split"].pop()),
+         "one entry per node"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t.update(num_classes="3")),
+         "'num_classes' must be a positive integer"),
+    ], ids=lambda v: v if isinstance(v, str) and "/" in v else None)
+    def test_evaluate_exits_1_naming_the_file(self, run_dir, tmp_path,
+                                              capsys, name, damage, message):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        damage(out / name)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        err = _one_error_line(capsys)
+        assert err.startswith(f"error: {out / name}: ") and message in err

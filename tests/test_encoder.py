@@ -229,8 +229,8 @@ class TestNodeFeatures:
                        texts=["same text", "same text", "other"],
                        splits=["train"] * 3)
         v = build_vocab(g)
-        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                             layer=2)
+        x, _ = node_features(micro_backbone,
+                             *tokenize_graph(g, v, PromptSpec(""), 8), layer=2)
         assert np.array_equal(x[0], x[1])
         assert not np.array_equal(x[0], x[2])
 
@@ -251,9 +251,8 @@ class TestNodeFeatures:
                        texts=[f"word{i} word{(i * 7) % 5}" for i in range(20)],
                        splits=["train"] * 20)
         v = build_vocab(g)
-        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                             layer=2)
         ids, mask = tokenize_graph(g, v, PromptSpec(""), 8)
+        x, _ = node_features(micro_backbone, ids, mask, layer=2)
         for i in range(20):
             with ad.no_grad():
                 hidden = encode(micro_backbone, ids[i:i + 1], mask[i:i + 1])
@@ -263,12 +262,12 @@ class TestNodeFeatures:
     def test_cls_pooling_supported(self, micro_backbone):
         g = make_graph({0: []}, texts=["a b"], splits=["train"])
         v = build_vocab(g)
-        x, _ = node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                             layer=2, pooling="cls")
+        ids, mask = tokenize_graph(g, v, PromptSpec(""), 8)
+        x, _ = node_features(micro_backbone, ids, mask, layer=2,
+                             pooling="cls")
         assert x.shape == (1, 16)
         with pytest.raises(VocabError):
-            node_features(micro_backbone, g, v, PromptSpec(""), seq_len=8,
-                          layer=2, pooling="max")
+            node_features(micro_backbone, ids, mask, layer=2, pooling="max")
 
 
 def _fused_assembly(graph, dtype):
@@ -296,8 +295,7 @@ class TestPrecision:
         with ad.no_grad():
             hidden = encode(backbone, ids[:4], mask[:4])
         assert ad.val(hidden).dtype == dtype
-        x, states = node_features(backbone, micro_tag, vocab, PromptSpec(""),
-                                  seq_len=8, layer=1)
+        x, states = node_features(backbone, ids, mask, layer=1)
         assert x.dtype == dtype and states.dtype == dtype
         batch = micro_tag.split_ids("train")[:4]
         logits = assembly.logits(ids[batch], mask[batch], batch)
@@ -345,9 +343,8 @@ class TestFrozenPrefix:
                            seq_len=8, baseline=baseline)
         start = config.first_adapted_layer(4)
         assert start == (4 if baseline == "text_only" else 1)
-        x, states = node_features(backbone, micro_tag, vocab, PromptSpec(""),
-                                  8, start)
         ids, mask = tokenize_graph(micro_tag, vocab, PromptSpec(""), 8)
+        x, states = node_features(backbone, ids, mask, start)
         assert np.array_equal(states, prefix_states(backbone, ids, mask,
                                                     start))
         cached = Phase2Assembly(backbone, embeddings, micro_tag.num_classes,

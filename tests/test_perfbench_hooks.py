@@ -6,6 +6,9 @@ failed benchmark run. These tests read perfbench/ and change nothing
 there."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,19 @@ def test_workload_config_loads_and_generates(path, tmp_path):
     graph, _ = run_gen_data(cfg)
     assert graph.num_nodes == cfg.dataset.n_nodes
     assert len(graph.split_ids("train")) > 0
+
+
+@pytest.mark.parametrize("workload", ["graph", "acceptance"])
+def test_traced_worker_run_passes_its_checks(workload, tmp_path):
+    """One traced benchmark repetition, as the benchmark starts it: every
+    wrapped span is reached and every output check (evaluate against the
+    report, audit, fixed epochs) passes."""
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--config",
+         str(PERFBENCH / "workloads" / f"{workload}.cfg"), "--seed", "1",
+         "--out", str(tmp_path / "out"), "--trace"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    checks = json.loads(run.stdout.splitlines()[-1])["checks"]
+    assert "wrappers_reached" in checks
+    assert all(problem is None for problem in checks.values()), checks

@@ -10,10 +10,10 @@ from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
                               build_vocab, prefix_states, tokenize_graph)
-from sagefuse.trainer import (Phase2Assembly, RunConfig, TrainerConfigError,
-                              derive_seed, evaluate, prompt_ablation,
-                              rank_ablation, run_phase2_seed, seed_sweep,
-                              train_phase2)
+from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
+                              TrainerConfigError, derive_seed, evaluate,
+                              prompt_ablation, rank_ablation, run_phase2_seed,
+                              seed_sweep, train_phase2)
 
 
 @dataclasses.dataclass
@@ -25,6 +25,10 @@ class Setup:
     ids: object
     mask: object
     config: RunConfig
+
+    @property
+    def inputs(self):
+        return Phase2Inputs.from_graph(self.graph, self.ids, self.mask)
 
 
 def _setup(num_classes=3, n=48, seed=0, **config_overrides):
@@ -153,8 +157,8 @@ class TestPhase2Training:
         backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
         emb_before = (setup.embeddings.pass1.copy(),
                       setup.embeddings.pass2.copy())
-        result = run_phase2_seed(setup.backbone, setup.embeddings, setup.graph,
-                                 setup.ids, setup.mask, cfg, seed=0)
+        result = run_phase2_seed(setup.backbone, setup.embeddings,
+                                 setup.inputs, cfg, seed=0)
         assert 0.0 <= result.test_metric <= 1.0
         assert result.best_epoch == 0
         assert result.loss_trace == []
@@ -165,24 +169,24 @@ class TestPhase2Training:
 
     def test_frozen_tensors_unchanged_after_training(self, setup):
         backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
-        run_phase2_seed(setup.backbone, setup.embeddings, setup.graph,
-                        setup.ids, setup.mask, setup.config, seed=0)
+        run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
+                        setup.config, seed=0)
         for p, before in zip(setup.backbone.parameters(), backbone_before):
             assert np.array_equal(p.value, before)
 
     def test_deterministic_per_seed(self, setup):
-        a = run_phase2_seed(setup.backbone, setup.embeddings, setup.graph,
-                            setup.ids, setup.mask, setup.config, seed=3)
-        b = run_phase2_seed(setup.backbone, setup.embeddings, setup.graph,
-                            setup.ids, setup.mask, setup.config, seed=3)
+        a = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
+                            setup.config, seed=3)
+        b = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
+                            setup.config, seed=3)
         assert a.loss_trace == b.loss_trace
         assert a.val_trace == b.val_trace
         assert a.test_metric == b.test_metric
 
     def test_text_only_baseline_reports_finite_metric(self, setup):
         cfg = dataclasses.replace(setup.config, baseline="text_only")
-        report = train_phase2(setup.backbone, setup.embeddings, setup.graph,
-                              setup.vocab, cfg)
+        report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
+                              cfg)
         assert report.baseline == "text_only"
         assert np.isfinite(report.metric_mean)
 
@@ -193,8 +197,7 @@ class TestPhase2Training:
                                         enable_lora=False),
                     dataclasses.replace(setup.config, baseline="text_only")):
             runs.append(run_phase2_seed(setup.backbone, setup.embeddings,
-                                        setup.graph, setup.ids, setup.mask,
-                                        cfg, seed=0))
+                                        setup.inputs, cfg, seed=0))
         assert runs[0].loss_trace == runs[1].loss_trace
         assert runs[0].test_metric == runs[1].test_metric
 
@@ -202,16 +205,16 @@ class TestPhase2Training:
         start = setup.config.first_adapted_layer(4)
         states = prefix_states(setup.backbone, setup.ids, setup.mask, start)
         cfg = dataclasses.replace(setup.config, seeds=(0, 1))
-        given = train_phase2(setup.backbone, setup.embeddings, setup.graph,
-                             setup.vocab, cfg, states=states)
+        given = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
+                             cfg, states=states)
         computed = train_phase2(setup.backbone, setup.embeddings,
-                                setup.graph, setup.vocab, cfg)
+                                setup.inputs, cfg)
         assert given.as_dict(include_wall_clock=False) == \
             computed.as_dict(include_wall_clock=False)
 
     def test_report_serializes_without_wall_clock(self, setup):
-        report = train_phase2(setup.backbone, setup.embeddings, setup.graph,
-                              setup.vocab, setup.config)
+        report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
+                              setup.config)
         d = report.as_dict(include_wall_clock=False)
         assert "wall_clock_sec" not in d
         assert report.audit["lora_pairs"] > 0
@@ -222,7 +225,9 @@ class TestPhase2Training:
                                   setup.graph.num_classes, setup.config, 0)
         bare = make_graph({0: [1], 1: [0]}, labels=[0, 1])
         with pytest.raises(TrainerConfigError):
-            evaluate(assembly, bare, setup.ids, setup.mask, "val")
+            evaluate(assembly,
+                     Phase2Inputs.from_graph(bare, setup.ids, setup.mask),
+                     "val")
 
     def test_gate_receives_nonzero_gradient_on_task_loss(self, setup):
         assembly = Phase2Assembly(setup.backbone, setup.embeddings,
@@ -242,20 +247,20 @@ class TestPhase2Training:
 
 class TestAblations:
     def test_rank_table_has_strictly_increasing_counts(self, setup):
-        rows = rank_ablation(setup.backbone, setup.embeddings, setup.graph,
-                             setup.vocab, setup.config, ranks=(1, 2, 4))
+        rows = rank_ablation(setup.backbone, setup.embeddings, setup.inputs,
+                             setup.config, ranks=(1, 2, 4))
         assert [r["rank"] for r in rows] == [1, 2, 4]
         counts = [r["trainable_params"] for r in rows]
         assert counts == sorted(counts) and len(set(counts)) == 3
 
     def test_rank_zero_rejected(self, setup):
         with pytest.raises(TrainerConfigError):
-            rank_ablation(setup.backbone, setup.embeddings, setup.graph,
-                          setup.vocab, setup.config, ranks=(0,))
+            rank_ablation(setup.backbone, setup.embeddings, setup.inputs,
+                          setup.config, ranks=(0,))
 
     def test_single_empty_prompt_equals_base_run(self, setup):
-        base = train_phase2(setup.backbone, setup.embeddings, setup.graph,
-                            setup.vocab, setup.config)
+        base = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
+                            setup.config)
         rows = prompt_ablation(setup.backbone, setup.embeddings, setup.graph,
                                setup.vocab, setup.config, prompts=[""])
         assert rows[0]["metric_mean"] == base.metric_mean
