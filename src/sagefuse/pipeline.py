@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .fusion import audit_from_shapes, gnn_param_count
+from .fusion import gnn_param_count
 from .metrics import metric_name
 from .sage import SageEmbeddings, SageModel, train_phase1
 from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
                   save_graph, save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
-from .textenc import (EncoderBackbone, PromptSpec, Vocabulary, build_vocab,
-                      node_features, prefix_states, tokenize_graph)
+from .textenc import (RESERVED, EncoderBackbone, PromptSpec, Vocabulary,
+                      build_vocab, node_features, tokenize_graph)
 from .trainer import (Phase2Assembly, Phase2Inputs, evaluate,
                       prompt_ablation, rank_ablation, train_phase2,
                       write_table_csv, write_table_text)
@@ -223,12 +223,11 @@ def _prefix_key(cfg):
                          "max_tokens": b.max_tokens, "seed": b.seed}}
 
 
-def load_prefix_states(cfg, backbone, mask):
-    """The phase-1 prefix states for this config's prefix, else None: the
-    trainer then computes them in process, so a stale file is never
-    reused. `mask` is the (N, T) token mask of the config's tokens. A file
-    saved at a lower layer under an otherwise equal key (the `fused` arm's
-    file read by `text_only`) is run forward to this config's layer once."""
+def load_prefix_states(cfg):
+    """(states, layer) of the phase-1 prefix file when it was saved under
+    this config's prefix key at this config's layer or a lower one (the
+    `fused` arm's file read by `text_only`), else None: the states are then
+    rebuilt from the tokens, so a stale file is never reused."""
     out = phase1_dir(cfg)
     try:
         saved = _read_json(out / "features.json").get("prefix")
@@ -241,13 +240,9 @@ def load_prefix_states(cfg, backbone, mask):
             or not (out / "prefix.gtsr").exists()):
         return None
     states = load_tensor(out / "prefix.gtsr", dtype=cfg.backbone.dtype)
-    expected = (len(mask), cfg.trainer.seq_len, cfg.backbone.dim)
-    if states.shape != expected:
+    if states.shape[1:] != (cfg.trainer.seq_len, cfg.backbone.dim):
         return None
-    if saved_layer < key["layer"]:
-        states = prefix_states(backbone, None, mask, key["layer"],
-                               states=states, start=saved_layer)
-    return states
+    return states, saved_layer
 
 
 def _int_column(table, key, high, path):
@@ -302,30 +297,29 @@ def _read_node_table(cfg):
 
 
 def load_phase2_inputs(cfg, backbone, vocab):
-    """(Phase2Inputs, frozen-prefix states or None) for the commands after
-    phase 1. When the phase-1 node table matches the dataset and the
-    prefix states are usable, the table stands in for the dataset: nothing
-    is parsed or tokenized, and the inputs carry no token ids. Otherwise
-    (no table, an f64 run, or a changed prompt, seq_len, backbone or
-    placement) the dataset is loaded and tokenized."""
+    """The `Phase2Inputs` of the commands after phase 1. When the phase-1
+    node table matches the dataset and the prefix states are usable, the
+    table and `prefix.gtsr` stand in for the dataset: nothing is parsed or
+    tokenized, and the states stay at the layer they were saved at.
+    Otherwise (no table, an f64 run, or a changed prompt, seq_len, backbone
+    or placement) the dataset is loaded and tokenized, and the states
+    start at the embedding output."""
     t = cfg.trainer
     table = _read_node_table(cfg)
     if table is not None and (table["prompt"], table["seq_len"]) == \
             (t.prompt, t.seq_len):
-        mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
-            np.float64)
-        states = load_prefix_states(cfg, backbone, mask)
-        if states is not None:
+        saved = load_prefix_states(cfg)
+        if saved is not None and len(saved[0]) == len(table["labels"]):
+            states, layer = saved
+            mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
+                np.float64)
             return Phase2Inputs(labels=table["labels"],
                                 split=table["split"].astype(np.int8),
-                                num_classes=table["num_classes"],
-                                mask=mask), states
+                                num_classes=table["num_classes"], mask=mask,
+                                states=states, layer=layer)
     graph = load_dataset(cfg)
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt), t.seq_len)
-    # A table that matched gave no usable states above.
-    states = None if table is not None else \
-        load_prefix_states(cfg, backbone, mask)
-    return Phase2Inputs.from_graph(graph, ids, mask), states
+    return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
 
 
 def load_phase1_artifacts(cfg):
@@ -335,9 +329,12 @@ def load_phase1_artifacts(cfg):
             raise PipelineError(f"missing phase-1 artifact {out / name}; "
                                 "run phase1 first")
     tokens = _read_json(out / "vocab.json")
-    if not all(type(v) is int for v in tokens.values()):
+    base = len(RESERVED)
+    if not all(type(v) is int for v in tokens.values()) or \
+            sorted(tokens.values()) != list(range(base, base + len(tokens))):
         raise PipelineError(f"{out / 'vocab.json'}: token ids must be "
-                            "integers")
+                            f"integers {base} .. {base + len(tokens) - 1}, "
+                            "each once")
     vocab = Vocabulary.from_dict(tokens)
     embeddings = SageEmbeddings(
         pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.backbone.dtype),
@@ -397,14 +394,14 @@ def run_phase2(cfg):
     adapter checkpoint per seed."""
     vocab, embeddings = load_phase1_artifacts(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs, states = load_phase2_inputs(cfg, backbone, vocab)
+    inputs = load_phase2_inputs(cfg, backbone, vocab)
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
     gnn_size = gnn_param_count(backbone.config.dim, cfg.sage.embed_dim,
                                cfg.sage.classifier_hidden, inputs.num_classes)
     report = train_phase2(backbone, embeddings, inputs, cfg.run_config(),
-                          gnn_size=gnn_size, states=states)
+                          gnn_size=gnn_size)
 
     _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
     _write_json(out / "timing.json",
@@ -427,9 +424,9 @@ def run_evaluate(cfg, split="test", seed=None):
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs, states = load_phase2_inputs(cfg, backbone, vocab)
+    inputs = load_phase2_inputs(cfg, backbone, vocab)
     assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                              run_cfg, seed, states=states)
+                              run_cfg, seed)
     _load_checkpoint(ckpt, assembly)
     value = evaluate(assembly, inputs, split)
     return {"split": split, "seed": seed,
@@ -440,16 +437,11 @@ def run_evaluate(cfg, split="test", seed=None):
 def run_audit(cfg):
     """Analytic parameter audit from the configured shapes (no weights are
     instantiated, so arbitrarily large backbones are fine)."""
-    b, run_cfg = cfg.backbone, cfg.run_config()
-    pass1, pass2 = run_cfg.placement(b.layers)
-    fusion_on, lora_on = run_cfg.toggles()
-    audit = audit_from_shapes(
-        b.shape(b.vocab_max), adapted_layers=list(pass1) + list(pass2),
-        rank=run_cfg.rank, g=cfg.sage.embed_dim,
+    b = cfg.backbone
+    audit = cfg.run_config().audit(
+        b.shape(b.vocab_max), g=cfg.sage.embed_dim,
         num_classes=cfg.dataset.num_classes,
-        gnn_hidden=cfg.sage.classifier_hidden, gnn_input_dim=b.dim,
-        enable_fusion=fusion_on, enable_lora=lora_on,
-        fusion_tying=run_cfg.tying, lora_targets=run_cfg.lora_targets)
+        gnn_hidden=cfg.sage.classifier_hidden, gnn_input_dim=b.dim)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", audit.as_dict())
@@ -462,9 +454,9 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     base = cfg.run_config()
     if what == "rank":
-        inputs, states = load_phase2_inputs(cfg, backbone, vocab)
-        rows = rank_ablation(backbone, embeddings, inputs, base, ranks=ranks,
-                             states=states)
+        rows = rank_ablation(backbone, embeddings,
+                             load_phase2_inputs(cfg, backbone, vocab), base,
+                             ranks=ranks)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
         # The prompts change the tokens, so the texts are always read; the

@@ -15,12 +15,14 @@ class TensorFormatError(ValueError):
 
 
 def save_tensor(path, array):
+    """Write `array` as float32; a C-contiguous `<f4` array is written from
+    its own buffer, without a copy."""
     arr = np.ascontiguousarray(array, dtype="<f4")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        f.write(arr.tobytes())
+        f.write(arr.data)
 
 
 def load_tensor(path, dtype=np.float32):

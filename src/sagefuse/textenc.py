@@ -158,6 +158,9 @@ class EncoderBackbone:
 
     def __init__(self, config, vocab_size):
         self.config = config.validate()
+        if config.fused_qkv:  # its audit counts would not match the weights
+            raise VocabError("fused_qkv is an audit-only shape; the encoder "
+                             "builds separate q, k and v projections")
         rng = np.random.default_rng(config.seed)
         d, m, dt = config.dim, config.mlp_width, config.dtype
 

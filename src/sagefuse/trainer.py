@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .fusion import (LORA_TARGETS, LoraPair, audit_parameters,
+from .fusion import (LORA_TARGETS, LoraPair, audit_from_shapes,
                      build_adapter_set, default_placement)
 from .metrics import metric_name, split_metric
 from .optim import AdamW
@@ -106,24 +106,39 @@ class RunConfig(TrainerConfig, FusionConfig):
         pass1, pass2 = self.placement(num_layers)
         return min((*pass1, *pass2))
 
+    def audit(self, shape, g, num_classes, **gnn):
+        """Analytic parameter audit of this arm on a backbone of `shape`;
+        `gnn` takes `audit_from_shapes`' gnn keywords."""
+        pass1, pass2 = self.placement(shape.layers)
+        fusion_on, lora_on = self.toggles()
+        return audit_from_shapes(
+            shape, adapted_layers=[*pass1, *pass2], rank=self.rank, g=g,
+            num_classes=num_classes, enable_fusion=fusion_on,
+            enable_lora=lora_on, fusion_tying=self.tying,
+            lora_targets=self.lora_targets, **gnn)
+
 
 @dataclass
 class Phase2Inputs:
     """What phase 2 reads of the dataset: int64 labels, int8 split codes
-    into `SPLITS`, the class count, the (N, T) token mask and the (N, T)
-    token ids. The ids are None when frozen-prefix states stand in for
-    them."""
+    into `SPLITS`, the class count, the (N, T) token mask and every node's
+    (N, T, d) hidden states at the input of encoder layer `layer`. Nothing
+    below an adapted layer trains, so these states stand in for the tokens
+    wherever `layer` lies at or below the first adapted layer."""
     labels: np.ndarray
     split: np.ndarray | None
     num_classes: int
     mask: np.ndarray
-    ids: np.ndarray | None = None
+    states: np.ndarray
+    layer: int
 
     @classmethod
-    def from_graph(cls, graph, ids, mask):
-        """The inputs of `graph` tokenized as (ids, mask)."""
+    def from_tokens(cls, graph, backbone, ids, mask):
+        """The inputs of `graph` tokenized as (ids, mask), at layer 0 (the
+        embedding output)."""
         return cls(labels=graph.labels, split=graph.split,
-                   num_classes=graph.num_classes, mask=mask, ids=ids)
+                   num_classes=graph.num_classes, mask=mask,
+                   states=prefix_states(backbone, ids, mask, 0), layer=0)
 
     @property
     def num_nodes(self):
@@ -132,28 +147,24 @@ class Phase2Inputs:
     def split_ids(self, split):
         return ids_in_split(self.split, split)
 
-    def rows(self, node_ids):
-        """(ids, mask) rows of `node_ids`; ids None when there are none."""
-        ids = None if self.ids is None else self.ids[node_ids]
-        return ids, self.mask[node_ids]
+    def at_layer(self, backbone, layer):
+        """These inputs with the states run forward to the input of `layer`
+        (at or above `self.layer`); `self` when already there."""
+        if layer == self.layer:
+            return self
+        states = prefix_states(backbone, None, self.mask, layer,
+                               states=self.states, start=self.layer)
+        return replace(self, states=states, layer=layer)
 
 
 class Phase2Assembly:
     """Frozen backbone + frozen structural embeddings, with trainable
-    fusion adapters, LoRA pairs, and a linear classification head.
+    fusion adapters, LoRA pairs, and a linear classification head."""
 
-    `states` (N, T, d) are every node's hidden states at the input of
-    `config.first_adapted_layer`, from `prefix_states` under the same
-    tokens; the encoder pass starts there. Without them, each batch's
-    prefix is computed from its ids."""
-
-    def __init__(self, backbone, embeddings, num_classes, config, seed,
-                 states=None):
+    def __init__(self, backbone, embeddings, num_classes, config, seed):
         self.backbone = backbone
         self.embeddings = embeddings
         self.config = config
-        self.states = states
-        self.start = config.first_adapted_layer(backbone.config.layers)
         d = backbone.config.dim
         g = embeddings.pass1.shape[1]
         dtype = backbone.config.dtype
@@ -214,17 +225,15 @@ class Phase2Assembly:
         for p, v in zip(self.trainable_parameters(), snap):
             p.value[...] = v
 
-    def logits(self, ids, mask, node_ids):
+    def logits(self, inputs, node_ids):
+        """Logits of `node_ids` from the `Phase2Inputs`; the encoder pass
+        starts at `inputs.layer`."""
         h2 = {"pass1": self.embeddings.pass1[node_ids],
               "pass2": self.embeddings.pass2[node_ids]}
-        if self.states is None:
-            with ad.no_grad():
-                states = encode(self.backbone, ids, mask, stop=self.start)
-        else:
-            states = self.states[node_ids]
+        mask = inputs.mask[node_ids]
         hidden = encode(self.backbone, None, mask, adapters=self.adapters,
-                        node_embeddings=h2, lora=self.lora, states=states,
-                        start=self.start)
+                        node_embeddings=h2, lora=self.lora,
+                        states=inputs.states[node_ids], start=inputs.layer)
         pooled = pool_states(hidden, mask, self.backbone.config.pooling)
         return ad.linear(pooled, self.head_w, self.head_b)
 
@@ -236,20 +245,17 @@ def evaluate(assembly, inputs, split, batch_size=128):
     idx = inputs.split_ids(split)
     if len(idx) == 0:
         raise TrainerConfigError(f"split {split!r} is empty")
-    logits = predict_logits(assembly, inputs.ids, inputs.mask, idx,
-                            batch_size)
+    logits = predict_logits(assembly, inputs, idx, batch_size)
     return split_metric(logits, inputs.labels[idx], inputs.num_classes)
 
 
-def predict_logits(assembly, ids, mask, node_ids, batch_size=128):
-    """Logits of `node_ids` in batches; `ids` may be None when the
-    assembly holds the frozen-prefix states."""
+def predict_logits(assembly, inputs, node_ids, batch_size=128):
+    """Logits of `node_ids` of the `Phase2Inputs`, in batches."""
     rows = []
     with ad.no_grad():
         for start in range(0, len(node_ids), batch_size):
             b = node_ids[start:start + batch_size]
-            rows.append(np.asarray(assembly.logits(
-                None if ids is None else ids[b], mask[b], b)))
+            rows.append(np.asarray(assembly.logits(inputs, b)))
     return np.concatenate(rows, axis=0)
 
 
@@ -268,22 +274,13 @@ class SeedResult:
                 "loss_trace": self.loss_trace, "val_trace": self.val_trace}
 
 
-def frozen_prefix(backbone, ids, mask, config):
-    """Every node's hidden states at the first adapted layer of `config`."""
-    return prefix_states(backbone, ids, mask,
-                         config.first_adapted_layer(backbone.config.layers))
-
-
-def run_phase2_seed(backbone, embeddings, inputs, config, seed, states=None):
+def run_phase2_seed(backbone, embeddings, inputs, config, seed):
     """One deterministic phase-2 run on the `Phase2Inputs`: minibatch AdamW
     over train nodes, early stop on the validation metric, test metric
-    from the best checkpoint. `states` are the `frozen_prefix` of the
-    inputs' tokens, computed here when not given."""
+    from the best checkpoint."""
     embeddings.validate(inputs)
-    if states is None:
-        states = frozen_prefix(backbone, inputs.ids, inputs.mask, config)
     assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                              config, seed, states=states)
+                              config, seed)
     labels = inputs.labels
     train_idx = inputs.split_ids("train")
     opt = AdamW(assembly.trainable_parameters(), lr=config.lr,
@@ -300,7 +297,7 @@ def run_phase2_seed(backbone, embeddings, inputs, config, seed, states=None):
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             opt.zero_grad()
-            logits = assembly.logits(*inputs.rows(batch), batch)
+            logits = assembly.logits(inputs, batch)
             loss = ad.cross_entropy(logits, labels[batch])
             if not np.isfinite(ad.val(loss)):
                 raise ad.NumericsError(f"non-finite phase-2 loss at epoch "
@@ -363,22 +360,20 @@ def seed_sweep(runner, seeds, baseline, metric, audit=None):
                      wall_clock_sec=time.perf_counter() - started)
 
 
-def train_phase2(backbone, embeddings, inputs, config, gnn_size=0,
-                 states=None):
+def train_phase2(backbone, embeddings, inputs, config, gnn_size=0):
     """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`, tokenized
-    under `config`'s prompt and seq_len; the frozen prefix `states`
-    (computed here when not given) are shared across seeds. `gnn_size`,
-    the phase-1 model's scalar count, is the report audit's `gnn` term."""
-    if states is None:
-        states = frozen_prefix(backbone, inputs.ids, inputs.mask, config)
-    probe = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                           config, seed=0)
-    audit = replace(audit_parameters(probe.registry(), backbone.param_count()),
+    under `config`'s prompt and seq_len; the states are run forward to the
+    first adapted layer once and shared across seeds. `gnn_size`, the
+    phase-1 model's scalar count, is the report audit's `gnn` term."""
+    inputs = inputs.at_layer(
+        backbone, config.first_adapted_layer(backbone.config.layers))
+    shape = backbone.config.shape(len(backbone.tok_emb.value))
+    audit = replace(config.audit(shape, g=embeddings.pass1.shape[1],
+                                 num_classes=inputs.num_classes),
                     gnn=gnn_size).as_dict()
 
     def runner(seed):
-        return run_phase2_seed(backbone, embeddings, inputs, config, seed,
-                               states=states)
+        return run_phase2_seed(backbone, embeddings, inputs, config, seed)
 
     return seed_sweep(runner, config.seeds, config.baseline,
                       metric_name(inputs.num_classes), audit=audit)
@@ -388,25 +383,21 @@ def train_phase2(backbone, embeddings, inputs, config, gnn_size=0,
 # ablations
 
 def rank_ablation(backbone, embeddings, inputs, base_config,
-                  ranks=(2, 4, 8), states=None):
+                  ranks=(2, 4, 8)):
     """One seed sweep per rank on the `Phase2Inputs`; trainable counts must
-    rise with the rank. The rank leaves the frozen prefix alone, so every
-    sweep shares `states` (computed once here when not given)."""
+    rise with the rank. The rank leaves the frozen prefix alone, so the
+    states are run forward once and every sweep shares them."""
     if any(r < 1 for r in ranks):
         raise TrainerConfigError(f"ranks must be >= 1, got {list(ranks)}")
-    if states is None:
-        states = frozen_prefix(backbone, inputs.ids, inputs.mask, base_config)
+    inputs = inputs.at_layer(
+        backbone, base_config.first_adapted_layer(backbone.config.layers))
     rows = []
     for r in ranks:
-        cfg = replace(base_config, rank=r)
-        report = train_phase2(backbone, embeddings, inputs, cfg,
-                              states=states)
-        probe = Phase2Assembly(backbone, embeddings, inputs.num_classes, cfg,
-                               seed=0)
-        trainable = sum(p.size for p in probe.trainable_parameters())
+        report = train_phase2(backbone, embeddings, inputs,
+                              replace(base_config, rank=r))
         rows.append({"rank": r, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std,
-                     "trainable_params": trainable})
+                     "trainable_params": report.audit["phase2_trainable"]})
     return rows
 
 
@@ -420,8 +411,9 @@ def prompt_ablation(backbone, embeddings, graph, vocab, base_config, prompts):
         cfg = replace(base_config, prompt=prompt)
         ids, mask = tokenize_graph(graph, vocab, PromptSpec(prompt),
                                    cfg.seq_len)
-        report = train_phase2(backbone, embeddings,
-                              Phase2Inputs.from_graph(graph, ids, mask), cfg)
+        report = train_phase2(
+            backbone, embeddings,
+            Phase2Inputs.from_tokens(graph, backbone, ids, mask), cfg)
         rows.append({"prompt": prompt, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std})
     return rows

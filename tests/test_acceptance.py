@@ -104,10 +104,10 @@ def test_criterion_1_gradient_fidelity():
                               config, seed=0)
     for p in assembly.trainable_parameters():
         p.value[...] = rng.normal(0, 0.05, p.value.shape)
+    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
 
     def phase2_loss():
-        return ad.cross_entropy(
-            assembly.logits(ids[batch], mask[batch], batch), labels[batch])
+        return ad.cross_entropy(assembly.logits(inputs, batch), labels[batch])
 
     p2_report = grad_check(assembly.trainable_parameters(), phase2_loss,
                            epsilon=1e-5, tolerance=1e-4)
@@ -225,7 +225,7 @@ def test_criterion_7_structure_beats_text_only():
                       dtype=cfg.backbone.dtype)
     phase1 = train_phase1(model, x, graph, cfg.sage)
 
-    inputs = Phase2Inputs.from_graph(graph, ids, mask)
+    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
     structural = train_phase2(backbone, phase1.embeddings, inputs,
                               cfg.run_config())
     text_only = train_phase2(backbone, phase1.embeddings, inputs,

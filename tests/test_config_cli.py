@@ -418,8 +418,8 @@ def _copy_run(run_dir, tmp_path, *edits):
 
 
 def _in_process_report(cfg_path):
-    """Phase-2 report computed directly by the trainer, which computes the
-    frozen prefix itself (no phase-1 prefix file)."""
+    """Phase-2 report computed directly by the trainer from the tokens
+    (no phase-1 prefix file)."""
     cfg = ExperimentConfig.from_file(cfg_path)
     graph = pipeline.load_dataset(cfg)
     vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
@@ -429,8 +429,8 @@ def _in_process_report(cfg_path):
                                        textenc.PromptSpec(run_cfg.prompt),
                                        run_cfg.seq_len)
     report = trainer.train_phase2(
-        backbone, embeddings, trainer.Phase2Inputs.from_graph(graph, ids, mask),
-        run_cfg)
+        backbone, embeddings,
+        trainer.Phase2Inputs.from_tokens(graph, backbone, ids, mask), run_cfg)
     return report.as_dict(include_wall_clock=False)
 
 
@@ -745,3 +745,26 @@ class TestCorruptedArtifacts:
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         err = _one_error_line(capsys)
         assert err.startswith(f"error: {out / name}: ") and message in err
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("bad", ["out_of_range", "reserved", "duplicate"])
+    def test_vocab_ids_must_fill_the_token_range(
+            self, run_dir, run_dir_f64, tmp_path, capsys, precision, bad):
+        source = run_dir_f64 if precision == "f64" else run_dir
+        out = tmp_path / "out"
+        shutil.copytree(source[0] / "out", out)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(source[1].read_text().replace(
+            str(source[0] / "out"), str(out)))
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        path = out / "phase1" / "vocab.json"
+        tokens = json.loads(path.read_text())
+        first, second = list(tokens)[:2]
+        tokens[first] = {"out_of_range": 1000000, "reserved": 0,
+                         "duplicate": tokens[second]}[bad]
+        path.write_text(json.dumps(tokens))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        err = _one_error_line(capsys)
+        assert err.startswith(f"error: {path}: token ids must be integers "
+                              f"3 .. {len(tokens) + 2}, each once")

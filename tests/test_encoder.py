@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
                               VocabError, build_vocab, encode, node_features,
                               pool_states, prefix_states, split_tokens,
                               tokenize, tokenize_graph)
-from sagefuse.trainer import Phase2Assembly, RunConfig, predict_logits
+from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
+                              predict_logits)
 
 PRECISION = {np.float32: "f32", np.float64: "f64"}
 
@@ -222,6 +224,11 @@ class TestEncode:
         shape = micro_backbone.config.shape(vocab_size=40)
         assert micro_backbone.param_count() == shape.param_count()
 
+    def test_fused_qkv_backbone_refused(self):
+        with pytest.raises(VocabError, match="audit-only shape"):
+            EncoderBackbone(BackboneConfig(dim=16, heads=2, layers=2,
+                                           fused_qkv=True), vocab_size=40)
+
 
 class TestNodeFeatures:
     def test_identical_texts_get_identical_rows(self, micro_backbone):
@@ -284,26 +291,28 @@ def _fused_assembly(graph, dtype):
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
                               config, seed=0)
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(""), 8)
-    return vocab, backbone, assembly, ids, mask
+    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    return vocab, backbone, assembly, ids, mask, inputs
 
 
 class TestPrecision:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_encoder_outputs_keep_config_dtype(self, micro_tag, dtype):
-        vocab, backbone, assembly, ids, mask = _fused_assembly(micro_tag,
-                                                               dtype)
+        vocab, backbone, assembly, ids, mask, inputs = _fused_assembly(
+            micro_tag, dtype)
         with ad.no_grad():
             hidden = encode(backbone, ids[:4], mask[:4])
         assert ad.val(hidden).dtype == dtype
         x, states = node_features(backbone, ids, mask, layer=1)
         assert x.dtype == dtype and states.dtype == dtype
         batch = micro_tag.split_ids("train")[:4]
-        logits = assembly.logits(ids[batch], mask[batch], batch)
+        logits = assembly.logits(inputs, batch)
         assert ad.val(logits).dtype == dtype
 
     def test_fused_phase2_step_in_f32_records_no_float64(self, micro_tag,
                                                          monkeypatch):
-        _, _, assembly, ids, mask = _fused_assembly(micro_tag, np.float32)
+        _, _, assembly, _, _, inputs = _fused_assembly(micro_tag,
+                                                       np.float32)
         seen = []
         record = ad._node
 
@@ -314,7 +323,7 @@ class TestPrecision:
         monkeypatch.setattr(ad, "_node", spy)
         batch = micro_tag.split_ids("train")[:16]
         opt = AdamW(assembly.trainable_parameters())
-        loss = ad.cross_entropy(assembly.logits(ids[batch], mask[batch], batch),
+        loss = ad.cross_entropy(assembly.logits(inputs, batch),
                                 micro_tag.labels[batch])
         ad.backward(loss)
         opt.step()
@@ -347,28 +356,36 @@ class TestFrozenPrefix:
         x, states = node_features(backbone, ids, mask, start)
         assert np.array_equal(states, prefix_states(backbone, ids, mask,
                                                     start))
-        cached = Phase2Assembly(backbone, embeddings, micro_tag.num_classes,
-                                config, seed=0, states=states)
-        per_batch = Phase2Assembly(backbone, embeddings,
-                                   micro_tag.num_classes, config, seed=0)
+        tokens = Phase2Inputs.from_tokens(micro_tag, backbone, ids, mask)
+        cached = dataclasses.replace(tokens, states=states, layer=start)
+        assembly = Phase2Assembly(backbone, embeddings,
+                                  micro_tag.num_classes, config, seed=0)
         # Move the zero-initialized up-projections off the identity point.
-        for a, b in zip(cached.trainable_parameters(),
-                        per_batch.trainable_parameters()):
-            a.value[...] = rng.normal(0, 0.05, a.value.shape)
-            b.value[...] = a.value
+        for p in assembly.trainable_parameters():
+            p.value[...] = rng.normal(0, 0.05, p.value.shape)
         batch = micro_tag.split_ids("train")[:16]
         with ad.no_grad():
             full = encode(backbone, ids[batch], mask[batch],
-                          adapters=cached.adapters,
+                          adapters=assembly.adapters,
                           node_embeddings={
                               "pass1": embeddings.pass1[batch],
                               "pass2": embeddings.pass2[batch]},
-                          lora=cached.lora)
+                          lora=assembly.lora)
             reference = np.asarray(ad.linear(pool_states(full, mask[batch]),
-                                             cached.head_w, cached.head_b))
-            got = np.asarray(cached.logits(ids[batch], mask[batch], batch))
+                                             assembly.head_w,
+                                             assembly.head_b))
+            got = np.asarray(assembly.logits(cached, batch))
         assert got.dtype == dtype
         assert np.array_equal(got, reference)
         nodes = np.arange(n)
-        assert np.array_equal(predict_logits(cached, ids, mask, nodes),
-                              predict_logits(per_batch, ids, mask, nodes))
+        assert np.array_equal(predict_logits(assembly, cached, nodes),
+                              predict_logits(assembly, tokens, nodes))
+        assert np.array_equal(tokens.at_layer(backbone, start).states, states)
+
+    def test_states_above_an_adapted_layer_rejected(self, micro_tag):
+        _, backbone, assembly, _, _, inputs = _fused_assembly(micro_tag,
+                                                              np.float64)
+        # The pass-1 adapter and its LoRA pairs sit at layer 1.
+        above = inputs.at_layer(backbone, 2)
+        with pytest.raises(VocabError, match="below the start layer 2"):
+            assembly.logits(above, micro_tag.split_ids("train")[:4])

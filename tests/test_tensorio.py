@@ -1,6 +1,7 @@
 import pathlib
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,38 @@ def test_round_trip_preserves_row_major_order(tmp_path):
     assert rank == 2
     assert struct.unpack("<2Q", raw[8:24]) == (2, 2)
     assert struct.unpack("<4f", raw[24:]) == (1.0, 2.0, 3.0, 4.0)
+
+
+def _reference_bytes(array):
+    """The GTSR layout written through `struct` and `tobytes`."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    return (MAGIC + struct.pack("<I", arr.ndim)
+            + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.tobytes())
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+    np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+    np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2],
+    np.arange(24, dtype=np.float64).reshape(4, 6).T,
+    np.float32(2.5),
+    np.zeros((0, 3), dtype=np.float32),
+], ids=["f32", "f64", "f32-strided", "f64-transposed", "scalar", "empty"])
+def test_bytes_equal_the_struct_layout(tmp_path, array):
+    path = tmp_path / "m.gtsr"
+    save_tensor(path, array)
+    assert path.read_bytes() == _reference_bytes(array)
+
+
+def test_save_writes_f32_without_a_copy(tmp_path):
+    arr = np.ones((1024, 1024), dtype=np.float32)  # 4 MiB
+    tracemalloc.start()
+    try:
+        save_tensor(tmp_path / "m.gtsr", arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes // 8
 
 
 def test_load_as_float64(tmp_path):

@@ -5,11 +5,13 @@ import pytest
 
 from conftest import make_graph, neighbors, random_graph
 from sagefuse import autodiff as ad
+from sagefuse import trainer
+from sagefuse.fusion import audit_parameters
 from sagefuse.optim import grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
-                              build_vocab, prefix_states, tokenize_graph)
+                              build_vocab, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               TrainerConfigError, derive_seed, evaluate,
                               prompt_ablation, rank_ablation, run_phase2_seed,
@@ -28,7 +30,8 @@ class Setup:
 
     @property
     def inputs(self):
-        return Phase2Inputs.from_graph(self.graph, self.ids, self.mask)
+        return Phase2Inputs.from_tokens(self.graph, self.backbone, self.ids,
+                                        self.mask)
 
 
 def _setup(num_classes=3, n=48, seed=0, **config_overrides):
@@ -201,16 +204,37 @@ class TestPhase2Training:
         assert runs[0].loss_trace == runs[1].loss_trace
         assert runs[0].test_metric == runs[1].test_metric
 
-    def test_given_prefix_states_equal_the_computed_ones(self, setup):
-        start = setup.config.first_adapted_layer(4)
-        states = prefix_states(setup.backbone, setup.ids, setup.mask, start)
-        cfg = dataclasses.replace(setup.config, seeds=(0, 1))
-        given = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
-                             cfg, states=states)
-        computed = train_phase2(setup.backbone, setup.embeddings,
-                                setup.inputs, cfg)
-        assert given.as_dict(include_wall_clock=False) == \
-            computed.as_dict(include_wall_clock=False)
+    @pytest.mark.parametrize("baseline", ["fused", "text_only"])
+    def test_inputs_at_layer_0_and_at_the_prefix_layer_train_alike(
+            self, setup, baseline):
+        cfg = dataclasses.replace(setup.config, seeds=(0, 1),
+                                  baseline=baseline)
+        tokens = setup.inputs
+        assert tokens.layer == 0
+        at_prefix = tokens.at_layer(setup.backbone,
+                                    cfg.first_adapted_layer(4))
+        assert at_prefix.layer == (4 if baseline == "text_only" else 1)
+        assert at_prefix.at_layer(setup.backbone, at_prefix.layer) is \
+            at_prefix
+        reports = [train_phase2(setup.backbone, setup.embeddings, inputs, cfg)
+                   for inputs in (tokens, at_prefix)]
+        assert reports[0].as_dict(include_wall_clock=False) == \
+            reports[1].as_dict(include_wall_clock=False)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"baseline": "lora_only"}, {"baseline": "text_only"},
+        {"tying": "shared"}, {"enable_lora": False},
+        {"lora_targets": ("q", "v"), "rank": 3},
+        {"pass1_layers": (0, 1), "pass2_layers": (2, 3)}])
+    def test_report_audit_equals_the_registry_walk(self, setup, overrides):
+        cfg = dataclasses.replace(setup.config, **overrides)
+        probe = Phase2Assembly(setup.backbone, setup.embeddings,
+                               setup.graph.num_classes, cfg, seed=0)
+        walked = audit_parameters(probe.registry(),
+                                  setup.backbone.param_count())
+        report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
+                              cfg, gnn_size=7)
+        assert report.audit == dataclasses.replace(walked, gnn=7).as_dict()
 
     def test_report_serializes_without_wall_clock(self, setup):
         report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
@@ -225,9 +249,8 @@ class TestPhase2Training:
                                   setup.graph.num_classes, setup.config, 0)
         bare = make_graph({0: [1], 1: [0]}, labels=[0, 1])
         with pytest.raises(TrainerConfigError):
-            evaluate(assembly,
-                     Phase2Inputs.from_graph(bare, setup.ids, setup.mask),
-                     "val")
+            evaluate(assembly, Phase2Inputs.from_tokens(
+                bare, setup.backbone, setup.ids, setup.mask), "val")
 
     def test_gate_receives_nonzero_gradient_on_task_loss(self, setup):
         assembly = Phase2Assembly(setup.backbone, setup.embeddings,
@@ -236,9 +259,8 @@ class TestPhase2Training:
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
         batch = setup.graph.split_ids("train")[:8]
-        loss = ad.cross_entropy(
-            assembly.logits(setup.ids[batch], setup.mask[batch], batch),
-            setup.graph.labels[batch])
+        loss = ad.cross_entropy(assembly.logits(setup.inputs, batch),
+                                setup.graph.labels[batch])
         ad.backward(loss)
         grads = [abs(float(a.gate_logit.gradient))
                  for a in assembly.adapters.adapters]
@@ -252,6 +274,33 @@ class TestAblations:
         assert [r["rank"] for r in rows] == [1, 2, 4]
         counts = [r["trainable_params"] for r in rows]
         assert counts == sorted(counts) and len(set(counts)) == 3
+        for row in rows:
+            probe = Phase2Assembly(
+                setup.backbone, setup.embeddings, setup.graph.num_classes,
+                dataclasses.replace(setup.config, rank=row["rank"]), seed=0)
+            assert row["trainable_params"] == \
+                sum(p.size for p in probe.trainable_parameters())
+
+    def test_rank_sweeps_run_the_states_forward_once(self, setup,
+                                                     monkeypatch):
+        tokens = setup.inputs
+        layer = setup.config.first_adapted_layer(4)
+        at_prefix = tokens.at_layer(setup.backbone, layer)
+        calls = []
+        real = trainer.prefix_states
+
+        def spy(backbone, ids, mask, layer, **kwargs):
+            calls.append(layer)
+            return real(backbone, ids, mask, layer, **kwargs)
+
+        monkeypatch.setattr(trainer, "prefix_states", spy)
+        rank_ablation(setup.backbone, setup.embeddings, tokens, setup.config,
+                      ranks=(1, 2, 4))
+        assert calls == [layer]
+        calls.clear()
+        rank_ablation(setup.backbone, setup.embeddings, at_prefix,
+                      setup.config, ranks=(1, 2, 4))
+        assert calls == []
 
     def test_rank_zero_rejected(self, setup):
         with pytest.raises(TrainerConfigError):
@@ -287,9 +336,10 @@ def test_assembly_gradients_match_finite_differences(setup):
         p.value[...] = rng.normal(0, 0.05, p.value.shape)
     batch = setup.graph.split_ids("train")[:8]
     labels = setup.graph.labels
+    inputs = setup.inputs
 
     def loss_fn():
-        logits = assembly.logits(setup.ids[batch], setup.mask[batch], batch)
+        logits = assembly.logits(inputs, batch)
         return ad.cross_entropy(logits, labels[batch])
 
     report = grad_check(assembly.trainable_parameters(), loss_fn,
