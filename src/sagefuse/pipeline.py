@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,8 @@ def _data_fingerprint(cfg, files):
 
 def run_phase1(cfg):
     """Node features under the frozen backbone, then GraphSAGE training;
-    persists embeddings, features, vocab, and metrics."""
+    persists embeddings, features, prefix states, vocab, the node table
+    with the phase-1 key, and metrics."""
     graph = load_dataset(cfg)
     out = phase1_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,7 +165,7 @@ def run_phase1(cfg):
     _write_json(out / "vocab.json", vocab.to_dict())
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
-    key = _prefix_key(cfg)
+    key = _phase1_key(cfg)
     ids, mask = tokenize_graph(graph, vocab, PromptSpec(cfg.trainer.prompt),
                                cfg.trainer.seq_len)
     x, states = node_features(backbone, ids, mask, key["layer"],
@@ -172,20 +174,11 @@ def run_phase1(cfg):
         "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
         "split": graph.split.tolist(),
         "lengths": np.count_nonzero(mask, axis=1).tolist(),
-        "prompt": cfg.trainer.prompt, "seq_len": cfg.trainer.seq_len,
+        "key": key,
         "fingerprint": _data_fingerprint(cfg, _dataset_files(cfg))})
     save_tensor(out / "features.gtsr", x)
-    prefix = out / "prefix.gtsr"
-    if cfg.backbone.dtype == np.float32:
-        save_tensor(prefix, states)
-    else:  # GTSR stores float32 only: f64 runs recompute the prefix
-        key = None
-        prefix.unlink(missing_ok=True)
+    save_tensor(out / "prefix.gtsr", states)
     del ids, mask, states
-    _write_json(out / "features.json", {
-        "n": graph.num_nodes, "d": int(x.shape[1]),
-        "pooling": cfg.backbone.pooling, "prompt": cfg.trainer.prompt,
-        "prefix": key})
 
     model = SageModel(in_dim=x.shape[1], embed_dim=cfg.sage.embed_dim,
                       hidden=cfg.sage.classifier_hidden,
@@ -205,44 +198,40 @@ def run_phase1(cfg):
         "val_trace": result.val_trace})
     _write_manifest(out, "phase1", cfg, [
         out / "vocab.json", out / "nodes.json", out / "features.gtsr",
-        out / "features.json",
-        out / "pass1.gtsr", out / "pass2.gtsr", out / "sidecar.json",
-        out / "metrics.json"] + ([prefix] if key else []))
+        out / "prefix.gtsr", out / "pass1.gtsr", out / "pass2.gtsr",
+        out / "sidecar.json", out / "metrics.json"])
     return result
 
 
-def _prefix_key(cfg):
-    """What the frozen-prefix states depend on besides the phase-1 vocab and
-    dataset: the layer they stop at, the tokens and the backbone."""
-    b = cfg.backbone
-    return {"layer": cfg.run_config().first_adapted_layer(b.layers),
-            "prompt": cfg.trainer.prompt, "seq_len": cfg.trainer.seq_len,
-            "precision": b.precision,
-            "backbone": {"layers": b.layers, "dim": b.dim, "heads": b.heads,
-                         "mlp_width": b.mlp_width,
-                         "max_tokens": b.max_tokens, "seed": b.seed}}
+KEY_SECTIONS = ("backbone", "sage", "trainer")
 
 
-def load_prefix_states(cfg):
-    """(states, layer) of the phase-1 prefix file when it was saved under
-    this config's prefix key at this config's layer or a lower one (the
-    `fused` arm's file read by `text_only`), else None: the states are then
-    rebuilt from the tokens, so a stale file is never reused."""
-    out = phase1_dir(cfg)
-    try:
-        saved = _read_json(out / "features.json").get("prefix")
-    except FileNotFoundError:
-        return None
-    key = _prefix_key(cfg)
-    saved_layer = saved.get("layer") if isinstance(saved, dict) else None
-    if (not isinstance(saved_layer, int) or saved_layer > key["layer"]
-            or {**saved, "layer": key["layer"]} != key
-            or not (out / "prefix.gtsr").exists()):
-        return None
-    states = load_tensor(out / "prefix.gtsr", dtype=cfg.backbone.dtype)
-    if states.shape[1:] != (cfg.trainer.seq_len, cfg.backbone.dim):
-        return None
-    return states, saved_layer
+def _phase1_key(cfg):
+    """What phase 1's outputs depend on besides the data, by section: all of
+    [backbone] and [sage], the prompt and seq_len of the tokens, and `layer`,
+    the first layer the phase-1 arm adapts, whose input `prefix.gtsr` holds."""
+    t = cfg.trainer
+    return {"backbone": asdict(cfg.backbone), "sage": asdict(cfg.sage),
+            "trainer": {"prompt": t.prompt, "seq_len": t.seq_len},
+            "layer": cfg.run_config().first_adapted_layer(cfg.backbone.layers)}
+
+
+def _check_key(saved, cfg, path):
+    """Raise PipelineError unless the key phase 1 saved in `path` holds this
+    config's settings; a difference is named as `[section] key`."""
+    if not (isinstance(saved, dict) and type(saved.get("layer")) is int
+            and saved["layer"] >= 0
+            and all(isinstance(saved.get(s), dict) for s in KEY_SECTIONS)):
+        raise PipelineError(f"{path}: 'key' needs [backbone], [sage], "
+                            "[trainer] and 'layer'; re-run phase1")
+    key = _phase1_key(cfg)
+    for section in KEY_SECTIONS:
+        for name, value in key[section].items():
+            old = saved[section].get(name)
+            if old != value:
+                raise PipelineError(
+                    f"[{section}] {name} changed since phase1 wrote {path} "
+                    f"({old!r} → {value!r}); re-run phase1")
 
 
 def _int_column(table, key, high, path):
@@ -256,15 +245,11 @@ def _int_column(table, key, high, path):
 
 
 def _read_node_table(cfg):
-    """The phase-1 node table (`nodes.json`) after checking that the data
-    it describes is still the config's dataset, or None when phase 1
-    wrote none. A changed data file raises PipelineError: the table and
-    the phase-1 embeddings all describe the old data."""
+    """The phase-1 node table (`nodes.json`) once phase 1 is known to have run
+    on the config's dataset and key settings; a changed data file or setting
+    raises PipelineError, since every phase-1 output describes the old one."""
     path = phase1_dir(cfg) / "nodes.json"
-    try:
-        table = _read_json(path)
-    except FileNotFoundError:
-        return None
+    table = _read_json(path)
     files = _dataset_files(cfg)
     current = _data_fingerprint(cfg, files)
     saved = table.get("fingerprint")
@@ -277,16 +262,15 @@ def _read_node_table(cfg):
                 else "the [dataset] settings it was read with")
         raise PipelineError(f"{what} changed since phase1 wrote {path}; "
                             "re-run phase1")
+    _check_key(table.get("key"), cfg, path)
     num_classes = table.get("num_classes")
-    seq_len = table.get("seq_len")
-    for key, value in (("num_classes", num_classes), ("seq_len", seq_len)):
-        if type(value) is not int or value < 1:
-            raise PipelineError(f"{path}: {key!r} must be a positive integer")
-    if not isinstance(table.get("prompt"), str):
-        raise PipelineError(f"{path}: 'prompt' must be a string")
+    if type(num_classes) is not int or num_classes < 1:
+        raise PipelineError(f"{path}: 'num_classes' must be a positive "
+                            "integer")
     columns = {"labels": _int_column(table, "labels", num_classes, path),
                "split": _int_column(table, "split", len(SPLITS), path),
-               "lengths": _int_column(table, "lengths", seq_len + 1, path)}
+               "lengths": _int_column(table, "lengths",
+                                      cfg.trainer.seq_len + 1, path)}
     counts = {len(c) for c in columns.values()}
     if len(counts) != 1 or not columns["labels"].size:
         raise PipelineError(f"{path}: 'labels', 'split' and 'lengths' must "
@@ -297,34 +281,37 @@ def _read_node_table(cfg):
 
 
 def load_phase2_inputs(cfg, backbone, vocab):
-    """The `Phase2Inputs` of the commands after phase 1. When the phase-1
-    node table matches the dataset and the prefix states are usable, the
-    table and `prefix.gtsr` stand in for the dataset: nothing is parsed or
-    tokenized, and the states stay at the layer they were saved at.
-    Otherwise (no table, an f64 run, or a changed prompt, seq_len, backbone
-    or placement) the dataset is loaded and tokenized, and the states
-    start at the embedding output."""
+    """The `Phase2Inputs` of the commands after phase 1: the checked node
+    table and `prefix.gtsr`, at the layer the states were saved at, so the
+    dataset is not parsed or tokenized. Only an arm adapting a layer below
+    that one (after a `text_only` phase 1, or a placement moved down) reads
+    the dataset, tokenizes it and starts at the embedding output."""
     t = cfg.trainer
     table = _read_node_table(cfg)
-    if table is not None and (table["prompt"], table["seq_len"]) == \
-            (t.prompt, t.seq_len):
-        saved = load_prefix_states(cfg)
-        if saved is not None and len(saved[0]) == len(table["labels"]):
-            states, layer = saved
-            mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
-                np.float64)
-            return Phase2Inputs(labels=table["labels"],
-                                split=table["split"].astype(np.int8),
-                                num_classes=table["num_classes"], mask=mask,
-                                states=states, layer=layer)
-    graph = load_dataset(cfg)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt), t.seq_len)
-    return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    layer = table["key"]["layer"]
+    if cfg.run_config().first_adapted_layer(cfg.backbone.layers) < layer:
+        graph = load_dataset(cfg)
+        ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt),
+                                   t.seq_len)
+        return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    path = phase1_dir(cfg) / "prefix.gtsr"
+    states = load_tensor(path, dtype=cfg.backbone.dtype)
+    expected = (len(table["labels"]), t.seq_len, cfg.backbone.dim)
+    if states.shape != expected:
+        raise PipelineError(f"{path}: shape {states.shape}, expected "
+                            f"{expected}; re-run phase1")
+    mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
+        np.float64)
+    return Phase2Inputs(labels=table["labels"],
+                        split=table["split"].astype(np.int8),
+                        num_classes=table["num_classes"], mask=mask,
+                        states=states, layer=layer)
 
 
 def load_phase1_artifacts(cfg):
     out = phase1_dir(cfg)
-    for name in ("vocab.json", "pass1.gtsr", "pass2.gtsr"):
+    for name in ("vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
+                 "pass2.gtsr"):
         if not (out / name).exists():
             raise PipelineError(f"missing phase-1 artifact {out / name}; "
                                 "run phase1 first")
@@ -459,8 +446,7 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
                              ranks=ranks)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
-        # The prompts change the tokens, so the texts are always read; the
-        # node table only guards against a changed dataset.
+        # The prompts change the tokens, so the texts are always read.
         _read_node_table(cfg)
         rows = prompt_ablation(backbone, embeddings, load_dataset(cfg), vocab,
                                base, prompts=prompts)

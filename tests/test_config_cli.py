@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
 from sagefuse import pipeline, textenc, trainer
-from sagefuse.tensorio import save_tensor
+from sagefuse.tensorio import load_tensor, save_tensor
 from sagefuse.textenc import EncoderBackbone
 
 MICRO_CONFIG = """\
@@ -403,12 +405,13 @@ class TestCli:
         assert (out / "audit.json").exists()
 
 
-def _copy_run(run_dir, tmp_path, *edits):
-    """The module's phase-1 run under a config with text edits applied."""
-    root, _ = run_dir
+def _copy_run(source, tmp_path, *edits):
+    """A copy of a module fixture's run (by default the micro phase-1 run)
+    under its config with text edits applied."""
+    root, config_path = source
     out = tmp_path / "out"
     shutil.copytree(root / "out", out)
-    text = MICRO_CONFIG.format(out=out)
+    text = config_path.read_text().replace(str(root / "out"), str(out))
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
@@ -417,9 +420,14 @@ def _copy_run(run_dir, tmp_path, *edits):
     return out, cfg_path
 
 
-def _in_process_report(cfg_path):
-    """Phase-2 report computed directly by the trainer from the tokens
-    (no phase-1 prefix file)."""
+# A phase-2 rate at which the micro runs train measurably: at the config's
+# 3e-4 every arm stays at ln 3 and the arms agree to 4 decimals.
+TRAINS = ("[trainer]\n", "[trainer]\nlr = 0.01\n")
+
+
+def _in_process_run(cfg_path):
+    """The phase-2 report computed directly by the trainer from the tokens
+    (no phase-1 node table or prefix file), and its inputs."""
     cfg = ExperimentConfig.from_file(cfg_path)
     graph = pipeline.load_dataset(cfg)
     vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
@@ -428,10 +436,12 @@ def _in_process_report(cfg_path):
     ids, mask = textenc.tokenize_graph(graph, vocab,
                                        textenc.PromptSpec(run_cfg.prompt),
                                        run_cfg.seq_len)
-    report = trainer.train_phase2(
-        backbone, embeddings,
-        trainer.Phase2Inputs.from_tokens(graph, backbone, ids, mask), run_cfg)
-    return report.as_dict(include_wall_clock=False)
+    inputs = trainer.Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    return trainer.train_phase2(backbone, embeddings, inputs, run_cfg), inputs
+
+
+def _in_process_report(cfg_path):
+    return _in_process_run(cfg_path)[0].as_dict(include_wall_clock=False)
 
 
 def _same_training(report, reference):
@@ -439,19 +449,68 @@ def _same_training(report, reference):
     return {k: report[k] for k in keys} == {k: reference[k] for k in keys}
 
 
+def _evaluated(cfg_path, capsys, *flags):
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "evaluate", *flags]) == 0
+    return json.loads(capsys.readouterr().out)["metric"]
+
+
+@pytest.fixture(scope="module")
+def phase2_run(run_dir, tmp_path_factory):
+    """A copy of the micro phase-1 run with phase 2 (seed 0) done."""
+    out, cfg_path = _copy_run(run_dir, tmp_path_factory.mktemp("phase2"))
+    shutil.rmtree(out / "phase2", ignore_errors=True)
+    assert main(["--config", str(cfg_path), "phase2"]) == 0
+    return out.parent, cfg_path
+
+
+AFTER_PHASE1 = (["phase2"], ["evaluate"], ["ablate", "--what", "rank",
+                                           "--ranks", "2"])
+
+
+# A new value for every [backbone] and [sage] key, the prompt and seq_len
+# (`fused_qkv` is refused at config load).
+KEY_EDITS = [
+    ("backbone", "layers", ("layers = 4", "layers = 5")),
+    ("backbone", "dim", ("dim = 16", "dim = 32")),
+    ("backbone", "heads", ("heads = 2", "heads = 4")),
+    ("backbone", "mlp_width", ("mlp_width = 32", "mlp_width = 48")),
+    ("backbone", "max_tokens", ("max_tokens = 16", "max_tokens = 24")),
+    ("backbone", "vocab_max", ("vocab_max = 256", "vocab_max = 128")),
+    ("backbone", "pooling", ("vocab_max = 256",
+                             "vocab_max = 256\npooling = cls")),
+    ("backbone", "seed", ("vocab_max = 256", "vocab_max = 256\nseed = 1")),
+    ("backbone", "precision", ("vocab_max = 256",
+                               "vocab_max = 256\nprecision = f64")),
+    ("sage", "embed_dim", ("embed_dim = 8", "embed_dim = 12")),
+    ("sage", "classifier_hidden", ("classifier_hidden = 8",
+                                   "classifier_hidden = 12")),
+    ("sage", "lr", ("epochs = 20", "epochs = 20\nlr = 0.5")),
+    ("sage", "weight_decay", ("epochs = 20", "epochs = 20\nweight_decay = 0")),
+    ("sage", "epochs", ("epochs = 20", "epochs = 21")),
+    ("sage", "patience", ("patience = 5", "patience = 6")),
+    ("sage", "seed", ("patience = 5", "patience = 5\nseed = 1")),
+    ("trainer", "seq_len", ("seq_len = 8", "seq_len = 10")),
+    ("trainer", "prompt", ("seq_len = 8", "seq_len = 8\nprompt = classify:")),
+]
+
+
 class TestFrozenPrefixFile:
     def test_phase1_records_the_prefix_key(self, run_dir):
-        root, _ = run_dir
-        features = json.loads(
-            (root / "out" / "phase1" / "features.json").read_text())
-        assert features["prefix"]["layer"] == 1
-        assert features["prefix"]["seq_len"] == 8
-        assert features["prefix"]["precision"] == "f32"
-        assert (root / "out" / "phase1" / "prefix.gtsr").exists()
+        root, config_path = run_dir
+        cfg = ExperimentConfig.from_file(config_path)
+        phase1 = root / "out" / "phase1"
+        key = json.loads((phase1 / "nodes.json").read_text())["key"]
+        assert key == {"backbone": dataclasses.asdict(cfg.backbone),
+                       "sage": dataclasses.asdict(cfg.sage),
+                       "trainer": {"prompt": "", "seq_len": 8}, "layer": 1}
+        assert key["backbone"]["precision"] == "f32"
+        assert (phase1 / "prefix.gtsr").read_bytes()[:4] == b"GTSR"
+        assert not (phase1 / "features.json").exists()
 
     def test_matching_key_reads_the_file(self, run_dir, tmp_path,
                                          monkeypatch):
-        out, cfg_path = _copy_run(run_dir, tmp_path)
+        out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS)
         reference = _in_process_report(cfg_path)
 
         def refuse(*args, **kwargs):
@@ -465,34 +524,78 @@ class TestFrozenPrefixFile:
 
     @pytest.mark.parametrize("edit", [
         ("pass1_layers = 1", "pass1_layers = 2"),
-        ("seq_len = 8", "seq_len = 10"),
-        ("seq_len = 8", "seq_len = 8\nprompt = classify this:"),
-        ("vocab_max = 256", "vocab_max = 256\nprecision = f64"),
-    ])
-    def test_changed_prefix_after_phase1_is_recomputed(self, run_dir,
-                                                       tmp_path, edit):
-        out, cfg_path = _copy_run(run_dir, tmp_path, edit)
+        ("pass1_layers = 1", "pass1_layers = 0"),
+    ], ids=["placement_up", "placement_down"])
+    def test_moved_placement_equals_the_tokens_run(self, run_dir, tmp_path,
+                                                   edit):
+        """Up, the saved states run on to the new layer; down, the
+        dataset is read and tokenized."""
+        out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS, edit)
         assert main(["--config", str(cfg_path), "phase2"]) == 0
         report = json.loads((out / "phase2" / "report.json").read_text())
         assert _same_training(report, _in_process_report(cfg_path))
 
-    def test_f64_run_writes_no_prefix_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, name, edit", KEY_EDITS,
+                             ids=[f"{s}.{n}" for s, n, _ in KEY_EDITS])
+    def test_changed_key_setting_is_refused(self, phase2_run, tmp_path,
+                                            capsys, section, name, edit):
+        out, cfg_path = _copy_run(phase2_run, tmp_path, edit)
+        before = _snapshot(out)
+        for command in AFTER_PHASE1 + (["ablate", "--what", "prompt",
+                                        "--prompts", ""],):
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            err = _one_error_line(capsys)
+            assert f"[{section}] {name}" in err and "re-run phase1" in err
+        assert _snapshot(out) == before
+
+    def test_changed_key_names_old_and_new_value(self, phase2_run, tmp_path,
+                                                 capsys):
+        _, cfg_path = _copy_run(phase2_run, tmp_path,
+                                ("vocab_max = 256",
+                                 "vocab_max = 256\npooling = cls"))
+        assert main(["--config", str(cfg_path), "phase2"]) == 1
+        nodes = tmp_path / "out" / "phase1" / "nodes.json"
+        assert _one_error_line(capsys) == (
+            f"error: [backbone] pooling changed since phase1 wrote {nodes} "
+            "('mean' → 'cls'); re-run phase1\n")
+
+    def test_f64_run_writes_and_reads_the_prefix_file(self, tmp_path, capsys,
+                                                      monkeypatch):
         cfg_path = tmp_path / "f64.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(
-            "vocab_max = 256", "vocab_max = 256\nprecision = f64"))
-        for command in ("gen-data", "phase1", "phase2"):
+            "vocab_max = 256", "vocab_max = 256\nprecision = f64").replace(
+            "seeds = 0", "seeds = 0,1").replace(*TRAINS))
+        for command in ("gen-data", "phase1"):
             assert main(["--config", str(cfg_path), command]) == 0
         phase1 = tmp_path / "out" / "phase1"
-        assert not (phase1 / "prefix.gtsr").exists()
-        assert json.loads((phase1 / "features.json").read_text())[
-            "prefix"] is None
+        assert (phase1 / "prefix.gtsr").read_bytes()[:4] == b"GTSD"
+        read = []
+
+        def spy(path, *args, **kwargs):
+            read.append(Path(path).name)
+            return load_tensor(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_tensor", spy)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert "prefix.gtsr" in read
         report = json.loads(
             (tmp_path / "out" / "phase2" / "report.json").read_text())
         assert _same_training(report, _in_process_report(cfg_path))
-        capsys.readouterr()
-        assert main(["--config", str(cfg_path), "evaluate"]) == 0
-        evaluated = json.loads(capsys.readouterr().out)
-        assert evaluated["metric"] == report["per_seed"][0]["metric"]
+        for result in report["per_seed"]:
+            assert _evaluated(cfg_path, capsys, "--seed",
+                              str(result["seed"])) == result["metric"]
+
+    def test_micro_arms_train_apart(self, run_dir, tmp_path):
+        """At the TRAINS rate the path-equality tests cover fusion and LoRA:
+        each arm gives its own loss trace."""
+        out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS)
+        traces = {}
+        for arm in ("fused", "text_only", "lora_only"):
+            assert main(["--config", str(cfg_path), "phase2",
+                         "--baseline", arm]) == 0
+            report = json.loads((out / "phase2" / "report.json").read_text())
+            traces[arm] = report["per_seed"][0]["loss_trace"]
+        assert len(set(map(tuple, traces.values()))) == 3, traces
 
     @pytest.mark.parametrize("command", ["phase2", "evaluate"])
     def test_embed_dim_changed_after_phase1_exits_1(self, run_dir, tmp_path,
@@ -504,8 +607,8 @@ class TestFrozenPrefixFile:
         assert "8 wide" in err and "embed_dim is 12" in err
 
     def test_text_only_resumes_from_the_fused_prefix(self, run_dir, tmp_path,
-                                                     monkeypatch):
-        out, cfg_path = _copy_run(run_dir, tmp_path)
+                                                     monkeypatch, capsys):
+        out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS)
         starts = []
 
         def spy(encode):
@@ -519,14 +622,14 @@ class TestFrozenPrefixFile:
         command = ["--config", str(cfg_path), "phase2",
                    "--baseline", "text_only"]
         assert main(command) == 0
-        resumed = (out / "phase2" / "report.json").read_bytes()
         # The fused arm saved layer 1; no pass runs layer 0 again.
         assert starts and min(starts) == 1
-        starts.clear()
-        (out / "phase1" / "prefix.gtsr").unlink()
-        assert main(command) == 0
-        assert min(starts) == 0  # the spy sees a pass from the tokens
-        assert (out / "phase2" / "report.json").read_bytes() == resumed
+        prefix = out / "phase1" / "prefix.gtsr"
+        prefix.unlink()
+        capsys.readouterr()
+        assert main(command) == 1
+        assert _one_error_line(capsys) == (
+            f"error: missing phase-1 artifact {prefix}; run phase1 first\n")
 
 
 def _snapshot(out):
@@ -541,7 +644,7 @@ def _one_error_line(capsys):
 
 @pytest.fixture(scope="module")
 def run_dir_f64(tmp_path_factory):
-    """The micro pipeline in f64 (no prefix file): gen-data + phase1."""
+    """The micro pipeline in f64: gen-data + phase1."""
     root = tmp_path_factory.mktemp("run_f64")
     config_path = root / "micro.cfg"
     config_path.write_text(MICRO_CONFIG.format(out=root / "out").replace(
@@ -551,8 +654,34 @@ def run_dir_f64(tmp_path_factory):
     return root, config_path
 
 
-AFTER_PHASE1 = (["phase2"], ["evaluate"], ["ablate", "--what", "rank",
-                                           "--ranks", "2"])
+def _baseline(arm):
+    return ("[trainer]\n", f"[trainer]\nbaseline = {arm}\n")
+
+
+@pytest.fixture(scope="module")
+def run_dir_text_only(tmp_path_factory):
+    """The micro pipeline with phase 1 run as `text_only`, so `prefix.gtsr`
+    holds the states after the last layer."""
+    root = tmp_path_factory.mktemp("run_text_only")
+    config_path = root / "micro.cfg"
+    config_path.write_text(MICRO_CONFIG.format(out=root / "out").replace(
+        *_baseline("text_only")))
+    assert main(["--config", str(config_path), "gen-data"]) == 0
+    assert main(["--config", str(config_path), "phase1"]) == 0
+    return root, config_path
+
+
+# Every arm after a phase 1 whose saved layer is at or below the arm's
+# first adapted layer: source fixture and config edits.
+ARMS_ON_THE_PREFIX = {
+    "fused": ("run_dir", ()),
+    "text_only": ("run_dir", (_baseline("text_only"),)),
+    "lora_only": ("run_dir", (_baseline("lora_only"),)),
+    "f64-fused": ("run_dir_f64", ()),
+    "f64-text_only": ("run_dir_f64", (_baseline("text_only"),)),
+    "f64-lora_only": ("run_dir_f64", (_baseline("lora_only"),)),
+    "text_only-after-text_only": ("run_dir_text_only", ()),
+}
 
 
 class TestNodeTable:
@@ -569,7 +698,7 @@ class TestNodeTable:
         assert table["labels"] == graph.labels.tolist()
         assert table["split"] == graph.split.tolist()
         assert table["lengths"] == mask.sum(axis=1).astype(int).tolist()
-        assert (table["prompt"], table["seq_len"]) == ("", 8)
+        assert table["key"]["trainer"] == {"prompt": "", "seq_len": 8}
         data = root / "out" / "data"
         assert table["fingerprint"] == {
             "files": {role: pipeline._sha256(data / name) for role, name in
@@ -577,14 +706,14 @@ class TestNodeTable:
                        ("splits", "splits.jsonl"))},
             "num_classes": 3}
         manifest = json.loads((phase1 / "manifest.json").read_text())
-        assert "nodes.json" in manifest["artifacts"]
+        assert {"nodes.json", "prefix.gtsr"} <= set(manifest["artifacts"])
 
-    @pytest.mark.parametrize("edits", [
-        (), (("seq_len = 8", "seq_len = 8\nbaseline = text_only"),)],
-        ids=["fused", "text_only"])
-    def test_matching_table_reads_no_dataset_file(self, run_dir, tmp_path,
-                                                  monkeypatch, edits):
-        out, cfg_path = _copy_run(run_dir, tmp_path, *edits)
+    @pytest.mark.parametrize("arm", list(ARMS_ON_THE_PREFIX))
+    def test_matching_table_reads_no_dataset_file(self, request, tmp_path,
+                                                  monkeypatch, arm):
+        source, edits = ARMS_ON_THE_PREFIX[arm]
+        out, cfg_path = _copy_run(request.getfixturevalue(source), tmp_path,
+                                  *edits)
         assert main(["--config", str(cfg_path), "phase2"]) == 0
 
         def refuse(*args, **kwargs):
@@ -600,36 +729,58 @@ class TestNodeTable:
             assert main(["--config", str(cfg_path), *command]) == 0, command
 
     @pytest.mark.parametrize("arm", ["fused", "text_only", "f64"])
-    def test_outputs_equal_the_full_load(self, run_dir, run_dir_f64,
-                                         tmp_path, capsys, arm):
-        """report.json, evaluate output and ablate_rank.csv are the same
-        bytes with the table as without it (a run from before it)."""
-        results = []
-        for name in ("table", "no_table"):
-            out = tmp_path / name / "out"
-            source = run_dir_f64 if arm == "f64" else run_dir
-            shutil.copytree(source[0] / "out", out)
-            shutil.rmtree(out / "phase2", ignore_errors=True)
-            text = source[1].read_text().replace(str(source[0] / "out"),
-                                                 str(out))
-            if arm == "text_only":  # after the fused arm's phase 1
-                text = text.replace("seq_len = 8",
-                                    "seq_len = 8\nbaseline = text_only")
-            cfg_path = tmp_path / name / "run.cfg"
-            cfg_path.write_text(text)
-            if name == "no_table":
-                (out / "phase1" / "nodes.json").unlink()
-            capsys.readouterr()
-            assert main(["--config", str(cfg_path), "phase2"]) == 0
-            assert main(["--config", str(cfg_path), "evaluate"]) == 0
-            assert main(["--config", str(cfg_path), "evaluate",
-                         "--split", "val"]) == 0
-            assert main(["--config", str(cfg_path), "ablate", "--what",
-                         "rank", "--ranks", "2,4"]) == 0
-            results.append(((out / "phase2" / "report.json").read_bytes(),
-                            capsys.readouterr().out,
-                            (out / "ablate_rank.csv").read_bytes()))
-        assert results[0] == results[1]
+    def test_outputs_equal_the_in_process_run(self, run_dir, run_dir_f64,
+                                              tmp_path, capsys, arm):
+        """report.json, evaluate output and ablate_rank.csv from the table
+        and the prefix file equal the trainer's, run from the tokens."""
+        edits = [TRAINS] + ([_baseline(arm)] if arm == "text_only" else [])
+        out, cfg_path = _copy_run(run_dir_f64 if arm == "f64" else run_dir,
+                                  tmp_path, *edits)
+        shutil.rmtree(out / "phase2", ignore_errors=True)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "ablate", "--what", "rank",
+                     "--ranks", "2,4"]) == 0
+        report, inputs = _in_process_run(cfg_path)
+        assert _same_training(
+            json.loads((out / "phase2" / "report.json").read_text()),
+            report.as_dict(include_wall_clock=False))
+        for split in ("test", "val"):
+            assert _evaluated(cfg_path, capsys, "--split", split) == float(
+                trainer.evaluate(report.per_seed[0].assembly, inputs, split))
+        cfg = ExperimentConfig.from_file(cfg_path)
+        vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
+        rows = trainer.rank_ablation(
+            EncoderBackbone(cfg.backbone, vocab.size), embeddings, inputs,
+            cfg.run_config(), ranks=(2, 4))
+        columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
+        trainer.write_table_csv(tmp_path / "rank.csv", rows, columns)
+        assert (tmp_path / "rank.csv").read_bytes() == \
+            (out / "ablate_rank.csv").read_bytes()
+
+    @pytest.mark.parametrize("arm", ["lora_only", "fused"])
+    def test_arm_below_the_saved_layer_reads_the_dataset(
+            self, run_dir_text_only, tmp_path, capsys, monkeypatch, arm):
+        """After a `text_only` phase 1 the saved states lie above every
+        adapted layer: phase 2 and evaluate tokenize the dataset."""
+        _, cfg_path = _copy_run(run_dir_text_only, tmp_path, TRAINS,
+                                ("baseline = text_only", f"baseline = {arm}"))
+        tokenized = []
+
+        def spy(*args, **kwargs):
+            tokenized.append(args[0].num_nodes)
+            return textenc.tokenize_graph(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "tokenize_graph", spy)
+        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert tokenized == [60]
+        report, inputs = _in_process_run(cfg_path)
+        assert _same_training(
+            json.loads((tmp_path / "out" / "phase2" / "report.json")
+                       .read_text()),
+            report.as_dict(include_wall_clock=False))
+        assert _evaluated(cfg_path, capsys) == float(
+            trainer.evaluate(report.per_seed[0].assembly, inputs, "test"))
+        assert tokenized == [60, 60]
 
     @pytest.mark.parametrize("stale", ["dataset_seed", "edges_line"])
     def test_changed_dataset_is_refused(self, run_dir, tmp_path, capsys,
@@ -697,14 +848,27 @@ def _rewrite_json(path, edit):
     path.write_text(json.dumps(obj))
 
 
+def _oversized_header(path):
+    """A header that claims 2^62 elements over the file's own payload."""
+    path.write_bytes(b"GTSR" + struct.pack("<IQ", 1, 2 ** 62)
+                     + path.read_bytes()[24:])
+
+
 class TestCorruptedArtifacts:
-    """A damaged phase-1 or phase-2 JSON file ends in one error line that
-    names it, exit 1, never a traceback."""
+    """A damaged phase-1 or phase-2 file ends in one error line that names
+    it, exit 1, never a traceback."""
 
     @pytest.mark.parametrize("name, damage, message", [
-        ("phase1/features.json", _truncate, "bad JSON"),
-        ("phase1/features.json", lambda p: p.write_text("[1]"),
-         "expected a JSON object, got list"),
+        ("phase1/nodes.json", lambda p: _rewrite_json(p, lambda t: t.update(
+            key=3)), "'key' needs [backbone], [sage], [trainer] and 'layer'"),
+        ("phase1/nodes.json", lambda p: _rewrite_json(p, lambda t: t["key"]
+                                                      .pop("sage")),
+         "'key' needs [backbone], [sage], [trainer] and 'layer'"),
+        ("phase1/pass1.gtsr", _oversized_header,
+         f"truncated payload: the header gives {4 * 2 ** 62} bytes"),
+        ("phase1/prefix.gtsr",
+         lambda p: save_tensor(p, np.zeros((60, 8, 12), dtype=np.float32)),
+         "shape (60, 8, 12), expected (60, 8, 16); re-run phase1"),
         ("phase1/vocab.json", _truncate, "bad JSON"),
         ("phase1/vocab.json", lambda p: p.write_text('{"w1": "x"}'),
          "token ids must be integers"),
@@ -745,6 +909,18 @@ class TestCorruptedArtifacts:
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         err = _one_error_line(capsys)
         assert err.startswith(f"error: {out / name}: ") and message in err
+
+    @pytest.mark.parametrize("name", ["nodes.json", "prefix.gtsr"])
+    def test_missing_phase1_artifact_exits_1(self, run_dir, tmp_path, capsys,
+                                             name):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        (out / "phase1" / name).unlink()
+        for command in AFTER_PHASE1 + (["ablate", "--what", "prompt",
+                                        "--prompts", ""],):
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            assert _one_error_line(capsys) == (
+                f"error: missing phase-1 artifact {out / 'phase1' / name}; "
+                "run phase1 first\n")
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("bad", ["out_of_range", "reserved", "duplicate"])
