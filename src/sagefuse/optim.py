@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay, plus a finite-difference grad checker."""
+"""AdamW with decoupled weight decay, the early-stopped loop both training
+phases run on it, and a finite-difference grad checker."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NumericsError, backward, val
+from . import autodiff as ad
+from .autodiff import NumericsError
 
 
 class AdamW:
@@ -44,6 +46,44 @@ class AdamW:
             mhat = m / (1.0 - self.beta1 ** self.t)
             vhat = v / (1.0 - self.beta2 ** self.t)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def fit(params, schedule, epoch_losses, val_metric):
+    """AdamW over `params` at `schedule.lr` and `schedule.weight_decay`, for
+    up to `schedule.epochs` epochs, early-stopped on the validation metric.
+
+    Epoch e takes one step per `(loss, weight)` that `epoch_losses(e)`
+    yields and records the weight-averaged loss. `val_metric()` is read
+    before training and after each epoch; a strict improvement keeps a copy
+    of the weights, and `schedule.patience` epochs without one end the run.
+    The best weights are restored before returning (best epoch, best
+    metric, loss trace, val trace); the val trace starts with the metric
+    before training."""
+    params = list(params)
+    opt = AdamW(params, lr=schedule.lr, weight_decay=schedule.weight_decay)
+    best_metric = val_metric()
+    best_epoch, best_values = 0, [p.value.copy() for p in params]
+    loss_trace, val_trace = [], [float(best_metric)]
+    for epoch in range(1, schedule.epochs + 1):
+        total, count = 0.0, 0
+        for loss, weight in epoch_losses(epoch):
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+            total += float(ad.val(loss)) * weight
+            count += weight
+        loss = None  # free this step's graph before the next forward
+        loss_trace.append(total / count)
+        metric = val_metric()
+        val_trace.append(float(metric))
+        if metric > best_metric:
+            best_metric, best_epoch = metric, epoch
+            best_values = [p.value.copy() for p in params]
+        elif epoch - best_epoch >= schedule.patience:
+            break
+    for p, value in zip(params, best_values):
+        p.value[...] = value
+    return best_epoch, float(best_metric), loss_trace, val_trace
 
 
 @dataclass
@@ -96,7 +136,7 @@ def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
             raise NumericsError(f"grad_check requires float64, got "
                                 f"{p.value.dtype} for {p.name!r}")
         p.zero_grad()
-    backward(loss_fn())
+    ad.backward(loss_fn())
     analytic = {id(p): p.gradient.copy() for p in trainable}
 
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
@@ -113,9 +153,9 @@ def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + epsilon
-            plus = float(val(loss_fn()))
+            plus = float(ad.val(loss_fn()))
             flat[i] = orig - epsilon
-            minus = float(val(loss_fn()))
+            minus = float(ad.val(loss_fn()))
             flat[i] = orig
             numeric = (plus - minus) / (2.0 * epsilon)
             a = float(a_flat[i])

@@ -97,9 +97,9 @@ def run_gen_data(cfg, force=False):
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"{out} already contains files; pass --force to "
                           "overwrite")
-    out.mkdir(parents=True, exist_ok=True)
     graph = generate_synthetic_tag(cfg.dataset)
     graph = stratified_split(graph, cfg.dataset)
+    out.mkdir(parents=True, exist_ok=True)
     nodes, edges, splits = (out / "nodes.jsonl", out / "edges.tsv",
                             out / "splits.jsonl")
     save_graph(graph, nodes, edges)
@@ -187,9 +187,6 @@ def run_phase1(cfg):
     result = train_phase1(model, x, graph, cfg.sage)
     save_tensor(out / "pass1.gtsr", result.embeddings.pass1)
     save_tensor(out / "pass2.gtsr", result.embeddings.pass2)
-    _write_json(out / "sidecar.json", {
-        "g": cfg.sage.embed_dim, "checkpoint_epoch": result.best_epoch,
-        "val_metric": result.val_metric})
     _write_json(out / "metrics.json", {
         "metric_name": result.metric_name,
         "val_metric": result.val_metric,
@@ -199,7 +196,7 @@ def run_phase1(cfg):
     _write_manifest(out, "phase1", cfg, [
         out / "vocab.json", out / "nodes.json", out / "features.gtsr",
         out / "prefix.gtsr", out / "pass1.gtsr", out / "pass2.gtsr",
-        out / "sidecar.json", out / "metrics.json"])
+        out / "metrics.json"])
     return result
 
 
@@ -280,26 +277,31 @@ def _read_node_table(cfg):
     return {**table, **columns}
 
 
-def load_phase2_inputs(cfg, backbone, vocab):
+def _load_shaped(path, shape, dtype):
+    """The GTSR array in `path`; PipelineError unless it has `shape`."""
+    array = load_tensor(path, dtype=dtype)
+    if array.shape != shape:
+        raise PipelineError(f"{path}: shape {array.shape}, expected "
+                            f"{shape}; re-run phase1")
+    return array
+
+
+def load_phase2_inputs(cfg, backbone, vocab, table):
     """The `Phase2Inputs` of the commands after phase 1: the checked node
-    table and `prefix.gtsr`, at the layer the states were saved at, so the
+    `table` and `prefix.gtsr`, at the layer the states were saved at, so the
     dataset is not parsed or tokenized. Only an arm adapting a layer below
     that one (after a `text_only` phase 1, or a placement moved down) reads
     the dataset, tokenizes it and starts at the embedding output."""
     t = cfg.trainer
-    table = _read_node_table(cfg)
     layer = table["key"]["layer"]
     if cfg.run_config().first_adapted_layer(cfg.backbone.layers) < layer:
         graph = load_dataset(cfg)
         ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt),
                                    t.seq_len)
         return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
-    path = phase1_dir(cfg) / "prefix.gtsr"
-    states = load_tensor(path, dtype=cfg.backbone.dtype)
-    expected = (len(table["labels"]), t.seq_len, cfg.backbone.dim)
-    if states.shape != expected:
-        raise PipelineError(f"{path}: shape {states.shape}, expected "
-                            f"{expected}; re-run phase1")
+    states = _load_shaped(phase1_dir(cfg) / "prefix.gtsr",
+                          (len(table["labels"]), t.seq_len, cfg.backbone.dim),
+                          cfg.backbone.dtype)
     mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
         np.float64)
     return Phase2Inputs(labels=table["labels"],
@@ -308,13 +310,19 @@ def load_phase2_inputs(cfg, backbone, vocab):
                         states=states, layer=layer)
 
 
-def load_phase1_artifacts(cfg):
+def load_phase1(cfg):
+    """What the commands after phase 1 read of its outputs, checked:
+    (node table, vocabulary, embeddings). The table comes first, so a
+    changed data file or key setting is named as such before any other
+    file is read; `pass1.gtsr` and `pass2.gtsr` must be (nodes,
+    `[sage] embed_dim`)."""
     out = phase1_dir(cfg)
     for name in ("vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
                  "pass2.gtsr"):
         if not (out / name).exists():
             raise PipelineError(f"missing phase-1 artifact {out / name}; "
                                 "run phase1 first")
+    table = _read_node_table(cfg)
     tokens = _read_json(out / "vocab.json")
     base = len(RESERVED)
     if not all(type(v) is int for v in tokens.values()) or \
@@ -322,17 +330,16 @@ def load_phase1_artifacts(cfg):
         raise PipelineError(f"{out / 'vocab.json'}: token ids must be "
                             f"integers {base} .. {base + len(tokens) - 1}, "
                             "each once")
-    vocab = Vocabulary.from_dict(tokens)
-    embeddings = SageEmbeddings(
-        pass1=load_tensor(out / "pass1.gtsr", dtype=cfg.backbone.dtype),
-        pass2=load_tensor(out / "pass2.gtsr", dtype=cfg.backbone.dtype))
-    for name in ("pass1", "pass2"):
-        width = getattr(embeddings, name).shape[-1]
-        if width != cfg.sage.embed_dim:
-            raise PipelineError(
-                f"phase-1 {name} embeddings in {out} are {width} wide but "
-                f"[sage] embed_dim is {cfg.sage.embed_dim}; re-run phase1")
-    return vocab, embeddings
+    shape = (len(table["labels"]), cfg.sage.embed_dim)
+    embeddings = SageEmbeddings(**{
+        name: _load_shaped(out / f"{name}.gtsr", shape, cfg.backbone.dtype)
+        for name in ("pass1", "pass2")})
+    return table, Vocabulary.from_dict(tokens), embeddings
+
+
+def load_phase1_artifacts(cfg):
+    """The (vocabulary, embeddings) of `load_phase1`."""
+    return load_phase1(cfg)[1:]
 
 
 def _save_checkpoint(directory, assembly):
@@ -379,9 +386,9 @@ def _load_checkpoint(directory, assembly):
 def run_phase2(cfg):
     """Seed sweep of phase-2 fine-tuning; writes the run report and one
     adapter checkpoint per seed."""
-    vocab, embeddings = load_phase1_artifacts(cfg)
+    table, vocab, embeddings = load_phase1(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs = load_phase2_inputs(cfg, backbone, vocab)
+    inputs = load_phase2_inputs(cfg, backbone, vocab, table)
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -404,14 +411,14 @@ def run_phase2(cfg):
 
 def run_evaluate(cfg, split="test", seed=None):
     """Evaluate a saved phase-2 checkpoint on one split."""
-    vocab, embeddings = load_phase1_artifacts(cfg)
+    table, vocab, embeddings = load_phase1(cfg)
     run_cfg = cfg.run_config()
     seed = run_cfg.seeds[0] if seed is None else seed
     ckpt = phase2_dir(cfg) / "checkpoints" / f"seed{seed}"
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs = load_phase2_inputs(cfg, backbone, vocab)
+    inputs = load_phase2_inputs(cfg, backbone, vocab, table)
     assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
                               run_cfg, seed)
     _load_checkpoint(ckpt, assembly)
@@ -437,17 +444,16 @@ def run_audit(cfg):
 
 def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
                prompts=DEFAULT_ABLATION_PROMPTS):
-    vocab, embeddings = load_phase1_artifacts(cfg)
+    table, vocab, embeddings = load_phase1(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     base = cfg.run_config()
     if what == "rank":
         rows = rank_ablation(backbone, embeddings,
-                             load_phase2_inputs(cfg, backbone, vocab), base,
-                             ranks=ranks)
+                             load_phase2_inputs(cfg, backbone, vocab, table),
+                             base, ranks=ranks)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
         # The prompts change the tokens, so the texts are always read.
-        _read_node_table(cfg)
         rows = prompt_ablation(backbone, embeddings, load_dataset(cfg), vocab,
                                base, prompts=prompts)
         columns = ["prompt", "metric_mean", "metric_std"]

@@ -3,15 +3,15 @@ head, and the phase-1 training loop emitting 1-hop and 2-hop embeddings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .metrics import split_metric
-from .optim import AdamW
+from .metrics import metric_name, split_metric
+from .optim import fit
 
 
 @dataclass
@@ -61,13 +61,6 @@ class SageModel:
         for p in self.parameters():
             p.frozen = True
         return self
-
-    def snapshot(self):
-        return [p.value.copy() for p in self.parameters()]
-
-    def restore(self, snap):
-        for p, v in zip(self.parameters(), snap):
-            p.value[...] = v
 
     def classify(self, embeddings):
         h = ad.relu(ad.linear(embeddings, self.cls_w1, self.cls_b1))
@@ -130,20 +123,19 @@ class SageEmbeddings:
 
 @dataclass
 class Phase1Result:
-    model: SageModel
     embeddings: SageEmbeddings
     best_epoch: int
     val_metric: float
     metric_name: str
-    loss_trace: list = field(default_factory=list)
-    val_trace: list = field(default_factory=list)
+    loss_trace: list
+    val_trace: list
 
 
 def train_phase1(model, x, graph, config):
     """Full-batch AdamW on cross-entropy over the train nodes' pass-2
-    classifier logits, early-stopped on the validation metric. Returns the
-    best-validation checkpoint's model and embeddings; the model comes back
-    frozen, ready for phase-2.
+    classifier logits, early-stopped on the validation metric (`optim.fit`).
+    Leaves `model` at its best-validation weights, frozen, ready for phase
+    2, and returns that checkpoint's embeddings.
 
     Each epoch records one forward: the logits of the weights after a step
     give that epoch's validation metric and the next epoch's loss, since
@@ -153,52 +145,28 @@ def train_phase1(model, x, graph, config):
     labels = graph.labels
     train_idx = graph.split_ids("train")
     val_idx = graph.split_ids("val")
-    opt = AdamW(model.parameters(), lr=config.lr,
-                weight_decay=config.weight_decay)
-    metric_name = "roc_auc" if graph.num_classes == 2 else "accuracy"
+    recorded = []  # the logits of the current weights
 
-    def forward_logits():
+    def val_metric():
         _, pass2 = forward_embeddings(model, x, agg, first_hop)
-        return model.classify(pass2)
-
-    def val_metric_of(logits):
-        logits = ad.val(logits)
+        recorded.append(model.classify(pass2))
+        logits = ad.val(recorded[-1])
         return split_metric(logits[val_idx], labels[val_idx],
                             graph.num_classes)
 
-    logits = forward_logits()
-    best = (val_metric_of(logits), 0, model.snapshot())
-    result = Phase1Result(model=model, embeddings=None, best_epoch=0,
-                          val_metric=best[0], metric_name=metric_name)
-    since_best = 0
-    for epoch in range(1, config.epochs + 1):
-        opt.zero_grad()
-        loss = ad.cross_entropy(ad.gather_rows(logits, train_idx),
-                                labels[train_idx])
-        if not np.isfinite(ad.val(loss)):
-            raise ad.NumericsError(f"non-finite phase-1 loss at epoch {epoch}")
-        ad.backward(loss)
-        opt.step()
-        result.loss_trace.append(float(ad.val(loss)))
-        logits = loss = None  # free this step's graph before the next one
-        logits = forward_logits()
-        val_metric = val_metric_of(logits)
-        result.val_trace.append(float(val_metric))
-        if val_metric > best[0]:
-            best = (val_metric, epoch, model.snapshot())
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
-    logits = None
+    def epoch_losses(epoch):
+        logits = recorded.pop()
+        yield ad.cross_entropy(ad.gather_rows(logits, train_idx),
+                               labels[train_idx]), 1
 
-    model.restore(best[2])
+    best_epoch, best_metric, loss_trace, val_trace = fit(
+        model.parameters(), config, epoch_losses, val_metric)
+    recorded.clear()
     model.freeze()
     with ad.no_grad():
         pass1, pass2 = forward_embeddings(model, x, agg, first_hop)
-    result.embeddings = SageEmbeddings(pass1=np.asarray(pass1),
-                                       pass2=np.asarray(pass2)).validate(graph)
-    result.best_epoch = best[1]
-    result.val_metric = float(best[0])
-    return result
+    embeddings = SageEmbeddings(pass1=np.asarray(pass1),
+                                pass2=np.asarray(pass2)).validate(graph)
+    return Phase1Result(embeddings, best_epoch, best_metric,
+                        metric_name(graph.num_classes), loss_trace,
+                        val_trace[1:])

@@ -108,6 +108,14 @@ def ids_in_split(codes, split):
     return np.flatnonzero(codes == _SPLIT_CODE[split])
 
 
+def _require_every_split(codes, source):
+    """GraphFormatError naming `source` unless each of `SPLITS` has a node."""
+    for name, n in zip(SPLITS, np.bincount(codes, minlength=len(SPLITS))):
+        if not n:
+            raise GraphFormatError(f"{source}: no node is in the {name!r} "
+                                   "split")
+
+
 def csr_adjacency(n, u, v):
     """(indptr, indices) of the undirected edges (u[i], v[i]) on n nodes:
     symmetrized, self-loops dropped, each row sorted and deduplicated.
@@ -258,6 +266,7 @@ def load_splits(graph, path):
                                "nodes exactly once")
     split = np.empty(graph.num_nodes, dtype=np.int8)
     split[list(assigned)] = list(assigned.values())
+    _require_every_split(split, path)
     return replace(graph, split=split)
 
 
@@ -281,6 +290,9 @@ def stratified_split(graph, spec):
         # Codes follow SPLITS: train, val, test.
         for code, part in enumerate(np.split(ids, [n_train, n_train + n_val])):
             split[part] = code
+    _require_every_split(split, f"split fractions {spec.train_frac}/"
+                         f"{spec.val_frac}/{spec.test_frac} of "
+                         f"{graph.num_nodes} nodes")
     return replace(graph, split=split)
 
 

@@ -15,7 +15,7 @@ from .autodiff import Parameter
 from .fusion import (LORA_TARGETS, LoraPair, audit_from_shapes,
                      build_adapter_set, default_placement)
 from .metrics import metric_name, split_metric
-from .optim import AdamW
+from .optim import fit
 from .tag import ids_in_split
 from .textenc import (PromptSpec, encode, pool_states, prefix_states,
                       tokenize_graph)
@@ -218,13 +218,6 @@ class Phase2Assembly:
         reg.extend(("classifier_head", p) for p in (self.head_w, self.head_b))
         return reg
 
-    def snapshot(self):
-        return [p.value.copy() for p in self.trainable_parameters()]
-
-    def restore(self, snap):
-        for p, v in zip(self.trainable_parameters(), snap):
-            p.value[...] = v
-
     def logits(self, inputs, node_ids):
         """Logits of `node_ids` from the `Phase2Inputs`; the encoder pass
         starts at `inputs.layer`."""
@@ -276,51 +269,29 @@ class SeedResult:
 
 def run_phase2_seed(backbone, embeddings, inputs, config, seed):
     """One deterministic phase-2 run on the `Phase2Inputs`: minibatch AdamW
-    over train nodes, early stop on the validation metric, test metric
-    from the best checkpoint."""
+    over train nodes, early stop on the validation metric (`optim.fit`),
+    test metric from the best checkpoint."""
     embeddings.validate(inputs)
     assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
                               config, seed)
     labels = inputs.labels
     train_idx = inputs.split_ids("train")
-    opt = AdamW(assembly.trainable_parameters(), lr=config.lr,
-                weight_decay=config.weight_decay)
     rng = np.random.default_rng(derive_seed(seed, "shuffle"))
 
-    best_val = evaluate(assembly, inputs, "val")
-    best = (best_val, 0, assembly.snapshot())
-    loss_trace, val_trace = [], [float(best_val)]
-    since_best = 0
-    for epoch in range(1, config.epochs + 1):
+    def epoch_losses(epoch):
         order = train_idx[rng.permutation(len(train_idx))]
-        epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            opt.zero_grad()
-            logits = assembly.logits(inputs, batch)
-            loss = ad.cross_entropy(logits, labels[batch])
-            if not np.isfinite(ad.val(loss)):
-                raise ad.NumericsError(f"non-finite phase-2 loss at epoch "
-                                       f"{epoch}")
-            ad.backward(loss)
-            opt.step()
-            epoch_loss += float(ad.val(loss)) * len(batch)
-        loss_trace.append(epoch_loss / len(order))
-        val = evaluate(assembly, inputs, "val")
-        val_trace.append(float(val))
-        if val > best[0]:
-            best = (val, epoch, assembly.snapshot())
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+            yield (ad.cross_entropy(assembly.logits(inputs, batch),
+                                    labels[batch]), len(batch))
 
-    assembly.restore(best[2])
+    best_epoch, _, loss_trace, val_trace = fit(
+        assembly.trainable_parameters(), config, epoch_losses,
+        lambda: evaluate(assembly, inputs, "val"))
     test = evaluate(assembly, inputs, "test")
-    return SeedResult(seed=seed, test_metric=float(test), best_epoch=best[1],
-                      loss_trace=loss_trace, val_trace=val_trace,
-                      assembly=assembly)
+    return SeedResult(seed=seed, test_metric=float(test),
+                      best_epoch=best_epoch, loss_trace=loss_trace,
+                      val_trace=val_trace, assembly=assembly)
 
 
 @dataclass

@@ -41,6 +41,16 @@ def neighbors(graph, v):
     return graph.indices[graph.indptr[v]:graph.indptr[v + 1]].tolist()
 
 
+def snapshot(params):
+    """Copies of the parameters' values, for `restore`."""
+    return [p.value.copy() for p in params]
+
+
+def restore(params, values):
+    for p, v in zip(params, values):
+        p.value[...] = v
+
+
 def random_graph(rng, n, edge_prob=0.15):
     adjacency = {i: set() for i in range(n)}
     for u in range(n):

@@ -250,6 +250,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{splits}:2:" in err and message in err
 
+    def test_empty_generated_split_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "m.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(
+            "train_frac = 0.6\nval_frac = 0.2\ntest_frac = 0.2",
+            "train_frac = 0.79\nval_frac = 0.01\ntest_frac = 0.2"))
+        assert main(["--config", str(cfg_path), "gen-data"]) == 2
+        assert _one_error_line(capsys) == (
+            "error: split fractions 0.79/0.01/0.2 of 60 nodes: no node is "
+            "in the 'val' split\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_splits_file_without_a_val_node_exits_2(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.jsonl"
+        nodes.write_text("".join(
+            f'{{"id": {i}, "text": "t{i % 2}", "label": {i % 2}}}\n'
+            for i in range(4)))
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n")
+        splits = tmp_path / "splits.jsonl"
+        splits.write_text("".join(
+            f'{{"id": {i}, "split": "{s}"}}\n'
+            for i, s in enumerate(["train", "train", "test", "test"])))
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(
+            f"[dataset]\nsource = files\nnum_classes = 2\n"
+            f"nodes_path = {nodes}\nedges_path = {edges}\n"
+            f"splits_path = {splits}\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path), "phase1"]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {splits}: no node is in the 'val' split\n")
+        assert not (tmp_path / "out").exists()
+
     def test_phase2_before_phase1_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "m.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out"))
@@ -600,11 +632,13 @@ class TestFrozenPrefixFile:
     @pytest.mark.parametrize("command", ["phase2", "evaluate"])
     def test_embed_dim_changed_after_phase1_exits_1(self, run_dir, tmp_path,
                                                     capsys, command):
-        _, cfg_path = _copy_run(run_dir, tmp_path,
-                                ("embed_dim = 8", "embed_dim = 12"))
+        """The key names the change before any embedding is read."""
+        out, cfg_path = _copy_run(run_dir, tmp_path,
+                                  ("embed_dim = 8", "embed_dim = 12"))
         assert main(["--config", str(cfg_path), command]) == 1
-        err = capsys.readouterr().err
-        assert "8 wide" in err and "embed_dim is 12" in err
+        assert _one_error_line(capsys) == (
+            "error: [sage] embed_dim changed since phase1 wrote "
+            f"{out / 'phase1' / 'nodes.json'} (8 → 12); re-run phase1\n")
 
     def test_text_only_resumes_from_the_fused_prefix(self, run_dir, tmp_path,
                                                      monkeypatch, capsys):
@@ -869,6 +903,12 @@ class TestCorruptedArtifacts:
         ("phase1/prefix.gtsr",
          lambda p: save_tensor(p, np.zeros((60, 8, 12), dtype=np.float32)),
          "shape (60, 8, 12), expected (60, 8, 16); re-run phase1"),
+        ("phase1/pass1.gtsr",
+         lambda p: save_tensor(p, np.zeros((60, 12), dtype=np.float32)),
+         "shape (60, 12), expected (60, 8); re-run phase1"),
+        ("phase1/pass2.gtsr",
+         lambda p: save_tensor(p, np.zeros((59, 8), dtype=np.float32)),
+         "shape (59, 8), expected (60, 8); re-run phase1"),
         ("phase1/vocab.json", _truncate, "bad JSON"),
         ("phase1/vocab.json", lambda p: p.write_text('{"w1": "x"}'),
          "token ids must be integers"),

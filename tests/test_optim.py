@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, Parameter
-from sagefuse.optim import AdamW, grad_check
+from sagefuse.optim import AdamW, fit, grad_check
 
 
 class TestAdamW:
@@ -48,6 +50,60 @@ class TestAdamW:
             ad.backward(ad.sum_(ad.mul(p, p)))
             opt.step()
         assert abs(p.value[0]) < 1e-2
+
+
+class TestFit:
+    """`fit` on a scalar weight pulled towards 0 by a quadratic loss, with a
+    scripted validation metric."""
+
+    @staticmethod
+    def _run(metrics, patience=2, weights=(1,)):
+        p = Parameter(np.array([4.0]), name="p")
+        values, losses = [], []
+
+        def epoch_losses(epoch):
+            for w in weights:
+                loss = ad.sum_(ad.mul(p, p))
+                losses.append((float(ad.val(loss)), w))
+                yield loss, w
+
+        def val_metric():
+            values.append(p.value.copy())
+            return metrics[len(values) - 1]
+
+        schedule = SimpleNamespace(lr=0.1, weight_decay=0.0,
+                                   epochs=len(metrics) - 1, patience=patience)
+        result = fit([p], schedule, epoch_losses, val_metric)
+        return result, p, values, losses
+
+    def test_a_tie_does_not_reset_patience(self):
+        (best_epoch, best_metric, loss_trace, val_trace), _, values, _ = \
+            self._run([0.5, 0.6, 0.6, 0.6, 0.7, 0.8])
+        assert len(loss_trace) == 3 and len(values) == 4
+        assert val_trace == [0.5, 0.6, 0.6, 0.6]
+        assert (best_epoch, best_metric) == (1, 0.6)
+
+    def test_best_weights_are_restored(self):
+        result, p, values, _ = self._run([0.5, 0.7, 0.6, 0.6, 0.9],
+                                         patience=3)
+        assert result[0] == 4
+        assert p.value.tobytes() == values[4].tobytes()
+        result, p, values, _ = self._run([0.5, 0.7, 0.6, 0.6])
+        assert result[0] == 1
+        assert p.value.tobytes() == values[1].tobytes()
+        assert p.value.tobytes() != values[3].tobytes()
+
+    def test_no_epoch_keeps_the_initial_weights(self):
+        result, p, _, _ = self._run([0.5])
+        assert result == (0, 0.5, [], [0.5]) and p.value[0] == 4.0
+
+    def test_epoch_loss_is_the_weighted_mean(self):
+        result, _, _, losses = self._run([0.1, 0.2], weights=(3, 5, 2))
+        total = 0.0
+        for loss, w in losses:
+            total += loss * w
+        assert result[2] == [total / 10]
+        assert len({loss for loss, _ in losses}) == 3  # one step per loss
 
 
 def _linear_model():

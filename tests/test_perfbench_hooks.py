@@ -57,14 +57,14 @@ def test_workload_config_loads_and_generates(path, tmp_path):
     assert len(graph.split_ids("train")) > 0
 
 
-@pytest.mark.parametrize("workload", ["graph", "acceptance"])
-def test_traced_worker_run_passes_its_checks(workload, tmp_path):
-    """One traced benchmark repetition, as the benchmark starts it: every
-    wrapped span is reached and every output check (evaluate against the
-    report, audit, fixed epochs) passes."""
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_traced_worker_run_passes_its_checks(path, tmp_path):
+    """One traced benchmark repetition of each workload, as the benchmark
+    starts it: every wrapped span is reached and every output check
+    (evaluate against the report, audit, fixed epochs) passes."""
     run = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), "--config",
-         str(PERFBENCH / "workloads" / f"{workload}.cfg"), "--seed", "1",
+         str(path), "--seed", "1",
          "--out", str(tmp_path / "out"), "--trace"],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

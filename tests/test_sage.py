@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_graph, neighbors, random_graph
+from conftest import make_graph, neighbors, random_graph, restore, snapshot
 from sagefuse import autodiff as ad
 from sagefuse import sage
 from sagefuse.metrics import split_metric
@@ -224,6 +224,14 @@ class TestTrainPhase1:
         assert results[0].loss_trace == results[1].loss_trace
         assert results[0].val_trace == results[1].val_trace
 
+    def test_non_finite_input_raises(self):
+        g, x = _trainable_graph()
+        x = x.copy()
+        x[g.split_ids("train")[0], 0] = np.nan
+        model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
+        with pytest.raises(ad.NumericsError, match="cross_entropy"):
+            train_phase1(model, x, g, SageConfig(epochs=3))
+
     def test_different_seed_different_initial_loss(self):
         g, x = _trainable_graph()
         losses = []
@@ -254,7 +262,7 @@ def reference_train_phase1(model, x, graph, config):
         return split_metric(logits[val_idx], labels[val_idx],
                             graph.num_classes)
 
-    best = (eval_val(), 0, model.snapshot())
+    best = (eval_val(), 0, snapshot(model.parameters()))
     loss_trace, val_trace, since_best = [], [], 0
     for epoch in range(1, config.epochs + 1):
         opt.zero_grad()
@@ -267,13 +275,13 @@ def reference_train_phase1(model, x, graph, config):
         loss_trace.append(float(ad.val(loss)))
         val_trace.append(float(val_metric))
         if val_metric > best[0]:
-            best = (val_metric, epoch, model.snapshot())
+            best = (val_metric, epoch, snapshot(model.parameters()))
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
-    model.restore(best[2])
+    restore(model.parameters(), best[2])
     model.freeze()
     with ad.no_grad():
         pass1, pass2 = forward_embeddings(model, x, agg)

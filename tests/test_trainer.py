@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_graph, neighbors, random_graph
+from conftest import make_graph, neighbors, random_graph, restore, snapshot
 from sagefuse import autodiff as ad
 from sagefuse import trainer
 from sagefuse.fusion import audit_parameters
-from sagefuse.optim import grad_check
+from sagefuse.optim import AdamW, grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
@@ -34,7 +34,7 @@ class Setup:
                                         self.mask)
 
 
-def _setup(num_classes=3, n=48, seed=0, **config_overrides):
+def _setup(num_classes=3, n=48, seed=0, precision="f64", **config_overrides):
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % num_classes).tolist()
     base = random_graph(rng, n, edge_prob=0.1)
@@ -46,14 +46,13 @@ def _setup(num_classes=3, n=48, seed=0, **config_overrides):
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
         dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
-        precision="f64"), vocab.size)
+        precision=precision), vocab.size)
     g = 8
     emb_rng = np.random.default_rng(1)
-    embeddings = SageEmbeddings(
-        pass1=emb_rng.normal(0, 0.5, (n, g))
-        + np.eye(num_classes, g)[labels] * 2.0,
-        pass2=emb_rng.normal(0, 0.5, (n, g))
-        + np.eye(num_classes, g)[labels] * 2.0)
+    pass1, pass2 = ((emb_rng.normal(0, 0.5, (n, g))
+                     + np.eye(num_classes, g)[labels] * 2.0)
+                    .astype(backbone.config.dtype) for _ in range(2))
+    embeddings = SageEmbeddings(pass1=pass1, pass2=pass2)
     kwargs = dict(epochs=1, patience=2, seeds=(0,), seq_len=8, rank=2,
                   pass1_layers=(1,), pass2_layers=(3,), batch_size=16)
     kwargs.update(config_overrides)
@@ -265,6 +264,83 @@ class TestPhase2Training:
         grads = [abs(float(a.gate_logit.gradient))
                  for a in assembly.adapters.adapters]
         assert max(grads) > 1e-10
+
+    def test_non_finite_input_raises(self, setup):
+        inputs = setup.inputs
+        states = inputs.states.copy()
+        states[inputs.split_ids("train")[0]] = np.nan
+        with pytest.raises(ad.NumericsError, match="cross_entropy"):
+            run_phase2_seed(setup.backbone, setup.embeddings,
+                            dataclasses.replace(inputs, states=states),
+                            setup.config, seed=0)
+
+
+def reference_run_phase2_seed(backbone, embeddings, inputs, config, seed):
+    """The phase-2 loop as it was written out before both phases shared
+    `optim.fit`: (test metric, best epoch, loss trace, val trace, assembly)."""
+    embeddings.validate(inputs)
+    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
+                              config, seed)
+    params = assembly.trainable_parameters()
+    labels = inputs.labels
+    train_idx = inputs.split_ids("train")
+    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    rng = np.random.default_rng(derive_seed(seed, "shuffle"))
+
+    best_val = evaluate(assembly, inputs, "val")
+    best = (best_val, 0, snapshot(params))
+    loss_trace, val_trace = [], [float(best_val)]
+    since_best = 0
+    for epoch in range(1, config.epochs + 1):
+        order = train_idx[rng.permutation(len(train_idx))]
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            opt.zero_grad()
+            logits = assembly.logits(inputs, batch)
+            loss = ad.cross_entropy(logits, labels[batch])
+            ad.backward(loss)
+            opt.step()
+            epoch_loss += float(ad.val(loss)) * len(batch)
+        loss_trace.append(epoch_loss / len(order))
+        val = evaluate(assembly, inputs, "val")
+        val_trace.append(float(val))
+        if val > best[0]:
+            best = (val, epoch, snapshot(params))
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+
+    restore(params, best[2])
+    test = evaluate(assembly, inputs, "test")
+    return float(test), best[1], loss_trace, val_trace, assembly
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("epochs, patience", [(12, 2), (0, 2)])
+    def test_bitwise_equal_to_the_loop_it_replaced(self, precision, epochs,
+                                                   patience):
+        s = _setup(precision=precision, epochs=epochs, patience=patience,
+                   lr=0.05)
+        test, best_epoch, loss_trace, val_trace, ref = \
+            reference_run_phase2_seed(s.backbone, s.embeddings, s.inputs,
+                                      s.config, seed=0)
+        result = run_phase2_seed(s.backbone, s.embeddings, s.inputs,
+                                 s.config, seed=0)
+        if epochs:
+            assert 0 < best_epoch and len(loss_trace) < epochs  # stops early
+        assert result.loss_trace == loss_trace
+        assert result.val_trace == val_trace
+        assert result.best_epoch == best_epoch
+        assert result.test_metric == test
+        params = result.assembly.trainable_parameters()
+        assert params[0].value.dtype == s.backbone.config.dtype
+        for p, q in zip(params, ref.trainable_parameters()):
+            assert p.name == q.name
+            assert p.value.tobytes() == q.value.tobytes(), p.name
 
 
 class TestAblations:
