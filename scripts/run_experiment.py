@@ -54,13 +54,17 @@ def main():
     cfg = ExperimentConfig.from_file(args.config)
     out = Path(args.out or cfg.output.dir)
 
-    run(common + (["--force"] if args.force else []) + ["gen-data"])
-    run(common + ["phase1"])
+    force = ["--force"] if args.force else []
+    run(common + force + ["gen-data"])
+    run(common + force + ["phase1"])
 
     arms = BASELINES[-1:] if args.skip_baselines else BASELINES
     reports = {}
-    for arm in arms:
-        run(common + ["phase2", "--baseline", arm])
+    for i, arm in enumerate(arms):
+        # Each arm after the first overwrites the phase-2 outputs of the one
+        # before, which its report_<arm>.json snapshot keeps.
+        run(common + (force if i == 0 else ["--force"])
+            + ["phase2", "--baseline", arm])
         report_path = out / "phase2" / "report.json"
         shutil.copy(report_path, out / "phase2" / f"report_{arm}.json")
         reports[arm] = json.loads(report_path.read_text())

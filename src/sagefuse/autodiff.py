@@ -218,11 +218,6 @@ def mul(a, b):
                        (b, lambda g: _unbroadcast(g * va, vb.shape))])
 
 
-def neg(a):
-    a = lift(a)
-    return _node(-val(a), [(a, lambda g: -g)])
-
-
 def matmul(a, b):
     a, b = lift(a), lift(b)
     va, vb = val(a), val(b)
@@ -412,7 +407,7 @@ def cross_entropy(logits, labels):
 
 def linear(x, w, b=None):
     """x @ w.T (+ b); weights stored as (d_out, d_in)."""
-    out = matmul(x, transpose_last(lift(w)) if val(w).ndim > 1 else w)
+    out = matmul(x, transpose_last(lift(w)))
     if b is not None:
         out = add(out, b)
     return out

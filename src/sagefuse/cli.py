@@ -95,11 +95,11 @@ def _dispatch(args):
         print(f"wrote {graph.num_nodes} nodes, "
               f"{len(graph.indices) // 2} edges to {out}")
     elif args.command == "phase1":
-        result = pipeline.run_phase1(cfg)
+        result = pipeline.run_phase1(cfg, force=args.force)
         print(f"phase-1 done: best epoch {result.best_epoch}, "
               f"val {result.metric_name} {result.val_metric:.4f}")
     elif args.command == "phase2":
-        report = pipeline.run_phase2(cfg)
+        report = pipeline.run_phase2(cfg, force=args.force)
         std = "n/a" if report.metric_std is None else f"{report.metric_std:.4f}"
         print(f"phase-2 [{report.baseline}] {report.metric_name}: "
               f"mean {report.metric_mean:.4f} std {std} "

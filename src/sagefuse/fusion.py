@@ -1,5 +1,5 @@
 """Gated low-rank fusion adapters, per-projection LoRA pairs, and the
-trainable-parameter auditor."""
+analytic trainable-parameter audit."""
 
 from __future__ import annotations
 
@@ -20,20 +20,18 @@ LORA_TARGETS = ("q", "k", "v", "o")
 
 
 class LoraPair:
-    """Additive low-rank delta on one frozen projection: W + scaling * B @ A.
+    """Additive low-rank delta on one frozen projection: W + B @ A.
 
     B starts at zero so the initial delta is exactly zero and the frozen
     weight dominates.
     """
 
-    def __init__(self, d_in, d_out, rank, target, seed=0, scaling=1.0,
-                 dtype=np.float64):
+    def __init__(self, d_in, d_out, rank, target, seed=0, dtype=np.float64):
         if rank < 1:
             raise AdapterConfigError(f"LoRA rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
         self.rank = rank
         self.target = target
-        self.scaling = scaling
         self.a = Parameter(rng.normal(0.0, 0.02, (rank, d_in)).astype(dtype),
                            name=f"lora.{target}.a")
         self.b = Parameter(np.zeros((d_out, rank), dtype=dtype),
@@ -44,12 +42,10 @@ class LoraPair:
 
 
 def lora_apply(pair, frozen_w, x, bias=None):
-    """(W + scaling * B @ A) @ x^T computed without touching the frozen W."""
+    """(W + B @ A) @ x^T computed without touching the frozen W."""
     base = ad.linear(x, frozen_w, bias)
     low = ad.matmul(x, ad.transpose_last(ad.lift(pair.a)))
     delta = ad.matmul(low, ad.transpose_last(ad.lift(pair.b)))
-    if pair.scaling != 1.0:
-        delta = ad.mul(delta, pair.scaling)
     return ad.add(base, delta)
 
 
@@ -254,26 +250,6 @@ class ParamAudit:
         return "\n".join(lines)
 
 
-def audit_parameters(registry, backbone_total):
-    """Count scalars from a list of (component, Parameter) pairs.
-
-    The registry enumerates everything that trains in its phase (phase-1
-    GNN weights count even though they arrive frozen into phase-2).
-    Shared (tied) parameters are counted once, under the first component
-    that registers them.
-    """
-    counts = {"gnn": 0, "fusion": 0, "lora_pairs": 0, "classifier_head": 0}
-    seen = set()
-    for component, p in registry:
-        if component not in counts:
-            raise AdapterConfigError(f"unknown component {component!r}")
-        if id(p) in seen:
-            continue
-        seen.add(id(p))
-        counts[component] += p.size
-    return ParamAudit(backbone_total=backbone_total, **counts)
-
-
 @dataclass
 class BackboneShape:
     """Shape description of a transformer encoder, enough to count its
@@ -350,7 +326,3 @@ def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
     return ParamAudit(gnn=gnn, fusion=fusion, lora_pairs=lora,
                       classifier_head=head,
                       backbone_total=shape.param_count())
-
-
-GPT2_SHAPE = BackboneShape(vocab_size=50257, max_tokens=1024, dim=768,
-                           layers=12, mlp_width=3072, fused_qkv=True)

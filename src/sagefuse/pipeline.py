@@ -1,10 +1,12 @@
 """End-to-end orchestration behind the CLI: dataset materialization,
-phase-1 and phase-2 runs, audits, ablations, and run-directory manifests."""
+phase-1 and phase-2 runs, audits, ablations, and the checks on what each
+command reads of the run directory."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -66,16 +68,6 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(directory, command, cfg, artifact_paths):
-    manifest = {
-        "command": command,
-        "config_hash": cfg.hash(),
-        "artifacts": {str(Path(p).relative_to(directory)): _sha256(p)
-                      for p in artifact_paths},
-    }
-    _write_json(Path(directory) / "manifest.json", manifest)
-
-
 def data_dir(cfg):
     return Path(cfg.output.dir) / "data"
 
@@ -88,15 +80,22 @@ def phase2_dir(cfg):
     return Path(cfg.output.dir) / "phase2"
 
 
-def run_gen_data(cfg, force=False):
-    """Materialize the synthetic dataset as nodes.jsonl / edges.tsv /
-    splits.jsonl. Idempotent given the seed."""
-    if cfg.dataset.source != "synthetic":
-        raise ConfigError("gen-data requires dataset.source = synthetic")
-    out = data_dir(cfg)
+def _refuse_overwrite(out, force):
+    """ConfigError when the output directory `out` already holds files and
+    `force` is off; a command checks this before it reads or writes."""
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"{out} already contains files; pass --force to "
                           "overwrite")
+
+
+def run_gen_data(cfg, force=False):
+    """Materialize the synthetic dataset as nodes.jsonl / edges.tsv /
+    splits.jsonl, with a manifest of their hashes and the config hash.
+    Idempotent given the seed."""
+    if cfg.dataset.source != "synthetic":
+        raise ConfigError("gen-data requires dataset.source = synthetic")
+    out = data_dir(cfg)
+    _refuse_overwrite(out, force)
     graph = generate_synthetic_tag(cfg.dataset)
     graph = stratified_split(graph, cfg.dataset)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,7 +103,9 @@ def run_gen_data(cfg, force=False):
                             out / "splits.jsonl")
     save_graph(graph, nodes, edges)
     save_splits(graph, splits)
-    _write_manifest(out, "gen-data", cfg, [nodes, edges, splits])
+    _write_json(out / "manifest.json", {
+        "command": "gen-data", "config_hash": cfg.hash(),
+        "artifacts": {p.name: _sha256(p) for p in (nodes, edges, splits)}})
     return graph, out
 
 
@@ -153,12 +154,13 @@ def _data_fingerprint(cfg, files):
     return fingerprint
 
 
-def run_phase1(cfg):
+def run_phase1(cfg, force=False):
     """Node features under the frozen backbone, then GraphSAGE training;
-    persists embeddings, features, prefix states, vocab, the node table
-    with the phase-1 key, and metrics."""
-    graph = load_dataset(cfg)
+    persists embeddings, prefix states, vocab, the node table with the
+    phase-1 key, and metrics."""
     out = phase1_dir(cfg)
+    _refuse_overwrite(out, force)
+    graph = load_dataset(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
@@ -176,7 +178,6 @@ def run_phase1(cfg):
         "lengths": np.count_nonzero(mask, axis=1).tolist(),
         "key": key,
         "fingerprint": _data_fingerprint(cfg, _dataset_files(cfg))})
-    save_tensor(out / "features.gtsr", x)
     save_tensor(out / "prefix.gtsr", states)
     del ids, mask, states
 
@@ -193,10 +194,6 @@ def run_phase1(cfg):
         "best_epoch": result.best_epoch,
         "loss_trace": result.loss_trace,
         "val_trace": result.val_trace})
-    _write_manifest(out, "phase1", cfg, [
-        out / "vocab.json", out / "nodes.json", out / "features.gtsr",
-        out / "prefix.gtsr", out / "pass1.gtsr", out / "pass2.gtsr",
-        out / "metrics.json"])
     return result
 
 
@@ -343,37 +340,19 @@ def load_phase1_artifacts(cfg):
 
 
 def _save_checkpoint(directory, assembly):
-    directory = Path(directory)
+    """One `<parameter name>.gtsr` per trainable parameter of `assembly`."""
     directory.mkdir(parents=True, exist_ok=True)
-    files = {}
     for p in assembly.trainable_parameters():
-        fname = p.name.replace("/", "_") + ".gtsr"
-        save_tensor(directory / fname, np.atleast_1d(p.value))
-        files[p.name] = fname
-    adapters = []
-    if assembly.adapters is not None:
-        for a in assembly.adapters.adapters:
-            adapters.append({"layer": a.layer_index, "source": a.source,
-                             "r": a.rank, "gate_logit": float(a.gate_logit.value),
-                             "targets": list(assembly.config.lora_targets)
-                             if assembly.lora else []})
-    _write_json(directory / "manifest.json",
-                {"adapters": adapters, "files": files})
+        save_tensor(directory / f"{p.name}.gtsr", np.atleast_1d(p.value))
 
 
 def _load_checkpoint(directory, assembly):
-    directory = Path(directory)
-    path = directory / "manifest.json"
-    files = _read_json(path).get("files")
-    if not isinstance(files, dict) or not all(
-            isinstance(v, str) for v in files.values()):
-        raise PipelineError(f"{path}: 'files' must map tensor names to "
-                            "file names")
     for p in assembly.trainable_parameters():
-        if p.name not in files:
+        path = directory / f"{p.name}.gtsr"
+        if not path.exists():
             raise PipelineError(f"checkpoint {directory} missing tensor for "
                                 f"{p.name!r}")
-        value = load_tensor(directory / files[p.name], dtype=p.value.dtype)
+        value = load_tensor(path, dtype=p.value.dtype)
         expected = np.atleast_1d(p.value).shape
         if value.shape != expected:
             raise PipelineError(f"checkpoint {directory}: tensor for "
@@ -383,9 +362,10 @@ def _load_checkpoint(directory, assembly):
     return assembly
 
 
-def run_phase2(cfg):
-    """Seed sweep of phase-2 fine-tuning; writes the run report and one
-    adapter checkpoint per seed."""
+def run_phase2(cfg, force=False):
+    """Seed sweep of phase-2 fine-tuning; writes the run report, its wall
+    clock and one adapter checkpoint per seed."""
+    _refuse_overwrite(phase2_dir(cfg), force)
     table, vocab, embeddings = load_phase1(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     inputs = load_phase2_inputs(cfg, backbone, vocab, table)
@@ -397,15 +377,15 @@ def run_phase2(cfg):
     report = train_phase2(backbone, embeddings, inputs, cfg.run_config(),
                           gnn_size=gnn_size)
 
-    _write_json(out / "report.json", report.as_dict(include_wall_clock=False))
+    _write_json(out / "report.json", report.as_dict())
     _write_json(out / "timing.json",
                 {"wall_clock_sec": report.wall_clock_sec})
-    artifacts = [out / "report.json"]
+    # A checkpoint is whatever `<name>.gtsr` files its directory holds, so
+    # an earlier run's checkpoints go before this run writes its own.
+    shutil.rmtree(out / "checkpoints", ignore_errors=True)
     for result in report.per_seed:
-        ckpt = out / "checkpoints" / f"seed{result.seed}"
-        _save_checkpoint(ckpt, result.assembly)
-        artifacts.extend(sorted(ckpt.iterdir()))
-    _write_manifest(out, "phase2", cfg, artifacts)
+        _save_checkpoint(out / "checkpoints" / f"seed{result.seed}",
+                         result.assembly)
     return report
 
 

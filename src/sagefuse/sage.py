@@ -94,13 +94,11 @@ def sage_pass(x, agg, w, b):
     return ad.relu(ad.linear(neighbor_concat(x, agg), w, b))
 
 
-def forward_embeddings(model, x, agg, first_hop=None):
+def forward_embeddings(model, first_hop, agg):
     """(pass1, pass2): 1-hop then 2-hop aggregation over the graph's
-    `mean_aggregation_matrix`, the second pass consuming the first pass's
-    states. `first_hop` is `neighbor_concat(x, agg)` when the caller
-    already holds it: a constant `x` gives the same array every epoch."""
-    if first_hop is None:
-        first_hop = neighbor_concat(x, agg)
+    `mean_aggregation_matrix` `agg`, the second pass consuming the first
+    pass's states. `first_hop` is `neighbor_concat(x, agg)` of the node
+    features `x`: they are constant, so one array serves every epoch."""
     pass1 = ad.relu(ad.linear(first_hop, model.w0, model.b0))
     pass2 = sage_pass(pass1, agg, model.w1, model.b1)
     return pass1, pass2
@@ -148,7 +146,7 @@ def train_phase1(model, x, graph, config):
     recorded = []  # the logits of the current weights
 
     def val_metric():
-        _, pass2 = forward_embeddings(model, x, agg, first_hop)
+        _, pass2 = forward_embeddings(model, first_hop, agg)
         recorded.append(model.classify(pass2))
         logits = ad.val(recorded[-1])
         return split_metric(logits[val_idx], labels[val_idx],
@@ -164,7 +162,7 @@ def train_phase1(model, x, graph, config):
     recorded.clear()
     model.freeze()
     with ad.no_grad():
-        pass1, pass2 = forward_embeddings(model, x, agg, first_hop)
+        pass1, pass2 = forward_embeddings(model, first_hop, agg)
     embeddings = SageEmbeddings(pass1=np.asarray(pass1),
                                 pass2=np.asarray(pass2)).validate(graph)
     return Phase1Result(embeddings, best_epoch, best_metric,

@@ -78,37 +78,24 @@ class PromptSpec:
         return vocab.encode(self.prefix)
 
 
-def _tokenize_texts(texts, prompt, vocab, seq_len):
-    """Lay out each row: [CLS] + prompt ids + text ids, truncated to seq_len
-    and PAD-padded. The prompt is encoded once."""
+def tokenize_graph(graph, vocab, prompt, seq_len):
+    """Every node's text as one row of (N, seq_len) ids and mask: [CLS] +
+    prompt ids + text ids, truncated to seq_len and PAD-padded. The prompt
+    is encoded once."""
     if seq_len < 4:
         raise VocabError(f"seq_len {seq_len} < 4")
     head = [CLS_ID] + (prompt.ids(vocab) if prompt else [])
-    ids = np.full((len(texts), seq_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(texts), seq_len))
-    for v, text in enumerate(texts):
+    ids = np.full((len(graph.texts), seq_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(graph.texts), seq_len))
+    for v, text in enumerate(graph.texts):
         text_ids = vocab.encode(text)
         if len(head) >= seq_len and text_ids:
             warnings.warn("prompt fills the whole token budget; node text "
-                          "contributes zero tokens", stacklevel=3)
+                          "contributes zero tokens", stacklevel=2)
         row = (head + text_ids)[:seq_len]
         ids[v, :len(row)] = row
         mask[v, :len(row)] = 1.0
     return ids, mask
-
-
-def tokenize(text, prompt, vocab, seq_len):
-    """[CLS] + prompt ids + text ids, truncated to seq_len and PAD-padded.
-
-    Returns (ids, mask) as int64/float arrays of length seq_len.
-    """
-    ids, mask = _tokenize_texts([text], prompt, vocab, seq_len)
-    return ids[0], mask[0]
-
-
-def tokenize_graph(graph, vocab, prompt, seq_len):
-    """`tokenize` of every node's text, as (N, seq_len) ids and mask."""
-    return _tokenize_texts(graph.texts, prompt, vocab, seq_len)
 
 
 @dataclass

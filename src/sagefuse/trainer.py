@@ -207,8 +207,8 @@ class Phase2Assembly:
 
     def registry(self):
         """(component, Parameter) pairs for everything that trains in
-        phase-2. Tied parameters appear once per owner; the auditor
-        deduplicates by identity."""
+        phase-2. Tied parameters appear once per owner;
+        `trainable_parameters` keeps the first."""
         reg = []
         if self.adapters is not None:
             reg.extend(("fusion", p) for p in self.adapters.parameters())
@@ -304,15 +304,12 @@ class RunReport:
     audit: dict | None = None
     wall_clock_sec: float | None = None
 
-    def as_dict(self, include_wall_clock=True):
-        d = {"baseline": self.baseline, "metric_name": self.metric_name,
-             "per_seed": [s if isinstance(s, dict) else s.as_dict()
-                          for s in self.per_seed],
-             "metric_mean": self.metric_mean, "metric_std": self.metric_std,
-             "audit": self.audit}
-        if include_wall_clock:
-            d["wall_clock_sec"] = self.wall_clock_sec
-        return d
+    def as_dict(self):
+        """The deterministic report; `wall_clock_sec` stays out of it."""
+        return {"baseline": self.baseline, "metric_name": self.metric_name,
+                "per_seed": [s.as_dict() for s in self.per_seed],
+                "metric_mean": self.metric_mean,
+                "metric_std": self.metric_std, "audit": self.audit}
 
 
 def seed_sweep(runner, seeds, baseline, metric, audit=None):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,19 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from sagefuse.fusion import BackboneShape, ParamAudit
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           TextAttributedGraph, generate_synthetic_tag,
                           stratified_split)
+from sagefuse.textenc import tokenize_graph
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+# GPT-2 (124M parameters), whose query/key/value projection is one fused
+# matrix; configs/gpt2_audit.cfg describes the same backbone.
+GPT2_SHAPE = BackboneShape(vocab_size=50257, max_tokens=1024, dim=768,
+                           layers=12, mlp_width=3072, fused_qkv=True)
 
 
 def make_graph(adjacency, labels=None, texts=None, num_classes=None,
@@ -68,3 +80,26 @@ def micro_tag():
         n_nodes=200, num_classes=3, avg_degree=6, topic_vocab_size=20,
         text_len=8, text_noise=0.3, structure_signal=0.9, seed=7))
     return stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
+
+
+def tokenize(text, prompt, vocab, seq_len):
+    """One text laid out as `tokenize_graph` lays out a node's row: (ids,
+    mask) of length seq_len."""
+    ids, mask = tokenize_graph(make_graph({0: []}, texts=[text]), vocab,
+                               prompt, seq_len)
+    return ids[0], mask[0]
+
+
+def audit_parameters(registry, backbone_total):
+    """`ParamAudit` from counting the scalars of a list of (component,
+    Parameter) pairs: the registry walk the analytic `audit_from_shapes` is
+    checked against. Phase-1 GNN weights count although they arrive frozen
+    into phase 2; a tied parameter counts once, under the first component
+    that registers it."""
+    counts = {"gnn": 0, "fusion": 0, "lora_pairs": 0, "classifier_head": 0}
+    seen = set()
+    for component, p in registry:
+        if id(p) not in seen:
+            seen.add(id(p))
+            counts[component] += p.size
+    return ParamAudit(backbone_total=backbone_total, **counts)

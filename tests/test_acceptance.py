@@ -9,21 +9,20 @@ the finished pipeline and are pinned here.
 import dataclasses
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conftest
-from conftest import make_graph, neighbors, random_graph
+from conftest import (CONFIG_DIR, GPT2_SHAPE, make_graph, neighbors,
+                      random_graph)
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
-from sagefuse.fusion import GPT2_SHAPE, audit_from_shapes
+from sagefuse.fusion import audit_from_shapes
 from sagefuse.metrics import roc_auc
 from sagefuse.optim import grad_check
-from sagefuse.sage import (SageModel, forward_embeddings,
-                           mean_aggregation_matrix, train_phase1)
+from sagefuse.sage import SageModel, mean_aggregation_matrix, train_phase1
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           generate_synthetic_tag, stratified_split)
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
@@ -33,10 +32,8 @@ from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               train_phase2)
 
 from test_metrics import pair_counting_auc
-from test_sage import brute_force_pass
+from test_sage import brute_force_pass, forward_from_features
 from test_trainer import _setup
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(num, description, ok):
@@ -91,7 +88,7 @@ def test_criterion_1_gradient_fidelity():
     agg = mean_aggregation_matrix(graph)
 
     def phase1_loss():
-        _, p2 = forward_embeddings(model, x, agg)
+        _, p2 = forward_from_features(model, x, agg)
         return ad.cross_entropy(ad.gather_rows(model.classify(p2), batch),
                                 labels[batch])
 
@@ -283,10 +280,9 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     out = tmp_path / "out"
 
     def run_once():
-        assert main(["--config", str(config_path), "--force",
-                     "gen-data"]) == 0
-        assert main(["--config", str(config_path), "phase1"]) == 0
-        assert main(["--config", str(config_path), "phase2"]) == 0
+        for command in ("gen-data", "phase1", "phase2"):
+            assert main(["--config", str(config_path), "--force",
+                         command]) == 0
         snapshot = {}
         for sub in ("phase1", "phase2"):
             for p in sorted((out / sub).rglob("*")):

@@ -176,7 +176,6 @@ _DTYPE_OPS = {
     "mul_python_float": lambda x: ad.mul(x, 3.0),
     "mul_np_float64": lambda x: ad.mul(x, 1.0 / np.sqrt(4)),
     "mul_np_float64_left": lambda x: ad.mul(np.float64(1.5), x),
-    "neg": ad.neg,
     "matmul": lambda x: ad.matmul(x, x),
     "sparse_matmul": lambda x: ad.sparse_matmul(
         sp.identity(4, dtype=ad.val(x).dtype, format="csr"), x),

@@ -126,6 +126,17 @@ class TestCli:
         # Regenerating with --force must reproduce identical files, so the
         # phase-1 artifacts stay valid.
 
+    @pytest.mark.parametrize("command", ["phase1", "phase2"])
+    def test_phase_refuses_overwrite_without_force(self, phase2_run, tmp_path,
+                                                   capsys, command):
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        before = _snapshot(out)
+        assert main(["--config", str(cfg_path), command]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {out / command} already contains files; pass --force "
+            "to overwrite\n")
+        assert _snapshot(out) == before
+
     def test_gen_data_writes_loadable_dataset(self, run_dir):
         root, config_path = run_dir
         cfg = ExperimentConfig.from_file(config_path)
@@ -307,11 +318,9 @@ class TestCli:
         shutil.copytree(root / "out", out)
         cfg_path = tmp_path / "copy.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=out))
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         ckpt = out / "phase2" / "checkpoints" / "seed0"
-        head_w = json.loads((ckpt / "manifest.json").read_text())[
-            "files"]["head.w"]
-        save_tensor(ckpt / head_w, np.zeros((2, 5), dtype=np.float32))
+        save_tensor(ckpt / "head.w.gtsr", np.zeros((2, 5), dtype=np.float32))
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         err = capsys.readouterr().err
@@ -319,7 +328,7 @@ class TestCli:
 
     def test_phase2_report_tagged_with_baseline(self, run_dir):
         root, config_path = run_dir
-        assert main(["--config", str(config_path), "phase2",
+        assert main(["--config", str(config_path), "--force", "phase2",
                      "--baseline", "text_only"]) == 0
         report = json.loads(
             (root / "out" / "phase2" / "report.json").read_text())
@@ -333,7 +342,8 @@ class TestCli:
     def test_phase2_then_evaluate_round_trips_checkpoint(self, run_dir,
                                                          capsys):
         root, config_path = run_dir
-        assert main(["--config", str(config_path), "phase2"]) == 0
+        assert main(["--config", str(config_path), "--force",
+                     "phase2"]) == 0
         report = json.loads(
             (root / "out" / "phase2" / "report.json").read_text())
         capsys.readouterr()
@@ -346,7 +356,7 @@ class TestCli:
     def test_seeds_override_flag(self, run_dir):
         root, config_path = run_dir
         assert main(["--config", str(config_path), "--seeds", "0,1",
-                     "phase2"]) == 0
+                     "--force", "phase2"]) == 0
         report = json.loads(
             (root / "out" / "phase2" / "report.json").read_text())
         assert [s["seed"] for s in report["per_seed"]] == [0, 1]
@@ -382,8 +392,8 @@ class TestCli:
         out, cfg_path = _copy_run(
             run_dir, tmp_path,
             ("pass2_layers = 3", "pass2_layers = 3\nlora_targets = q,v"))
-        for command in ("phase2", "audit"):
-            assert main(["--config", str(cfg_path), command]) == 0
+        for command in (["--force", "phase2"], ["audit"]):
+            assert main(["--config", str(cfg_path), *command]) == 0
         audit = json.loads((out / "audit.json").read_text())
         report = json.loads((out / "phase2" / "report.json").read_text())
         for key in ("gnn", "fusion", "lora_pairs", "classifier_head",
@@ -473,7 +483,7 @@ def _in_process_run(cfg_path):
 
 
 def _in_process_report(cfg_path):
-    return _in_process_run(cfg_path)[0].as_dict(include_wall_clock=False)
+    return _in_process_run(cfg_path)[0].as_dict()
 
 
 def _same_training(report, reference):
@@ -496,8 +506,10 @@ def phase2_run(run_dir, tmp_path_factory):
     return out.parent, cfg_path
 
 
-AFTER_PHASE1 = (["phase2"], ["evaluate"], ["ablate", "--what", "rank",
-                                           "--ranks", "2"])
+# The commands that read phase 1's outputs, each on a run directory that
+# may already hold phase-2 outputs.
+AFTER_PHASE1 = (["--force", "phase2"], ["evaluate"],
+                ["ablate", "--what", "rank", "--ranks", "2"])
 
 
 # A new value for every [backbone] and [sage] key, the prompt and seq_len
@@ -549,7 +561,7 @@ class TestFrozenPrefixFile:
             raise AssertionError("prefix recomputed despite a matching file")
 
         monkeypatch.setattr(trainer, "prefix_states", refuse)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         assert main(["--config", str(cfg_path), "evaluate"]) == 0
         report = json.loads((out / "phase2" / "report.json").read_text())
         assert _same_training(report, reference)
@@ -563,7 +575,7 @@ class TestFrozenPrefixFile:
         """Up, the saved states run on to the new layer; down, the
         dataset is read and tokenized."""
         out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS, edit)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         report = json.loads((out / "phase2" / "report.json").read_text())
         assert _same_training(report, _in_process_report(cfg_path))
 
@@ -585,7 +597,7 @@ class TestFrozenPrefixFile:
         _, cfg_path = _copy_run(phase2_run, tmp_path,
                                 ("vocab_max = 256",
                                  "vocab_max = 256\npooling = cls"))
-        assert main(["--config", str(cfg_path), "phase2"]) == 1
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 1
         nodes = tmp_path / "out" / "phase1" / "nodes.json"
         assert _one_error_line(capsys) == (
             f"error: [backbone] pooling changed since phase1 wrote {nodes} "
@@ -623,19 +635,20 @@ class TestFrozenPrefixFile:
         out, cfg_path = _copy_run(run_dir, tmp_path, TRAINS)
         traces = {}
         for arm in ("fused", "text_only", "lora_only"):
-            assert main(["--config", str(cfg_path), "phase2",
+            assert main(["--config", str(cfg_path), "--force", "phase2",
                          "--baseline", arm]) == 0
             report = json.loads((out / "phase2" / "report.json").read_text())
             traces[arm] = report["per_seed"][0]["loss_trace"]
         assert len(set(map(tuple, traces.values()))) == 3, traces
 
-    @pytest.mark.parametrize("command", ["phase2", "evaluate"])
+    @pytest.mark.parametrize("command", [["--force", "phase2"],
+                                         ["evaluate"]], ids=lambda c: c[-1])
     def test_embed_dim_changed_after_phase1_exits_1(self, run_dir, tmp_path,
                                                     capsys, command):
         """The key names the change before any embedding is read."""
         out, cfg_path = _copy_run(run_dir, tmp_path,
                                   ("embed_dim = 8", "embed_dim = 12"))
-        assert main(["--config", str(cfg_path), command]) == 1
+        assert main(["--config", str(cfg_path), *command]) == 1
         assert _one_error_line(capsys) == (
             "error: [sage] embed_dim changed since phase1 wrote "
             f"{out / 'phase1' / 'nodes.json'} (8 → 12); re-run phase1\n")
@@ -653,7 +666,7 @@ class TestFrozenPrefixFile:
 
         monkeypatch.setattr(textenc, "encode", spy(textenc.encode))
         monkeypatch.setattr(trainer, "encode", spy(trainer.encode))
-        command = ["--config", str(cfg_path), "phase2",
+        command = ["--config", str(cfg_path), "--force", "phase2",
                    "--baseline", "text_only"]
         assert main(command) == 0
         # The fused arm saved layer 1; no pass runs layer 0 again.
@@ -739,8 +752,6 @@ class TestNodeTable:
                       (("nodes", "nodes.jsonl"), ("edges", "edges.tsv"),
                        ("splits", "splits.jsonl"))},
             "num_classes": 3}
-        manifest = json.loads((phase1 / "manifest.json").read_text())
-        assert {"nodes.json", "prefix.gtsr"} <= set(manifest["artifacts"])
 
     @pytest.mark.parametrize("arm", list(ARMS_ON_THE_PREFIX))
     def test_matching_table_reads_no_dataset_file(self, request, tmp_path,
@@ -748,7 +759,7 @@ class TestNodeTable:
         source, edits = ARMS_ON_THE_PREFIX[arm]
         out, cfg_path = _copy_run(request.getfixturevalue(source), tmp_path,
                                   *edits)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
 
         def refuse(*args, **kwargs):
             raise AssertionError("dataset read despite a matching table")
@@ -777,7 +788,7 @@ class TestNodeTable:
         report, inputs = _in_process_run(cfg_path)
         assert _same_training(
             json.loads((out / "phase2" / "report.json").read_text()),
-            report.as_dict(include_wall_clock=False))
+            report.as_dict())
         for split in ("test", "val"):
             assert _evaluated(cfg_path, capsys, "--split", split) == float(
                 trainer.evaluate(report.per_seed[0].assembly, inputs, split))
@@ -805,13 +816,13 @@ class TestNodeTable:
             return textenc.tokenize_graph(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "tokenize_graph", spy)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         assert tokenized == [60]
         report, inputs = _in_process_run(cfg_path)
         assert _same_training(
             json.loads((tmp_path / "out" / "phase2" / "report.json")
                        .read_text()),
-            report.as_dict(include_wall_clock=False))
+            report.as_dict())
         assert _evaluated(cfg_path, capsys) == float(
             trainer.evaluate(report.per_seed[0].assembly, inputs, "test"))
         assert tokenized == [60, 60]
@@ -820,7 +831,7 @@ class TestNodeTable:
     def test_changed_dataset_is_refused(self, run_dir, tmp_path, capsys,
                                         stale):
         out, cfg_path = _copy_run(run_dir, tmp_path)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         data = out / "data"
         if stale == "dataset_seed":
             reseeded = tmp_path / "reseeded.cfg"
@@ -872,6 +883,43 @@ class TestNodeTable:
         assert "[dataset] settings" in err and "re-run phase1" in err
 
 
+class TestRunDirectory:
+    def test_each_phase_writes_exactly_its_files(self, phase2_run):
+        """What gen-data, phase1 and phase2 leave in phase1/ and phase2/;
+        a checkpoint is one `<name>.gtsr` per trainable parameter."""
+        root, cfg_path = phase2_run
+        out = root / "out"
+
+        def names(directory):
+            return sorted(p.name for p in directory.iterdir())
+
+        assert names(out / "phase1") == sorted([
+            "vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
+            "pass2.gtsr", "metrics.json"])
+        assert names(out / "phase2") == ["checkpoints", "report.json",
+                                         "timing.json"]
+        assert names(out / "phase2" / "checkpoints") == ["seed0"]
+        cfg = ExperimentConfig.from_file(cfg_path)
+        _, vocab, embeddings = pipeline.load_phase1(cfg)
+        assembly = trainer.Phase2Assembly(
+            EncoderBackbone(cfg.backbone, vocab.size), embeddings, 3,
+            cfg.run_config(), seed=0)
+        assert names(out / "phase2" / "checkpoints" / "seed0") == sorted(
+            f"{p.name}.gtsr" for p in assembly.trainable_parameters())
+
+    def test_forced_phase2_drops_the_checkpoints_of_other_seeds(
+            self, phase2_run, tmp_path):
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        checkpoints = out / "phase2" / "checkpoints"
+        assert main(["--config", str(cfg_path), "--seeds", "0,1",
+                     "--force", "phase2"]) == 0
+        assert sorted(p.name for p in checkpoints.iterdir()) == [
+            "seed0", "seed1"]
+        assert main(["--config", str(cfg_path), "--seeds", "0",
+                     "--force", "phase2"]) == 0
+        assert [p.name for p in checkpoints.iterdir()] == ["seed0"]
+
+
 def _truncate(path):
     path.write_text(path.read_text()[:40])
 
@@ -912,9 +960,6 @@ class TestCorruptedArtifacts:
         ("phase1/vocab.json", _truncate, "bad JSON"),
         ("phase1/vocab.json", lambda p: p.write_text('{"w1": "x"}'),
          "token ids must be integers"),
-        ("phase2/checkpoints/seed0/manifest.json", _truncate, "bad JSON"),
-        ("phase2/checkpoints/seed0/manifest.json",
-         lambda p: p.write_text('{"files": 3}'), "'files' must map"),
         ("phase1/nodes.json", _truncate, "bad JSON"),
         ("phase1/nodes.json", lambda p: p.write_text("3"),
          "expected a JSON object, got int"),
@@ -943,12 +988,37 @@ class TestCorruptedArtifacts:
     def test_evaluate_exits_1_naming_the_file(self, run_dir, tmp_path,
                                               capsys, name, damage, message):
         out, cfg_path = _copy_run(run_dir, tmp_path)
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         damage(out / name)
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         err = _one_error_line(capsys)
         assert err.startswith(f"error: {out / name}: ") and message in err
+
+    def test_missing_checkpoint_tensor_exits_1(self, phase2_run, tmp_path,
+                                               capsys):
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        ckpt = out / "phase2" / "checkpoints" / "seed0"
+        (ckpt / "head.w.gtsr").unlink()
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: checkpoint {ckpt} missing tensor for 'head.w'\n")
+
+    def test_forced_phase2_leaves_no_earlier_checkpoint_tensor(
+            self, phase2_run, tmp_path, capsys):
+        """A `text_only` run forced over a fused one: evaluating the
+        config's fused arm finds no fusion tensor instead of loading the
+        fused run's adapters beside the `text_only` head."""
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        assert main(["--config", str(cfg_path), "--force", "phase2",
+                     "--baseline", "text_only"]) == 0
+        ckpt = out / "phase2" / "checkpoints" / "seed0"
+        assert not list(ckpt.glob("fusion*")) + list(ckpt.glob("lora*"))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        assert _one_error_line(capsys).startswith(
+            f"error: checkpoint {ckpt} missing tensor for 'fusion")
 
     @pytest.mark.parametrize("name", ["nodes.json", "prefix.gtsr"])
     def test_missing_phase1_artifact_exits_1(self, run_dir, tmp_path, capsys,
@@ -972,7 +1042,7 @@ class TestCorruptedArtifacts:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(source[1].read_text().replace(
             str(source[0] / "out"), str(out)))
-        assert main(["--config", str(cfg_path), "phase2"]) == 0
+        assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         path = out / "phase1" / "vocab.json"
         tokens = json.loads(path.read_text())
         first, second = list(tokens)[:2]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import make_graph, tokenize
 from sagefuse import autodiff as ad
 from sagefuse.optim import AdamW
 from sagefuse.sage import SageEmbeddings
@@ -12,7 +12,7 @@ from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
                               EncoderBackbone, PromptSpec, Vocabulary,
                               VocabError, build_vocab, encode, node_features,
                               pool_states, prefix_states, split_tokens,
-                              tokenize, tokenize_graph)
+                              tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               predict_logits)
 

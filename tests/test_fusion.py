@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR, GPT2_SHAPE, audit_parameters
 from sagefuse import autodiff as ad
-from sagefuse.fusion import (GPT2_SHAPE, AdapterConfigError, BackboneShape,
-                             FusionAdapter, LoraPair, audit_from_shapes,
-                             audit_parameters, build_adapter_set,
+from sagefuse.config import ExperimentConfig
+from sagefuse.fusion import (AdapterConfigError, BackboneShape, FusionAdapter,
+                             LoraPair, audit_from_shapes, build_adapter_set,
                              default_placement, fusion_apply, lora_apply)
 
 
@@ -151,7 +152,7 @@ class TestLora:
         rng = np.random.default_rng(1)
         pair = LoraPair(16, 16, rank=3, target="q", seed=2)
         pair.b.value[...] = rng.normal(0, 1, (16, 3))
-        delta = pair.scaling * (pair.b.value @ pair.a.value)
+        delta = pair.b.value @ pair.a.value
         singular = np.linalg.svd(delta, compute_uv=False)
         assert (singular[3:] < 1e-10).all()
 
@@ -178,6 +179,10 @@ class TestLora:
 
 
 class TestAudit:
+    def test_gpt2_audit_config_is_the_gpt2_shape(self):
+        cfg = ExperimentConfig.from_file(CONFIG_DIR / "gpt2_audit.cfg")
+        assert cfg.backbone.shape(cfg.backbone.vocab_max) == GPT2_SHAPE
+
     def test_gpt2_shaped_lora_subtotal_exact(self):
         audit = audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 6, 7, 9, 10, 11],
                                   rank=4, g=64, num_classes=2,

@@ -1,11 +1,13 @@
 """Every module-level import in the package is used by its module, and
-every top-level function and class is used by the project.
+every top-level definition is used by the project.
 
 A stdlib `ast` walk stands in for a linter: a name bound by a top-level
 import must appear as a name somewhere else in the same module.
 `__init__.py` is skipped, since its imports are the package's exports.
-A top-level `def` or `class` must be referenced outside its own body by
-the package, the scripts or the benchmark harness.
+A top-level `def`, `class` or assigned name must be referenced outside its
+own statement by the package, the scripts or the benchmark harness. A name
+a function binds for itself (a parameter or an assignment) is that
+function's own, so reading it is no reference to a top-level namesake.
 """
 
 import ast
@@ -21,13 +23,8 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # perfbench names the functions it wraps by string (`SPAN_TARGETS`).
 REFERENCE_ROOTS = {"src": False, "scripts": False, "perfbench": True}
 
-# Definitions that only tests use, each kept on purpose.
-DEAD_NAME_ALLOWLIST = {
-    "textenc.tokenize": "one text at a time: the oracle tests check "
-                        "tokenize_graph against",
-    "fusion.audit_parameters": "the registry walk tests check the "
-                               "analytic audit_from_shapes against",
-}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def unused_imports(source):
@@ -46,36 +43,85 @@ def unused_imports(source):
                   if name not in used)
 
 
+def defined_names(stmt):
+    """The names a top-level statement defines: a def's or class's name, or
+    the plain names an assignment binds. Dunder names such as
+    `__version__` are read by Python and packaging tools, so none counts."""
+    if isinstance(stmt, DEFINITIONS):
+        return frozenset({stmt.name})
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return frozenset()
+    return frozenset(n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)
+                     and not n.id.startswith("__"))
+
+
+def local_names(function):
+    """The names `function` binds for itself: its parameters, the names it
+    assigns and the defs and classes it nests, less any it declares global
+    or nonlocal. The bodies of nested functions and classes are their own
+    scopes and are not searched."""
+    args = function.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args,
+                             *args.kwonlyargs, args.vararg, args.kwarg)
+             if a is not None}
+    shared = set()
+    body = function.body
+    todo = list(body) if isinstance(body, list) else [body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            shared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return names - shared
+
+
+def _add_references(node, local, strings, names):
+    """Add to `names` what `node` and its children reference: names not in
+    `local` (the names bound by the enclosing functions), attributes and
+    import aliases and, with `strings`, string constants."""
+    if isinstance(node, FUNCTIONS):
+        local = local | local_names(node)
+    if isinstance(node, ast.Name):
+        if node.id not in local:
+            names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.update(node.name.split("."))
+    elif strings and isinstance(node, ast.Constant) and \
+            isinstance(node.value, str):
+        names.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        _add_references(child, local, strings, names)
+
+
 def referenced_names(source, strings=False):
-    """{owner: names} over the top-level statements of `source`: the names,
-    attributes and import aliases each references (with `strings`, its
-    string constants too). The owner is the name of a top-level def or
-    class, else None."""
+    """{owner: names} over the top-level statements of `source`: the names
+    each references (see `_add_references`). The owner is the set of
+    names the statement defines (`defined_names`), empty for the rest."""
     refs = {}
     for stmt in ast.parse(source).body:
-        owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
-        names = refs.setdefault(owner, set())
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update(node.name.split("."))
-            elif strings and isinstance(node, ast.Constant) and \
-                    isinstance(node.value, str):
-                names.add(node.value)
+        _add_references(stmt, frozenset(), strings,
+                        refs.setdefault(defined_names(stmt), set()))
     return refs
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
 def dead_definitions(modules, sources):
-    """"module.name" of each top-level def or class of `modules` (module ->
-    source) that no source in `sources` (label -> (source, strings))
-    references outside the definition's own body. A module's own label
-    in `sources` is its name in `modules`."""
+    """"module.name" of each name a top-level statement of `modules`
+    (module -> source) defines that no source in `sources` (label ->
+    (source, strings)) references outside a statement defining it. A
+    module's own label in `sources` is its name in `modules`."""
     users = {}
     for label, (source, strings) in sources.items():
         for owner, names in referenced_names(source, strings).items():
@@ -84,9 +130,10 @@ def dead_definitions(modules, sources):
     dead = []
     for module, source in modules.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, DEFINITIONS) and \
-                    not users.get(stmt.name, set()) - {(module, stmt.name)}:
-                dead.append(f"{module}.{stmt.name}")
+            for name in defined_names(stmt):
+                if all(label == module and name in owner
+                       for label, owner in users.get(name, ())):
+                    dead.append(f"{module}.{name}")
     return sorted(dead)
 
 
@@ -96,17 +143,25 @@ def test_dead_name_guard_on_a_synthetic_source():
               "def by_attribute():\n    pass\n\n"
               "def by_string():\n    pass\n\n"
               "def by_import():\n    pass\n\n"
+              "def shadowed():\n    pass\n\n"
+              "def param():\n    pass\n\n"
               "class Dead:\n    def used(self):\n        return Dead\n\n"
-              "VALUE = used()\n")
+              "def encode(param):\n    shadowed = param * LIMIT\n"
+              "    return shadowed\n\n"
+              "def toggle():\n    global FLAG\n    FLAG = not FLAG\n\n"
+              "LIMIT = 3\nUNREAD = 4\nFLAG = True\nVALUE = used()\n"
+              "__version__ = '1'\n")
     tool = ("import m\nfrom m import by_import\n"
-            "m.by_attribute()\nSPANS = [('m', 'by_string')]\n")
+            "m.by_attribute(m.VALUE, m.encode, m.toggle)\n"
+            "SPANS = [('m', 'by_string')]\n")
     modules = {"m": module}
     assert dead_definitions(modules, {"m": (module, False),
                                       "tool": (tool, True)}) == \
-        ["m.Dead", "m.recursive"]
+        ["m.Dead", "m.UNREAD", "m.param", "m.recursive", "m.shadowed"]
     assert dead_definitions(modules, {"m": (module, False),
                                       "tool": (tool, False)}) == \
-        ["m.Dead", "m.by_string", "m.recursive"]
+        ["m.Dead", "m.UNREAD", "m.by_string", "m.param", "m.recursive",
+         "m.shadowed"]
 
 
 def test_every_top_level_definition_is_referenced():
@@ -115,11 +170,7 @@ def test_every_top_level_definition_is_referenced():
                for top, strings in REFERENCE_ROOTS.items()
                for p in sorted((ROOT / top).rglob("*.py"))}
     modules = {p.stem: sources[p.stem][0] for p in SRC.glob("*.py")}
-    dead = dead_definitions(modules, sources)
-    assert dead == sorted(DEAD_NAME_ALLOWLIST), (
-        f"unreferenced: {sorted(set(dead) - set(DEAD_NAME_ALLOWLIST))}; "
-        f"allowlisted but referenced or gone: "
-        f"{sorted(set(DEAD_NAME_ALLOWLIST) - set(dead))}")
+    assert dead_definitions(modules, sources) == []
 
 
 def test_checker_flags_an_unused_import():

@@ -9,9 +9,14 @@ from sagefuse.metrics import split_metric
 from sagefuse.optim import AdamW, grad_check
 from sagefuse.sage import (SageModel, SageConfig, SageEmbeddings,
                            forward_embeddings, mean_aggregation_matrix,
-                           sage_pass, train_phase1)
+                           neighbor_concat, sage_pass, train_phase1)
 from sagefuse.tag import (GeneratorParams, SplitSpec, csr_adjacency,
                           generate_synthetic_tag, stratified_split)
+
+
+def forward_from_features(model, x, agg):
+    """`forward_embeddings` of the node features `x`."""
+    return forward_embeddings(model, neighbor_concat(x, agg), agg)
 
 
 def brute_force_pass(x, graph, w, b):
@@ -130,7 +135,7 @@ class TestForwardEmbeddings:
         g = make_graph({0: [], 1: []})
         x = np.ones((2, 3))
         model = SageModel(in_dim=3, embed_dim=4, hidden=4, num_classes=2)
-        p1, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
+        p1, p2 = forward_from_features(model, x, mean_aggregation_matrix(g))
         assert np.array_equal(np.asarray(p1)[0], np.asarray(p1)[1])
         assert np.array_equal(np.asarray(p2)[0], np.asarray(p2)[1])
 
@@ -145,10 +150,10 @@ class TestForwardEmbeddings:
         model.b0.value[...] = 0.5
         model.b1.value[...] = 0.5
         agg = mean_aggregation_matrix(g)
-        p1a, p2a = (np.asarray(m) for m in forward_embeddings(model, x, agg))
+        p1a, p2a = map(np.asarray, forward_from_features(model, x, agg))
         x2 = x.copy()
         x2[2] += 1.0
-        p1b, p2b = (np.asarray(m) for m in forward_embeddings(model, x2, agg))
+        p1b, p2b = map(np.asarray, forward_from_features(model, x2, agg))
         # Node 2 is two hops from node 0: invisible to pass1, visible to pass2.
         assert np.array_equal(p1a[0], p1b[0])
         assert not np.array_equal(p2a[0], p2b[0])
@@ -159,8 +164,8 @@ class TestForwardEmbeddings:
         g2 = make_graph({0: list(reversed(leaves)), **{v: [0] for v in leaves}})
         x = np.random.default_rng(3).normal(0, 1, (6, 3))
         model = SageModel(in_dim=3, embed_dim=4, hidden=4, num_classes=2)
-        p1a, _ = forward_embeddings(model, x, mean_aggregation_matrix(g1))
-        p1b, _ = forward_embeddings(model, x, mean_aggregation_matrix(g2))
+        p1a, _ = forward_from_features(model, x, mean_aggregation_matrix(g1))
+        p1b, _ = forward_from_features(model, x, mean_aggregation_matrix(g2))
         assert np.array_equal(np.asarray(p1a), np.asarray(p1b))
 
 
@@ -181,7 +186,8 @@ class TestTrainPhase1:
         g, x = _trainable_graph()
         model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
         with ad.no_grad():
-            p1, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
+            p1, p2 = forward_from_features(model, x,
+                                           mean_aggregation_matrix(g))
         init_p1, init_p2 = np.asarray(p1).copy(), np.asarray(p2).copy()
         result = train_phase1(model, x, g, SageConfig(epochs=0))
         assert np.array_equal(result.embeddings.pass1, init_p1)
@@ -257,7 +263,7 @@ def reference_train_phase1(model, x, graph, config):
 
     def eval_val():
         with ad.no_grad():
-            _, pass2 = forward_embeddings(model, x, agg)
+            _, pass2 = forward_from_features(model, x, agg)
             logits = np.asarray(model.classify(pass2))
         return split_metric(logits[val_idx], labels[val_idx],
                             graph.num_classes)
@@ -266,7 +272,7 @@ def reference_train_phase1(model, x, graph, config):
     loss_trace, val_trace, since_best = [], [], 0
     for epoch in range(1, config.epochs + 1):
         opt.zero_grad()
-        _, pass2 = forward_embeddings(model, x, agg)
+        _, pass2 = forward_from_features(model, x, agg)
         loss = ad.cross_entropy(ad.gather_rows(model.classify(pass2),
                                                train_idx), labels[train_idx])
         ad.backward(loss)
@@ -284,7 +290,7 @@ def reference_train_phase1(model, x, graph, config):
     restore(model.parameters(), best[2])
     model.freeze()
     with ad.no_grad():
-        pass1, pass2 = forward_embeddings(model, x, agg)
+        pass1, pass2 = forward_from_features(model, x, agg)
     embeddings = SageEmbeddings(pass1=np.asarray(pass1),
                                 pass2=np.asarray(pass2))
     return embeddings, best[1], float(best[0]), loss_trace, val_trace
@@ -396,7 +402,7 @@ def test_gradients_match_finite_differences():
     train_idx = g.split_ids("train")
 
     def loss_fn():
-        _, p2 = forward_embeddings(model, x, mean_aggregation_matrix(g))
+        _, p2 = forward_from_features(model, x, mean_aggregation_matrix(g))
         logits = model.classify(p2)
         return ad.cross_entropy(ad.gather_rows(logits, train_idx),
                                 labels[train_idx])

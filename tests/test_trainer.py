@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_graph, neighbors, random_graph, restore, snapshot
+from conftest import (audit_parameters, make_graph, neighbors, random_graph,
+                      restore, snapshot)
 from sagefuse import autodiff as ad
 from sagefuse import trainer
-from sagefuse.fusion import audit_parameters
 from sagefuse.optim import AdamW, grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
@@ -217,8 +217,8 @@ class TestPhase2Training:
             at_prefix
         reports = [train_phase2(setup.backbone, setup.embeddings, inputs, cfg)
                    for inputs in (tokens, at_prefix)]
-        assert reports[0].as_dict(include_wall_clock=False) == \
-            reports[1].as_dict(include_wall_clock=False)
+        assert reports[0].as_dict() == \
+            reports[1].as_dict()
 
     @pytest.mark.parametrize("overrides", [
         {}, {"baseline": "lora_only"}, {"baseline": "text_only"},
@@ -238,7 +238,7 @@ class TestPhase2Training:
     def test_report_serializes_without_wall_clock(self, setup):
         report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
                               setup.config)
-        d = report.as_dict(include_wall_clock=False)
+        d = report.as_dict()
         assert "wall_clock_sec" not in d
         assert report.audit["lora_pairs"] > 0
         assert d["metric_name"] == "accuracy"
