@@ -8,7 +8,7 @@ both tables.
 
 Usage:
     python3 scripts/sweep_ablations.py --config configs/micro.cfg \
-        --ranks 2,4,8 --prompts "classify this node; topic:"
+        --ranks 2,4 --prompts "classify this node; topic:"
 """
 
 import argparse
@@ -31,8 +31,8 @@ def main():
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--seeds", help="comma-separated seed override")
-    parser.add_argument("--ranks", default="2,4,8",
-                        help="comma-separated adapter ranks")
+    parser.add_argument("--ranks", help="comma-separated adapter ranks "
+                        "(default: the `ablate` command's)")
     parser.add_argument("--prompts",
                         default="; classify this node;"
                                 " classify this node by topic:",
@@ -46,7 +46,8 @@ def main():
     if args.seeds:
         common += ["--seeds", args.seeds]
 
-    run(common + ["ablate", "--what", "rank", "--ranks", args.ranks])
+    ranks = ["--ranks", args.ranks] if args.ranks else []
+    run(common + ["ablate", "--what", "rank", *ranks])
     run(common + ["ablate", "--what", "prompt", "--prompts", args.prompts])
 
 

@@ -11,7 +11,7 @@ from .optim import AdamW, grad_check
 from .sage import SageEmbeddings, SageModel, forward_embeddings, sage_pass
 from .tag import (GeneratorParams, SplitSpec, TextAttributedGraph,
                   generate_synthetic_tag, load_graph, stratified_split)
-from .textenc import EncoderBackbone, PromptSpec, Vocabulary, build_vocab
+from .textenc import EncoderBackbone, Vocabulary, build_vocab
 from .trainer import Phase2Assembly, RunConfig, train_phase2
 
 __version__ = "0.1.0"

@@ -221,13 +221,12 @@ def mul(a, b):
 def matmul(a, b):
     a, b = lift(a), lift(b)
     va, vb = val(a), val(b)
-    if va.shape[-1] != vb.shape[-2 if vb.ndim > 1 else 0]:
+    if vb.ndim < 2 or va.shape[-1] != vb.shape[-2]:
         raise ShapeError("matmul", va.shape, vb.shape)
     out = va @ vb
 
     def ga(g):
-        return _unbroadcast(g @ np.swapaxes(vb, -1, -2) if vb.ndim > 1
-                            else np.multiply.outer(g, vb), va.shape)
+        return _unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape)
 
     def gb(g):
         return _unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)

@@ -46,8 +46,9 @@ def build_parser():
                                  "configured shapes")
     ab = sub.add_parser("ablate", help="rank or prompt ablation sweep")
     ab.add_argument("--what", required=True, choices=("rank", "prompt"))
+    default_ranks = ",".join(map(str, pipeline.DEFAULT_ABLATION_RANKS))
     ab.add_argument("--ranks", metavar="LIST",
-                    help="comma-separated ranks (default 2,4,8)")
+                    help=f"comma-separated ranks (default {default_ranks})")
     ab.add_argument("--prompts", metavar="LIST",
                     help="semicolon-separated prompts")
     ev = sub.add_parser("evaluate", help="evaluate a saved phase-2 checkpoint")

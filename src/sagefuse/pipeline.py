@@ -19,8 +19,8 @@ from .sage import SageEmbeddings, SageModel, train_phase1
 from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
                   save_graph, save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
-from .textenc import (RESERVED, EncoderBackbone, PromptSpec, Vocabulary,
-                      build_vocab, node_features, tokenize_graph)
+from .textenc import (RESERVED, EncoderBackbone, Vocabulary, build_vocab,
+                      node_features, tokenize_graph)
 from .trainer import (Phase2Assembly, Phase2Inputs, evaluate,
                       prompt_ablation, rank_ablation, train_phase2,
                       write_table_csv, write_table_text)
@@ -168,10 +168,9 @@ def run_phase1(cfg, force=False):
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
     key = _phase1_key(cfg)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(cfg.trainer.prompt),
+    ids, mask = tokenize_graph(graph, vocab, cfg.trainer.prompt,
                                cfg.trainer.seq_len)
-    x, states = node_features(backbone, ids, mask, key["layer"],
-                              pooling=cfg.backbone.pooling)
+    x, states = node_features(backbone, ids, mask, key["layer"])
     _write_json(out / "nodes.json", {
         "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
         "split": graph.split.tolist(),
@@ -293,8 +292,7 @@ def load_phase2_inputs(cfg, backbone, vocab, table):
     layer = table["key"]["layer"]
     if cfg.run_config().first_adapted_layer(cfg.backbone.layers) < layer:
         graph = load_dataset(cfg)
-        ids, mask = tokenize_graph(graph, vocab, PromptSpec(t.prompt),
-                                   t.seq_len)
+        ids, mask = tokenize_graph(graph, vocab, t.prompt, t.seq_len)
         return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
     states = _load_shaped(phase1_dir(cfg) / "prefix.gtsr",
                           (len(table["labels"]), t.seq_len, cfg.backbone.dim),

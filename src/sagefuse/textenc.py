@@ -20,6 +20,7 @@ from .autodiff import Parameter
 from .fusion import BackboneShape, fusion_apply, lora_apply
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
+ENCODE_BATCH = 64  # rows per no-grad encoder pass over all nodes
 RESERVED = {"<pad>": PAD_ID, "<unk>": UNK_ID, "<cls>": CLS_ID}
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -70,21 +71,13 @@ def build_vocab(graph, split="train", max_size=8192):
                                    enumerate(ranked)})
 
 
-@dataclass
-class PromptSpec:
-    prefix: str = ""
-
-    def ids(self, vocab):
-        return vocab.encode(self.prefix)
-
-
 def tokenize_graph(graph, vocab, prompt, seq_len):
     """Every node's text as one row of (N, seq_len) ids and mask: [CLS] +
-    prompt ids + text ids, truncated to seq_len and PAD-padded. The prompt
-    is encoded once."""
+    the ids of the `prompt` string + text ids, truncated to seq_len and
+    PAD-padded. The prompt is encoded once."""
     if seq_len < 4:
         raise VocabError(f"seq_len {seq_len} < 4")
-    head = [CLS_ID] + (prompt.ids(vocab) if prompt else [])
+    head = [CLS_ID] + vocab.encode(prompt)
     ids = np.full((len(graph.texts), seq_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(graph.texts), seq_len))
     for v, text in enumerate(graph.texts):
@@ -196,34 +189,37 @@ def _proj(x, w, b, pair):
     return lora_apply(pair, w, x, bias=b)
 
 
-def encode(backbone, ids, mask, adapters=None, node_embeddings=None,
-           lora=None, states=None, start=0, stop=None):
-    """Forward pass over token ids (B, T) with attention masking of PADs.
+def embed(backbone, ids):
+    """The (N, T, d) input of layer 0 for token ids (N, T): token plus
+    position embeddings."""
+    ids = np.atleast_2d(np.asarray(ids))
+    seq = ids.shape[1]
+    if seq > backbone.config.max_tokens:
+        raise VocabError(f"sequence length {seq} exceeds max_tokens "
+                         f"{backbone.config.max_tokens}")
+    return backbone.tok_emb.value[ids] + backbone.pos_emb.value[:seq]
+
+
+def encode(backbone, states, mask, start=0, stop=None, adapters=None,
+           node_embeddings=None, lora=None):
+    """Run the hidden states (B, T, d) at the input of layer `start` through
+    layers start..stop-1, with attention masking of PADs; returns the states
+    at the input of layer `stop` (by default after the last layer), before
+    the closing layernorm that `readout` applies.
 
     `adapters` is a FusionAdapterSet applied to the input of its layers;
     `node_embeddings` maps adapter source name to the batch's (B, g) rows.
     `lora` maps layer index to {target: LoraPair} for targets q/k/v/o.
-
-    `states` (B, T, d) is the hidden state at the input of layer `start`,
-    as returned by an earlier pass with `stop=start`; the pass then runs
-    layers start.. only and `ids` is not read. Every adapter and LoRA
-    layer must lie at or above `start`, since the states skip the layers
-    below it. With `stop`, the pass ends at the input of layer `stop` and
-    returns that state, before the closing layernorm; otherwise it returns
-    the final hidden states (B, T, d) after the closing layernorm.
+    Every adapter and LoRA layer must lie at or above `start`, since the
+    states skip the layers below it.
     """
     cfg = backbone.config
     mask = np.atleast_2d(np.asarray(mask))
     bsz, seq = mask.shape
-    if seq > cfg.max_tokens:
-        raise VocabError(f"sequence length {seq} exceeds max_tokens "
-                         f"{cfg.max_tokens}")
     end = cfg.layers if stop is None else stop
     if not 0 <= start <= end <= cfg.layers:
         raise VocabError(f"layer range [{start}, {end}) not within the "
                          f"backbone's {cfg.layers} layers")
-    if start and states is None:
-        raise VocabError(f"start layer {start} needs the states at its input")
     by_layer = adapters.by_layer() if adapters is not None else {}
     lora = lora or {}
     for layer in (*by_layer, *lora):
@@ -238,12 +234,7 @@ def encode(backbone, ids, mask, adapters=None, node_embeddings=None,
     neg = np.asarray(-1e9, dtype=cfg.dtype)
     mask_bias = ((1.0 - mask) * neg).reshape(bsz, 1, 1, seq).astype(cfg.dtype)
 
-    if states is None:
-        ids = np.atleast_2d(np.asarray(ids))
-        x = ad.add(ad.gather_rows(ad.lift(backbone.tok_emb), ids),
-                   ad.val(backbone.pos_emb)[:seq])
-    else:
-        x = states
+    x = states
     for l in range(start, end):
         blk = backbone.blocks[l]
         if l in by_layer:
@@ -267,58 +258,51 @@ def encode(backbone, ids, mask, adapters=None, node_embeddings=None,
         h = ad.linear(ad.relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
                       blk["mlp2"], blk["mlp2_b"])
         x = ad.add(x, h)
-    if stop is not None:
-        return x
-    return ad.layernorm(x, backbone.ln_f_g, backbone.ln_f_b)
+    return x
 
 
-def pool_states(hidden, mask, pooling="mean"):
-    """Reduce (B, T, d) hidden states to (B, d) per-node features."""
-    if pooling == "cls":
-        return hidden[:, 0, :] if not isinstance(hidden, ad.Node) \
-            else ad.gather_rows(ad.transpose(hidden, (1, 0, 2)), 0)
-    if pooling != "mean":
-        raise VocabError(f"unknown pooling {pooling!r}")
+def readout(backbone, hidden, mask):
+    """Per-node features (B, d) from the final hidden states (B, T, d): the
+    closing layernorm, then the backbone's pooling (the [CLS] state, or the
+    mean over unmasked positions)."""
+    x = ad.layernorm(hidden, backbone.ln_f_g, backbone.ln_f_b)
+    if backbone.config.pooling == "cls":
+        return ad.gather_rows(ad.transpose(x, (1, 0, 2)), 0)
     m = np.asarray(mask)
     weights = (m / m.sum(axis=1, keepdims=True))[..., None]
-    return ad.sum_(ad.mul(hidden, weights.astype(ad.val(hidden).dtype)), axis=1)
+    return ad.sum_(ad.mul(x, weights.astype(ad.val(x).dtype)), axis=1)
 
 
-def prefix_states(backbone, ids, mask, layer, batch_size=64, states=None,
-                  start=0):
-    """Hidden states (N, T, d) at the input of `layer` for every row of
-    (ids, mask), computed in batches into one preallocated array. Nothing
-    below an adapted layer trains, so these states are a fixed function of
-    the tokens and later passes can start `encode` from them. Given the
-    `states` at the input of a lower layer `start`, the passes run layers
-    start.. only and `ids` is not read (it may be None)."""
-    out = np.empty(mask.shape + (backbone.config.dim,),
-                   dtype=backbone.config.dtype)
+def prefix_states(backbone, states, mask, start, stop):
+    """The hidden states (N, T, d) at the input of layer `stop`, from the
+    `states` at the input of layer `start`, computed in batches of
+    `ENCODE_BATCH` rows into one preallocated array. Nothing below an
+    adapted layer trains, so these states are a fixed function of the
+    tokens and later passes can start `encode` from them."""
+    out = np.empty_like(states)
     with ad.no_grad():
-        for lo in range(0, len(mask), batch_size):
-            sl = slice(lo, lo + batch_size)
-            if states is None:
-                out[sl] = encode(backbone, ids[sl], mask[sl], stop=layer)
-            else:
-                out[sl] = encode(backbone, None, mask[sl], states=states[sl],
-                                 start=start, stop=layer)
+        for lo in range(0, len(mask), ENCODE_BATCH):
+            sl = slice(lo, lo + ENCODE_BATCH)
+            out[sl] = encode(backbone, states[sl], mask[sl], start, stop)
     return out
 
 
-def node_features(backbone, ids, mask, layer, pooling="mean", batch_size=64):
+def node_features(backbone, ids, mask, layer):
     """Per-node features under the frozen backbone, and the prefix states
     they pass through.
 
     Returns (X, states) for the tokenized texts (ids, mask): X (N, d) holds
-    the pooled final hidden states of each row, and states (N, T, d) the
-    hidden states at the input of `layer` (see `prefix_states`)."""
-    states = prefix_states(backbone, ids, mask, layer, batch_size)
-    x = np.empty((len(mask), backbone.config.dim),
-                 dtype=backbone.config.dtype)
+    the `readout` of each row's final hidden states, and states (N, T, d)
+    the hidden states at the input of `layer`. Both are filled one batch of
+    `ENCODE_BATCH` rows at a time."""
+    cfg = backbone.config
+    states = np.empty(mask.shape + (cfg.dim,), dtype=cfg.dtype)
+    x = np.empty((len(mask), cfg.dim), dtype=cfg.dtype)
     with ad.no_grad():
-        for start in range(0, len(mask), batch_size):
-            sl = slice(start, start + batch_size)
-            hidden = encode(backbone, None, mask[sl], states=states[sl],
-                            start=layer)
-            x[sl] = pool_states(hidden, mask[sl], pooling)
+        for lo in range(0, len(mask), ENCODE_BATCH):
+            sl = slice(lo, lo + ENCODE_BATCH)
+            states[sl] = encode(backbone, embed(backbone, ids[sl]), mask[sl],
+                                0, layer)
+            x[sl] = readout(backbone, encode(backbone, states[sl], mask[sl],
+                                             layer), mask[sl])
     return x, states

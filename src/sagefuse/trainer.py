@@ -17,10 +17,12 @@ from .fusion import (LORA_TARGETS, LoraPair, audit_from_shapes,
 from .metrics import metric_name, split_metric
 from .optim import fit
 from .tag import ids_in_split
-from .textenc import (PromptSpec, encode, pool_states, prefix_states,
-                      tokenize_graph)
+from .textenc import embed, encode, prefix_states, readout, tokenize_graph
 
 BASELINES = ("fused", "text_only", "lora_only")
+# Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
+# can depend on which rows share a batch, so changing it can move metrics.
+EVAL_BATCH = 128
 
 
 class TrainerConfigError(ValueError):
@@ -138,7 +140,7 @@ class Phase2Inputs:
         embedding output)."""
         return cls(labels=graph.labels, split=graph.split,
                    num_classes=graph.num_classes, mask=mask,
-                   states=prefix_states(backbone, ids, mask, 0), layer=0)
+                   states=embed(backbone, ids), layer=0)
 
     @property
     def num_nodes(self):
@@ -152,8 +154,8 @@ class Phase2Inputs:
         (at or above `self.layer`); `self` when already there."""
         if layer == self.layer:
             return self
-        states = prefix_states(backbone, None, self.mask, layer,
-                               states=self.states, start=self.layer)
+        states = prefix_states(backbone, self.states, self.mask, self.layer,
+                               layer)
         return replace(self, states=states, layer=layer)
 
 
@@ -224,30 +226,31 @@ class Phase2Assembly:
         h2 = {"pass1": self.embeddings.pass1[node_ids],
               "pass2": self.embeddings.pass2[node_ids]}
         mask = inputs.mask[node_ids]
-        hidden = encode(self.backbone, None, mask, adapters=self.adapters,
-                        node_embeddings=h2, lora=self.lora,
-                        states=inputs.states[node_ids], start=inputs.layer)
-        pooled = pool_states(hidden, mask, self.backbone.config.pooling)
-        return ad.linear(pooled, self.head_w, self.head_b)
+        hidden = encode(self.backbone, inputs.states[node_ids], mask,
+                        inputs.layer, adapters=self.adapters,
+                        node_embeddings=h2, lora=self.lora)
+        return ad.linear(readout(self.backbone, hidden, mask), self.head_w,
+                         self.head_b)
 
 
-def evaluate(assembly, inputs, split, batch_size=128):
+def evaluate(assembly, inputs, split):
     """Headline metric of the assembly on one split of the `Phase2Inputs`:
     accuracy by argmax, or ROC-AUC over positive-class scores for binary
     tasks."""
     idx = inputs.split_ids(split)
     if len(idx) == 0:
         raise TrainerConfigError(f"split {split!r} is empty")
-    logits = predict_logits(assembly, inputs, idx, batch_size)
+    logits = predict_logits(assembly, inputs, idx)
     return split_metric(logits, inputs.labels[idx], inputs.num_classes)
 
 
-def predict_logits(assembly, inputs, node_ids, batch_size=128):
-    """Logits of `node_ids` of the `Phase2Inputs`, in batches."""
+def predict_logits(assembly, inputs, node_ids):
+    """Logits of `node_ids` of the `Phase2Inputs`, in batches of
+    `EVAL_BATCH`."""
     rows = []
     with ad.no_grad():
-        for start in range(0, len(node_ids), batch_size):
-            b = node_ids[start:start + batch_size]
+        for start in range(0, len(node_ids), EVAL_BATCH):
+            b = node_ids[start:start + EVAL_BATCH]
             rows.append(np.asarray(assembly.logits(inputs, b)))
     return np.concatenate(rows, axis=0)
 
@@ -350,8 +353,7 @@ def train_phase2(backbone, embeddings, inputs, config, gnn_size=0):
 # ---------------------------------------------------------------------------
 # ablations
 
-def rank_ablation(backbone, embeddings, inputs, base_config,
-                  ranks=(2, 4, 8)):
+def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
     """One seed sweep per rank on the `Phase2Inputs`; trainable counts must
     rise with the rank. The rank leaves the frozen prefix alone, so the
     states are run forward once and every sweep shares them."""
@@ -377,8 +379,7 @@ def prompt_ablation(backbone, embeddings, graph, vocab, base_config, prompts):
     rows = []
     for prompt in prompts:
         cfg = replace(base_config, prompt=prompt)
-        ids, mask = tokenize_graph(graph, vocab, PromptSpec(prompt),
-                                   cfg.seq_len)
+        ids, mask = tokenize_graph(graph, vocab, prompt, cfg.seq_len)
         report = train_phase2(
             backbone, embeddings,
             Phase2Inputs.from_tokens(graph, backbone, ids, mask), cfg)

@@ -25,9 +25,8 @@ from sagefuse.optim import grad_check
 from sagefuse.sage import SageModel, mean_aggregation_matrix, train_phase1
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           generate_synthetic_tag, stratified_split)
-from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
-                              build_vocab, encode, node_features,
-                              tokenize_graph)
+from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
+                              embed, encode, node_features, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               train_phase2)
 
@@ -64,7 +63,7 @@ def _micro_phase2(seed=0):
                                 pass2=rng.normal(0, 0.5, (n, 8)))
     config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
                        seq_len=8, seeds=(0,), epochs=1, batch_size=8)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(""), 8)
+    ids, mask = tokenize_graph(graph, vocab, "", 8)
     return graph, vocab, backbone, embeddings, config, ids, mask
 
 
@@ -151,11 +150,12 @@ def test_criterion_3_zero_adapter_identity():
         h2 = {"pass1": rng.normal(0, 1, (2, 8)),
               "pass2": rng.normal(0, 1, (2, 8))}
         with ad.no_grad():
-            adapted = np.asarray(encode(backbone, ids, mask,
+            states = embed(backbone, ids)
+            adapted = np.asarray(encode(backbone, states, mask,
                                         adapters=assembly.adapters,
                                         node_embeddings=h2,
                                         lora=assembly.lora))
-            bare = np.asarray(encode(backbone, ids, mask))
+            bare = np.asarray(encode(backbone, states, mask))
         identical = identical and np.array_equal(adapted, bare)
     _report(3, "zero-initialized adapters are a bitwise identity on "
                "100 random inputs", identical)
@@ -211,8 +211,7 @@ def test_criterion_7_structure_beats_text_only():
                              cfg.dataset)
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(""),
-                               cfg.trainer.seq_len)
+    ids, mask = tokenize_graph(graph, vocab, "", cfg.trainer.seq_len)
     x, _ = node_features(backbone, ids, mask,
                          cfg.run_config().first_adapted_layer(
                              cfg.backbone.layers))

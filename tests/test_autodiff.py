@@ -29,6 +29,8 @@ class TestForwardOps:
     def test_matmul_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="matmul"):  # no 1-D operand
+            ad.matmul(np.ones((2, 3)), np.ones(3))
 
     def test_concat_cols_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="concat_cols"):
@@ -87,7 +89,7 @@ class TestBackward:
     def test_sum_of_linear_map_gradient(self):
         # loss = sum(W @ x)  =>  dloss/dW = outer(ones, x)
         w = Parameter(np.ones((2, 3)), name="w")
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0], [2.0], [3.0]])
         ad.backward(ad.sum_(ad.matmul(w, x)))
         assert np.array_equal(w.gradient, np.outer(np.ones(2), x))
 
@@ -143,7 +145,7 @@ def test_matmul_gradient_matches_transpose_identity(n, m, seed):
     # d(sum(W @ x))/dW = ones_outer_x for any shape; property over shapes.
     rng = np.random.default_rng(seed)
     w = Parameter(rng.normal(0, 1, (n, m)), name="w")
-    x = rng.normal(0, 1, m)
+    x = rng.normal(0, 1, (m, 1))
     ad.backward(ad.sum_(ad.matmul(w, x)))
     assert np.allclose(w.gradient, np.outer(np.ones(n), x), atol=1e-12)
 

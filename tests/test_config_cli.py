@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import shutil
 import struct
@@ -475,8 +476,7 @@ def _in_process_run(cfg_path):
     vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     run_cfg = cfg.run_config()
-    ids, mask = textenc.tokenize_graph(graph, vocab,
-                                       textenc.PromptSpec(run_cfg.prompt),
+    ids, mask = textenc.tokenize_graph(graph, vocab, run_cfg.prompt,
                                        run_cfg.seq_len)
     inputs = trainer.Phase2Inputs.from_tokens(graph, backbone, ids, mask)
     return trainer.train_phase2(backbone, embeddings, inputs, run_cfg), inputs
@@ -659,8 +659,12 @@ class TestFrozenPrefixFile:
         starts = []
 
         def spy(encode):
+            signature = inspect.signature(encode)
+
             def recorded(*args, **kwargs):
-                starts.append(kwargs.get("start", 0))
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                starts.append(bound.arguments["start"])
                 return encode(*args, **kwargs)
             return recorded
 
@@ -739,8 +743,7 @@ class TestNodeTable:
         table = json.loads((phase1 / "nodes.json").read_text())
         graph = pipeline.load_dataset(cfg)
         vocab, _ = pipeline.load_phase1_artifacts(cfg)
-        _, mask = textenc.tokenize_graph(graph, vocab, textenc.PromptSpec(""),
-                                         8)
+        _, mask = textenc.tokenize_graph(graph, vocab, "", 8)
         assert table["num_classes"] == 3
         assert table["labels"] == graph.labels.tolist()
         assert table["split"] == graph.split.tolist()

@@ -8,11 +8,12 @@ from conftest import make_graph, tokenize
 from sagefuse import autodiff as ad
 from sagefuse.optim import AdamW
 from sagefuse.sage import SageEmbeddings
-from sagefuse.textenc import (CLS_ID, PAD_ID, UNK_ID, BackboneConfig,
-                              EncoderBackbone, PromptSpec, Vocabulary,
-                              VocabError, build_vocab, encode, node_features,
-                              pool_states, prefix_states, split_tokens,
-                              tokenize_graph)
+from sagefuse.fusion import fusion_apply, lora_apply
+from sagefuse.textenc import (CLS_ID, ENCODE_BATCH, PAD_ID, UNK_ID,
+                              BackboneConfig, EncoderBackbone, Vocabulary,
+                              VocabError, build_vocab, embed, encode,
+                              node_features, prefix_states, readout,
+                              split_tokens, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               predict_logits)
 
@@ -69,13 +70,13 @@ class TestVocabulary:
 class TestTokenize:
     def test_cls_prefix_and_padding(self):
         v = _vocab("a", "b")
-        ids, mask = tokenize("a b", PromptSpec(""), v, seq_len=8)
+        ids, mask = tokenize("a b", "", v, seq_len=8)
         assert ids.tolist() == [CLS_ID, v.id_of("a"), v.id_of("b")] + [PAD_ID] * 5
         assert mask.tolist() == [1, 1, 1, 0, 0, 0, 0, 0]
 
     def test_overlong_prompt_warns_and_starves_text(self):
         v = _vocab(*[f"p{i}" for i in range(10)], "x")
-        prompt = PromptSpec(" ".join(f"p{i}" for i in range(10)))
+        prompt = " ".join(f"p{i}" for i in range(10))
         with pytest.warns(UserWarning, match="budget"):
             ids, _ = tokenize("x", prompt, v, seq_len=8)
         assert v.id_of("x") not in ids.tolist()
@@ -85,19 +86,18 @@ class TestTokenize:
         v = _vocab(*words.split(), "hello")
         prompts = ["", "classify:", "classify this account bio:",
                    "classify whether this account is commercial or not:"]
-        seqs = {tuple(tokenize("hello", PromptSpec(p), v, 16)[0].tolist())
+        seqs = {tuple(tokenize("hello", p, v, 16)[0].tolist())
                 for p in prompts}
         assert len(seqs) == 4
 
     def test_minimum_length_enforced(self):
         with pytest.raises(VocabError):
-            tokenize("a", PromptSpec(""), _vocab("a"), seq_len=3)
+            tokenize("a", "", _vocab("a"), seq_len=3)
 
 
 def reference_tokenize(text, prompt, vocab, seq_len):
     """The list-based single-text layout the batched tokenizer replaced."""
-    prompt_ids = prompt.ids(vocab) if prompt else []
-    ids = ([CLS_ID] + prompt_ids + vocab.encode(text))[:seq_len]
+    ids = ([CLS_ID] + vocab.encode(prompt) + vocab.encode(text))[:seq_len]
     n = len(ids)
     return (np.array(ids + [PAD_ID] * (seq_len - n), dtype=np.int64),
             np.array([1.0] * n + [0.0] * (seq_len - n)))
@@ -113,12 +113,11 @@ class TestTokenizeGraph:
         v = _vocab("hello", "world", "classify", "this")
         g = make_graph({i: [] for i in range(len(self.TEXTS))},
                        texts=self.TEXTS)
-        spec = PromptSpec(prompt)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ids, mask = tokenize_graph(g, v, spec, seq_len)
-            single = [tokenize(t, spec, v, seq_len) for t in self.TEXTS]
-        reference = [reference_tokenize(t, spec, v, seq_len)
+            ids, mask = tokenize_graph(g, v, prompt, seq_len)
+            single = [tokenize(t, prompt, v, seq_len) for t in self.TEXTS]
+        reference = [reference_tokenize(t, prompt, v, seq_len)
                      for t in self.TEXTS]
         assert ids.dtype == np.int64 and mask.dtype == np.float64
         for rows in (single, reference):
@@ -127,7 +126,7 @@ class TestTokenizeGraph:
 
     def test_overlong_prompt_warns(self):
         v = _vocab(*[f"p{i}" for i in range(10)], "x")
-        prompt = PromptSpec(" ".join(f"p{i}" for i in range(10)))
+        prompt = " ".join(f"p{i}" for i in range(10))
         g = make_graph({0: [], 1: []}, texts=["x", "x x"])
         with pytest.warns(UserWarning, match="budget"):
             ids, _ = tokenize_graph(g, v, prompt, seq_len=8)
@@ -135,7 +134,7 @@ class TestTokenizeGraph:
 
     def test_prompt_filling_budget_without_text_does_not_warn(self):
         v = _vocab(*[f"p{i}" for i in range(10)])
-        prompt = PromptSpec(" ".join(f"p{i}" for i in range(10)))
+        prompt = " ".join(f"p{i}" for i in range(10))
         g = make_graph({0: []}, texts=["..."])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -147,8 +146,10 @@ class TestEncode:
         ids = np.array([[CLS_ID, 5, 6, PAD_ID]])
         mask = np.array([[1.0, 1.0, 1.0, 0.0]])
         with ad.no_grad():
-            a = np.asarray(encode(micro_backbone, ids, mask))
-            b = np.asarray(encode(micro_backbone, ids, mask))
+            a = np.asarray(encode(micro_backbone, embed(micro_backbone, ids),
+                                  mask))
+            b = np.asarray(encode(micro_backbone, embed(micro_backbone, ids),
+                                  mask))
         assert np.array_equal(a, b)
 
     def test_padded_token_ids_never_leak_into_unmasked_outputs(
@@ -162,26 +163,33 @@ class TestEncode:
             ids_b = ids.copy()
             ids_b[:, 5:] = rng.integers(3, 40, (2, 3))  # perturb pads only
             with ad.no_grad():
-                out_a = np.asarray(encode(micro_backbone, ids_a, mask))
-                out_b = np.asarray(encode(micro_backbone, ids_b, mask))
+                out_a = np.asarray(encode(micro_backbone,
+                                          embed(micro_backbone, ids_a), mask))
+                out_b = np.asarray(encode(micro_backbone,
+                                          embed(micro_backbone, ids_b), mask))
             assert np.array_equal(out_a[:, :5], out_b[:, :5])
 
     def test_adapter_layer_beyond_depth_rejected(self, micro_backbone):
         from sagefuse.fusion import build_adapter_set
+        states = embed(micro_backbone, np.array([[CLS_ID]]))
         adapters = build_adapter_set(8, [1], [6], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
         with pytest.raises(VocabError, match="layer 6"):
-            encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
+            encode(micro_backbone, states, np.array([[1.0]]),
                    adapters=adapters, node_embeddings=h)
         from sagefuse.fusion import LoraPair
         with pytest.raises(VocabError, match="layer 5"):
-            encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
+            encode(micro_backbone, states, np.array([[1.0]]),
                    lora={5: {"q": LoraPair(16, 16, 2, "layer5.q")}})
 
     def test_sequence_longer_than_positions_rejected(self, micro_backbone):
+        assert embed(micro_backbone, np.zeros((1, 16), dtype=np.int64)
+                     ).shape == (1, 16, 16)
         ids = np.zeros((1, 17), dtype=np.int64)
         with pytest.raises(VocabError, match="max_tokens"):
-            encode(micro_backbone, ids, np.ones((1, 17)))
+            embed(micro_backbone, ids)
+        with pytest.raises(VocabError, match="max_tokens"):
+            node_features(micro_backbone, ids, np.ones((1, 17)), layer=2)
 
     @pytest.mark.parametrize("layer", [0, 2, 4])
     def test_pass_split_at_a_layer_equals_one_pass(self, micro_backbone,
@@ -191,10 +199,10 @@ class TestEncode:
         mask = np.ones((3, 8))
         mask[0, 4:] = 0.0
         with ad.no_grad():
-            whole = np.asarray(encode(micro_backbone, ids, mask))
-            states = encode(micro_backbone, ids, mask, stop=layer)
-            resumed = np.asarray(encode(micro_backbone, None, mask,
-                                        states=states, start=layer))
+            x0 = embed(micro_backbone, ids)
+            whole = np.asarray(encode(micro_backbone, x0, mask))
+            states = encode(micro_backbone, x0, mask, stop=layer)
+            resumed = np.asarray(encode(micro_backbone, states, mask, layer))
         assert states.shape == (3, 8, 16)
         assert np.array_equal(resumed, whole)
 
@@ -205,17 +213,11 @@ class TestEncode:
         adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
         with pytest.raises(VocabError, match="adapted layer 1 lies below"):
-            encode(micro_backbone, None, mask, adapters=adapters,
-                   node_embeddings=h, states=states, start=2)
+            encode(micro_backbone, states, mask, 2, adapters=adapters,
+                   node_embeddings=h)
         lora = {1: {"q": LoraPair(16, 16, 2, "layer1.q")}}
         with pytest.raises(VocabError, match="adapted layer 1 lies below"):
-            encode(micro_backbone, None, mask, lora=lora, states=states,
-                   start=2)
-
-    def test_start_without_states_rejected(self, micro_backbone):
-        with pytest.raises(VocabError, match="needs the states"):
-            encode(micro_backbone, np.array([[CLS_ID]]), np.array([[1.0]]),
-                   start=1)
+            encode(micro_backbone, states, mask, 2, lora=lora)
 
     def test_all_weights_frozen(self, micro_backbone):
         assert all(p.frozen for p in micro_backbone.parameters())
@@ -230,6 +232,13 @@ class TestEncode:
                                            fused_qkv=True), vocab_size=40)
 
 
+def _with_pooling(backbone, pooling):
+    """A backbone with the same weights as `backbone` and `pooling`."""
+    return EncoderBackbone(dataclasses.replace(backbone.config,
+                                               pooling=pooling),
+                           vocab_size=len(backbone.tok_emb.value))
+
+
 class TestNodeFeatures:
     def test_identical_texts_get_identical_rows(self, micro_backbone):
         g = make_graph({0: [1], 1: [0], 2: []},
@@ -237,7 +246,7 @@ class TestNodeFeatures:
                        splits=["train"] * 3)
         v = build_vocab(g)
         x, _ = node_features(micro_backbone,
-                             *tokenize_graph(g, v, PromptSpec(""), 8), layer=2)
+                             *tokenize_graph(g, v, "", 8), layer=2)
         assert np.array_equal(x[0], x[1])
         assert not np.array_equal(x[0], x[2])
 
@@ -246,35 +255,185 @@ class TestNodeFeatures:
         # use an empty-ish text so only CLS is unmasked: mask has one live
         # position, so the mean over non-pad states is that state.
         v = _vocab("a")
-        ids, mask = tokenize("", PromptSpec(""), v, seq_len=8)
+        ids, mask = tokenize("", "", v, seq_len=8)
         assert mask.sum() == 1.0
         with ad.no_grad():
-            hidden = np.asarray(encode(micro_backbone, ids[None], mask[None]))
-            pooled = np.asarray(pool_states(hidden, mask[None]))
-        assert np.allclose(pooled[0], hidden[0, 0], atol=1e-15)
+            hidden = encode(micro_backbone, embed(micro_backbone, ids[None]),
+                            mask[None])
+            pooled = np.asarray(readout(micro_backbone, hidden, mask[None]))
+            first = readout(_with_pooling(micro_backbone, "cls"), hidden,
+                            mask[None])
+        assert np.allclose(pooled[0], first[0], atol=1e-15)
 
     def test_batched_matches_per_node_recomputation(self, micro_backbone):
         g = make_graph({i: [] for i in range(20)},
                        texts=[f"word{i} word{(i * 7) % 5}" for i in range(20)],
                        splits=["train"] * 20)
         v = build_vocab(g)
-        ids, mask = tokenize_graph(g, v, PromptSpec(""), 8)
+        ids, mask = tokenize_graph(g, v, "", 8)
         x, _ = node_features(micro_backbone, ids, mask, layer=2)
         for i in range(20):
+            row = slice(i, i + 1)
             with ad.no_grad():
-                hidden = encode(micro_backbone, ids[i:i + 1], mask[i:i + 1])
-                ref = np.asarray(pool_states(hidden, mask[i:i + 1]))[0]
+                hidden = encode(micro_backbone,
+                                embed(micro_backbone, ids[row]), mask[row])
+                ref = np.asarray(readout(micro_backbone, hidden,
+                                         mask[row]))[0]
             assert np.allclose(x[i], ref, atol=1e-12)
 
     def test_cls_pooling_supported(self, micro_backbone):
-        g = make_graph({0: []}, texts=["a b"], splits=["train"])
+        g = make_graph({0: [], 1: []}, texts=["a b", "b"],
+                       splits=["train"] * 2)
         v = build_vocab(g)
-        ids, mask = tokenize_graph(g, v, PromptSpec(""), 8)
-        x, _ = node_features(micro_backbone, ids, mask, layer=2,
-                             pooling="cls")
-        assert x.shape == (1, 16)
-        with pytest.raises(VocabError):
-            node_features(micro_backbone, ids, mask, layer=2, pooling="max")
+        ids, mask = tokenize_graph(g, v, "", 8)
+        backbone = _with_pooling(micro_backbone, "cls")
+        x, _ = node_features(backbone, ids, mask, layer=2)
+        with ad.no_grad():
+            final = ad.layernorm(encode(backbone, embed(backbone, ids), mask),
+                                 backbone.ln_f_g, backbone.ln_f_b)
+        assert x.shape == (2, 16)
+        assert np.array_equal(x, final[:, 0])
+        with pytest.raises(VocabError, match="unknown pooling"):
+            _with_pooling(micro_backbone, "max")
+
+
+# ---------------------------------------------------------------------------
+# The encoder before it split into `embed`, `encode` and `readout`: a frozen
+# copy kept as a bitwise oracle for the three stages and their callers.
+
+def _reference_proj(x, w, b, pair):
+    if pair is None:
+        return ad.linear(x, w, b)
+    return lora_apply(pair, w, x, bias=b)
+
+
+def reference_encode(backbone, ids, mask, adapters=None, node_embeddings=None,
+                     lora=None, states=None, start=0, stop=None):
+    """One pass from token ids, or from the `states` at the input of layer
+    `start`, to the input of layer `stop`, or else through the closing
+    layernorm. The range and placement checks are left out."""
+    cfg = backbone.config
+    mask = np.atleast_2d(np.asarray(mask))
+    bsz, seq = mask.shape
+    end = cfg.layers if stop is None else stop
+    by_layer = adapters.by_layer() if adapters is not None else {}
+    lora = lora or {}
+    heads, dh = cfg.heads, cfg.dim // cfg.heads
+    neg = np.asarray(-1e9, dtype=cfg.dtype)
+    mask_bias = ((1.0 - mask) * neg).reshape(bsz, 1, 1, seq).astype(cfg.dtype)
+
+    if states is None:
+        ids = np.atleast_2d(np.asarray(ids))
+        x = ad.add(ad.gather_rows(ad.lift(backbone.tok_emb), ids),
+                   ad.val(backbone.pos_emb)[:seq])
+    else:
+        x = states
+    for l in range(start, end):
+        blk = backbone.blocks[l]
+        if l in by_layer:
+            adapter = by_layer[l]
+            x = fusion_apply(adapter, x, node_embeddings[adapter.source])
+        pairs = lora.get(l, {})
+        a = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])
+        q = _reference_proj(a, blk["q"], blk["q_b"], pairs.get("q"))
+        k = _reference_proj(a, blk["k"], blk["k_b"], pairs.get("k"))
+        v = _reference_proj(a, blk["v"], blk["v_b"], pairs.get("v"))
+
+        def split_heads(t):
+            return ad.transpose(ad.reshape(t, (bsz, seq, heads, dh)),
+                                (0, 2, 1, 3))
+
+        att = ad.attention(split_heads(q), split_heads(k), split_heads(v),
+                           mask_bias=mask_bias)
+        att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (bsz, seq, cfg.dim))
+        x = ad.add(x, _reference_proj(att, blk["o"], blk["o_b"],
+                                      pairs.get("o")))
+        h = ad.layernorm(x, blk["ln2_g"], blk["ln2_b"])
+        h = ad.linear(ad.relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
+                      blk["mlp2"], blk["mlp2_b"])
+        x = ad.add(x, h)
+    if stop is not None:
+        return x
+    return ad.layernorm(x, backbone.ln_f_g, backbone.ln_f_b)
+
+
+def reference_pool_states(hidden, mask, pooling):
+    if pooling == "cls":
+        return hidden[:, 0, :] if not isinstance(hidden, ad.Node) \
+            else ad.gather_rows(ad.transpose(hidden, (1, 0, 2)), 0)
+    m = np.asarray(mask)
+    weights = (m / m.sum(axis=1, keepdims=True))[..., None]
+    return ad.sum_(ad.mul(hidden, weights.astype(ad.val(hidden).dtype)),
+                   axis=1)
+
+
+def reference_batches(n, size=64):
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+@pytest.fixture(scope="module",
+                params=[(p, pool) for p in ("f32", "f64")
+                        for pool in ("mean", "cls")],
+                ids=lambda param: "-".join(param))
+def oracle_case(request):
+    """A backbone and ENCODE_BATCH + 6 random rows (a partial last batch)
+    with lengths from 1 to 8 tokens."""
+    precision, pooling = request.param
+    backbone = EncoderBackbone(BackboneConfig(
+        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
+        precision=precision, pooling=pooling), vocab_size=40)
+    rng = np.random.default_rng(5)
+    n = ENCODE_BATCH + 6
+    mask = (np.arange(8) < rng.integers(1, 9, n)[:, None]).astype(np.float64)
+    ids = np.where(mask > 0, rng.integers(3, 40, (n, 8)), PAD_ID)
+    ids[:, 0] = CLS_ID
+    return backbone, ids, mask
+
+
+class TestParentEncoderOracle:
+    def test_stages_compose_to_the_parent_pass(self, oracle_case):
+        backbone, ids, mask = oracle_case
+        with ad.no_grad():
+            hidden = encode(backbone, embed(backbone, ids), mask)
+            assert np.array_equal(hidden, reference_encode(
+                backbone, ids, mask, stop=backbone.config.layers))
+            got = readout(backbone, hidden, mask)
+            want = reference_pool_states(reference_encode(backbone, ids, mask),
+                                         mask, backbone.config.pooling)
+        assert got.dtype == backbone.config.dtype
+        assert np.array_equal(got, want)
+
+    def test_prefix_states_split_at_each_layer(self, oracle_case):
+        backbone, ids, mask = oracle_case
+        layers = backbone.config.layers
+        with ad.no_grad():
+            want = [np.concatenate([reference_encode(backbone, ids[sl],
+                                                     mask[sl], stop=layer)
+                                    for sl in reference_batches(len(ids))])
+                    for layer in range(layers + 1)]
+        assert np.array_equal(embed(backbone, ids), want[0])
+        for start in range(layers + 1):
+            for stop in range(start, layers + 1):
+                got = prefix_states(backbone, want[start], mask, start, stop)
+                assert np.array_equal(got, want[stop]), (start, stop)
+
+    @pytest.mark.parametrize("layer", [0, 1, 4])
+    def test_node_features_equal_the_parent(self, oracle_case, layer):
+        backbone, ids, mask = oracle_case
+        pooling = backbone.config.pooling
+        want_states = np.empty(mask.shape + (16,), backbone.config.dtype)
+        want_x = np.empty((len(ids), 16), backbone.config.dtype)
+        with ad.no_grad():
+            for sl in reference_batches(len(ids)):
+                want_states[sl] = reference_encode(backbone, ids[sl],
+                                                   mask[sl], stop=layer)
+            for sl in reference_batches(len(ids)):
+                want_x[sl] = reference_pool_states(reference_encode(
+                    backbone, None, mask[sl], states=want_states[sl],
+                    start=layer), mask[sl], pooling)
+        x, states = node_features(backbone, ids, mask, layer)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(x, want_x)
 
 
 def _fused_assembly(graph, dtype):
@@ -290,7 +449,7 @@ def _fused_assembly(graph, dtype):
                        seq_len=8, baseline="fused")
     assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
                               config, seed=0)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(""), 8)
+    ids, mask = tokenize_graph(graph, vocab, "", 8)
     inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
     return vocab, backbone, assembly, ids, mask, inputs
 
@@ -300,8 +459,9 @@ class TestPrecision:
     def test_encoder_outputs_keep_config_dtype(self, micro_tag, dtype):
         vocab, backbone, assembly, ids, mask, inputs = _fused_assembly(
             micro_tag, dtype)
+        assert inputs.states.dtype == dtype
         with ad.no_grad():
-            hidden = encode(backbone, ids[:4], mask[:4])
+            hidden = encode(backbone, inputs.states[:4], mask[:4])
         assert ad.val(hidden).dtype == dtype
         x, states = node_features(backbone, ids, mask, layer=1)
         assert x.dtype == dtype and states.dtype == dtype
@@ -333,16 +493,18 @@ class TestPrecision:
 
 
 class TestFrozenPrefix:
-    """Phase-2 logits from precomputed prefix states equal a full pass."""
+    """Phase-2 logits from precomputed prefix states equal a full pass of
+    the parent encoder."""
 
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("baseline", ["fused", "lora_only", "text_only"])
     def test_logits_bitwise_equal_with_and_without_states(
-            self, micro_tag, dtype, baseline):
+            self, micro_tag, dtype, baseline, pooling):
         vocab = build_vocab(micro_tag)
         backbone = EncoderBackbone(BackboneConfig(
             dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
-            precision=PRECISION[dtype]), vocab.size)
+            precision=PRECISION[dtype], pooling=pooling), vocab.size)
         rng = np.random.default_rng(0)
         n = micro_tag.num_nodes
         embeddings = SageEmbeddings(
@@ -352,10 +514,10 @@ class TestFrozenPrefix:
                            seq_len=8, baseline=baseline)
         start = config.first_adapted_layer(4)
         assert start == (4 if baseline == "text_only" else 1)
-        ids, mask = tokenize_graph(micro_tag, vocab, PromptSpec(""), 8)
+        ids, mask = tokenize_graph(micro_tag, vocab, "", 8)
         x, states = node_features(backbone, ids, mask, start)
-        assert np.array_equal(states, prefix_states(backbone, ids, mask,
-                                                    start))
+        assert np.array_equal(states, prefix_states(
+            backbone, embed(backbone, ids), mask, 0, start))
         tokens = Phase2Inputs.from_tokens(micro_tag, backbone, ids, mask)
         cached = dataclasses.replace(tokens, states=states, layer=start)
         assembly = Phase2Assembly(backbone, embeddings,
@@ -365,18 +527,21 @@ class TestFrozenPrefix:
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
         batch = micro_tag.split_ids("train")[:16]
         with ad.no_grad():
-            full = encode(backbone, ids[batch], mask[batch],
-                          adapters=assembly.adapters,
-                          node_embeddings={
-                              "pass1": embeddings.pass1[batch],
-                              "pass2": embeddings.pass2[batch]},
-                          lora=assembly.lora)
-            reference = np.asarray(ad.linear(pool_states(full, mask[batch]),
-                                             assembly.head_w,
-                                             assembly.head_b))
+            full = reference_encode(backbone, ids[batch], mask[batch],
+                                    adapters=assembly.adapters,
+                                    node_embeddings={
+                                        "pass1": embeddings.pass1[batch],
+                                        "pass2": embeddings.pass2[batch]},
+                                    lora=assembly.lora)
+            reference = np.asarray(ad.linear(
+                reference_pool_states(full, mask[batch], pooling),
+                assembly.head_w, assembly.head_b))
             got = np.asarray(assembly.logits(cached, batch))
         assert got.dtype == dtype
         assert np.array_equal(got, reference)
+        # With gradients on, the states of an adapted pass are graph nodes.
+        assert np.array_equal(ad.val(assembly.logits(cached, batch)),
+                              reference)
         nodes = np.arange(n)
         assert np.array_equal(predict_logits(assembly, cached, nodes),
                               predict_logits(assembly, tokens, nodes))

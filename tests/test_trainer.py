@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from sagefuse import trainer
 from sagefuse.optim import AdamW, grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
-from sagefuse.textenc import (BackboneConfig, EncoderBackbone, PromptSpec,
-                              build_vocab, tokenize_graph)
+from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
+                              tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               TrainerConfigError, derive_seed, evaluate,
                               prompt_ablation, rank_ablation, run_phase2_seed,
@@ -57,8 +58,7 @@ def _setup(num_classes=3, n=48, seed=0, precision="f64", **config_overrides):
                   pass1_layers=(1,), pass2_layers=(3,), batch_size=16)
     kwargs.update(config_overrides)
     config = RunConfig(**kwargs)
-    ids, mask = tokenize_graph(graph, vocab, PromptSpec(config.prompt),
-                               config.seq_len)
+    ids, mask = tokenize_graph(graph, vocab, config.prompt, config.seq_len)
     return Setup(graph, vocab, backbone, embeddings, ids, mask, config)
 
 
@@ -364,10 +364,11 @@ class TestAblations:
         at_prefix = tokens.at_layer(setup.backbone, layer)
         calls = []
         real = trainer.prefix_states
+        signature = inspect.signature(real)
 
-        def spy(backbone, ids, mask, layer, **kwargs):
-            calls.append(layer)
-            return real(backbone, ids, mask, layer, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments["stop"])
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "prefix_states", spy)
         rank_ablation(setup.backbone, setup.embeddings, tokens, setup.config,
