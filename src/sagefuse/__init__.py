@@ -4,8 +4,8 @@ through gated low-rank fusion adapters and LoRA pairs."""
 
 from .autodiff import Parameter, backward, cross_entropy, no_grad
 from .config import ExperimentConfig
-from .fusion import (FusionAdapter, FusionAdapterSet, LoraPair, ParamAudit,
-                     build_adapter_set, fusion_apply, lora_apply)
+from .fusion import (FusionAdapter, LoraPair, ParamAudit, build_adapter_set,
+                     fusion_apply, lora_apply)
 from .metrics import accuracy, roc_auc
 from .optim import AdamW, grad_check
 from .sage import SageEmbeddings, SageModel, forward_embeddings, sage_pass

@@ -14,6 +14,7 @@ from .config import ConfigError, ExperimentConfig
 from .metrics import MetricError
 from .tag import GraphFormatError
 from .tensorio import TensorFormatError
+from .trainer import BASELINES
 from . import pipeline
 
 USAGE_ERRORS = (ConfigError, GraphFormatError)
@@ -40,7 +41,7 @@ def build_parser():
     sub.add_parser("gen-data", help="generate the synthetic dataset files")
     sub.add_parser("phase1", help="node features + GraphSAGE training")
     p2 = sub.add_parser("phase2", help="adapter fine-tuning seed sweep")
-    p2.add_argument("--baseline", choices=("fused", "text_only", "lora_only"),
+    p2.add_argument("--baseline", choices=BASELINES,
                     help="override the baseline mode")
     sub.add_parser("audit", help="trainable-parameter audit for the "
                                  "configured shapes")

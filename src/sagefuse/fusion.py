@@ -30,8 +30,6 @@ class LoraPair:
         if rank < 1:
             raise AdapterConfigError(f"LoRA rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
-        self.rank = rank
-        self.target = target
         self.a = Parameter(rng.normal(0.0, 0.02, (rank, d_in)).astype(dtype),
                            name=f"lora.{target}.a")
         self.b = Parameter(np.zeros((d_out, rank), dtype=dtype),
@@ -54,26 +52,22 @@ class FusionAdapter:
 
     The text hidden states and the broadcast structural embedding are each
     projected to rank r, blended by a learnable sigmoid gate, and projected
-    back to width d. Applied residually by default; `mode="replace"` feeds
-    the fused projection alone into the layer.
+    back to width d, then added to the hidden states.
 
     With `tie=(a_param, b_param)` the down/up projections alias an existing
     LoRA pair's factors instead of owning separate W_A/W_C matrices.
     """
 
     def __init__(self, layer_index, source, rank, d, g, seed=0,
-                 mode="residual", tie=None, dtype=np.float64):
+                 tie=None, dtype=np.float64):
         if source not in (PASS1, PASS2):
             raise AdapterConfigError(f"unknown source {source!r}")
-        if mode not in ("residual", "replace"):
-            raise AdapterConfigError(f"unknown fusion mode {mode!r}")
         if rank < 1:
             raise AdapterConfigError(f"fusion rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
         self.layer_index = layer_index
         self.source = source
         self.rank = rank
-        self.mode = mode
         self.tied = tie is not None
         prefix = f"fusion.layer{layer_index}"
         if tie is None:
@@ -108,8 +102,8 @@ def fusion_apply(adapter, h1, h2):
     """Fuse hidden states h1 (B, T, d) with per-node embeddings h2 (B, g).
 
     h2 is broadcast across all T token positions (padded ones included).
-    Returns h1 + Z in residual mode, Z alone in replace mode, where
-    Z = W_C @ (alpha * W_A h1 + (1 - alpha) * W_B h2).
+    Returns h1 + Z, where Z = W_C @ (alpha * W_A h1 + (1 - alpha) * W_B h2),
+    so a zero W_C is an exact identity.
     """
     vh1, vh2 = ad.val(h1), np.asarray(h2)
     d = ad.val(adapter.w_a).shape[1]
@@ -126,8 +120,6 @@ def fusion_apply(adapter, h1, h2):
     fused = ad.add(ad.mul(alpha, text_part),
                    ad.mul(ad.sub(1.0, alpha), struct_part))
     z = ad.matmul(fused, ad.transpose_last(ad.lift(adapter.w_c)))
-    if adapter.mode == "replace":
-        return z
     return ad.add(h1, z)
 
 
@@ -137,20 +129,6 @@ def default_placement(num_layers):
     pass1 = sorted({num_layers * k // 12 for k in (5, 6, 7)})
     pass2 = sorted({num_layers * k // 12 for k in (9, 10, 11)})
     return pass1, pass2
-
-
-@dataclass
-class FusionAdapterSet:
-    adapters: list
-
-    def by_layer(self):
-        return {a.layer_index: a for a in self.adapters}
-
-    def parameters(self):
-        out = []
-        for a in self.adapters:
-            out.extend(a.parameters())
-        return out
 
 
 def check_placement(num_layers, pass1_layers, pass2_layers):
@@ -175,23 +153,22 @@ def check_placement(num_layers, pass1_layers, pass2_layers):
 
 
 def build_adapter_set(num_layers, pass1_layers, pass2_layers, rank, d, g,
-                      seed=0, mode="residual", tie_pairs=None,
-                      dtype=np.float64):
-    """Create one adapter per listed layer, placed as `check_placement`
-    requires. `tie_pairs` optionally maps layer index to a LoraPair whose
-    factors the adapter reuses as W_A/W_C."""
+                      seed=0, tie_pairs=None, dtype=np.float64):
+    """{layer: FusionAdapter}, one adapter per listed layer in ascending
+    order, placed as `check_placement` requires. `tie_pairs` optionally maps
+    layer index to a LoraPair whose factors the adapter reuses as W_A/W_C."""
     check_placement(num_layers, pass1_layers, pass2_layers)
-    adapters = []
+    adapters = {}
     for source, layers in ((PASS1, pass1_layers), (PASS2, pass2_layers)):
         for layer in sorted(layers):
             tie = None
             if tie_pairs and layer in tie_pairs:
                 pair = tie_pairs[layer]
                 tie = (pair.a, pair.b)
-            adapters.append(FusionAdapter(
+            adapters[layer] = FusionAdapter(
                 layer_index=layer, source=source, rank=rank, d=d, g=g,
-                seed=[seed, layer], mode=mode, tie=tie, dtype=dtype))
-    return FusionAdapterSet(adapters=adapters)
+                seed=[seed, layer], tie=tie, dtype=dtype)
+    return adapters
 
 
 # ---------------------------------------------------------------------------

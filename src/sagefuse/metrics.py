@@ -31,16 +31,10 @@ def roc_auc(scores, labels):
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("ROC-AUC needs both classes present in the split")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))  # average 1-based rank
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    # Average 1-based rank of each distinct score: exact half-integers.
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

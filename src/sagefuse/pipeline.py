@@ -21,9 +21,9 @@ from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
 from .tensorio import load_tensor, save_tensor
 from .textenc import (RESERVED, EncoderBackbone, Vocabulary, build_vocab,
                       node_features, tokenize_graph)
-from .trainer import (Phase2Assembly, Phase2Inputs, evaluate,
+from .trainer import (Phase2Assembly, Phase2Inputs, evaluate, format_table,
                       prompt_ablation, rank_ablation, train_phase2,
-                      write_table_csv, write_table_text)
+                      write_table_csv)
 
 
 class PipelineError(RuntimeError):
@@ -440,5 +440,4 @@ def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     write_table_csv(out / f"ablate_{what}.csv", rows, columns)
-    text = write_table_text(out / f"ablate_{what}.txt", rows, columns)
-    return rows, text
+    return rows, format_table(rows, columns)

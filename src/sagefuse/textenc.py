@@ -207,11 +207,11 @@ def encode(backbone, states, mask, start=0, stop=None, adapters=None,
     at the input of layer `stop` (by default after the last layer), before
     the closing layernorm that `readout` applies.
 
-    `adapters` is a FusionAdapterSet applied to the input of its layers;
-    `node_embeddings` maps adapter source name to the batch's (B, g) rows.
-    `lora` maps layer index to {target: LoraPair} for targets q/k/v/o.
-    Every adapter and LoRA layer must lie at or above `start`, since the
-    states skip the layers below it.
+    `adapters` maps layer index to the FusionAdapter applied to that
+    layer's input; `node_embeddings` maps adapter source name to the batch's
+    (B, g) rows. `lora` maps layer index to {target: LoraPair} for targets
+    q/k/v/o. Every adapter and LoRA layer must lie in [start, stop), the
+    layers this pass runs.
     """
     cfg = backbone.config
     mask = np.atleast_2d(np.asarray(mask))
@@ -220,15 +220,12 @@ def encode(backbone, states, mask, start=0, stop=None, adapters=None,
     if not 0 <= start <= end <= cfg.layers:
         raise VocabError(f"layer range [{start}, {end}) not within the "
                          f"backbone's {cfg.layers} layers")
-    by_layer = adapters.by_layer() if adapters is not None else {}
+    adapters = adapters or {}
     lora = lora or {}
-    for layer in (*by_layer, *lora):
-        if layer >= cfg.layers:
-            raise VocabError(f"adapted layer {layer} >= backbone layers "
-                             f"{cfg.layers}")
-        if layer < start:
-            raise VocabError(f"adapted layer {layer} lies below the start "
-                             f"layer {start} of the precomputed states")
+    for layer in (*adapters, *lora):
+        if not start <= layer < end:
+            raise VocabError(f"adapted layer {layer} lies outside the "
+                             f"encoded layers [{start}, {end})")
     heads, dh = cfg.heads, cfg.dim // cfg.heads
     # Additive key mask: padded positions get a large negative score bias.
     neg = np.asarray(-1e9, dtype=cfg.dtype)
@@ -237,8 +234,8 @@ def encode(backbone, states, mask, start=0, stop=None, adapters=None,
     x = states
     for l in range(start, end):
         blk = backbone.blocks[l]
-        if l in by_layer:
-            adapter = by_layer[l]
+        if l in adapters:
+            adapter = adapters[l]
             x = fusion_apply(adapter, x, node_embeddings[adapter.source])
         pairs = lora.get(l, {})
         a = ad.layernorm(x, blk["ln1_g"], blk["ln1_b"])

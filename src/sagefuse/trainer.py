@@ -19,7 +19,10 @@ from .optim import fit
 from .tag import ids_in_split
 from .textenc import embed, encode, prefix_states, readout, tokenize_graph
 
-BASELINES = ("fused", "text_only", "lora_only")
+# The phase-2 arms: whether each trains (fusion adapters, LoRA pairs).
+ARMS = {"fused": (True, True), "text_only": (False, False),
+        "lora_only": (False, True)}
+BASELINES = tuple(ARMS)
 # Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
 # can depend on which rows share a batch, so changing it can move metrics.
 EVAL_BATCH = 128
@@ -42,10 +45,7 @@ class FusionConfig:
     rank: int = 4
     pass1_layers: tuple = ()     # empty: proportional default placement
     pass2_layers: tuple = ()
-    enable_fusion: bool = True
-    enable_lora: bool = True
     lora_targets: tuple = LORA_TARGETS
-    mode: str = "residual"       # residual | replace
     tying: str = "separate"      # separate | shared
 
 
@@ -76,24 +76,17 @@ class RunConfig(TrainerConfig, FusionConfig):
         bad = set(self.lora_targets) - set(LORA_TARGETS)
         if bad:
             raise TrainerConfigError(f"unknown LoRA targets {sorted(bad)}")
-        if self.mode not in ("residual", "replace"):
-            raise TrainerConfigError(f"unknown fusion mode {self.mode!r}")
         if self.tying not in ("separate", "shared"):
             raise TrainerConfigError(f"unknown fusion tying {self.tying!r}")
-        fusion_on, lora_on = self.toggles()
-        if fusion_on and self.tying == "shared" and \
-                not (lora_on and "o" in self.lora_targets):
+        if self.toggles()[0] and self.tying == "shared" and \
+                "o" not in self.lora_targets:
             raise TrainerConfigError(
                 "shared fusion tying needs LoRA pairs on the 'o' "
                 "projection to alias")
 
     def toggles(self):
-        """(fusion, lora) after applying the baseline mode."""
-        if self.baseline == "text_only":
-            return False, False
-        if self.baseline == "lora_only":
-            return False, self.enable_lora
-        return self.enable_fusion, self.enable_lora
+        """(fusion, lora): what the baseline arm trains."""
+        return ARMS[self.baseline]
 
     def placement(self, num_layers):
         if self.pass1_layers and self.pass2_layers:
@@ -183,7 +176,7 @@ class Phase2Assembly:
                                 dtype=dtype)
                     for t in config.lora_targets}
 
-        self.adapters = None
+        self.adapters = {}
         if use_fusion:
             tie_pairs = None
             if config.tying == "shared":
@@ -191,7 +184,7 @@ class Phase2Assembly:
             self.adapters = build_adapter_set(
                 backbone.config.layers, pass1_layers, pass2_layers,
                 config.rank, d, g, seed=derive_seed(seed, "fusion"),
-                mode=config.mode, tie_pairs=tie_pairs, dtype=dtype)
+                tie_pairs=tie_pairs, dtype=dtype)
 
         rng = np.random.default_rng(derive_seed(seed, "head"))
         self.head_w = Parameter(rng.normal(0.0, 0.02, (num_classes, d))
@@ -200,20 +193,15 @@ class Phase2Assembly:
                                 name="head.b")
 
     def trainable_parameters(self):
-        seen, out = set(), []
-        for _, p in self.registry():
-            if id(p) not in seen:
-                seen.add(id(p))
-                out.append(p)
-        return out
+        return [p for _, p in self.registry()]
 
     def registry(self):
         """(component, Parameter) pairs for everything that trains in
-        phase-2. Tied parameters appear once per owner;
-        `trainable_parameters` keeps the first."""
+        phase-2, each parameter once: a tied adapter leaves its aliased
+        W_A/W_C to the LoRA pair that owns them."""
         reg = []
-        if self.adapters is not None:
-            reg.extend(("fusion", p) for p in self.adapters.parameters())
+        for adapter in self.adapters.values():
+            reg.extend(("fusion", p) for p in adapter.parameters())
         for pairs in self.lora.values():
             for pair in pairs.values():
                 reg.extend(("lora_pairs", p) for p in pair.parameters())
@@ -396,7 +384,8 @@ def write_table_csv(path, rows, columns):
             writer.writerow({k: row[k] for k in columns})
 
 
-def write_table_text(path, rows, columns):
+def format_table(rows, columns):
+    """The rows as aligned text columns, floats to four places."""
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.4f}"
@@ -408,7 +397,4 @@ def write_table_text(path, rows, columns):
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
     for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-    return text
+    return "\n".join(lines) + "\n"

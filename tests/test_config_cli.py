@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
 from sagefuse import pipeline, textenc, trainer
@@ -101,9 +102,18 @@ class TestConfig:
 
     def test_typed_views_reflect_sections(self):
         cfg = ExperimentConfig.from_string(
-            "[backbone]\nprecision = f64\n[fusion]\nenable_lora = false\n")
+            "[backbone]\nprecision = f64\n[trainer]\nbaseline = lora_only\n")
         assert cfg.backbone.dtype == np.float64
-        assert cfg.run_config().enable_lora is False
+        assert cfg.run_config().toggles() == (False, True)
+
+    @pytest.mark.parametrize("path", sorted(
+        [*CONFIG_DIR.glob("*.cfg"),
+         *(CONFIG_DIR.parent / "perfbench" / "workloads").glob("*.cfg")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_shipped_config_loads_and_validates(self, path):
+        cfg = ExperimentConfig.from_file(path)
+        assert cfg.validate() is cfg
+        assert ExperimentConfig.from_string(cfg.to_string()) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +187,13 @@ class TestCli:
           "pass1_layers = 3\npass2_layers = 1"), "must all precede"),
         (("pass2_layers = 3", "pass2_layers = 3\ntying = shared\n"
           "lora_targets = q,v"), "shared fusion tying needs LoRA pairs"),
+        # The arm is `[trainer] baseline` alone; these keys are gone.
+        (("pass2_layers = 3", "pass2_layers = 3\nenable_fusion = false"),
+         "unknown key 'enable_fusion' in [fusion]"),
+        (("pass2_layers = 3", "pass2_layers = 3\nenable_lora = false"),
+         "unknown key 'enable_lora' in [fusion]"),
+        (("pass2_layers = 3", "pass2_layers = 3\nmode = replace"),
+         "unknown key 'mode' in [fusion]"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):
@@ -420,6 +437,10 @@ class TestCli:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "prompt,metric_mean,metric_std"
         assert len(lines) == 3  # header + two prompts
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].split() == ["prompt", "metric_mean", "metric_std"]
+        assert len(printed) == 3
+        assert not (root / "out" / "ablate_prompt.txt").exists()
 
     def test_rank_ablation_table_schema(self, run_dir):
         root, config_path = run_dir

@@ -212,12 +212,26 @@ class TestEncode:
         states = np.zeros((1, 4, 16))
         adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
-        with pytest.raises(VocabError, match="adapted layer 1 lies below"):
+        with pytest.raises(VocabError, match="adapted layer 1 lies outside"):
             encode(micro_backbone, states, mask, 2, adapters=adapters,
                    node_embeddings=h)
         lora = {1: {"q": LoraPair(16, 16, 2, "layer1.q")}}
-        with pytest.raises(VocabError, match="adapted layer 1 lies below"):
+        with pytest.raises(VocabError, match="adapted layer 1 lies outside"):
             encode(micro_backbone, states, mask, 2, lora=lora)
+
+    def test_adapted_layer_at_or_above_stop_rejected(self, micro_backbone):
+        from sagefuse.fusion import LoraPair, build_adapter_set
+        states = embed(micro_backbone, np.array([[CLS_ID, 3, 4]]))
+        mask = np.ones((1, 3))
+        adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
+        h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
+        with pytest.raises(VocabError, match=r"layer 3 lies outside the "
+                                             r"encoded layers \[0, 2\)"):
+            encode(micro_backbone, states, mask, 0, 2, adapters=adapters,
+                   node_embeddings=h)
+        lora = {2: {"q": LoraPair(16, 16, 2, "layer2.q")}}
+        with pytest.raises(VocabError, match="layer 2 lies outside"):
+            encode(micro_backbone, states, mask, 0, 2, lora=lora)
 
     def test_all_weights_frozen(self, micro_backbone):
         assert all(p.frozen for p in micro_backbone.parameters())
@@ -316,7 +330,7 @@ def reference_encode(backbone, ids, mask, adapters=None, node_embeddings=None,
     mask = np.atleast_2d(np.asarray(mask))
     bsz, seq = mask.shape
     end = cfg.layers if stop is None else stop
-    by_layer = adapters.by_layer() if adapters is not None else {}
+    by_layer = adapters or {}
     lora = lora or {}
     heads, dh = cfg.heads, cfg.dim // cfg.heads
     neg = np.asarray(-1e9, dtype=cfg.dtype)
@@ -552,5 +566,5 @@ class TestFrozenPrefix:
                                                               np.float64)
         # The pass-1 adapter and its LoRA pairs sit at layer 1.
         above = inputs.at_layer(backbone, 2)
-        with pytest.raises(VocabError, match="below the start layer 2"):
+        with pytest.raises(VocabError, match=r"encoded layers \[2, 4\)"):
             assembly.logits(above, micro_tag.split_ids("train")[:4])

@@ -95,8 +95,6 @@ class TestRunConfig:
         assert RunConfig().first_adapted_layer(12) == 5
         assert RunConfig(baseline="lora_only").first_adapted_layer(12) == 5
         assert RunConfig(baseline="text_only").first_adapted_layer(12) == 12
-        assert RunConfig(enable_fusion=False, enable_lora=False) \
-            .first_adapted_layer(12) == 12
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(TrainerConfigError):
@@ -192,17 +190,6 @@ class TestPhase2Training:
         assert report.baseline == "text_only"
         assert np.isfinite(report.metric_mean)
 
-    def test_disabling_both_toggles_equals_text_only_bitwise(self, setup):
-        runs = []
-        for cfg in (dataclasses.replace(setup.config, baseline="fused",
-                                        enable_fusion=False,
-                                        enable_lora=False),
-                    dataclasses.replace(setup.config, baseline="text_only")):
-            runs.append(run_phase2_seed(setup.backbone, setup.embeddings,
-                                        setup.inputs, cfg, seed=0))
-        assert runs[0].loss_trace == runs[1].loss_trace
-        assert runs[0].test_metric == runs[1].test_metric
-
     @pytest.mark.parametrize("baseline", ["fused", "text_only"])
     def test_inputs_at_layer_0_and_at_the_prefix_layer_train_alike(
             self, setup, baseline):
@@ -222,7 +209,7 @@ class TestPhase2Training:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"baseline": "lora_only"}, {"baseline": "text_only"},
-        {"tying": "shared"}, {"enable_lora": False},
+        {"tying": "shared"},
         {"lora_targets": ("q", "v"), "rank": 3},
         {"pass1_layers": (0, 1), "pass2_layers": (2, 3)}])
     def test_report_audit_equals_the_registry_walk(self, setup, overrides):
@@ -234,6 +221,20 @@ class TestPhase2Training:
         report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
                               cfg, gnn_size=7)
         assert report.audit == dataclasses.replace(walked, gnn=7).as_dict()
+
+    def test_shared_tying_lists_each_parameter_once(self, setup):
+        cfg = dataclasses.replace(setup.config, tying="shared")
+        assembly = Phase2Assembly(setup.backbone, setup.embeddings,
+                                  setup.graph.num_classes, cfg, seed=0)
+        assert assembly.adapters[1].w_c is assembly.lora[1]["o"].b
+        params = assembly.trainable_parameters()
+        assert len({id(p) for p in params}) == len(params)
+        lora = [f"lora.layer{layer}.{t}.{f}" for layer in (1, 3)
+                for t in "qkvo" for f in "ab"]
+        assert [p.name for p in params] == [
+            "fusion.layer1.w_b", "fusion.layer1.gate_logit",
+            "fusion.layer3.w_b", "fusion.layer3.gate_logit", *lora,
+            "head.w", "head.b"]
 
     def test_report_serializes_without_wall_clock(self, setup):
         report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
@@ -262,7 +263,7 @@ class TestPhase2Training:
                                 setup.graph.labels[batch])
         ad.backward(loss)
         grads = [abs(float(a.gate_logit.gradient))
-                 for a in assembly.adapters.adapters]
+                 for a in assembly.adapters.values()]
         assert max(grads) > 1e-10
 
     def test_non_finite_input_raises(self, setup):
