@@ -6,6 +6,10 @@ leaves. Frozen parameters (and plain arrays) enter the graph as constants,
 so a forward pass with no trainable parameters below it runs as plain
 numpy with zero bookkeeping.
 
+A recorded graph serves exactly one `backward`: the walk releases each
+interior node's closure, parents and gradient once it has passed them on,
+so the loss keeps only its own value and a second `backward` is refused.
+
 Reductions and matmuls delegate to numpy, which keeps a fixed evaluation
 order for identical inputs, so losses are bitwise reproducible per seed.
 """
@@ -151,7 +155,9 @@ def _node(value, pairs):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(param) into every trainable Parameter leaf."""
+    """Accumulate d(loss)/d(param) into every trainable Parameter leaf,
+    consuming the graph: each interior node drops its closure, parents and
+    gradient as soon as it has passed its gradient on. Leaves keep `grad`."""
     if not isinstance(loss, Node):
         raise NumericsError("backward called on a value with no recorded graph "
                             "(no trainable parameters in the forward pass?)")
@@ -164,6 +170,8 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._backward is None and node._param is None:
+            raise NumericsError("backward: graph already consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -171,13 +179,17 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(topo):
-        if node.grad is None:
-            continue
+    # Popping, rather than iterating, lets each node go once it is done.
+    # Gradients are summed out of place: `add` and `_unbroadcast` pass `g`
+    # through, so two nodes can hold the same array.
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
-            for parent, g in node._backward(node.grad):
-                parent.grad = g if parent.grad is None else parent.grad + g
-        if node._param is not None and not node._param.frozen:
+            if node.grad is not None:
+                for parent, g in node._backward(node.grad):
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node._backward, node._parents, node.grad = None, (), None
+        elif node.grad is not None and not node._param.frozen:
             node._param.gradient += node.grad
 
 
@@ -313,19 +325,6 @@ def sigmoid(a):
     return _node(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
-def softmax(a, axis=-1):
-    a = lift(a)
-    va = val(a)
-    shifted = va - va.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def ga(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-    return _node(s, [(a, ga)])
-
-
 def layernorm(x, gamma, beta, eps=1e-5):
     """Normalize the last axis, then scale and shift."""
     x, gamma, beta = lift(x), lift(gamma), lift(beta)
@@ -354,16 +353,51 @@ def layernorm(x, gamma, beta, eps=1e-5):
 
 
 def attention(q, k, v, mask_bias=None):
-    """Scaled dot-product attention over the last two axes.
+    """Scaled dot-product attention over the last two axes, as one op.
 
     `mask_bias` is an additive constant (e.g. -1e9 on padded key positions)
-    broadcast onto the score matrix.
+    broadcast onto the score matrix. The scores are scaled, masked and
+    softmaxed in place, so the op keeps only q, k, v and the softmax `s`.
+    numpy's matmul bits depend on operand strides, so every product keeps
+    the operand layout of the matmul/softmax chain this op replaced, and the
+    gradients of a shared q, k and v are summed in that chain's order
+    (v, q, k).
     """
-    dk = val(q).shape[-1]
-    scores = mul(matmul(q, transpose_last(k)), 1.0 / np.sqrt(dk))
+    q, k, v = lift(q), lift(k), lift(v)
+    vq, vk, vv = val(q), val(k), val(v)
+    kt = np.swapaxes(vk, -1, -2)
+    scale = np.asarray(1.0 / np.sqrt(vq.shape[-1]), dtype=vq.dtype)
+    s = vq @ kt
+    s *= scale
     if mask_bias is not None:
-        scores = add(scores, mask_bias)
-    return matmul(softmax(scores, axis=-1), v)
+        s += mask_bias
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    out = s @ vv
+    parents = tuple(p for p in (q, k, v) if isinstance(p, Node))
+    if not parents:
+        return out
+
+    def grads(g):
+        pairs = []
+        if isinstance(v, Node):
+            pairs.append((v, _unbroadcast(np.swapaxes(s, -1, -2) @ g,
+                                          vv.shape)))
+        if isinstance(q, Node) or isinstance(k, Node):
+            # d(scores): the softmax backward, then the scale.
+            gs = g @ np.swapaxes(vv, -1, -2)
+            gs -= (gs * s).sum(axis=-1, keepdims=True)
+            gs *= s
+            gs *= scale
+            if isinstance(q, Node):
+                pairs.append((q, _unbroadcast(gs @ vk, vq.shape)))
+            if isinstance(k, Node):
+                gkt = _unbroadcast(np.swapaxes(vq, -1, -2) @ gs, kt.shape)
+                pairs.append((k, np.swapaxes(gkt, -1, -2)))
+        return pairs
+
+    return Node(out, parents, grads)
 
 
 def transpose_last(a):
@@ -405,8 +439,23 @@ def cross_entropy(logits, labels):
 
 
 def linear(x, w, b=None):
-    """x @ w.T (+ b); weights stored as (d_out, d_in)."""
-    out = matmul(x, transpose_last(lift(w)))
+    """x @ w.T (+ b) as one op; weights stored as (d_out, d_in).
+
+    The bias is added in place to the product: one node and one output
+    array, where a matmul node and an add node would hold two.
+    """
+    x, w = lift(x), lift(w)
+    vx, vw = val(x), val(w)
+    if vw.ndim < 2 or vx.shape[-1] != vw.shape[-1]:
+        raise ShapeError("linear", vx.shape, vw.shape)
+    wt = np.swapaxes(vw, -1, -2)
+    out = vx @ wt
+    live = [(x, lambda g: _unbroadcast(g @ vw, vx.shape)),
+            (w, lambda g: np.swapaxes(_unbroadcast(
+                np.swapaxes(vx, -1, -2) @ g, wt.shape), -1, -2))]
     if b is not None:
-        out = add(out, b)
-    return out
+        b = lift(b)
+        vb = val(b)
+        out += vb
+        live.append((b, lambda g: _unbroadcast(g, vb.shape)))
+    return _node(out, live)

@@ -17,6 +17,9 @@ class AdapterConfigError(ValueError):
 
 PASS1, PASS2 = "pass1", "pass2"
 LORA_TARGETS = ("q", "k", "v", "o")
+# The phase-2 arms: whether each trains (fusion adapters, LoRA pairs).
+ARMS = {"fused": (True, True), "text_only": (False, False),
+        "lora_only": (False, True)}
 
 
 class LoraPair:
@@ -267,32 +270,31 @@ def gnn_param_count(in_dim, g, hidden, num_classes):
 
 
 def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
-                      gnn_hidden=64, gnn_input_dim=None,
-                      enable_fusion=True, enable_lora=True,
+                      gnn_hidden=64, gnn_input_dim=None, arm="fused",
                       fusion_tying="separate", lora_targets=LORA_TARGETS):
-    """Analytic audit for a backbone given only its shape.
+    """Analytic audit of the `ARMS` entry `arm` for a backbone given only
+    its shape.
 
     Mirrors exactly what a live assembly registry would report: used both
     for desk configurations (cross-checked against the registry walk in
     tests) and for backbones too large to instantiate.
     """
+    fusion_on, lora_on = ARMS[arm]
     d = shape.dim
     k = gnn_input_dim if gnn_input_dim is not None else d
     gnn = gnn_param_count(k, g, gnn_hidden, num_classes)
 
     lora = 0
-    if enable_lora:
+    if lora_on:
         per_layer = sum(rank * (d_in + d_out) for d_in, d_out
                         in shape.lora_target_shapes(lora_targets))
         lora = len(adapted_layers) * per_layer
 
     fusion = 0
-    if enable_fusion:
+    if fusion_on:
         if fusion_tying == "shared":
-            if not enable_lora:
-                raise AdapterConfigError("shared fusion tying requires LoRA "
-                                         "pairs to tie to")
-            per_adapter = rank * g + 1  # W_B and the gate; W_A/W_C are aliased
+            # W_B and the gate; W_A/W_C alias the arm's LoRA pairs.
+            per_adapter = rank * g + 1
         elif fusion_tying == "separate":
             per_adapter = rank * d + rank * g + d * rank + 1
         else:

@@ -72,7 +72,6 @@ def fit(params, schedule, epoch_losses, val_metric):
             opt.step()
             total += float(ad.val(loss)) * weight
             count += weight
-        loss = None  # free this step's graph before the next forward
         loss_trace.append(total / count)
         metric = val_metric()
         val_trace.append(float(metric))

@@ -12,16 +12,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .fusion import (LORA_TARGETS, LoraPair, audit_from_shapes,
+from .fusion import (ARMS, LORA_TARGETS, LoraPair, audit_from_shapes,
                      build_adapter_set, default_placement)
 from .metrics import metric_name, split_metric
 from .optim import fit
 from .tag import ids_in_split
 from .textenc import embed, encode, prefix_states, readout, tokenize_graph
 
-# The phase-2 arms: whether each trains (fusion adapters, LoRA pairs).
-ARMS = {"fused": (True, True), "text_only": (False, False),
-        "lora_only": (False, True)}
 BASELINES = tuple(ARMS)
 # Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
 # can depend on which rows share a batch, so changing it can move metrics.
@@ -105,12 +102,10 @@ class RunConfig(TrainerConfig, FusionConfig):
         """Analytic parameter audit of this arm on a backbone of `shape`;
         `gnn` takes `audit_from_shapes`' gnn keywords."""
         pass1, pass2 = self.placement(shape.layers)
-        fusion_on, lora_on = self.toggles()
         return audit_from_shapes(
             shape, adapted_layers=[*pass1, *pass2], rank=self.rank, g=g,
-            num_classes=num_classes, enable_fusion=fusion_on,
-            enable_lora=lora_on, fusion_tying=self.tying,
-            lora_targets=self.lora_targets, **gnn)
+            num_classes=num_classes, arm=self.baseline,
+            fusion_tying=self.tying, lora_targets=self.lora_targets, **gnn)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,10 +21,11 @@ class TestForwardOps:
         v = np.array([[1.25, -4.5]])
         assert np.array_equal(np.asarray(ad.attention(q, k, v)), v)
 
-    def test_softmax_rows_sum_to_one(self):
+    def test_attention_weights_rows_sum_to_one(self):
+        # With V the identity, the output is the attention weights.
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 5, (30, 7))
-        s = np.asarray(ad.softmax(x))
+        q, k = rng.normal(0, 5, (2, 30, 7))
+        s = np.asarray(ad.attention(q, k, np.eye(30)))
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
         assert (s >= 0).all()
 
@@ -35,6 +38,12 @@ class TestForwardOps:
     def test_concat_cols_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="concat_cols"):
             ad.concat_cols(np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_linear_shape_mismatch_names_op(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="linear"):  # no 1-D weight
+            ad.linear(np.ones((2, 3)), np.ones(3))
 
     def test_layernorm_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="layernorm"):
@@ -132,6 +141,30 @@ class TestBackward:
         ad.backward(ad.sum_(ad.add(x, b)))
         assert np.array_equal(b.gradient, np.full(3, 5.0))
 
+    def test_second_backward_on_a_consumed_graph_rejected(self):
+        w = Parameter(np.ones(2), name="w")
+        hidden = ad.mul(w, np.array([1.0, 2.0]))
+        loss = ad.sum_(hidden)
+        ad.backward(loss)
+        with pytest.raises(NumericsError,
+                           match="^backward: graph already consumed$"):
+            ad.backward(loss)
+        with pytest.raises(NumericsError, match="already consumed"):
+            ad.backward(ad.sum_(hidden))  # a new loss over a consumed node
+        assert np.array_equal(w.gradient, [1.0, 2.0])
+
+    def test_backward_releases_interior_values(self):
+        w = Parameter(np.ones((3, 4)), name="w")
+        hidden = ad.relu(ad.matmul(np.ones((5, 3)), w))
+        ref = weakref.ref(ad.val(hidden))
+        loss = ad.sum_(hidden)
+        del hidden
+        assert ref() is not None
+        ad.backward(loss)
+        assert ref() is None
+        assert float(ad.val(loss)) == 60.0
+        assert np.array_equal(w.gradient, np.full((3, 4), 5.0))
+
 
 class TestStrictFinite:
     def test_parameter_rejects_nonfinite_values(self):
@@ -190,7 +223,6 @@ _DTYPE_OPS = {
     "mean_": lambda x: mean_(x, axis=1),
     "relu": ad.relu,
     "sigmoid": ad.sigmoid,
-    "softmax": ad.softmax,
     "layernorm": lambda x: ad.layernorm(
         x, np.ones(4, ad.val(x).dtype), np.zeros(4, ad.val(x).dtype)),
     "attention": lambda x: ad.attention(x, x, x),
@@ -210,3 +242,125 @@ def test_op_keeps_input_dtype_forward_and_backward(op, dtype):
     assert ad.val(out).dtype == dtype
     ad.backward(ad.sum_(out))
     assert x.grad.dtype == dtype
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: `attention` and `linear` as chains of primitive ops, frozen
+# as they stood before each became one op. The one-op versions must give the
+# same forward bits and the same bits in every input gradient. Widths of 32
+# are used because there numpy's matmul bits depend on operand strides.
+
+def reference_softmax(a, axis=-1):
+    a = ad.lift(a)
+    va = ad.val(a)
+    shifted = va - va.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def ga(g):
+        return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+    return ad._node(s, [(a, ga)])
+
+
+def reference_attention(q, k, v, mask_bias=None):
+    dk = ad.val(q).shape[-1]
+    scores = ad.mul(ad.matmul(q, ad.transpose_last(k)), 1.0 / np.sqrt(dk))
+    if mask_bias is not None:
+        scores = ad.add(scores, mask_bias)
+    return ad.matmul(reference_softmax(scores, axis=-1), v)
+
+
+def reference_linear(x, w, b=None):
+    out = ad.matmul(x, ad.transpose_last(ad.lift(w)))
+    if b is not None:
+        out = ad.add(out, b)
+    return out
+
+
+def _leaf(rng, shape, dtype, name, frozen=False):
+    return Parameter(rng.normal(0, 1, shape).astype(dtype), name=name,
+                     frozen=frozen)
+
+
+def _grads_through(op, params, make_inputs, weight):
+    """Forward value and every parameter gradient of sum(op(...) * weight),
+    from zeroed gradients."""
+    for p in params:
+        p.zero_grad()
+    out = op(*make_inputs())
+    value = ad.val(out).copy()
+    ad.backward(ad.sum_(ad.mul(out, weight)))
+    return value, [p.gradient.copy() for p in params]
+
+
+def _assert_same_bits(op, reference, params, make_inputs, weight):
+    got, got_grads = _grads_through(op, params, make_inputs, weight)
+    want, want_grads = _grads_through(reference, params, make_inputs, weight)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for p, a, b in zip(params, got_grads, want_grads):
+        assert a.tobytes() == b.tobytes(), p.name
+
+
+class TestParentOpOracle:
+    B, T, H, DH = 2, 32, 2, 32
+
+    def _split_heads(self, t):
+        # The encoder's head layout: a transposed view of a reshape.
+        return ad.transpose(ad.reshape(t, (self.B, self.T, self.H, self.DH)),
+                            (0, 2, 1, 3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_attention_matches_primitive_chain(self, dtype, masked, shared):
+        rng = np.random.default_rng(3)
+        d = self.H * self.DH
+        names = ["x"] if shared else ["q", "k", "v"]
+        params = [_leaf(rng, (self.B, self.T, d), dtype, n) for n in names]
+        mask = np.ones((self.B, self.T))
+        mask[0, 3:] = 0.0
+        mask_bias = ((1.0 - mask) * np.asarray(-1e9, dtype)).reshape(
+            self.B, 1, 1, self.T).astype(dtype) if masked else None
+        weight = rng.normal(0, 1, (self.B, self.H, self.T, self.DH)
+                            ).astype(dtype)
+
+        def make_inputs():
+            heads = [self._split_heads(ad.lift(p)) for p in params]
+            q, k, v = heads * 3 if shared else heads
+            return q, k, v, mask_bias
+
+        _assert_same_bits(ad.attention, reference_attention, params,
+                          make_inputs, weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_with_constant_operands(self, dtype, masked):
+        # Only q trains (LoRA on the query alone, below any trained layer).
+        rng = np.random.default_rng(4)
+        q = _leaf(rng, (self.B, self.H, self.T, self.DH), dtype, "q")
+        k, v = (rng.normal(0, 1, (self.B, self.H, self.T, self.DH)
+                           ).astype(dtype) for _ in range(2))
+        mask_bias = np.zeros((self.B, 1, 1, self.T), dtype) if masked \
+            else None
+        weight = rng.normal(0, 1, (self.B, self.H, self.T, self.DH)
+                            ).astype(dtype)
+        _assert_same_bits(ad.attention, reference_attention, [q],
+                          lambda: (ad.lift(q), k, v, mask_bias), weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("w_frozen", [False, True])
+    @pytest.mark.parametrize("bias", ["none", "frozen", "trainable"])
+    @pytest.mark.parametrize("x_shape", [(6, 32), (2, 8, 32)])
+    def test_linear_matches_primitive_chain(self, dtype, w_frozen, bias,
+                                            x_shape):
+        rng = np.random.default_rng(5)
+        x = _leaf(rng, x_shape, dtype, "x")
+        w = _leaf(rng, (32, 32), dtype, "w", frozen=w_frozen)
+        b = None if bias == "none" else _leaf(rng, (32,), dtype, "b",
+                                              frozen=bias == "frozen")
+        trainable = [p for p in (x, w, b) if p is not None and not p.frozen]
+        weight = rng.normal(0, 1, x_shape[:-1] + (32,)).astype(dtype)
+        _assert_same_bits(ad.linear, reference_linear, trainable,
+                          lambda: (ad.lift(x), w, b), weight)

@@ -227,12 +227,6 @@ class TestAudit:
         assert shared.fusion == 2 * (4 * 64 + 1)
         assert separate.fusion == 2 * (4 * 768 + 4 * 64 + 768 * 4 + 1)
 
-    def test_shared_tying_without_lora_rejected(self):
-        with pytest.raises(AdapterConfigError):
-            audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 9], rank=4,
-                              g=64, num_classes=2, enable_lora=False,
-                              fusion_tying="shared")
-
     def test_fused_qkv_shape_arithmetic(self):
         shape = BackboneShape(vocab_size=10, max_tokens=4, dim=8, layers=1,
                               mlp_width=16, fused_qkv=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import (audit_parameters, make_graph, neighbors, random_graph,
                       restore, snapshot)
 from sagefuse import autodiff as ad
 from sagefuse import trainer
-from sagefuse.optim import AdamW, grad_check
+from sagefuse.optim import AdamW, fit, grad_check
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
@@ -342,6 +343,32 @@ class TestSharedLoop:
         for p, q in zip(params, ref.trainable_parameters()):
             assert p.name == q.name
             assert p.value.tobytes() == q.value.tobytes(), p.name
+
+    def test_a_second_step_holds_no_second_graph(self, setup):
+        # Traced peak of `fit` over one and two identical minibatch steps:
+        # the second forward must not run while the first graph is alive.
+        inputs = setup.inputs
+        batch = inputs.split_ids("train")[:16]
+
+        def fit_peak(steps):
+            assembly = Phase2Assembly(setup.backbone, setup.embeddings,
+                                      inputs.num_classes, setup.config, 0)
+
+            def epoch_losses(epoch):
+                for _ in range(steps):
+                    yield (ad.cross_entropy(assembly.logits(inputs, batch),
+                                            inputs.labels[batch]), len(batch))
+
+            tracemalloc.start()
+            try:
+                fit(assembly.trainable_parameters(), setup.config,
+                    epoch_losses, lambda: 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = fit_peak(1), fit_peak(2)
+        assert two <= 1.1 * one, (one, two)
 
 
 class TestAblations:
