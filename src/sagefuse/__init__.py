@@ -7,7 +7,7 @@ from .config import ExperimentConfig
 from .fusion import (FusionAdapter, LoraPair, ParamAudit, build_adapter_set,
                      fusion_apply, lora_apply)
 from .metrics import accuracy, roc_auc
-from .optim import AdamW, grad_check
+from .optim import AdamW
 from .sage import SageEmbeddings, SageModel, forward_embeddings, sage_pass
 from .tag import (GeneratorParams, SplitSpec, TextAttributedGraph,
                   generate_synthetic_tag, load_graph, stratified_split)

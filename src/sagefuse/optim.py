@@ -1,9 +1,7 @@
-"""AdamW with decoupled weight decay, the early-stopped loop both training
-phases run on it, and a finite-difference grad checker."""
+"""AdamW with decoupled weight decay and the early-stopped loop both
+training phases run on it."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,83 +82,3 @@ def fit(params, schedule, epoch_losses, val_metric):
         p.value[...] = value
     return best_epoch, float(best_metric), loss_trace, val_trace
 
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    checked: int
-    passed: bool
-
-
-@dataclass
-class GradCheckReport:
-    epsilon: float
-    tolerance: float
-    entries: list = field(default_factory=list)
-
-    @property
-    def failures(self):
-        return [e for e in self.entries if not e.passed]
-
-    @property
-    def max_rel_error(self):
-        return max((e.max_rel_error for e in self.entries), default=0.0)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def summary(self):
-        lines = [f"grad_check eps={self.epsilon:g} tol={self.tolerance:g}"]
-        for e in self.entries:
-            mark = "ok  " if e.passed else "FAIL"
-            lines.append(f"  {mark} {e.name:<40s} max_rel={e.max_rel_error:.3e} "
-                         f"({e.checked} scalars)")
-        return "\n".join(lines)
-
-
-def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
-               samples_per_tensor=64, seed=0):
-    """Compare analytic gradients against central differences.
-
-    For each trainable parameter, a deterministic subsample of at least
-    `samples_per_tensor` scalars (or all of them, for small tensors) is
-    perturbed by +/- epsilon and the loss re-evaluated. Frozen parameters
-    never appear in the report. Requires 64-bit parameter values.
-    """
-    trainable = [p for p in params if not p.frozen]
-    for p in trainable:
-        if p.value.dtype != np.float64:
-            raise NumericsError(f"grad_check requires float64, got "
-                                f"{p.value.dtype} for {p.name!r}")
-        p.zero_grad()
-    ad.backward(loss_fn())
-    analytic = {id(p): p.gradient.copy() for p in trainable}
-
-    report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
-    for k, p in enumerate(trainable):
-        flat = p.value.reshape(-1)
-        n = flat.size
-        if n <= samples_per_tensor:
-            idxs = np.arange(n)
-        else:
-            rng = np.random.default_rng([seed, k])
-            idxs = rng.choice(n, size=samples_per_tensor, replace=False)
-        a_flat = analytic[id(p)].reshape(-1)
-        worst = 0.0
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            plus = float(ad.val(loss_fn()))
-            flat[i] = orig - epsilon
-            minus = float(ad.val(loss_fn()))
-            flat[i] = orig
-            numeric = (plus - minus) / (2.0 * epsilon)
-            a = float(a_flat[i])
-            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
-            worst = max(worst, rel)
-        report.entries.append(GradCheckEntry(
-            name=p.name, max_rel_error=worst, checked=len(idxs),
-            passed=worst < tolerance))
-    return report

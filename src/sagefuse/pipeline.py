@@ -20,7 +20,7 @@ from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
                   save_graph, save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
 from .textenc import (RESERVED, EncoderBackbone, Vocabulary, build_vocab,
-                      node_features, tokenize_graph)
+                      node_features, tokenize_graph, trim_padding)
 from .trainer import (Phase2Assembly, Phase2Inputs, evaluate, format_table,
                       prompt_ablation, rank_ablation, train_phase2,
                       write_table_csv)
@@ -168,8 +168,8 @@ def run_phase1(cfg, force=False):
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
     key = _phase1_key(cfg)
-    ids, mask = tokenize_graph(graph, vocab, cfg.trainer.prompt,
-                               cfg.trainer.seq_len)
+    ids, mask = trim_padding(*tokenize_graph(graph, vocab, cfg.trainer.prompt,
+                                             cfg.trainer.seq_len))
     x, states = node_features(backbone, ids, mask, key["layer"])
     _write_json(out / "nodes.json", {
         "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
@@ -294,11 +294,12 @@ def load_phase2_inputs(cfg, backbone, vocab, table):
         graph = load_dataset(cfg)
         ids, mask = tokenize_graph(graph, vocab, t.prompt, t.seq_len)
         return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    lengths = table["lengths"]
+    width = int(lengths.max())
     states = _load_shaped(phase1_dir(cfg) / "prefix.gtsr",
-                          (len(table["labels"]), t.seq_len, cfg.backbone.dim),
+                          (len(lengths), width, cfg.backbone.dim),
                           cfg.backbone.dtype)
-    mask = (np.arange(t.seq_len) < table["lengths"][:, None]).astype(
-        np.float64)
+    mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
     return Phase2Inputs(labels=table["labels"],
                         split=table["split"].astype(np.int8),
                         num_classes=table["num_classes"], mask=mask,

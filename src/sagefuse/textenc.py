@@ -91,6 +91,16 @@ def tokenize_graph(graph, vocab, prompt, seq_len):
     return ids, mask
 
 
+def trim_padding(ids, mask):
+    """The (ids, mask) rows of `tokenize_graph` cut to L* = max(lengths),
+    the longest row of the whole table: every column past it is padding in
+    every row. L* depends on the table alone, so a row's encoder bits never
+    depend on which rows later share its batch."""
+    width = int(np.count_nonzero(mask, axis=1).max())
+    return (np.ascontiguousarray(ids[:, :width]),
+            np.ascontiguousarray(mask[:, :width]))
+
+
 @dataclass
 class BackboneConfig:
     """The [backbone] section: shape, init seed and precision of the frozen
@@ -272,7 +282,8 @@ def readout(backbone, hidden, mask):
 
 def prefix_states(backbone, states, mask, start, stop):
     """The hidden states (N, T, d) at the input of layer `stop`, from the
-    `states` at the input of layer `start`, computed in batches of
+    `states` at the input of layer `start`; T is the width of the (N, T)
+    `mask`, L* after `trim_padding`. They are computed in batches of
     `ENCODE_BATCH` rows into one preallocated array. Nothing below an
     adapted layer trains, so these states are a fixed function of the
     tokens and later passes can start `encode` from them."""
@@ -288,10 +299,10 @@ def node_features(backbone, ids, mask, layer):
     """Per-node features under the frozen backbone, and the prefix states
     they pass through.
 
-    Returns (X, states) for the tokenized texts (ids, mask): X (N, d) holds
-    the `readout` of each row's final hidden states, and states (N, T, d)
-    the hidden states at the input of `layer`. Both are filled one batch of
-    `ENCODE_BATCH` rows at a time."""
+    Returns (X, states) for the tokenized texts (ids, mask) of width T (L*
+    after `trim_padding`): X (N, d) holds the `readout` of each row's final
+    hidden states, and states (N, T, d) the hidden states at the input of
+    `layer`. Both are filled one batch of `ENCODE_BATCH` rows at a time."""
     cfg = backbone.config
     states = np.empty(mask.shape + (cfg.dim,), dtype=cfg.dtype)
     x = np.empty((len(mask), cfg.dim), dtype=cfg.dtype)

@@ -17,7 +17,8 @@ from .fusion import (ARMS, LORA_TARGETS, LoraPair, audit_from_shapes,
 from .metrics import metric_name, split_metric
 from .optim import fit
 from .tag import ids_in_split
-from .textenc import embed, encode, prefix_states, readout, tokenize_graph
+from .textenc import (embed, encode, prefix_states, readout, tokenize_graph,
+                      trim_padding)
 
 BASELINES = tuple(ARMS)
 # Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
@@ -112,9 +113,11 @@ class RunConfig(TrainerConfig, FusionConfig):
 class Phase2Inputs:
     """What phase 2 reads of the dataset: int64 labels, int8 split codes
     into `SPLITS`, the class count, the (N, T) token mask and every node's
-    (N, T, d) hidden states at the input of encoder layer `layer`. Nothing
-    below an adapted layer trains, so these states stand in for the tokens
-    wherever `layer` lies at or below the first adapted layer."""
+    (N, T, d) hidden states at the input of encoder layer `layer`. T is L*,
+    the longest tokenized row (`trim_padding`), so no column is padding in
+    every row. Nothing below an adapted layer trains, so these states stand
+    in for the tokens wherever `layer` lies at or below the first adapted
+    layer."""
     labels: np.ndarray
     split: np.ndarray | None
     num_classes: int
@@ -124,8 +127,9 @@ class Phase2Inputs:
 
     @classmethod
     def from_tokens(cls, graph, backbone, ids, mask):
-        """The inputs of `graph` tokenized as (ids, mask), at layer 0 (the
-        embedding output)."""
+        """The inputs of `graph` tokenized as (ids, mask), cut to L*, at
+        layer 0 (the embedding output)."""
+        ids, mask = trim_padding(ids, mask)
         return cls(labels=graph.labels, split=graph.split,
                    num_classes=graph.num_classes, mask=mask,
                    states=embed(backbone, ids), layer=0)

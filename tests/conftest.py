@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from sagefuse import autodiff as ad
+from sagefuse.autodiff import NumericsError
 from sagefuse.fusion import BackboneShape, ParamAudit
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           TextAttributedGraph, generate_synthetic_tag,
@@ -103,3 +106,83 @@ def audit_parameters(registry, backbone_total):
             seen.add(id(p))
             counts[component] += p.size
     return ParamAudit(backbone_total=backbone_total, **counts)
+
+
+# A finite-difference gradient checker: criterion 1 and the optimizer,
+# GraphSAGE and trainer tests check analytic gradients against it.
+
+@dataclass
+class GradCheckEntry:
+    name: str
+    max_rel_error: float
+    checked: int
+    passed: bool
+
+
+@dataclass
+class GradCheckReport:
+    epsilon: float
+    tolerance: float
+    entries: list = field(default_factory=list)
+
+    @property
+    def max_rel_error(self):
+        return max((e.max_rel_error for e in self.entries), default=0.0)
+
+    @property
+    def ok(self):
+        return all(e.passed for e in self.entries)
+
+    def summary(self):
+        lines = [f"grad_check eps={self.epsilon:g} tol={self.tolerance:g}"]
+        for e in self.entries:
+            mark = "ok  " if e.passed else "FAIL"
+            lines.append(f"  {mark} {e.name:<40s} max_rel={e.max_rel_error:.3e} "
+                         f"({e.checked} scalars)")
+        return "\n".join(lines)
+
+
+def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
+               samples_per_tensor=64, seed=0):
+    """Compare analytic gradients against central differences.
+
+    For each trainable parameter, a deterministic subsample of at least
+    `samples_per_tensor` scalars (or all of them, for small tensors) is
+    perturbed by +/- epsilon and the loss re-evaluated. Frozen parameters
+    never appear in the report. Requires 64-bit parameter values.
+    """
+    trainable = [p for p in params if not p.frozen]
+    for p in trainable:
+        if p.value.dtype != np.float64:
+            raise NumericsError(f"grad_check requires float64, got "
+                                f"{p.value.dtype} for {p.name!r}")
+        p.zero_grad()
+    ad.backward(loss_fn())
+    analytic = {id(p): p.gradient.copy() for p in trainable}
+
+    report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
+    for k, p in enumerate(trainable):
+        flat = p.value.reshape(-1)
+        n = flat.size
+        if n <= samples_per_tensor:
+            idxs = np.arange(n)
+        else:
+            rng = np.random.default_rng([seed, k])
+            idxs = rng.choice(n, size=samples_per_tensor, replace=False)
+        a_flat = analytic[id(p)].reshape(-1)
+        worst = 0.0
+        for i in idxs:
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            plus = float(ad.val(loss_fn()))
+            flat[i] = orig - epsilon
+            minus = float(ad.val(loss_fn()))
+            flat[i] = orig
+            numeric = (plus - minus) / (2.0 * epsilon)
+            a = float(a_flat[i])
+            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+            worst = max(worst, rel)
+        report.entries.append(GradCheckEntry(
+            name=p.name, max_rel_error=worst, checked=len(idxs),
+            passed=worst < tolerance))
+    return report

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (CONFIG_DIR, GPT2_SHAPE, make_graph, neighbors,
-                      random_graph)
+from conftest import (CONFIG_DIR, GPT2_SHAPE, grad_check, make_graph,
+                      neighbors, random_graph)
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
 from sagefuse.fusion import audit_from_shapes
 from sagefuse.metrics import roc_auc
-from sagefuse.optim import grad_check
 from sagefuse.sage import SageModel, mean_aggregation_matrix, train_phase1
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           generate_synthetic_tag, stratified_split)

@@ -973,8 +973,9 @@ class TestCorruptedArtifacts:
         ("phase1/pass1.gtsr", _oversized_header,
          f"truncated payload: the header gives {4 * 2 ** 62} bytes"),
         ("phase1/prefix.gtsr",
-         lambda p: save_tensor(p, np.zeros((60, 8, 12), dtype=np.float32)),
-         "shape (60, 8, 12), expected (60, 8, 16); re-run phase1"),
+         lambda p: save_tensor(p, np.zeros(load_tensor(p).shape[:2] + (12,),
+                                           dtype=np.float32)),
+         "shape (60, {width}, 12), expected (60, {width}, 16); re-run phase1"),
         ("phase1/pass1.gtsr",
          lambda p: save_tensor(p, np.zeros((60, 12), dtype=np.float32)),
          "shape (60, 12), expected (60, 8); re-run phase1"),
@@ -1008,16 +1009,26 @@ class TestCorruptedArtifacts:
         ("phase1/nodes.json",
          lambda p: _rewrite_json(p, lambda t: t.update(num_classes="3")),
          "'num_classes' must be a positive integer"),
+        # Rows at the full seq_len (8), as phase 1 saved them before it cut
+        # them to the longest tokenized row.
+        ("phase1/prefix.gtsr",
+         lambda p: save_tensor(p, np.zeros((60, 8, 16), dtype=np.float32)),
+         "shape (60, 8, 16), expected (60, {width}, 16); re-run phase1"),
     ], ids=lambda v: v if isinstance(v, str) and "/" in v else None)
     def test_evaluate_exits_1_naming_the_file(self, run_dir, tmp_path,
                                               capsys, name, damage, message):
+        """`{width}` in `message` stands for the prefix rows' width: the
+        longest of the `lengths` that phase 1 saved in `nodes.json`."""
         out, cfg_path = _copy_run(run_dir, tmp_path)
+        width = max(json.loads((out / "phase1" / "nodes.json").read_text())
+                    ["lengths"])
         assert main(["--config", str(cfg_path), "--force", "phase2"]) == 0
         damage(out / name)
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         err = _one_error_line(capsys)
-        assert err.startswith(f"error: {out / name}: ") and message in err
+        assert err.startswith(f"error: {out / name}: ") and \
+            message.format(width=width) in err
 
     def test_missing_checkpoint_tensor_exits_1(self, phase2_run, tmp_path,
                                                capsys):

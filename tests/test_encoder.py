@@ -13,7 +13,7 @@ from sagefuse.textenc import (CLS_ID, ENCODE_BATCH, PAD_ID, UNK_ID,
                               BackboneConfig, EncoderBackbone, Vocabulary,
                               VocabError, build_vocab, embed, encode,
                               node_features, prefix_states, readout,
-                              split_tokens, tokenize_graph)
+                              split_tokens, tokenize_graph, trim_padding)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               predict_logits)
 
@@ -568,3 +568,101 @@ class TestFrozenPrefix:
         above = inputs.at_layer(backbone, 2)
         with pytest.raises(VocabError, match=r"encoded layers \[2, 4\)"):
             assembly.logits(above, micro_tag.split_ids("train")[:4])
+
+
+class TestRaggedLengths:
+    """Texts of 1 to `words` words under a `seq_len` longer than any row:
+    phase 2 runs the encoder on L* columns, the longest row, not on
+    `seq_len`. In the wide layout rows are far enough apart in length that
+    a width cut per batch would give a row other bits."""
+
+    # (words, seq_len, L*): L* is [CLS] plus the longest text.
+    LAYOUTS = {"narrow": (5, 12, 6), "wide": (15, 20, 16)}
+    # Fewer columns regroup the softmax and pooling sums, so the trimmed
+    # logits need not be bitwise those of the untrimmed oracle (the narrow
+    # layout's are not); they stay within these absolute bounds, for logits
+    # below 1 in magnitude.
+    ORACLE_ATOL = {np.float32: 1e-6, np.float64: 1e-14}
+
+    @staticmethod
+    def _graph(words):
+        rng = np.random.default_rng(3)
+        vocabulary = [f"w{i}" for i in range(12)]
+        n = 70
+        texts = [" ".join(rng.choice(vocabulary, rng.integers(1, words + 1)))
+                 for _ in range(n)]
+        return make_graph({i: [] for i in range(n)},
+                          labels=rng.integers(0, 3, n).tolist(), texts=texts,
+                          num_classes=3, splits=["train"] * n)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("baseline", ["fused", "text_only"])
+    def test_trimmed_logits_match_the_untrimmed_oracle(self, dtype, baseline,
+                                                       pooling, layout):
+        words, seq_len, width = self.LAYOUTS[layout]
+        graph = self._graph(words)
+        n = graph.num_nodes
+        vocab = build_vocab(graph)
+        backbone = EncoderBackbone(BackboneConfig(
+            dim=16, heads=2, layers=4, mlp_width=32, max_tokens=32, seed=0,
+            precision=PRECISION[dtype], pooling=pooling), vocab.size)
+        rng = np.random.default_rng(0)
+        embeddings = SageEmbeddings(
+            pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
+            pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+        config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
+                           seq_len=seq_len, baseline=baseline)
+        assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
+                                  config, seed=0)
+        for p in assembly.trainable_parameters():
+            p.value[...] = rng.normal(0, 0.05, p.value.shape)
+        ids, mask = tokenize_graph(graph, vocab, "", seq_len)
+        lengths = mask.sum(axis=1)
+        assert lengths.min() == 2 and lengths.max() == width
+        start = config.first_adapted_layer(4)
+        inputs = Phase2Inputs.from_tokens(graph, backbone, ids,
+                                          mask).at_layer(backbone, start)
+        assert inputs.mask.shape == (n, width)
+        assert inputs.states.shape == (n, width, 16)
+        # Phase 1's trimmed prefix states are the ones phase 2 runs from.
+        _, states = node_features(backbone, *trim_padding(ids, mask), start)
+        assert np.array_equal(states, inputs.states)
+
+        nodes = np.arange(n)
+        with ad.no_grad():
+            full = reference_encode(backbone, ids, mask,
+                                    adapters=assembly.adapters,
+                                    node_embeddings={
+                                        "pass1": embeddings.pass1,
+                                        "pass2": embeddings.pass2},
+                                    lora=assembly.lora)
+            reference = np.asarray(ad.linear(
+                reference_pool_states(full, mask, pooling),
+                assembly.head_w, assembly.head_b))
+            got = np.asarray(assembly.logits(inputs, nodes))
+            # A row's bits do not depend on the rows that share its batch:
+            # batches of shorter rows only, batches with a longest row, and
+            # shuffled batches of 16 give the same logits. Every batch holds
+            # at least 2 rows: a 1-row head product takes another BLAS path.
+            short = nodes[lengths < width]
+            longest = nodes[lengths == width]
+            pairs = np.concatenate([
+                np.asarray(assembly.logits(inputs, short[i:i + 2]))
+                for i in range(0, len(short) - 1, 2)])
+            with_longest = np.concatenate([
+                np.asarray(assembly.logits(inputs, np.array([v, longest[0]])))
+                [:1] for v in short])
+            order = rng.permutation(n)
+            shuffled = np.empty_like(got)
+            for i in range(0, n, 16):
+                shuffled[order[i:i + 16]] = ad.val(
+                    assembly.logits(inputs, order[i:i + 16]))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, reference, rtol=0,
+                                   atol=self.ORACLE_ATOL[dtype])
+        assert np.array_equal(pairs, got[short[:len(pairs)]])
+        assert np.array_equal(with_longest, got[short])
+        assert np.array_equal(shuffled, got)
+        assert np.array_equal(predict_logits(assembly, inputs, nodes), got)

@@ -5,9 +5,10 @@ A stdlib `ast` walk stands in for a linter: a name bound by a top-level
 import must appear as a name somewhere else in the same module.
 `__init__.py` is skipped, since its imports are the package's exports.
 A top-level `def`, `class` or assigned name must be referenced outside its
-own statement by the package, the scripts or the benchmark harness. A name
-a function binds for itself (a parameter or an assignment) is that
-function's own, so reading it is no reference to a top-level namesake.
+own statement by the package, the scripts or the benchmark harness; a
+re-export by `__init__.py` is no such reference. A name a function binds
+for itself (a parameter or an assignment) is that function's own, so
+reading it is no reference to a top-level namesake.
 """
 
 import ast
@@ -137,6 +138,20 @@ def dead_definitions(modules, sources):
     return sorted(dead)
 
 
+def reference_sources(root):
+    """label -> (source, strings) for every file under `root` whose
+    references count: the package modules, labelled by module name, and
+    the files under the other `REFERENCE_ROOTS`, labelled by path. The
+    package's `__init__.py` is left out, so a name that is only
+    re-exported counts as unreached."""
+    src = root / "src" / "sagefuse"
+    return {p.stem if p.parent == src else p:
+            (p.read_text(encoding="utf-8"), strings)
+            for top, strings in REFERENCE_ROOTS.items()
+            for p in sorted((root / top).rglob("*.py"))
+            if p != src / "__init__.py"}
+
+
 def test_dead_name_guard_on_a_synthetic_source():
     module = ("def used():\n    return 1\n\n"
               "def recursive(n):\n    return recursive(n - 1)\n\n"
@@ -164,13 +179,23 @@ def test_dead_name_guard_on_a_synthetic_source():
          "m.shadowed"]
 
 
+def test_a_re_export_is_no_reference(tmp_path):
+    src = tmp_path / "src" / "sagefuse"
+    src.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    module = "def exported():\n    pass\n\ndef used():\n    pass\n"
+    (src / "m.py").write_text(module)
+    (src / "__init__.py").write_text("from .m import exported, used\n")
+    (tmp_path / "scripts" / "run.py").write_text(
+        "from sagefuse.m import used\nused()\n")
+    assert dead_definitions({"m": module}, reference_sources(tmp_path)) == \
+        ["m.exported"]
+
+
 def test_every_top_level_definition_is_referenced():
-    sources = {p.stem if p.parent == SRC else p:
-               (p.read_text(encoding="utf-8"), strings)
-               for top, strings in REFERENCE_ROOTS.items()
-               for p in sorted((ROOT / top).rglob("*.py"))}
-    modules = {p.stem: sources[p.stem][0] for p in SRC.glob("*.py")}
-    assert dead_definitions(modules, sources) == []
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert dead_definitions(modules, reference_sources(ROOT)) == []
 
 
 def test_checker_flags_an_unused_import():

@@ -3,9 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, Parameter
-from sagefuse.optim import AdamW, fit, grad_check
+from sagefuse.optim import AdamW, fit
 
 
 class TestAdamW:

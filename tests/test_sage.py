@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_graph, neighbors, random_graph, restore, snapshot
+from conftest import (grad_check, make_graph, neighbors, random_graph,
+                      restore, snapshot)
 from sagefuse import autodiff as ad
 from sagefuse import sage
 from sagefuse.metrics import split_metric
-from sagefuse.optim import AdamW, grad_check
+from sagefuse.optim import AdamW
 from sagefuse.sage import (SageModel, SageConfig, SageEmbeddings,
                            forward_embeddings, mean_aggregation_matrix,
                            neighbor_concat, sage_pass, train_phase1)

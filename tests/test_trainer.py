@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (audit_parameters, make_graph, neighbors, random_graph,
-                      restore, snapshot)
+from conftest import (audit_parameters, grad_check, make_graph, neighbors,
+                      random_graph, restore, snapshot)
 from sagefuse import autodiff as ad
 from sagefuse import trainer
-from sagefuse.optim import AdamW, fit, grad_check
+from sagefuse.optim import AdamW, fit
 from sagefuse.sage import SageEmbeddings
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
