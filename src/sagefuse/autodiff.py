@@ -2,9 +2,9 @@
 
 A forward pass records a graph of `Node` objects; `backward` walks it in
 reverse topological order and accumulates gradients into the `Parameter`
-leaves. Frozen parameters (and plain arrays) enter the graph as constants,
-so a forward pass with no trainable parameters below it runs as plain
-numpy with zero bookkeeping.
+leaves. A constant, such as a frozen weight, is a plain array: every op
+treats it as such, so a forward pass with no `Parameter` below it runs as
+plain numpy with zero bookkeeping.
 
 A recorded graph serves exactly one `backward`: the walk releases each
 interior node's closure, parents and gradient once it has passed them on,
@@ -51,14 +51,13 @@ def _check_finite(name, arr):
 
 
 class Parameter:
-    """A named tensor with a persistent gradient buffer and a frozen flag."""
+    """A named trainable tensor with a persistent gradient buffer."""
 
-    def __init__(self, value, name="", frozen=False):
+    def __init__(self, value, name=""):
         self.value = np.asarray(value)
         _check_finite(name or "parameter", self.value)
         self.gradient = np.zeros_like(self.value)
         self.name = name
-        self.frozen = frozen
 
     @property
     def shape(self):
@@ -72,8 +71,7 @@ class Parameter:
         self.gradient[...] = 0.0
 
     def __repr__(self):
-        tag = "frozen" if self.frozen else "trainable"
-        return f"Parameter({self.name!r}, shape={self.value.shape}, {tag})"
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
 class Node:
@@ -109,14 +107,14 @@ def val(x):
 def lift(x):
     """Bring an input into the graph.
 
-    Trainable Parameters become leaf Nodes (when grads are enabled);
-    everything else passes through as a plain array and is treated as a
-    constant by every op.
+    Parameters become leaf Nodes (when grads are enabled); everything else
+    passes through as a plain array and is treated as a constant by every
+    op.
     """
     if isinstance(x, Node):
         return x
     if isinstance(x, Parameter):
-        if x.frozen or not _GRAD_ENABLED:
+        if not _GRAD_ENABLED:
             return x.value
         return Node(x.value, param=x)
     return np.asarray(x)
@@ -189,7 +187,7 @@ def backward(loss):
                 for parent, g in node._backward(node.grad):
                     parent.grad = g if parent.grad is None else parent.grad + g
             node._backward, node._parents, node.grad = None, (), None
-        elif node.grad is not None and not node._param.frozen:
+        elif node.grad is not None:
             node._param.gradient += node.grad
 
 
@@ -228,22 +226,6 @@ def mul(a, b):
     out = va * vb
     return _node(out, [(a, lambda g: _unbroadcast(g * vb, va.shape)),
                        (b, lambda g: _unbroadcast(g * va, vb.shape))])
-
-
-def matmul(a, b):
-    a, b = lift(a), lift(b)
-    va, vb = val(a), val(b)
-    if vb.ndim < 2 or va.shape[-1] != vb.shape[-2]:
-        raise ShapeError("matmul", va.shape, vb.shape)
-    out = va @ vb
-
-    def ga(g):
-        return _unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape)
-
-    def gb(g):
-        return _unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
-
-    return _node(out, [(a, ga), (b, gb)])
 
 
 def sparse_matmul(m, x):
@@ -359,7 +341,7 @@ def attention(q, k, v, mask_bias=None):
     broadcast onto the score matrix. The scores are scaled, masked and
     softmaxed in place, so the op keeps only q, k, v and the softmax `s`.
     numpy's matmul bits depend on operand strides, so every product keeps
-    the operand layout of the matmul/softmax chain this op replaced, and the
+    the operand layout of the primitive-op chain this op replaced, and the
     gradients of a shared q, k and v are summed in that chain's order
     (v, q, k).
     """
@@ -400,13 +382,6 @@ def attention(q, k, v, mask_bias=None):
     return Node(out, parents, grads)
 
 
-def transpose_last(a):
-    a = lift(a)
-    nd = val(a).ndim
-    axes = list(range(nd - 2)) + [nd - 1, nd - 2]
-    return transpose(a, axes)
-
-
 # ---------------------------------------------------------------------------
 # loss
 
@@ -442,7 +417,7 @@ def linear(x, w, b=None):
     """x @ w.T (+ b) as one op; weights stored as (d_out, d_in).
 
     The bias is added in place to the product: one node and one output
-    array, where a matmul node and an add node would hold two.
+    array, where a product node and an add node would hold two.
     """
     x, w = lift(x), lift(w)
     vx, vw = val(x), val(w)

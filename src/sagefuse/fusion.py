@@ -43,11 +43,11 @@ class LoraPair:
 
 
 def lora_apply(pair, frozen_w, x, bias=None):
-    """(W + B @ A) @ x^T computed without touching the frozen W."""
-    base = ad.linear(x, frozen_w, bias)
-    low = ad.matmul(x, ad.transpose_last(ad.lift(pair.a)))
-    delta = ad.matmul(low, ad.transpose_last(ad.lift(pair.b)))
-    return ad.add(base, delta)
+    """x @ (W + B @ A)^T (+ bias) for the frozen weight array W, as the sum
+    of the frozen projection and the low-rank path x @ A^T @ B^T; W itself
+    is never touched."""
+    return ad.add(ad.linear(x, frozen_w, bias),
+                  ad.linear(ad.linear(x, pair.a), pair.b))
 
 
 class FusionAdapter:
@@ -109,21 +109,19 @@ def fusion_apply(adapter, h1, h2):
     so a zero W_C is an exact identity.
     """
     vh1, vh2 = ad.val(h1), np.asarray(h2)
-    d = ad.val(adapter.w_a).shape[1]
-    g = ad.val(adapter.w_b).shape[1]
+    d = adapter.w_a.shape[1]
+    g = adapter.w_b.shape[1]
     if vh1.shape[-1] != d:
         raise AdapterConfigError(f"hidden width {vh1.shape[-1]} != adapter d={d}")
     if vh2.shape[-1] != g:
         raise AdapterConfigError(f"embedding width {vh2.shape[-1]} != adapter g={g}")
     alpha = ad.sigmoid(ad.lift(adapter.gate_logit))
-    text_part = ad.matmul(h1, ad.transpose_last(ad.lift(adapter.w_a)))
-    struct_part = ad.matmul(h2, ad.transpose_last(ad.lift(adapter.w_b)))
-    if vh1.ndim == 3:
-        struct_part = ad.reshape(struct_part, (vh2.shape[0], 1, adapter.rank))
+    text_part = ad.linear(h1, adapter.w_a)
+    struct_part = ad.reshape(ad.linear(h2, adapter.w_b),
+                             (vh2.shape[0], 1, adapter.rank))
     fused = ad.add(ad.mul(alpha, text_part),
                    ad.mul(ad.sub(1.0, alpha), struct_part))
-    z = ad.matmul(fused, ad.transpose_last(ad.lift(adapter.w_c)))
-    return ad.add(h1, z)
+    return ad.add(h1, ad.linear(fused, adapter.w_c))
 
 
 def default_placement(num_layers):
@@ -135,8 +133,9 @@ def default_placement(num_layers):
 
 
 def check_placement(num_layers, pass1_layers, pass2_layers):
-    """Both sources need a layer, every layer lies in the backbone, and the
-    pass-1 layers all sit strictly below every pass-2 layer."""
+    """Both sources need a layer, no layer is listed twice, every layer lies
+    in the backbone, and the pass-1 layers all sit strictly below every
+    pass-2 layer."""
     pass1_layers = sorted(pass1_layers)
     pass2_layers = sorted(pass2_layers)
     if not pass1_layers or not pass2_layers:
@@ -145,6 +144,10 @@ def check_placement(num_layers, pass1_layers, pass2_layers):
     if overlap:
         raise AdapterConfigError(f"layers {sorted(overlap)} assigned to both "
                                  "sources")
+    for name, layers in ((PASS1, pass1_layers), (PASS2, pass2_layers)):
+        if len(set(layers)) != len(layers):
+            raise AdapterConfigError(f"{name} layers {layers} list a layer "
+                                     "more than once")
     for layer in pass1_layers + pass2_layers:
         if not 0 <= layer < num_layers:
             raise AdapterConfigError(f"adapter layer {layer} outside "

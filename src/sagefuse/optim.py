@@ -11,13 +11,13 @@ from .autodiff import NumericsError
 
 class AdamW:
     """Decoupled weight decay: the decay shrink is applied to the weight
-    separately from the bias-corrected moment update. Frozen parameters are
-    skipped entirely.
+    separately from the bias-corrected moment update. Every parameter it is
+    given trains; a frozen weight is a plain array and never reaches it.
     """
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=1e-2):
-        self.params = [p for p in params if not p.frozen]
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -28,8 +28,8 @@ class SageConfig:
 
 
 class SageModel:
-    """Trainable in phase-1, frozen afterwards. Layer weights follow the
-    concat convention: W has shape (g, 2*k) for input width k."""
+    """Trained in phase 1 only. Layer weights follow the concat convention:
+    W has shape (g, 2*k) for input width k."""
 
     def __init__(self, in_dim, embed_dim, hidden, num_classes, seed=0,
                  dtype=np.float64):
@@ -56,11 +56,6 @@ class SageModel:
     def parameters(self):
         return [self.w0, self.b0, self.w1, self.b1,
                 self.cls_w1, self.cls_b1, self.cls_w2, self.cls_b2]
-
-    def freeze(self):
-        for p in self.parameters():
-            p.frozen = True
-        return self
 
     def classify(self, embeddings):
         h = ad.relu(ad.linear(embeddings, self.cls_w1, self.cls_b1))
@@ -132,8 +127,9 @@ class Phase1Result:
 def train_phase1(model, x, graph, config):
     """Full-batch AdamW on cross-entropy over the train nodes' pass-2
     classifier logits, early-stopped on the validation metric (`optim.fit`).
-    Leaves `model` at its best-validation weights, frozen, ready for phase
-    2, and returns that checkpoint's embeddings.
+    Leaves `model` at its best-validation weights and returns that
+    checkpoint's embeddings, computed without recording a graph; phase 2
+    reads only those.
 
     Each epoch records one forward: the logits of the weights after a step
     give that epoch's validation metric and the next epoch's loss, since
@@ -160,7 +156,6 @@ def train_phase1(model, x, graph, config):
     best_epoch, best_metric, loss_trace, val_trace = fit(
         model.parameters(), config, epoch_losses, val_metric)
     recorded.clear()
-    model.freeze()
     with ad.no_grad():
         pass1, pass2 = forward_embeddings(model, first_hop, agg)
     embeddings = SageEmbeddings(pass1=np.asarray(pass1),

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter
 from .fusion import BackboneShape, fusion_apply, lora_apply
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
@@ -140,7 +139,8 @@ class BackboneConfig:
 
 
 class EncoderBackbone:
-    """Pre-norm transformer encoder; every weight is frozen at creation.
+    """Pre-norm transformer encoder whose weights are plain arrays:
+    constants to every autodiff op, so nothing in it ever trains.
 
     Init: normal(0, 0.02) embeddings and projections, zero biases, unit
     layernorm gains, fixed per seed.
@@ -154,43 +154,31 @@ class EncoderBackbone:
         rng = np.random.default_rng(config.seed)
         d, m, dt = config.dim, config.mlp_width, config.dtype
 
-        def w(shape, name):
-            return Parameter(rng.normal(0.0, 0.02, shape).astype(dt),
-                             name=name, frozen=True)
+        def w(*shape):
+            return rng.normal(0.0, 0.02, shape).astype(dt)
 
-        def zeros(shape, name):
-            return Parameter(np.zeros(shape, dtype=dt), name=name, frozen=True)
+        def zeros(n):
+            return np.zeros(n, dtype=dt)
 
-        def ones(shape, name):
-            return Parameter(np.ones(shape, dtype=dt), name=name, frozen=True)
+        def ones(n):
+            return np.ones(n, dtype=dt)
 
-        self.tok_emb = w((vocab_size, d), "backbone.tok_emb")
-        self.pos_emb = w((config.max_tokens, d), "backbone.pos_emb")
+        self.tok_emb = w(vocab_size, d)
+        self.pos_emb = w(config.max_tokens, d)
         self.blocks = []
-        for l in range(config.layers):
-            p = f"backbone.layer{l}"
+        for _ in range(config.layers):
             self.blocks.append({
-                "ln1_g": ones(d, f"{p}.ln1_g"), "ln1_b": zeros(d, f"{p}.ln1_b"),
-                "q": w((d, d), f"{p}.q"), "q_b": zeros(d, f"{p}.q_b"),
-                "k": w((d, d), f"{p}.k"), "k_b": zeros(d, f"{p}.k_b"),
-                "v": w((d, d), f"{p}.v"), "v_b": zeros(d, f"{p}.v_b"),
-                "o": w((d, d), f"{p}.o"), "o_b": zeros(d, f"{p}.o_b"),
-                "ln2_g": ones(d, f"{p}.ln2_g"), "ln2_b": zeros(d, f"{p}.ln2_b"),
-                "mlp1": w((m, d), f"{p}.mlp1"), "mlp1_b": zeros(m, f"{p}.mlp1_b"),
-                "mlp2": w((d, m), f"{p}.mlp2"), "mlp2_b": zeros(d, f"{p}.mlp2_b"),
+                "ln1_g": ones(d), "ln1_b": zeros(d),
+                "q": w(d, d), "q_b": zeros(d),
+                "k": w(d, d), "k_b": zeros(d),
+                "v": w(d, d), "v_b": zeros(d),
+                "o": w(d, d), "o_b": zeros(d),
+                "ln2_g": ones(d), "ln2_b": zeros(d),
+                "mlp1": w(m, d), "mlp1_b": zeros(m),
+                "mlp2": w(d, m), "mlp2_b": zeros(d),
             })
-        self.ln_f_g = ones(d, "backbone.ln_f_g")
-        self.ln_f_b = zeros(d, "backbone.ln_f_b")
-
-    def parameters(self):
-        out = [self.tok_emb, self.pos_emb]
-        for blk in self.blocks:
-            out.extend(blk.values())
-        out.extend([self.ln_f_g, self.ln_f_b])
-        return out
-
-    def param_count(self):
-        return sum(p.size for p in self.parameters())
+        self.ln_f_g = ones(d)
+        self.ln_f_b = zeros(d)
 
 
 def _proj(x, w, b, pair):
@@ -207,7 +195,7 @@ def embed(backbone, ids):
     if seq > backbone.config.max_tokens:
         raise VocabError(f"sequence length {seq} exceeds max_tokens "
                          f"{backbone.config.max_tokens}")
-    return backbone.tok_emb.value[ids] + backbone.pos_emb.value[:seq]
+    return backbone.tok_emb[ids] + backbone.pos_emb[:seq]
 
 
 def encode(backbone, states, mask, start=0, stop=None, adapters=None,

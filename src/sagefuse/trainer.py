@@ -71,6 +71,14 @@ class RunConfig(TrainerConfig, FusionConfig):
                                      f"choose from {BASELINES}")
         if self.rank < 1:
             raise TrainerConfigError(f"rank must be >= 1, got {self.rank}")
+        if self.batch_size < 1:
+            raise TrainerConfigError(f"batch_size must be >= 1, got "
+                                     f"{self.batch_size}")
+        if not self.seeds:
+            raise TrainerConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise TrainerConfigError(f"seeds {list(self.seeds)} list a seed "
+                                     "more than once")
         bad = set(self.lora_targets) - set(LORA_TARGETS)
         if bad:
             raise TrainerConfigError(f"unknown LoRA targets {sorted(bad)}")
@@ -304,9 +312,7 @@ class RunReport:
 
 def seed_sweep(runner, seeds, baseline, metric, audit=None):
     """Independent runs per seed; the aggregate is an order-independent
-    fold (sorted by seed)."""
-    if len(seeds) == 0:
-        raise TrainerConfigError("need at least one seed")
+    fold (sorted by seed). `RunConfig` holds at least one seed, each once."""
     started = time.perf_counter()
     results = sorted((runner(seed) for seed in seeds), key=lambda r: r.seed)
     metrics = np.array([r.test_metric for r in results])
@@ -325,7 +331,7 @@ def train_phase2(backbone, embeddings, inputs, config, gnn_size=0):
     phase-1 model's scalar count, is the report audit's `gnn` term."""
     inputs = inputs.at_layer(
         backbone, config.first_adapted_layer(backbone.config.layers))
-    shape = backbone.config.shape(len(backbone.tok_emb.value))
+    shape = backbone.config.shape(len(backbone.tok_emb))
     audit = replace(config.audit(shape, g=embeddings.pass1.shape[1],
                                  num_classes=inputs.num_classes),
                     gnn=gnn_size).as_dict()

@@ -16,7 +16,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from sagefuse import autodiff as ad
-from sagefuse.autodiff import NumericsError
+from sagefuse.autodiff import NumericsError, ShapeError
 from sagefuse.fusion import BackboneShape, ParamAudit
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           TextAttributedGraph, generate_synthetic_tag,
@@ -64,6 +64,48 @@ def snapshot(params):
 def restore(params, values):
     for p, v in zip(params, values):
         p.value[...] = v
+
+
+def backbone_arrays(backbone):
+    """Every weight array of an `EncoderBackbone`: the embeddings, each
+    block's weights, then the closing layernorm."""
+    out = [backbone.tok_emb, backbone.pos_emb]
+    for blk in backbone.blocks:
+        out.extend(blk.values())
+    return out + [backbone.ln_f_g, backbone.ln_f_b]
+
+
+def backbone_size(backbone):
+    """Scalars in the live backbone: the count the analytic
+    `BackboneShape.param_count` is checked against."""
+    return sum(a.size for a in backbone_arrays(backbone))
+
+
+# A general batched matmul and the last-two-axes transpose, as the package
+# defined them before every product became one `ad.linear`. The parent-op
+# oracles build their reference chains from these.
+
+def matmul(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    va, vb = ad.val(a), ad.val(b)
+    if vb.ndim < 2 or va.shape[-1] != vb.shape[-2]:
+        raise ShapeError("matmul", va.shape, vb.shape)
+    out = va @ vb
+
+    def ga(g):
+        return ad._unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape)
+
+    def gb(g):
+        return ad._unbroadcast(np.swapaxes(va, -1, -2) @ g, vb.shape)
+
+    return ad._node(out, [(a, ga), (b, gb)])
+
+
+def transpose_last(a):
+    a = ad.lift(a)
+    nd = ad.val(a).ndim
+    axes = list(range(nd - 2)) + [nd - 1, nd - 2]
+    return ad.transpose(a, axes)
 
 
 def random_graph(rng, n, edge_prob=0.15):
@@ -146,12 +188,12 @@ def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
                samples_per_tensor=64, seed=0):
     """Compare analytic gradients against central differences.
 
-    For each trainable parameter, a deterministic subsample of at least
+    For each parameter, a deterministic subsample of at least
     `samples_per_tensor` scalars (or all of them, for small tensors) is
-    perturbed by +/- epsilon and the loss re-evaluated. Frozen parameters
-    never appear in the report. Requires 64-bit parameter values.
+    perturbed by +/- epsilon and the loss re-evaluated. Requires 64-bit
+    parameter values.
     """
-    trainable = [p for p in params if not p.frozen]
+    trainable = list(params)
     for p in trainable:
         if p.value.dtype != np.float64:
             raise NumericsError(f"grad_check requires float64, got "

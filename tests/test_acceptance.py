@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (CONFIG_DIR, GPT2_SHAPE, grad_check, make_graph,
-                      neighbors, random_graph)
+from conftest import (CONFIG_DIR, GPT2_SHAPE, backbone_arrays, grad_check,
+                      make_graph, neighbors, random_graph)
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
@@ -163,14 +163,14 @@ def test_criterion_3_zero_adapter_identity():
 def test_criterion_4_frozen_invariance():
     setup = _setup()
     config = dataclasses.replace(setup.config, epochs=10, patience=10)
-    backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
+    backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
     emb_before = (setup.embeddings.pass1.copy(), setup.embeddings.pass2.copy())
     from sagefuse.trainer import run_phase2_seed
     result = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
                              config, seed=0)
     ok = (len(result.loss_trace) >= 10
-          and all(np.array_equal(p.value, before) for p, before in
-                  zip(setup.backbone.parameters(), backbone_before))
+          and all(np.array_equal(a, before) for a, before in
+                  zip(backbone_arrays(setup.backbone), backbone_before))
           and np.array_equal(setup.embeddings.pass1, emb_before[0])
           and np.array_equal(setup.embeddings.pass2, emb_before[1]))
     _report(4, f"backbone and structural embeddings bitwise unchanged after "

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import matmul, transpose_last
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, Parameter, ShapeError
 
@@ -31,9 +32,9 @@ class TestForwardOps:
 
     def test_matmul_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(np.ones((2, 3)), np.ones((4, 2)))
+            matmul(np.ones((2, 3)), np.ones((4, 2)))
         with pytest.raises(ShapeError, match="matmul"):  # no 1-D operand
-            ad.matmul(np.ones((2, 3)), np.ones(3))
+            matmul(np.ones((2, 3)), np.ones(3))
 
     def test_concat_cols_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="concat_cols"):
@@ -90,8 +91,7 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_backward_without_recorded_graph_rejected(self):
-        frozen = Parameter(np.ones((2, 2)), name="w", frozen=True)
-        loss = ad.sum_(ad.mul(frozen, 2.0))
+        loss = ad.sum_(ad.mul(np.ones((2, 2)), 2.0))
         with pytest.raises(NumericsError):
             ad.backward(loss)
 
@@ -99,7 +99,7 @@ class TestBackward:
         # loss = sum(W @ x)  =>  dloss/dW = outer(ones, x)
         w = Parameter(np.ones((2, 3)), name="w")
         x = np.array([[1.0], [2.0], [3.0]])
-        ad.backward(ad.sum_(ad.matmul(w, x)))
+        ad.backward(ad.sum_(matmul(w, x)))
         assert np.array_equal(w.gradient, np.outer(np.ones(2), x))
 
     def test_elementwise_product_gradient(self):
@@ -107,13 +107,6 @@ class TestBackward:
         x = np.array([2.0, -3.0])
         ad.backward(ad.sum_(ad.mul(w, x)))
         assert np.array_equal(w.gradient, x)
-
-    def test_frozen_parameter_never_accumulates(self):
-        frozen = Parameter(np.ones(3), name="f", frozen=True)
-        live = Parameter(np.ones(3), name="t")
-        ad.backward(ad.sum_(ad.mul(frozen, live)))
-        assert np.array_equal(frozen.gradient, np.zeros(3))
-        assert np.array_equal(live.gradient, np.ones(3))
 
     def test_gradient_accumulates_across_backward_calls(self):
         w = Parameter(np.ones(2), name="w")
@@ -155,7 +148,7 @@ class TestBackward:
 
     def test_backward_releases_interior_values(self):
         w = Parameter(np.ones((3, 4)), name="w")
-        hidden = ad.relu(ad.matmul(np.ones((5, 3)), w))
+        hidden = ad.relu(matmul(np.ones((5, 3)), w))
         ref = weakref.ref(ad.val(hidden))
         loss = ad.sum_(hidden)
         del hidden
@@ -179,7 +172,7 @@ def test_matmul_gradient_matches_transpose_identity(n, m, seed):
     rng = np.random.default_rng(seed)
     w = Parameter(rng.normal(0, 1, (n, m)), name="w")
     x = rng.normal(0, 1, (m, 1))
-    ad.backward(ad.sum_(ad.matmul(w, x)))
+    ad.backward(ad.sum_(matmul(w, x)))
     assert np.allclose(w.gradient, np.outer(np.ones(n), x), atol=1e-12)
 
 
@@ -211,13 +204,13 @@ _DTYPE_OPS = {
     "mul_python_float": lambda x: ad.mul(x, 3.0),
     "mul_np_float64": lambda x: ad.mul(x, 1.0 / np.sqrt(4)),
     "mul_np_float64_left": lambda x: ad.mul(np.float64(1.5), x),
-    "matmul": lambda x: ad.matmul(x, x),
+    "matmul": lambda x: matmul(x, x),
     "sparse_matmul": lambda x: ad.sparse_matmul(
         sp.identity(4, dtype=ad.val(x).dtype, format="csr"), x),
     "concat_cols": lambda x: ad.concat_cols(x, x),
     "reshape": lambda x: ad.reshape(x, (2, 8)),
     "transpose": lambda x: ad.transpose(x, (1, 0)),
-    "transpose_last": ad.transpose_last,
+    "transpose_last": transpose_last,
     "gather_rows": lambda x: ad.gather_rows(x, [0, 2, 2]),
     "sum_": lambda x: ad.sum_(x, axis=0),
     "mean_": lambda x: mean_(x, axis=1),
@@ -265,22 +258,24 @@ def reference_softmax(a, axis=-1):
 
 def reference_attention(q, k, v, mask_bias=None):
     dk = ad.val(q).shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.transpose_last(k)), 1.0 / np.sqrt(dk))
+    scores = ad.mul(matmul(q, transpose_last(k)), 1.0 / np.sqrt(dk))
     if mask_bias is not None:
         scores = ad.add(scores, mask_bias)
-    return ad.matmul(reference_softmax(scores, axis=-1), v)
+    return matmul(reference_softmax(scores, axis=-1), v)
 
 
 def reference_linear(x, w, b=None):
-    out = ad.matmul(x, ad.transpose_last(ad.lift(w)))
+    out = matmul(x, transpose_last(ad.lift(w)))
     if b is not None:
         out = ad.add(out, b)
     return out
 
 
 def _leaf(rng, shape, dtype, name, frozen=False):
-    return Parameter(rng.normal(0, 1, shape).astype(dtype), name=name,
-                     frozen=frozen)
+    """A trainable Parameter, or with `frozen` the plain array a frozen
+    weight is."""
+    value = rng.normal(0, 1, shape).astype(dtype)
+    return value if frozen else Parameter(value, name=name)
 
 
 def _grads_through(op, params, make_inputs, weight):
@@ -360,7 +355,7 @@ class TestParentOpOracle:
         w = _leaf(rng, (32, 32), dtype, "w", frozen=w_frozen)
         b = None if bias == "none" else _leaf(rng, (32,), dtype, "b",
                                               frozen=bias == "frozen")
-        trainable = [p for p in (x, w, b) if p is not None and not p.frozen]
+        trainable = [p for p in (x, w, b) if isinstance(p, Parameter)]
         weight = rng.normal(0, 1, x_shape[:-1] + (32,)).astype(dtype)
         _assert_same_bits(ad.linear, reference_linear, trainable,
                           lambda: (ad.lift(x), w, b), weight)

@@ -194,6 +194,13 @@ class TestCli:
          "unknown key 'enable_lora' in [fusion]"),
         (("pass2_layers = 3", "pass2_layers = 3\nmode = replace"),
          "unknown key 'mode' in [fusion]"),
+        (("seeds = 0", "seeds ="), "need at least one seed"),
+        (("seeds = 0", "seeds = 0,0"),
+         "seeds [0, 0] list a seed more than once"),
+        (("batch_size = 16", "batch_size = 0"), "batch_size must be >= 1"),
+        (("batch_size = 16", "batch_size = -4"), "batch_size must be >= 1"),
+        (("pass1_layers = 1", "pass1_layers = 1,1"),
+         "pass1 layers [1, 1] list a layer more than once"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):
@@ -384,6 +391,13 @@ class TestCli:
         _, config_path = run_dir
         assert main(["--config", str(config_path), "--seeds", "0,x",
                      "phase2"]) == 2
+
+    def test_repeated_seed_flag_exits_2(self, run_dir, capsys):
+        _, config_path = run_dir
+        assert main(["--config", str(config_path), "--seeds", "0,0",
+                     "phase2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seeds [0, 0] list a seed more than once\n"
 
     @pytest.mark.parametrize("ranks, message", [
         ("2,x", "--ranks must be comma-separated integers"),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, GPT2_SHAPE, audit_parameters
+from conftest import (CONFIG_DIR, GPT2_SHAPE, audit_parameters,
+                      backbone_size, matmul, transpose_last)
 from sagefuse import autodiff as ad
 from sagefuse.config import ExperimentConfig
 from sagefuse.fusion import (AdapterConfigError, BackboneShape, FusionAdapter,
@@ -22,9 +23,10 @@ class TestFusionApply:
         a.w_a.value[...] = [[1.0, 0.0]]
         a.w_b.value[...] = [[2.0]]
         a.w_c.value[...] = [[1.0], [1.0]]
-        out = np.asarray(fusion_apply(a, np.array([[3.0, 4.0]]),
+        out = np.asarray(fusion_apply(a, np.array([[[3.0, 4.0]]]),
                                       np.array([[5.0]])))
-        assert np.allclose(out, [[9.5, 10.5]], atol=1e-15)
+        assert out.shape == (1, 1, 2)
+        assert np.allclose(out, [[[9.5, 10.5]]], atol=1e-15)
 
     def test_zero_up_projection_is_exact_identity(self):
         a = make_adapter(rank=3, d=8, g=4)  # w_c initializes to zero
@@ -137,10 +139,10 @@ class TestLora:
     def test_zero_b_factor_is_exact_identity(self):
         rng = np.random.default_rng(0)
         pair = LoraPair(6, 4, rank=2, target="q")
-        w = ad.Parameter(rng.normal(0, 1, (4, 6)), frozen=True, name="w")
+        w = rng.normal(0, 1, (4, 6))
         x = rng.normal(0, 1, (3, 6))
         out = np.asarray(lora_apply(pair, w, x))
-        assert np.array_equal(out, x @ w.value.T)
+        assert np.array_equal(out, x @ w.T)
 
     def test_delta_has_rank_at_most_r(self):
         rng = np.random.default_rng(1)
@@ -162,14 +164,142 @@ class TestLora:
         from sagefuse.optim import AdamW
         rng = np.random.default_rng(3)
         pair = LoraPair(4, 4, rank=2, target="q")
-        w = ad.Parameter(rng.normal(0, 1, (4, 4)), frozen=True, name="w")
-        before = w.value.copy()
+        w = rng.normal(0, 1, (4, 4))
+        before = w.copy()
         x = rng.normal(0, 1, (2, 4))
-        opt = AdamW(pair.parameters() + [w], lr=0.1)
+        opt = AdamW(pair.parameters(), lr=0.1)
         out = lora_apply(pair, w, x)
         ad.backward(ad.sum_(ad.mul(out, out)))
         opt.step()
-        assert np.array_equal(w.value, before)
+        assert np.array_equal(w, before)
+        assert np.any(pair.b.value != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: `lora_apply` and `fusion_apply` as they stood before every
+# product became one `ad.linear`, each projection a matmul by the
+# transposed view of its weight. The new forms must give the same forward
+# bits and the same bits in every gradient. A width of 32 and a rank of 16
+# are used because there numpy's matmul bits depend on operand strides (at
+# rank 4 they do not, and a change of layout would go unseen).
+
+def reference_lora_apply(pair, frozen_w, x, bias=None):
+    base = ad.linear(x, frozen_w, bias)
+    low = matmul(x, transpose_last(ad.lift(pair.a)))
+    delta = matmul(low, transpose_last(ad.lift(pair.b)))
+    return ad.add(base, delta)
+
+
+def reference_fusion_apply(adapter, h1, h2):
+    vh1, vh2 = ad.val(h1), np.asarray(h2)
+    alpha = ad.sigmoid(ad.lift(adapter.gate_logit))
+    text_part = matmul(h1, transpose_last(ad.lift(adapter.w_a)))
+    struct_part = matmul(h2, transpose_last(ad.lift(adapter.w_b)))
+    if vh1.ndim == 3:
+        struct_part = ad.reshape(struct_part, (vh2.shape[0], 1, adapter.rank))
+    fused = ad.add(ad.mul(alpha, text_part),
+                   ad.mul(ad.sub(1.0, alpha), struct_part))
+    z = matmul(fused, transpose_last(ad.lift(adapter.w_c)))
+    return ad.add(h1, z)
+
+
+class TestAdapterOracle:
+    B, T, D, RANK, G = 2, 8, 32, 16, 16
+
+    def _layer(self, dtype, tying):
+        """One encoder layer's adapted pieces: a fusion adapter on the
+        input and a LoRA pair on each of q, k, v and o over frozen weight
+        arrays, every factor drawn away from its zero init. With `shared`
+        tying the adapter aliases the o pair's factors, as in
+        `Phase2Assembly`."""
+        rng = np.random.default_rng(11)
+        pairs = {t: LoraPair(self.D, self.D, self.RANK, t, seed=i,
+                             dtype=dtype) for i, t in enumerate("qkvo")}
+        for pair in pairs.values():
+            pair.b.value[...] = rng.normal(0, 0.5, pair.b.shape)
+        tie = (pairs["o"].a, pairs["o"].b) if tying == "shared" else None
+        adapter = FusionAdapter(1, "pass1", self.RANK, self.D, self.G,
+                                seed=3, tie=tie, dtype=dtype)
+        if tie is None:
+            adapter.w_c.value[...] = rng.normal(0, 0.5, adapter.w_c.shape)
+        adapter.gate_logit.value[...] = 0.3
+        weights = {t: (rng.normal(0, 0.2, (self.D, self.D)).astype(dtype),
+                       rng.normal(0, 0.2, self.D).astype(dtype))
+                   for t in pairs}
+        x = ad.Parameter(rng.normal(0, 1, (self.B, self.T, self.D))
+                         .astype(dtype), name="x")
+        h2 = rng.normal(0, 1, (self.B, self.G)).astype(dtype)
+        params = [x] + [p for t in pairs for p in pairs[t].parameters()]
+        params += adapter.parameters()
+        weight = rng.normal(0, 1, (self.B, self.T, self.D)).astype(dtype)
+        return pairs, adapter, weights, x, h2, params, weight
+
+    @staticmethod
+    def _run(params, forward, weight):
+        """Forward value and every parameter gradient of
+        sum(forward() * weight), from zeroed gradients."""
+        for p in params:
+            p.zero_grad()
+        out = forward()
+        value = ad.val(out).copy()
+        ad.backward(ad.sum_(ad.mul(out, weight)))
+        return [value] + [p.gradient.copy() for p in params]
+
+    def _assert_same_bits(self, params, forward, reference, weight):
+        got = self._run(params, forward, weight)
+        want = self._run(params, reference, weight)
+        assert got[0].dtype == want[0].dtype
+        names = ["forward"] + [p.name for p in params]
+        for name, a, b in zip(names, got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_lora_apply_matches_matmul_chain(self, dtype, bias):
+        pairs, _, weights, x, _, _, weight = self._layer(dtype, "separate")
+        w, b = weights["q"]
+        b = b if bias else None
+        params = [x] + pairs["q"].parameters()
+
+        def run(apply):
+            return lambda: apply(pairs["q"], w, ad.lift(x), b)
+
+        self._assert_same_bits(params, run(lora_apply),
+                               run(reference_lora_apply), weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fusion_apply_matches_matmul_chain(self, dtype):
+        _, adapter, _, x, h2, _, weight = self._layer(dtype, "separate")
+        params = [x] + adapter.parameters()
+
+        def run(apply):
+            return lambda: apply(adapter, ad.lift(x), h2)
+
+        self._assert_same_bits(params, run(fusion_apply),
+                               run(reference_fusion_apply), weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tying", ["separate", "shared"])
+    def test_adapted_projections_match_matmul_chains(self, dtype, tying):
+        # The fused input feeds four adapted projections, so x's gradient
+        # sums several paths, and a shared adapter's W_A/W_C take theirs
+        # from both the fusion and the o pair.
+        pairs, adapter, weights, x, h2, params, weight = \
+            self._layer(dtype, tying)
+
+        def run(fuse, project):
+            def forward():
+                h = fuse(adapter, ad.lift(x), h2)
+                out = None
+                for t, (w, b) in weights.items():
+                    y = project(pairs[t], w, h, b)
+                    out = y if out is None else ad.add(out, y)
+                return out
+            return forward
+
+        self._assert_same_bits(
+            params, run(fusion_apply, lora_apply),
+            run(reference_fusion_apply, reference_lora_apply), weight)
 
 
 class TestAudit:
@@ -206,7 +336,7 @@ class TestAudit:
         gnn = SageModel(in_dim=16, embed_dim=8, hidden=6, num_classes=3)
         walked = audit_parameters(
             [("gnn", p) for p in gnn.parameters()] + assembly.registry(),
-            backbone.param_count())
+            backbone_size(backbone))
         analytic = audit_from_shapes(
             cfg.shape(vocab_size=50), adapted_layers=[1, 3], rank=2, g=8,
             num_classes=3, gnn_hidden=6, gnn_input_dim=16)

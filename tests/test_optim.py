@@ -29,14 +29,6 @@ class TestAdamW:
         expected = 1.0 * (1.0 - lr * 1e-2) - lr * 1.0 / (1.0 + 1e-8)
         assert p.value[0] == pytest.approx(expected, abs=1e-15)
 
-    def test_frozen_parameter_unchanged(self):
-        p = Parameter(np.array([5.0]), name="p", frozen=True)
-        p.gradient[...] = 100.0
-        opt = AdamW([p], lr=1.0, weight_decay=0.5)
-        for _ in range(10):
-            opt.step()
-        assert p.value[0] == 5.0
-
     def test_nonfinite_gradient_aborts_naming_parameter(self):
         p = Parameter(np.array([1.0]), name="layer3.bias")
         p.gradient[...] = np.nan
@@ -143,12 +135,6 @@ class TestGradCheck:
 
         report = grad_check([w], inconsistent_loss)
         assert not report.ok
-
-    def test_frozen_parameters_absent_from_report(self):
-        params, loss_fn = _linear_model()
-        params[1].frozen = True
-        report = grad_check(params, loss_fn)
-        assert [e.name for e in report.entries] == ["w"]
 
     def test_requires_float64(self):
         w = Parameter(np.ones(3, dtype=np.float32), name="w")

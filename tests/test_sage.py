@@ -195,12 +195,6 @@ class TestTrainPhase1:
         assert np.array_equal(result.embeddings.pass2, init_p2)
         assert result.best_epoch == 0
 
-    def test_model_comes_back_frozen(self):
-        g, x = _trainable_graph()
-        model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
-        train_phase1(model, x, g, SageConfig(epochs=2))
-        assert all(p.frozen for p in model.parameters())
-
     def test_separable_features_reach_high_train_accuracy(self):
         # Edgeless graph: aggregation contributes nothing, so the linearly
         # separable features alone must drive training accuracy up.
@@ -289,7 +283,6 @@ def reference_train_phase1(model, x, graph, config):
             if since_best >= config.patience:
                 break
     restore(model.parameters(), best[2])
-    model.freeze()
     with ad.no_grad():
         pass1, pass2 = forward_from_features(model, x, agg)
     embeddings = SageEmbeddings(pass1=np.asarray(pass1),

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (audit_parameters, grad_check, make_graph, neighbors,
-                      random_graph, restore, snapshot)
+from conftest import (audit_parameters, backbone_arrays, backbone_size,
+                      grad_check, make_graph, neighbors, random_graph,
+                      restore, snapshot)
 from sagefuse import autodiff as ad
 from sagefuse import trainer
 from sagefuse.optim import AdamW, fit
@@ -101,6 +102,10 @@ class TestRunConfig:
         with pytest.raises(TrainerConfigError):
             RunConfig(rank=0)
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(TrainerConfigError, match="at least one seed"):
+            RunConfig(seeds=())
+
 
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
@@ -146,16 +151,12 @@ class TestSeedSweep:
         assert [r.seed for r in a.per_seed] == [r.seed for r in b.per_seed]
         assert a.metric_mean == b.metric_mean
 
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(TrainerConfigError):
-            seed_sweep(lambda s: None, [], "fused", "accuracy")
-
 
 class TestPhase2Training:
     def test_zero_epochs_reports_untrained_metric_and_leaves_frozen_bits(
             self, setup):
         cfg = dataclasses.replace(setup.config, epochs=0)
-        backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
+        backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
         emb_before = (setup.embeddings.pass1.copy(),
                       setup.embeddings.pass2.copy())
         result = run_phase2_seed(setup.backbone, setup.embeddings,
@@ -163,17 +164,19 @@ class TestPhase2Training:
         assert 0.0 <= result.test_metric <= 1.0
         assert result.best_epoch == 0
         assert result.loss_trace == []
-        for p, before in zip(setup.backbone.parameters(), backbone_before):
-            assert np.array_equal(p.value, before)
+        for a, before in zip(backbone_arrays(setup.backbone),
+                             backbone_before):
+            assert np.array_equal(a, before)
         assert np.array_equal(setup.embeddings.pass1, emb_before[0])
         assert np.array_equal(setup.embeddings.pass2, emb_before[1])
 
     def test_frozen_tensors_unchanged_after_training(self, setup):
-        backbone_before = [p.value.copy() for p in setup.backbone.parameters()]
+        backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
         run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
                         setup.config, seed=0)
-        for p, before in zip(setup.backbone.parameters(), backbone_before):
-            assert np.array_equal(p.value, before)
+        for a, before in zip(backbone_arrays(setup.backbone),
+                             backbone_before):
+            assert np.array_equal(a, before)
 
     def test_deterministic_per_seed(self, setup):
         a = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
@@ -218,7 +221,7 @@ class TestPhase2Training:
         probe = Phase2Assembly(setup.backbone, setup.embeddings,
                                setup.graph.num_classes, cfg, seed=0)
         walked = audit_parameters(probe.registry(),
-                                  setup.backbone.param_count())
+                                  backbone_size(setup.backbone))
         report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
                               cfg, gnn_size=7)
         assert report.audit == dataclasses.replace(walked, gnn=7).as_dict()
