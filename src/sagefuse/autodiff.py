@@ -50,41 +50,16 @@ def _check_finite(name, arr):
         raise NumericsError(f"non-finite values in {name}")
 
 
-class Parameter:
-    """A named trainable tensor with a persistent gradient buffer."""
-
-    def __init__(self, value, name=""):
-        self.value = np.asarray(value)
-        _check_finite(name or "parameter", self.value)
-        self.gradient = np.zeros_like(self.value)
-        self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def size(self):
-        return self.value.size
-
-    def zero_grad(self):
-        self.gradient[...] = 0.0
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
-
-
 class Node:
     """One recorded value in the computation graph."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_param")
+    __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, parents=(), backward=None, param=None):
+    def __init__(self, value, parents=(), backward=None):
         self.value = value
         self.grad = None
         self._parents = parents
         self._backward = backward
-        self._param = param
 
     @property
     def shape(self):
@@ -95,11 +70,32 @@ class Node:
         return out.copy() if copy else out
 
 
+class Parameter(Node):
+    """A named trainable tensor: a graph leaf whose `grad` persists across
+    `backward` calls until `zero_grad`."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, value, name=""):
+        super().__init__(np.asarray(value))
+        _check_finite(name or "parameter", self.value)
+        self.name = name
+        self.zero_grad()
+
+    @property
+    def size(self):
+        return self.value.size
+
+    def zero_grad(self):
+        self.grad = np.zeros_like(self.value)
+
+    def __repr__(self):
+        return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
 def val(x):
-    """Raw ndarray behind a Node / Parameter / array-like."""
+    """Raw ndarray behind a Node (a Parameter included) or array-like."""
     if isinstance(x, Node):
-        return x.value
-    if isinstance(x, Parameter):
         return x.value
     return np.asarray(x)
 
@@ -107,16 +103,12 @@ def val(x):
 def lift(x):
     """Bring an input into the graph.
 
-    Parameters become leaf Nodes (when grads are enabled); everything else
-    passes through as a plain array and is treated as a constant by every
-    op.
+    A Parameter is its own leaf while grads are enabled and its plain value
+    under `no_grad`; everything else passes through as a plain array and
+    is treated as a constant by every op.
     """
     if isinstance(x, Node):
-        return x
-    if isinstance(x, Parameter):
-        if not _GRAD_ENABLED:
-            return x.value
-        return Node(x.value, param=x)
+        return x if _GRAD_ENABLED else x.value
     return np.asarray(x)
 
 
@@ -153,10 +145,10 @@ def _node(value, pairs):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(param) into every trainable Parameter leaf,
+    """Accumulate d(loss)/d(param) into the `grad` of every Parameter leaf,
     consuming the graph: each interior node drops its closure, parents and
-    gradient as soon as it has passed its gradient on. Leaves keep `grad`."""
-    if not isinstance(loss, Node):
+    gradient as soon as it has passed its gradient on."""
+    if not isinstance(loss, Node) or isinstance(loss, Parameter):
         raise NumericsError("backward called on a value with no recorded graph "
                             "(no trainable parameters in the forward pass?)")
     # Iterative post-order topological sort.
@@ -168,7 +160,7 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
-        if node._backward is None and node._param is None:
+        if node._backward is None and not isinstance(node, Parameter):
             raise NumericsError("backward: graph already consumed")
         visited.add(id(node))
         stack.append((node, True))
@@ -187,8 +179,6 @@ def backward(loss):
                 for parent, g in node._backward(node.grad):
                     parent.grad = g if parent.grad is None else parent.grad + g
             node._backward, node._parents, node.grad = None, (), None
-        elif node.grad is not None:
-            node._param.gradient += node.grad
 
 
 def _unbroadcast(g, shape):

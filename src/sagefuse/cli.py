@@ -14,10 +14,11 @@ from .config import ConfigError, ExperimentConfig
 from .metrics import MetricError
 from .tag import GraphFormatError
 from .tensorio import TensorFormatError
+from .textenc import VocabError
 from .trainer import BASELINES
 from . import pipeline
 
-USAGE_ERRORS = (ConfigError, GraphFormatError)
+USAGE_ERRORS = (ConfigError, GraphFormatError, VocabError)
 RUNTIME_ERRORS = (pipeline.PipelineError, NumericsError, MetricError,
                   TensorFormatError, OSError)
 

@@ -9,7 +9,7 @@ import io
 from dataclasses import dataclass, field, fields
 
 from .fusion import AdapterConfigError, check_placement
-from .sage import SageConfig
+from .sage import SageConfig, SageConfigError
 from .tag import GeneratorParams, GraphFormatError, SplitSpec
 from .textenc import BackboneConfig, VocabError
 from .trainer import (FusionConfig, RunConfig, TrainerConfig,
@@ -143,11 +143,12 @@ class ExperimentConfig:
         try:
             self.dataset.validate()
             b.validate()
+            self.sage.validate()
             run = self.run_config()
             if any(run.toggles()):
                 check_placement(b.layers, *run.placement(b.layers))
         except (GraphFormatError, VocabError, AdapterConfigError,
-                TrainerConfigError) as e:
+                SageConfigError, TrainerConfigError) as e:
             raise ConfigError(str(e))
         if not 4 <= t.seq_len <= b.max_tokens:
             raise ConfigError(f"trainer.seq_len {t.seq_len} outside [4, "

@@ -68,7 +68,6 @@ class FusionAdapter:
         if rank < 1:
             raise AdapterConfigError(f"fusion rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
-        self.layer_index = layer_index
         self.source = source
         self.rank = rank
         self.tied = tie is not None
@@ -89,10 +88,6 @@ class FusionAdapter:
                              name=f"{prefix}.w_b")
         self.gate_logit = Parameter(np.zeros((), dtype=dtype),
                                     name=f"{prefix}.gate_logit")
-
-    @property
-    def gate(self):
-        return float(1.0 / (1.0 + np.exp(-self.gate_logit.value)))
 
     def parameters(self):
         own = [self.w_b, self.gate_logit]
@@ -115,7 +110,7 @@ def fusion_apply(adapter, h1, h2):
         raise AdapterConfigError(f"hidden width {vh1.shape[-1]} != adapter d={d}")
     if vh2.shape[-1] != g:
         raise AdapterConfigError(f"embedding width {vh2.shape[-1]} != adapter g={g}")
-    alpha = ad.sigmoid(ad.lift(adapter.gate_logit))
+    alpha = ad.sigmoid(adapter.gate_logit)
     text_part = ad.linear(h1, adapter.w_a)
     struct_part = ad.reshape(ad.linear(h2, adapter.w_b),
                              (vh2.shape[0], 1, adapter.rank))
@@ -233,64 +228,29 @@ class ParamAudit:
         return "\n".join(lines)
 
 
-@dataclass
-class BackboneShape:
-    """Shape description of a transformer encoder, enough to count its
-    parameters without instantiating weights. `fused_qkv` models backbones
-    whose query/key/value projection is a single d -> 3d matrix."""
-    vocab_size: int
-    max_tokens: int
-    dim: int
-    layers: int
-    mlp_width: int
-    fused_qkv: bool = False
-
-    def param_count(self):
-        d, m = self.dim, self.mlp_width
-        if self.fused_qkv:
-            attn = (d * 3 * d + 3 * d) + (d * d + d)
-        else:
-            attn = 4 * (d * d + d)
-        per_layer = attn + 2 * 2 * d + (d * m + m) + (m * d + d)
-        return (self.vocab_size * d + self.max_tokens * d
-                + self.layers * per_layer + 2 * d)
-
-    def lora_target_shapes(self, targets=LORA_TARGETS):
-        """(d_in, d_out) per adapted projection within one layer. With
-        `fused_qkv`, one (d, 3d) pair serves any of the q, k, v targets."""
-        d = self.dim
-        if self.fused_qkv:
-            qkv = [(d, 3 * d)] if {"q", "k", "v"} & set(targets) else []
-            return qkv + ([(d, d)] if "o" in targets else [])
-        return [(d, d)] * len(set(targets))
-
-
-def gnn_param_count(in_dim, g, hidden, num_classes):
-    """Scalars of the phase-1 SageModel: two concat-mean layers of width g
-    over inputs of width `in_dim`, then the MLP classifier."""
-    return (g * 2 * in_dim + g) + (g * 2 * g + g) \
-        + (hidden * g + hidden) + (num_classes * hidden + num_classes)
-
-
-def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
-                      gnn_hidden=64, gnn_input_dim=None, arm="fused",
+def audit_from_shapes(backbone, vocab_size, adapted_layers, rank, g,
+                      num_classes, gnn_hidden, arm="fused",
                       fusion_tying="separate", lora_targets=LORA_TARGETS):
-    """Analytic audit of the `ARMS` entry `arm` for a backbone given only
-    its shape.
+    """Analytic audit of the `ARMS` entry `arm` for the encoder described by
+    the `BackboneConfig` `backbone` over a token table of `vocab_size` rows,
+    with a phase-1 GNN of width g over its d-wide features and a classifier
+    of width `gnn_hidden`.
 
     Mirrors exactly what a live assembly registry would report: used both
     for desk configurations (cross-checked against the registry walk in
     tests) and for backbones too large to instantiate.
     """
     fusion_on, lora_on = ARMS[arm]
-    d = shape.dim
-    k = gnn_input_dim if gnn_input_dim is not None else d
-    gnn = gnn_param_count(k, g, gnn_hidden, num_classes)
+    d = backbone.dim
+    # The SageModel: two concat-mean layers of width g, then the classifier.
+    h = gnn_hidden
+    gnn = (g * 2 * d + g) + (g * 2 * g + g) + (h * g + h) \
+        + (num_classes * h + num_classes)
 
     lora = 0
     if lora_on:
         per_layer = sum(rank * (d_in + d_out) for d_in, d_out
-                        in shape.lora_target_shapes(lora_targets))
+                        in backbone.lora_target_shapes(lora_targets))
         lora = len(adapted_layers) * per_layer
 
     fusion = 0
@@ -307,4 +267,4 @@ def audit_from_shapes(shape, adapted_layers, rank, g, num_classes,
     head = num_classes * d + num_classes
     return ParamAudit(gnn=gnn, fusion=fusion, lora_pairs=lora,
                       classifier_head=head,
-                      backbone_total=shape.param_count())
+                      backbone_total=backbone.param_count(vocab_size))

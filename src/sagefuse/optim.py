@@ -34,7 +34,7 @@ class AdamW:
     def step(self):
         self.t += 1
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.gradient
+            g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NumericsError(f"non-finite gradient for {p.name!r}")
             if self.weight_decay:

@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .fusion import gnn_param_count
+from .fusion import audit_from_shapes
 from .metrics import metric_name
 from .sage import SageEmbeddings, SageModel, train_phase1
 from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
                   save_graph, save_splits, stratified_split)
 from .tensorio import load_tensor, save_tensor
 from .textenc import (RESERVED, EncoderBackbone, Vocabulary, build_vocab,
-                      node_features, tokenize_graph, trim_padding)
+                      node_features, tokenize_graph)
 from .trainer import (Phase2Assembly, Phase2Inputs, evaluate, format_table,
                       prompt_ablation, rank_ablation, train_phase2,
                       write_table_csv)
@@ -161,15 +161,14 @@ def run_phase1(cfg, force=False):
     out = phase1_dir(cfg)
     _refuse_overwrite(out, force)
     graph = load_dataset(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-
     vocab = build_vocab(graph, max_size=cfg.backbone.vocab_max)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "vocab.json", vocab.to_dict())
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
 
     key = _phase1_key(cfg)
-    ids, mask = trim_padding(*tokenize_graph(graph, vocab, cfg.trainer.prompt,
-                                             cfg.trainer.seq_len))
+    ids, mask = tokenize_graph(graph, vocab, cfg.trainer.prompt,
+                               cfg.trainer.seq_len)
     x, states = node_features(backbone, ids, mask, key["layer"])
     _write_json(out / "nodes.json", {
         "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
@@ -371,10 +370,8 @@ def run_phase2(cfg, force=False):
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    gnn_size = gnn_param_count(backbone.config.dim, cfg.sage.embed_dim,
-                               cfg.sage.classifier_hidden, inputs.num_classes)
-    report = train_phase2(backbone, embeddings, inputs, cfg.run_config(),
-                          gnn_size=gnn_size)
+    report = train_phase2(backbone, embeddings, inputs, cfg.run_config())
+    report.audit = _audit(cfg, vocab.size).as_dict()
 
     _write_json(out / "report.json", report.as_dict())
     _write_json(out / "timing.json",
@@ -407,14 +404,24 @@ def run_evaluate(cfg, split="test", seed=None):
             "metric": float(value)}
 
 
-def run_audit(cfg):
-    """Analytic parameter audit from the configured shapes (no weights are
-    instantiated, so arbitrarily large backbones are fine)."""
-    b = cfg.backbone
-    audit = cfg.run_config().audit(
-        b.shape(b.vocab_max), g=cfg.sage.embed_dim,
+def _audit(cfg, vocab_size):
+    """Analytic parameter audit of the configured arm, with a token table
+    of `vocab_size` rows."""
+    run = cfg.run_config()
+    pass1, pass2 = run.placement(cfg.backbone.layers)
+    return audit_from_shapes(
+        cfg.backbone, vocab_size, adapted_layers=[*pass1, *pass2],
+        rank=run.rank, g=cfg.sage.embed_dim,
         num_classes=cfg.dataset.num_classes,
-        gnn_hidden=cfg.sage.classifier_hidden, gnn_input_dim=b.dim)
+        gnn_hidden=cfg.sage.classifier_hidden, arm=run.baseline,
+        fusion_tying=run.tying, lora_targets=run.lora_targets)
+
+
+def run_audit(cfg):
+    """Analytic parameter audit from the configured shapes, counting a token
+    table of `vocab_max` rows (no weights are instantiated, so arbitrarily
+    large backbones are fine)."""
+    audit = _audit(cfg, cfg.backbone.vocab_max)
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", audit.as_dict())

@@ -14,6 +14,10 @@ from .metrics import metric_name, split_metric
 from .optim import fit
 
 
+class SageConfigError(ValueError):
+    pass
+
+
 @dataclass
 class SageConfig:
     """The [sage] section: the phase-1 model's widths and init seed, and
@@ -25,6 +29,16 @@ class SageConfig:
     epochs: int = 500
     patience: int = 20
     seed: int = 0
+
+    def validate(self):
+        for key in ("embed_dim", "classifier_hidden"):
+            if getattr(self, key) < 1:
+                raise SageConfigError(f"sage.{key} must be >= 1, got "
+                                      f"{getattr(self, key)}")
+        if self.epochs < 0:
+            raise SageConfigError(f"sage.epochs must be >= 0, got "
+                                  f"{self.epochs}")
+        return self
 
 
 class SageModel:
@@ -51,7 +65,6 @@ class SageModel:
         self.cls_b1 = zeros(hidden, "sage.cls_b1")
         self.cls_w2 = w((num_classes, hidden), "sage.cls_w2")
         self.cls_b2 = zeros(num_classes, "sage.cls_b2")
-        self.embed_dim = g
 
     def parameters(self):
         return [self.w0, self.b0, self.w1, self.b1,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .fusion import BackboneShape, fusion_apply, lora_apply
+from .fusion import fusion_apply, lora_apply
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
 ENCODE_BATCH = 64  # rows per no-grad encoder pass over all nodes
@@ -63,7 +63,7 @@ def build_vocab(graph, split="train", max_size=8192):
     for v in graph.split_ids(split).tolist():
         counts.update(split_tokens(graph.texts[v]))
     if not counts:
-        raise VocabError(f"no text in split {split!r}")
+        raise VocabError(f"no word tokens in the texts of split {split!r}")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
     base = len(RESERVED)
     return Vocabulary(token_to_id={tok: base + i for i, (tok, _) in
@@ -71,33 +71,29 @@ def build_vocab(graph, split="train", max_size=8192):
 
 
 def tokenize_graph(graph, vocab, prompt, seq_len):
-    """Every node's text as one row of (N, seq_len) ids and mask: [CLS] +
-    the ids of the `prompt` string + text ids, truncated to seq_len and
-    PAD-padded. The prompt is encoded once."""
+    """Every node's text as one row of (N, L*) ids and mask: [CLS] + the
+    ids of the `prompt` string + text ids, truncated to seq_len and
+    PAD-padded to L*, the longest row of the whole table. No column is
+    padding in every row, and L* depends on the table alone, so a row's
+    encoder bits never depend on which rows later share its batch. The
+    prompt is encoded once."""
     if seq_len < 4:
         raise VocabError(f"seq_len {seq_len} < 4")
     head = [CLS_ID] + vocab.encode(prompt)
-    ids = np.full((len(graph.texts), seq_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(graph.texts), seq_len))
-    for v, text in enumerate(graph.texts):
+    rows = []
+    for text in graph.texts:
         text_ids = vocab.encode(text)
         if len(head) >= seq_len and text_ids:
             warnings.warn("prompt fills the whole token budget; node text "
                           "contributes zero tokens", stacklevel=2)
-        row = (head + text_ids)[:seq_len]
+        rows.append((head + text_ids)[:seq_len])
+    width = max(map(len, rows))
+    ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), width))
+    for v, row in enumerate(rows):
         ids[v, :len(row)] = row
         mask[v, :len(row)] = 1.0
     return ids, mask
-
-
-def trim_padding(ids, mask):
-    """The (ids, mask) rows of `tokenize_graph` cut to L* = max(lengths),
-    the longest row of the whole table: every column past it is padding in
-    every row. L* depends on the table alone, so a row's encoder bits never
-    depend on which rows later share its batch."""
-    width = int(np.count_nonzero(mask, axis=1).max())
-    return (np.ascontiguousarray(ids[:, :width]),
-            np.ascontiguousarray(mask[:, :width]))
 
 
 @dataclass
@@ -127,15 +123,31 @@ class BackboneConfig:
             raise VocabError(f"unknown pooling {self.pooling!r}")
         if self.layers < 2:
             raise VocabError(f"backbone needs >= 2 layers, got {self.layers}")
+        for key in ("dim", "mlp_width", "vocab_max"):
+            if getattr(self, key) < 1:
+                raise VocabError(f"backbone.{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
         if self.heads < 1 or self.dim % self.heads != 0:
             raise VocabError(f"dim {self.dim} not divisible by {self.heads} heads")
         return self
 
-    def shape(self, vocab_size):
-        return BackboneShape(vocab_size=vocab_size,
-                             max_tokens=self.max_tokens, dim=self.dim,
-                             layers=self.layers, mlp_width=self.mlp_width,
-                             fused_qkv=self.fused_qkv)
+    def param_count(self, vocab_size):
+        """Scalars of the encoder over a token table of `vocab_size` rows,
+        counted from the shape alone. A fused qkv matrix holds as many
+        scalars as separate q, k and v projections."""
+        d, m = self.dim, self.mlp_width
+        per_layer = 4 * (d * d + d) + 2 * 2 * d + (d * m + m) + (m * d + d)
+        return (vocab_size + self.max_tokens) * d + self.layers * per_layer \
+            + 2 * d
+
+    def lora_target_shapes(self, targets):
+        """(d_in, d_out) per adapted projection within one layer. With
+        `fused_qkv`, one (d, 3d) pair serves any of the q, k, v targets."""
+        d = self.dim
+        if self.fused_qkv:
+            qkv = [(d, 3 * d)] if {"q", "k", "v"} & set(targets) else []
+            return qkv + ([(d, d)] if "o" in targets else [])
+        return [(d, d)] * len(set(targets))
 
 
 class EncoderBackbone:
@@ -271,7 +283,7 @@ def readout(backbone, hidden, mask):
 def prefix_states(backbone, states, mask, start, stop):
     """The hidden states (N, T, d) at the input of layer `stop`, from the
     `states` at the input of layer `start`; T is the width of the (N, T)
-    `mask`, L* after `trim_padding`. They are computed in batches of
+    `mask`, L* for a `tokenize_graph` table. They are computed in batches of
     `ENCODE_BATCH` rows into one preallocated array. Nothing below an
     adapted layer trains, so these states are a fixed function of the
     tokens and later passes can start `encode` from them."""
@@ -288,7 +300,7 @@ def node_features(backbone, ids, mask, layer):
     they pass through.
 
     Returns (X, states) for the tokenized texts (ids, mask) of width T (L*
-    after `trim_padding`): X (N, d) holds the `readout` of each row's final
+    from `tokenize_graph`): X (N, d) holds the `readout` of each row's final
     hidden states, and states (N, T, d) the hidden states at the input of
     `layer`. Both are filled one batch of `ENCODE_BATCH` rows at a time."""
     cfg = backbone.config

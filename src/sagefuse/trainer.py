@@ -12,13 +12,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .fusion import (ARMS, LORA_TARGETS, LoraPair, audit_from_shapes,
-                     build_adapter_set, default_placement)
+from .fusion import (ARMS, LORA_TARGETS, LoraPair, build_adapter_set,
+                     default_placement)
 from .metrics import metric_name, split_metric
 from .optim import fit
 from .tag import ids_in_split
-from .textenc import (embed, encode, prefix_states, readout, tokenize_graph,
-                      trim_padding)
+from .textenc import embed, encode, prefix_states, readout, tokenize_graph
 
 BASELINES = tuple(ARMS)
 # Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
@@ -74,6 +73,9 @@ class RunConfig(TrainerConfig, FusionConfig):
         if self.batch_size < 1:
             raise TrainerConfigError(f"batch_size must be >= 1, got "
                                      f"{self.batch_size}")
+        if self.epochs < 0:
+            raise TrainerConfigError(f"trainer.epochs must be >= 0, got "
+                                     f"{self.epochs}")
         if not self.seeds:
             raise TrainerConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -82,6 +84,10 @@ class RunConfig(TrainerConfig, FusionConfig):
         bad = set(self.lora_targets) - set(LORA_TARGETS)
         if bad:
             raise TrainerConfigError(f"unknown LoRA targets {sorted(bad)}")
+        if bool(self.pass1_layers) != bool(self.pass2_layers):
+            raise TrainerConfigError(
+                "pass1_layers and pass2_layers must both be listed, or both "
+                "left empty for the default placement")
         if self.tying not in ("separate", "shared"):
             raise TrainerConfigError(f"unknown fusion tying {self.tying!r}")
         if self.toggles()[0] and self.tying == "shared" and \
@@ -95,7 +101,7 @@ class RunConfig(TrainerConfig, FusionConfig):
         return ARMS[self.baseline]
 
     def placement(self, num_layers):
-        if self.pass1_layers and self.pass2_layers:
+        if self.pass1_layers:
             return tuple(self.pass1_layers), tuple(self.pass2_layers)
         return default_placement(num_layers)
 
@@ -107,25 +113,16 @@ class RunConfig(TrainerConfig, FusionConfig):
         pass1, pass2 = self.placement(num_layers)
         return min((*pass1, *pass2))
 
-    def audit(self, shape, g, num_classes, **gnn):
-        """Analytic parameter audit of this arm on a backbone of `shape`;
-        `gnn` takes `audit_from_shapes`' gnn keywords."""
-        pass1, pass2 = self.placement(shape.layers)
-        return audit_from_shapes(
-            shape, adapted_layers=[*pass1, *pass2], rank=self.rank, g=g,
-            num_classes=num_classes, arm=self.baseline,
-            fusion_tying=self.tying, lora_targets=self.lora_targets, **gnn)
-
 
 @dataclass
 class Phase2Inputs:
     """What phase 2 reads of the dataset: int64 labels, int8 split codes
     into `SPLITS`, the class count, the (N, T) token mask and every node's
     (N, T, d) hidden states at the input of encoder layer `layer`. T is L*,
-    the longest tokenized row (`trim_padding`), so no column is padding in
-    every row. Nothing below an adapted layer trains, so these states stand
-    in for the tokens wherever `layer` lies at or below the first adapted
-    layer."""
+    the longest tokenized row (`tokenize_graph`), so no column is padding
+    in every row. Nothing below an adapted layer trains, so these states
+    stand in for the tokens wherever `layer` lies at or below the first
+    adapted layer."""
     labels: np.ndarray
     split: np.ndarray | None
     num_classes: int
@@ -135,9 +132,8 @@ class Phase2Inputs:
 
     @classmethod
     def from_tokens(cls, graph, backbone, ids, mask):
-        """The inputs of `graph` tokenized as (ids, mask), cut to L*, at
-        layer 0 (the embedding output)."""
-        ids, mask = trim_padding(ids, mask)
+        """The inputs of `graph` tokenized as (ids, mask) at layer 0 (the
+        embedding output)."""
         return cls(labels=graph.labels, split=graph.split,
                    num_classes=graph.num_classes, mask=mask,
                    states=embed(backbone, ids), layer=0)
@@ -299,7 +295,7 @@ class RunReport:
     per_seed: list
     metric_mean: float
     metric_std: float | None
-    audit: dict | None = None
+    audit: dict | None = None  # set by `pipeline.run_phase2`
     wall_clock_sec: float | None = None
 
     def as_dict(self):
@@ -310,7 +306,7 @@ class RunReport:
                 "metric_std": self.metric_std, "audit": self.audit}
 
 
-def seed_sweep(runner, seeds, baseline, metric, audit=None):
+def seed_sweep(runner, seeds, baseline, metric):
     """Independent runs per seed; the aggregate is an order-independent
     fold (sorted by seed). `RunConfig` holds at least one seed, each once."""
     started = time.perf_counter()
@@ -320,36 +316,31 @@ def seed_sweep(runner, seeds, baseline, metric, audit=None):
     return RunReport(baseline=baseline, metric_name=metric,
                      per_seed=list(results),
                      metric_mean=float(metrics.mean()), metric_std=std,
-                     audit=audit,
                      wall_clock_sec=time.perf_counter() - started)
 
 
-def train_phase2(backbone, embeddings, inputs, config, gnn_size=0):
+def train_phase2(backbone, embeddings, inputs, config):
     """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`, tokenized
     under `config`'s prompt and seq_len; the states are run forward to the
-    first adapted layer once and shared across seeds. `gnn_size`, the
-    phase-1 model's scalar count, is the report audit's `gnn` term."""
+    first adapted layer once and shared across seeds."""
     inputs = inputs.at_layer(
         backbone, config.first_adapted_layer(backbone.config.layers))
-    shape = backbone.config.shape(len(backbone.tok_emb))
-    audit = replace(config.audit(shape, g=embeddings.pass1.shape[1],
-                                 num_classes=inputs.num_classes),
-                    gnn=gnn_size).as_dict()
 
     def runner(seed):
         return run_phase2_seed(backbone, embeddings, inputs, config, seed)
 
     return seed_sweep(runner, config.seeds, config.baseline,
-                      metric_name(inputs.num_classes), audit=audit)
+                      metric_name(inputs.num_classes))
 
 
 # ---------------------------------------------------------------------------
 # ablations
 
 def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
-    """One seed sweep per rank on the `Phase2Inputs`; trainable counts must
-    rise with the rank. The rank leaves the frozen prefix alone, so the
-    states are run forward once and every sweep shares them."""
+    """One seed sweep per rank on the `Phase2Inputs`, each row with the
+    trained assembly's parameter count, which rises with the rank. The rank
+    leaves the frozen prefix alone, so the states are run forward once and
+    every sweep shares them."""
     if any(r < 1 for r in ranks):
         raise TrainerConfigError(f"ranks must be >= 1, got {list(ranks)}")
     inputs = inputs.at_layer(
@@ -358,9 +349,11 @@ def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
     for r in ranks:
         report = train_phase2(backbone, embeddings, inputs,
                               replace(base_config, rank=r))
+        assembly = report.per_seed[0].assembly
         rows.append({"rank": r, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std,
-                     "trainable_params": report.audit["phase2_trainable"]})
+                     "trainable_params": sum(
+                         p.size for p in assembly.trainable_parameters())})
     return rows
 
 

@@ -17,19 +17,27 @@ def pytest_terminal_summary(terminalreporter):
 
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, ShapeError
-from sagefuse.fusion import BackboneShape, ParamAudit
+from sagefuse.fusion import ParamAudit, audit_from_shapes
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           TextAttributedGraph, generate_synthetic_tag,
                           stratified_split)
-from sagefuse.textenc import tokenize_graph
+from sagefuse.textenc import PAD_ID, BackboneConfig, tokenize_graph
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 # GPT-2 (124M parameters), whose query/key/value projection is one fused
 # matrix; configs/gpt2_audit.cfg describes the same backbone.
-GPT2_SHAPE = BackboneShape(vocab_size=50257, max_tokens=1024, dim=768,
-                           layers=12, mlp_width=3072, fused_qkv=True)
+GPT2_BACKBONE = BackboneConfig(layers=12, dim=768, heads=12, mlp_width=3072,
+                               max_tokens=1024, vocab_max=50257,
+                               fused_qkv=True)
+
+
+def gpt2_audit(**kwargs):
+    """`audit_from_shapes` of `GPT2_BACKBONE` over its whole vocabulary;
+    g, the GNN classifier width and the class count default to 64, 64, 2."""
+    kwargs = {"g": 64, "gnn_hidden": 64, "num_classes": 2, **kwargs}
+    return audit_from_shapes(GPT2_BACKBONE, GPT2_BACKBONE.vocab_max, **kwargs)
 
 
 def make_graph(adjacency, labels=None, texts=None, num_classes=None,
@@ -77,7 +85,7 @@ def backbone_arrays(backbone):
 
 def backbone_size(backbone):
     """Scalars in the live backbone: the count the analytic
-    `BackboneShape.param_count` is checked against."""
+    `BackboneConfig.param_count` is checked against."""
     return sum(a.size for a in backbone_arrays(backbone))
 
 
@@ -127,11 +135,18 @@ def micro_tag():
     return stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
 
 
+def pad_columns(ids, mask, width):
+    """A `tokenize_graph` table (ids, mask) PAD-padded on the right to
+    `width` columns: the layout at seq_len that its L* columns cut."""
+    extra = ((0, 0), (0, width - ids.shape[1]))
+    return (np.pad(ids, extra, constant_values=PAD_ID), np.pad(mask, extra))
+
+
 def tokenize(text, prompt, vocab, seq_len):
-    """One text laid out as `tokenize_graph` lays out a node's row: (ids,
-    mask) of length seq_len."""
-    ids, mask = tokenize_graph(make_graph({0: []}, texts=[text]), vocab,
-                               prompt, seq_len)
+    """One text laid out as `tokenize_graph` lays out a node's row, padded
+    to seq_len: (ids, mask) of length seq_len."""
+    ids, mask = pad_columns(*tokenize_graph(make_graph({0: []}, texts=[text]),
+                                            vocab, prompt, seq_len), seq_len)
     return ids[0], mask[0]
 
 
@@ -200,7 +215,7 @@ def grad_check(params, loss_fn, epsilon=1e-5, tolerance=1e-4,
                                 f"{p.value.dtype} for {p.name!r}")
         p.zero_grad()
     ad.backward(loss_fn())
-    analytic = {id(p): p.gradient.copy() for p in trainable}
+    analytic = {id(p): p.grad.copy() for p in trainable}
 
     report = GradCheckReport(epsilon=epsilon, tolerance=tolerance)
     for k, p in enumerate(trainable):

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (CONFIG_DIR, GPT2_SHAPE, backbone_arrays, grad_check,
+from conftest import (CONFIG_DIR, backbone_arrays, gpt2_audit, grad_check,
                       make_graph, neighbors, random_graph)
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
-from sagefuse.fusion import audit_from_shapes
 from sagefuse.metrics import roc_auc
 from sagefuse.sage import SageModel, mean_aggregation_matrix, train_phase1
 from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
@@ -178,9 +177,8 @@ def test_criterion_4_frozen_invariance():
 
 
 def _gpt2_audit():
-    return audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 6, 7, 9, 10, 11],
-                             rank=4, g=64, num_classes=2,
-                             fusion_tying="shared")
+    return gpt2_audit(adapted_layers=[5, 6, 7, 9, 10, 11], rank=4,
+                      fusion_tying="shared")
 
 
 def test_criterion_5_parameter_audit():

@@ -95,32 +95,38 @@ class TestBackward:
         with pytest.raises(NumericsError):
             ad.backward(loss)
 
+    def test_backward_on_a_bare_parameter_rejected(self):
+        w = Parameter(np.ones(2), name="w")
+        with pytest.raises(NumericsError, match="no recorded graph"):
+            ad.backward(w)
+        assert np.array_equal(w.grad, np.zeros(2))
+
     def test_sum_of_linear_map_gradient(self):
         # loss = sum(W @ x)  =>  dloss/dW = outer(ones, x)
         w = Parameter(np.ones((2, 3)), name="w")
         x = np.array([[1.0], [2.0], [3.0]])
         ad.backward(ad.sum_(matmul(w, x)))
-        assert np.array_equal(w.gradient, np.outer(np.ones(2), x))
+        assert np.array_equal(w.grad, np.outer(np.ones(2), x))
 
     def test_elementwise_product_gradient(self):
         w = Parameter(np.array([4.0, 5.0]), name="w")
         x = np.array([2.0, -3.0])
         ad.backward(ad.sum_(ad.mul(w, x)))
-        assert np.array_equal(w.gradient, x)
+        assert np.array_equal(w.grad, x)
 
     def test_gradient_accumulates_across_backward_calls(self):
         w = Parameter(np.ones(2), name="w")
         for _ in range(2):
             ad.backward(ad.sum_(ad.mul(w, np.array([1.0, 2.0]))))
-        assert np.array_equal(w.gradient, [2.0, 4.0])
+        assert np.array_equal(w.grad, [2.0, 4.0])
         w.zero_grad()
-        assert np.array_equal(w.gradient, np.zeros(2))
+        assert np.array_equal(w.grad, np.zeros(2))
 
     def test_shared_parameter_used_twice_sums_both_paths(self):
         w = Parameter(np.array([3.0]), name="w")
         loss = ad.add(ad.mul(w, 2.0), ad.mul(w, 5.0))
         ad.backward(ad.sum_(loss))
-        assert np.array_equal(w.gradient, [7.0])
+        assert np.array_equal(w.grad, [7.0])
 
     def test_no_grad_disables_recording(self):
         w = Parameter(np.ones(2), name="w")
@@ -132,7 +138,7 @@ class TestBackward:
         b = Parameter(np.zeros(3), name="b")
         x = np.ones((5, 3))
         ad.backward(ad.sum_(ad.add(x, b)))
-        assert np.array_equal(b.gradient, np.full(3, 5.0))
+        assert np.array_equal(b.grad, np.full(3, 5.0))
 
     def test_second_backward_on_a_consumed_graph_rejected(self):
         w = Parameter(np.ones(2), name="w")
@@ -144,7 +150,7 @@ class TestBackward:
             ad.backward(loss)
         with pytest.raises(NumericsError, match="already consumed"):
             ad.backward(ad.sum_(hidden))  # a new loss over a consumed node
-        assert np.array_equal(w.gradient, [1.0, 2.0])
+        assert np.array_equal(w.grad, [1.0, 2.0])
 
     def test_backward_releases_interior_values(self):
         w = Parameter(np.ones((3, 4)), name="w")
@@ -156,7 +162,7 @@ class TestBackward:
         ad.backward(loss)
         assert ref() is None
         assert float(ad.val(loss)) == 60.0
-        assert np.array_equal(w.gradient, np.full((3, 4), 5.0))
+        assert np.array_equal(w.grad, np.full((3, 4), 5.0))
 
 
 class TestStrictFinite:
@@ -173,7 +179,7 @@ def test_matmul_gradient_matches_transpose_identity(n, m, seed):
     w = Parameter(rng.normal(0, 1, (n, m)), name="w")
     x = rng.normal(0, 1, (m, 1))
     ad.backward(ad.sum_(matmul(w, x)))
-    assert np.allclose(w.gradient, np.outer(np.ones(n), x), atol=1e-12)
+    assert np.allclose(w.grad, np.outer(np.ones(n), x), atol=1e-12)
 
 
 def mean_(a, axis):
@@ -286,7 +292,7 @@ def _grads_through(op, params, make_inputs, weight):
     out = op(*make_inputs())
     value = ad.val(out).copy()
     ad.backward(ad.sum_(ad.mul(out, weight)))
-    return value, [p.gradient.copy() for p in params]
+    return value, [p.grad.copy() for p in params]
 
 
 def _assert_same_bits(op, reference, params, make_inputs, weight):

@@ -201,6 +201,23 @@ class TestCli:
         (("batch_size = 16", "batch_size = -4"), "batch_size must be >= 1"),
         (("pass1_layers = 1", "pass1_layers = 1,1"),
          "pass1 layers [1, 1] list a layer more than once"),
+        # One placement list alone would silently run the default placement.
+        (("pass2_layers = 3", "pass2_layers ="),
+         "pass1_layers and pass2_layers must both be listed"),
+        (("pass1_layers = 1", "pass1_layers ="),
+         "pass1_layers and pass2_layers must both be listed"),
+        (("\ndim = 16", "\ndim = 0"), "backbone.dim must be >= 1, got 0"),
+        (("mlp_width = 32", "mlp_width = 0"),
+         "backbone.mlp_width must be >= 1, got 0"),
+        (("vocab_max = 256", "vocab_max = 0"),
+         "backbone.vocab_max must be >= 1, got 0"),
+        (("embed_dim = 8", "embed_dim = 0"),
+         "sage.embed_dim must be >= 1, got 0"),
+        (("classifier_hidden = 8", "classifier_hidden = 0"),
+         "sage.classifier_hidden must be >= 1, got 0"),
+        (("epochs = 20", "epochs = -2"), "sage.epochs must be >= 0, got -2"),
+        (("epochs = 2\npatience = 2", "epochs = -1\npatience = 2"),
+         "trainer.epochs must be >= 0, got -1"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):
@@ -318,6 +335,23 @@ class TestCli:
             f"error: {splits}: no node is in the 'val' split\n")
         assert not (tmp_path / "out").exists()
 
+    def test_train_split_without_word_tokens_exits_2(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.jsonl"
+        nodes.write_text("".join(
+            f'{{"id": {i}, "text": "!!! ???", "label": {i % 2}}}\n'
+            for i in range(30)))
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n")
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(
+            f"[dataset]\nsource = files\nnum_classes = 2\n"
+            f"nodes_path = {nodes}\nedges_path = {edges}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path), "phase1"]) == 2
+        assert _one_error_line(capsys) == (
+            "error: no word tokens in the texts of split 'train'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_phase2_before_phase1_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "m.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out"))
@@ -432,6 +466,21 @@ class TestCli:
                     "phase2_trainable", "total_trainable"):
             assert audit[key] == report["audit"][key], key
         assert audit["lora_pairs"] == 2 * 2 * 2 * (16 + 16)
+
+    def test_audit_and_report_differ_only_in_the_token_table(
+            self, phase2_run, tmp_path):
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        assert main(["--config", str(cfg_path), "audit"]) == 0
+        audit = json.loads((out / "audit.json").read_text())
+        report = json.loads((out / "phase2" / "report.json").read_text())
+        cfg = ExperimentConfig.from_file(cfg_path)
+        vocab, _ = pipeline.load_phase1_artifacts(cfg)
+        assert vocab.size < cfg.backbone.vocab_max
+        for key in ("gnn", "fusion", "lora_pairs", "classifier_head",
+                    "phase2_trainable", "total_trainable"):
+            assert audit[key] == report["audit"][key], key
+        assert report["audit"]["backbone_total"] - audit["backbone_total"] \
+            == (vocab.size - cfg.backbone.vocab_max) * cfg.backbone.dim
 
     def test_audit_lora_component_doubles_with_rank(self, run_dir, tmp_path):
         _, config_path = run_dir

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import backbone_arrays, backbone_size, make_graph, tokenize
+from conftest import (backbone_arrays, backbone_size, make_graph,
+                      pad_columns, tokenize)
 from sagefuse import autodiff as ad
 from sagefuse.optim import AdamW
 from sagefuse.sage import SageEmbeddings
@@ -13,7 +14,7 @@ from sagefuse.textenc import (CLS_ID, ENCODE_BATCH, PAD_ID, UNK_ID,
                               BackboneConfig, EncoderBackbone, Vocabulary,
                               VocabError, build_vocab, embed, encode,
                               node_features, prefix_states, readout,
-                              split_tokens, tokenize_graph, trim_padding)
+                              split_tokens, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               predict_logits)
 
@@ -120,9 +121,28 @@ class TestTokenizeGraph:
         reference = [reference_tokenize(t, prompt, v, seq_len)
                      for t in self.TEXTS]
         assert ids.dtype == np.int64 and mask.dtype == np.float64
+        assert ids.shape[1] == max(int(r[1].sum()) for r in reference)
+        padded = pad_columns(ids, mask, seq_len)
         for rows in (single, reference):
-            assert np.array_equal(ids, np.stack([r[0] for r in rows]))
-            assert np.array_equal(mask, np.stack([r[1] for r in rows]))
+            assert np.array_equal(padded[0], np.stack([r[0] for r in rows]))
+            assert np.array_equal(padded[1], np.stack([r[1] for r in rows]))
+
+    @pytest.mark.parametrize("seq_len, width", [(16, 6), (8, 6), (4, 4)])
+    def test_width_is_the_longest_row_at_most_seq_len(self, seq_len, width):
+        v = _vocab("a")
+        g = make_graph({i: [] for i in range(3)},
+                       texts=["a", "a a a a a", "a a"])
+        ids, mask = tokenize_graph(g, v, "", seq_len)
+        assert ids.shape == mask.shape == (3, width)
+        assert mask[:, -1].any()  # no column is padding in every row
+        assert mask.sum(axis=1).tolist() == [min(n, width) for n in (2, 6, 3)]
+
+    def test_prompt_filling_seq_len_gives_width_seq_len(self):
+        v = _vocab(*[f"p{i}" for i in range(10)])
+        prompt = " ".join(f"p{i}" for i in range(10))
+        g = make_graph({0: [], 1: []}, texts=["...", "?"])
+        ids, mask = tokenize_graph(g, v, prompt, seq_len=8)
+        assert ids.shape == (2, 8) and mask.all()
 
     def test_overlong_prompt_warns(self):
         v = _vocab(*[f"p{i}" for i in range(10)], "x")
@@ -246,8 +266,8 @@ class TestEncode:
         assert type(features) is np.ndarray
 
     def test_param_count_matches_shape_arithmetic(self, micro_backbone):
-        shape = micro_backbone.config.shape(vocab_size=40)
-        assert backbone_size(micro_backbone) == shape.param_count()
+        assert backbone_size(micro_backbone) == \
+            micro_backbone.config.param_count(40)
 
     def test_fused_qkv_backbone_refused(self):
         with pytest.raises(VocabError, match="audit-only shape"):
@@ -630,25 +650,28 @@ class TestRaggedLengths:
         ids, mask = tokenize_graph(graph, vocab, "", seq_len)
         lengths = mask.sum(axis=1)
         assert lengths.min() == 2 and lengths.max() == width
+        assert ids.shape == (n, width)
+        # The untrimmed oracle runs on the same rows padded to seq_len.
+        full_ids, full_mask = pad_columns(ids, mask, seq_len)
         start = config.first_adapted_layer(4)
         inputs = Phase2Inputs.from_tokens(graph, backbone, ids,
                                           mask).at_layer(backbone, start)
         assert inputs.mask.shape == (n, width)
         assert inputs.states.shape == (n, width, 16)
-        # Phase 1's trimmed prefix states are the ones phase 2 runs from.
-        _, states = node_features(backbone, *trim_padding(ids, mask), start)
+        # Phase 1's prefix states are the ones phase 2 runs from.
+        _, states = node_features(backbone, ids, mask, start)
         assert np.array_equal(states, inputs.states)
 
         nodes = np.arange(n)
         with ad.no_grad():
-            full = reference_encode(backbone, ids, mask,
+            full = reference_encode(backbone, full_ids, full_mask,
                                     adapters=assembly.adapters,
                                     node_embeddings={
                                         "pass1": embeddings.pass1,
                                         "pass2": embeddings.pass2},
                                     lora=assembly.lora)
             reference = np.asarray(ad.linear(
-                reference_pool_states(full, mask, pooling),
+                reference_pool_states(full, full_mask, pooling),
                 assembly.head_w, assembly.head_b))
             got = np.asarray(assembly.logits(inputs, nodes))
             # A row's bits do not depend on the rows that share its batch:

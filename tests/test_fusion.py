@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import (CONFIG_DIR, GPT2_SHAPE, audit_parameters,
-                      backbone_size, matmul, transpose_last)
+from conftest import (CONFIG_DIR, GPT2_BACKBONE, audit_parameters,
+                      backbone_size, gpt2_audit, matmul, transpose_last)
 from sagefuse import autodiff as ad
 from sagefuse.config import ExperimentConfig
-from sagefuse.fusion import (AdapterConfigError, BackboneShape, FusionAdapter,
+from sagefuse.fusion import (LORA_TARGETS, AdapterConfigError, FusionAdapter,
                              LoraPair, audit_from_shapes, build_adapter_set,
                              default_placement, fusion_apply, lora_apply)
+from sagefuse.textenc import BackboneConfig
 
 
 def make_adapter(rank=1, d=2, g=1, **kwargs):
@@ -73,7 +76,7 @@ class TestFusionApply:
         # sigmoid strictly inside (0, 1).
         for logit in (-30.0, -1.0, 0.0, 1.0, 30.0):
             a.gate_logit.value[...] = logit
-            assert 0.0 < a.gate < 1.0
+            assert 0.0 < float(ad.sigmoid(a.gate_logit.value)) < 1.0
 
     def test_gate_receives_gradient(self):
         a = make_adapter(rank=2, d=4, g=3, seed=5)
@@ -82,7 +85,7 @@ class TestFusionApply:
         h2 = np.random.default_rng(8).normal(0, 1, (2, 3))
         ad.backward(ad.sum_(ad.mul(fusion_apply(a, h1, h2),
                                    fusion_apply(a, h1, h2))))
-        assert abs(a.gate_logit.gradient) > 1e-10
+        assert abs(a.gate_logit.grad) > 1e-10
 
 
 class TestBuildAdapterSet:
@@ -97,7 +100,7 @@ class TestBuildAdapterSet:
 
     def test_scaled_down_placement(self):
         adapters = build_adapter_set(4, [1], [3], rank=2, d=8, g=4)
-        assert [a.layer_index for a in adapters.values()] == [1, 3]
+        assert list(adapters) == [1, 3]
 
     def test_placement_scales_proportionally(self):
         assert default_placement(4) == ([1, 2], [3])
@@ -120,7 +123,7 @@ class TestBuildAdapterSet:
         for a in adapters.values():
             assert np.array_equal(a.w_c.value, np.zeros((8, 2)))
             assert float(a.gate_logit.value) == 0.0
-            assert a.gate == 0.5
+            assert float(ad.sigmoid(a.gate_logit.value)) == 0.5
             assert a.w_a.value.std() > 0
 
     def test_tied_projections_alias_lora_factors(self):
@@ -243,7 +246,7 @@ class TestAdapterOracle:
         out = forward()
         value = ad.val(out).copy()
         ad.backward(ad.sum_(ad.mul(out, weight)))
-        return [value] + [p.gradient.copy() for p in params]
+        return [value] + [p.grad.copy() for p in params]
 
     def _assert_same_bits(self, params, forward, reference, weight):
         got = self._run(params, forward, weight)
@@ -305,25 +308,24 @@ class TestAdapterOracle:
 class TestAudit:
     def test_gpt2_audit_config_is_the_gpt2_shape(self):
         cfg = ExperimentConfig.from_file(CONFIG_DIR / "gpt2_audit.cfg")
-        assert cfg.backbone.shape(cfg.backbone.vocab_max) == GPT2_SHAPE
+        assert cfg.backbone == GPT2_BACKBONE
 
     def test_gpt2_shaped_lora_subtotal_exact(self):
-        audit = audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 6, 7, 9, 10, 11],
-                                  rank=4, g=64, num_classes=2,
-                                  fusion_tying="shared")
+        audit = gpt2_audit(adapted_layers=[5, 6, 7, 9, 10, 11], rank=4,
+                           fusion_tying="shared")
         assert audit.lora_pairs == 6 * (4 * (768 + 2304) + 4 * (768 + 768))
         assert audit.lora_pairs == 110_592
 
     def test_doubling_rank_doubles_lora_exactly(self):
-        kwargs = dict(adapted_layers=[5, 6, 7, 9, 10, 11], g=64,
-                      num_classes=2, fusion_tying="shared")
-        r4 = audit_from_shapes(GPT2_SHAPE, rank=4, **kwargs)
-        r8 = audit_from_shapes(GPT2_SHAPE, rank=8, **kwargs)
+        kwargs = dict(adapted_layers=[5, 6, 7, 9, 10, 11],
+                      fusion_tying="shared")
+        r4 = gpt2_audit(rank=4, **kwargs)
+        r8 = gpt2_audit(rank=8, **kwargs)
         assert r8.lora_pairs == 2 * r4.lora_pairs
 
     def test_analytic_audit_matches_registry_walk(self):
         from sagefuse.sage import SageModel
-        from sagefuse.textenc import BackboneConfig, EncoderBackbone
+        from sagefuse.textenc import EncoderBackbone
         from sagefuse.trainer import Phase2Assembly, RunConfig
         from sagefuse.sage import SageEmbeddings
         cfg = BackboneConfig(dim=16, heads=2, layers=4, mlp_width=32,
@@ -338,36 +340,35 @@ class TestAudit:
             [("gnn", p) for p in gnn.parameters()] + assembly.registry(),
             backbone_size(backbone))
         analytic = audit_from_shapes(
-            cfg.shape(vocab_size=50), adapted_layers=[1, 3], rank=2, g=8,
-            num_classes=3, gnn_hidden=6, gnn_input_dim=16)
+            cfg, vocab_size=50, adapted_layers=[1, 3], rank=2, g=8,
+            num_classes=3, gnn_hidden=6)
         assert walked.as_dict() == analytic.as_dict()
 
     def test_totals_are_component_sums(self):
-        audit = audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 9], rank=4,
-                                  g=64, num_classes=4)
+        audit = gpt2_audit(adapted_layers=[5, 9], rank=4, num_classes=4)
         assert audit.phase2_trainable == (audit.fusion + audit.lora_pairs
                                           + audit.classifier_head)
         assert audit.total_trainable == audit.gnn + audit.phase2_trainable
 
     def test_shared_tying_counts_only_gate_and_struct_projection(self):
-        kwargs = dict(adapted_layers=[5, 9], rank=4, g=64, num_classes=2)
-        shared = audit_from_shapes(GPT2_SHAPE, fusion_tying="shared", **kwargs)
-        separate = audit_from_shapes(GPT2_SHAPE, fusion_tying="separate",
-                                     **kwargs)
+        kwargs = dict(adapted_layers=[5, 9], rank=4)
+        shared = gpt2_audit(fusion_tying="shared", **kwargs)
+        separate = gpt2_audit(fusion_tying="separate", **kwargs)
         assert shared.fusion == 2 * (4 * 64 + 1)
         assert separate.fusion == 2 * (4 * 768 + 4 * 64 + 768 * 4 + 1)
 
     def test_fused_qkv_shape_arithmetic(self):
-        shape = BackboneShape(vocab_size=10, max_tokens=4, dim=8, layers=1,
-                              mlp_width=16, fused_qkv=True)
+        cfg = BackboneConfig(max_tokens=4, dim=8, heads=2, layers=1,
+                             mlp_width=16, fused_qkv=True)
         attn = (8 * 24 + 24) + (8 * 8 + 8)
         per_layer = attn + 4 * 8 + (8 * 16 + 16) + (16 * 8 + 8)
-        assert shape.param_count() == 10 * 8 + 4 * 8 + per_layer + 16
-        assert shape.lora_target_shapes() == [(8, 24), (8, 8)]
+        assert cfg.param_count(10) == 10 * 8 + 4 * 8 + per_layer + 16
+        assert cfg.param_count(10) == \
+            dataclasses.replace(cfg, fused_qkv=False).param_count(10)
+        assert cfg.lora_target_shapes(LORA_TARGETS) == [(8, 24), (8, 8)]
 
     def test_table_renders_all_components(self):
-        audit = audit_from_shapes(GPT2_SHAPE, adapted_layers=[5, 9], rank=4,
-                                  g=64, num_classes=2)
+        audit = gpt2_audit(adapted_layers=[5, 9], rank=4)
         table = audit.table()
         for label in ("gnn", "fusion", "lora", "classifier head",
                       "relative to backbone"):

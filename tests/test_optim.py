@@ -23,7 +23,7 @@ class TestAdamW:
         # moment update is -lr * g/(|g| + eps) ~= -lr.
         lr = 3e-4
         p = Parameter(np.array([1.0]), name="p")
-        p.gradient[...] = 1.0
+        p.grad[...] = 1.0
         opt = AdamW([p], lr=lr, weight_decay=1e-2)
         opt.step()
         expected = 1.0 * (1.0 - lr * 1e-2) - lr * 1.0 / (1.0 + 1e-8)
@@ -31,7 +31,7 @@ class TestAdamW:
 
     def test_nonfinite_gradient_aborts_naming_parameter(self):
         p = Parameter(np.array([1.0]), name="layer3.bias")
-        p.gradient[...] = np.nan
+        p.grad[...] = np.nan
         with pytest.raises(NumericsError, match="layer3.bias"):
             AdamW([p]).step()
 

@@ -379,7 +379,7 @@ class TestSparseMatmulTranspose:
         ad.backward(ad.sum_(ad.mul(ad.sparse_matmul(counted, w), coeff)))
         assert CountingTransposeCSR.transposes >= 1
         reference = sp.csr_matrix(counted).T.tocsr() @ coeff
-        assert w.gradient.tobytes() == np.asarray(reference).tobytes()
+        assert w.grad.tobytes() == np.asarray(reference).tobytes()
 
 
 def test_gradients_match_finite_differences():
