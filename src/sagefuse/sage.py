@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Parameter
 from .metrics import metric_name, split_metric
-from .optim import fit
+from .optim import fit, schedule_problem
 
 
 class SageConfigError(ValueError):
@@ -35,9 +35,9 @@ class SageConfig:
             if getattr(self, key) < 1:
                 raise SageConfigError(f"sage.{key} must be >= 1, got "
                                       f"{getattr(self, key)}")
-        if self.epochs < 0:
-            raise SageConfigError(f"sage.epochs must be >= 0, got "
-                                  f"{self.epochs}")
+        problem = schedule_problem(self, "sage")
+        if problem:
+            raise SageConfigError(problem)
         return self
 
 

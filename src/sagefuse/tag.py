@@ -3,6 +3,7 @@ and a synthetic generator whose labels depend on both text and structure."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -139,7 +140,9 @@ def load_graph(nodes_path, edges_path, num_classes=None):
     """Load a graph from a JSON Lines node file and a TSV edge file.
 
     Every format problem is reported with its line number. Duplicate edges
-    are deduplicated and the edge set symmetrized.
+    are deduplicated and the edge set symmetrized. An edge file as
+    `save_graph` writes it parses in one numpy pass; any other goes line
+    by line, with the same result for every file both accept.
     """
     limit = np.iinfo(np.int64).max if num_classes is None else num_classes
     ids, texts, labels = [], [], []
@@ -189,31 +192,66 @@ def load_graph(nodes_path, edges_path, num_classes=None):
     texts = [texts[i] for i in order]
     labels = np.array(labels, dtype=np.int64)[order]
 
-    us, vs = [], []
-    with open(edges_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"{edges_path}:{lineno}: expected "
-                                       f"'u<TAB>v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"{edges_path}:{lineno}: non-integer "
-                                       f"endpoint in {line!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"{edges_path}:{lineno}: dangling "
-                                       f"endpoint {v if 0 <= u < n else u}")
-            us.append(u)
-            vs.append(v)
-
+    us, vs = _read_edges(edges_path, n)
     indptr, indices = csr_adjacency(n, us, vs)
     c = num_classes if num_classes is not None else int(labels.max()) + 1
     return TextAttributedGraph(texts=texts, labels=labels, indptr=indptr,
                                indices=indices, num_classes=c).validate()
+
+
+def _read_edges(edges_path, n):
+    """Endpoint arrays (u, v) of a TSV edge file on nodes [0, n).
+
+    A plain file (`_is_plain_edge_file`, every endpoint below n) parses in
+    one numpy pass. Any other file goes through the line loop, which
+    accepts what `int` accepts around one tab and names the line of the
+    first fault; a plain file gives the same endpoints under either path."""
+    with open(edges_path, "rb") as f:
+        data = f.read()
+    if _is_plain_edge_file(data):
+        ends = np.fromstring(data, dtype=np.int64, sep=" ")
+        if not ends.size or ends.max() < n:
+            return ends[0::2], ends[1::2]
+    return _read_edge_lines(edges_path, data, n)
+
+
+def _is_plain_edge_file(data):
+    """True when every line of `data` is `u<TAB>v<LF>` with each endpoint
+    1 to 18 ASCII digits, so that it fits int64: the files `save_graph`
+    writes."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((b < ord("0")) | (b > ord("9")))
+    digits = np.diff(seps, prepend=-1) - 1
+    return (len(seps) % 2 == 0 and data[-1:] in (b"", b"\n")
+            and bool(np.all(b[seps[0::2]] == ord("\t")))
+            and bool(np.all(b[seps[1::2]] == ord("\n")))
+            and bool(np.all((digits >= 1) & (digits <= 18))))
+
+
+def _read_edge_lines(edges_path, data, n):
+    """`_read_edges` one line at a time, as a file opened in UTF-8 text
+    mode reads it; the only source of line-numbered edge errors."""
+    us, vs = [], []
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError(f"{edges_path}:{lineno}: expected "
+                                   f"'u<TAB>v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"{edges_path}:{lineno}: non-integer "
+                                   f"endpoint in {line!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"{edges_path}:{lineno}: dangling "
+                                   f"endpoint {v if 0 <= u < n else u}")
+        us.append(u)
+        vs.append(v)
+    return us, vs
 
 
 def save_graph(graph, nodes_path, edges_path):
@@ -296,6 +334,20 @@ def stratified_split(graph, spec):
     return replace(graph, split=split)
 
 
+def _append_new_edges(keys, n, u, w, limit):
+    """`keys` followed by the new edges of the stream (u[i], w[i]), at most
+    `limit` keys in all. An edge is the packed key `min * n + max`; a
+    self-pair is dropped and an edge counts at its first occurrence, so
+    `keys` lists distinct edges in stream order."""
+    keep = u != w
+    u, w = u[keep], w[keep]
+    new = np.minimum(u, w) * n + np.maximum(u, w)
+    new = new[~np.isin(new, keys)]
+    _, first = np.unique(new, return_index=True)
+    first.sort()
+    return np.concatenate([keys, new[first[:limit - len(keys)]]])
+
+
 @dataclass
 class GeneratorParams:
     n_nodes: int = 2000
@@ -337,6 +389,14 @@ def generate_synthetic_tag(params):
     independent signal, so a structure+text classifier strictly beats any
     text-only one.
 
+    Texts and labels are drawn first. Edges then come from a stream of
+    draws: a uniform node u, a target class (u's own with probability
+    `structure_signal`, else a uniform other class) and a uniform member w
+    of that class. The stream is drawn in numpy chunks; self-pairs and
+    repeats are dropped (`_append_new_edges`) until `avg_degree * n / 2`
+    distinct edges are kept, or 200 draws per edge have failed to find
+    them.
+
     Pure function of `params`: same seed, byte-identical graph.
     """
     params.validate()
@@ -357,29 +417,31 @@ def generate_synthetic_tag(params):
     words = topics[:, None] * v + token_ids
     texts = [" ".join(map("w{}".format, row)) for row in words.tolist()]
 
-    by_class = [np.flatnonzero(labels == k) for k in range(c)]
+    # Class k's members, ascending by id: members[starts[k]:][:sizes[k]].
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=c)
+    starts = np.cumsum(sizes) - sizes
     target_edges = int(round(params.avg_degree * n / 2))
-    edges = set()
-    attempts = 0
     max_attempts = 200 * target_edges
-    while len(edges) < target_edges and attempts < max_attempts:
-        attempts += 1
-        u = int(rng.integers(n))
-        if rng.random() < params.structure_signal:
-            pool = by_class[labels[u]]
-        else:
-            other = (labels[u] + int(rng.integers(1, c))) % c
-            pool = by_class[other]
-        w = int(pool[rng.integers(len(pool))])
-        if w == u:
-            continue
-        edges.add((min(u, w), max(u, w)))
-    if len(edges) < target_edges:
+    keys = np.empty(0, dtype=np.int64)
+    attempts = 0
+    while len(keys) < target_edges and attempts < max_attempts:
+        # A chunk a little larger than the edges still missing: duplicates
+        # and self-pairs are rare, so one chunk usually finishes the graph.
+        missing = target_edges - len(keys)
+        m = min(missing + missing // 8 + 64, max_attempts - attempts)
+        attempts += m
+        u = rng.integers(0, n, size=m)
+        cls = labels[u]
+        other = rng.random(m) >= params.structure_signal
+        cls[other] = (cls[other] + rng.integers(1, c, size=m)[other]) % c
+        w = members[starts[cls] + rng.integers(0, sizes[cls])]
+        keys = _append_new_edges(keys, n, u, w, target_edges)
+    if len(keys) < target_edges:
         raise GraphFormatError("edge sampling failed to reach the target "
                                "edge count; parameters too constrained")
 
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    indptr, indices = csr_adjacency(n, pairs[:, 0], pairs[:, 1])
+    indptr, indices = csr_adjacency(n, keys // n, keys % n)
     return TextAttributedGraph(texts=texts, labels=labels.astype(np.int64),
                                indptr=indptr, indices=indices,
                                num_classes=c).validate()

@@ -15,7 +15,7 @@ from .autodiff import Parameter
 from .fusion import (ARMS, LORA_TARGETS, LoraPair, build_adapter_set,
                      default_placement)
 from .metrics import metric_name, split_metric
-from .optim import fit
+from .optim import fit, schedule_problem
 from .tag import ids_in_split
 from .textenc import embed, encode, prefix_states, readout, tokenize_graph
 
@@ -73,9 +73,9 @@ class RunConfig(TrainerConfig, FusionConfig):
         if self.batch_size < 1:
             raise TrainerConfigError(f"batch_size must be >= 1, got "
                                      f"{self.batch_size}")
-        if self.epochs < 0:
-            raise TrainerConfigError(f"trainer.epochs must be >= 0, got "
-                                     f"{self.epochs}")
+        problem = schedule_problem(self, "trainer")
+        if problem:
+            raise TrainerConfigError(problem)
         if not self.seeds:
             raise TrainerConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,9 +19,9 @@ def pytest_terminal_summary(terminalreporter):
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, ShapeError
 from sagefuse.fusion import ParamAudit, audit_from_shapes
-from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
-                          TextAttributedGraph, generate_synthetic_tag,
-                          stratified_split)
+from sagefuse.tag import (SPLITS, GeneratorParams, GraphFormatError,
+                          SplitSpec, TextAttributedGraph, csr_adjacency,
+                          generate_synthetic_tag, stratified_split)
 from sagefuse.textenc import PAD_ID, BackboneConfig, tokenize_graph
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -114,6 +115,57 @@ def transpose_last(a):
     nd = ad.val(a).ndim
     axes = list(range(nd - 2)) + [nd - 1, nd - 2]
     return ad.transpose(a, axes)
+
+
+# The generator as the package defined it before its edge stream was drawn
+# in numpy chunks: one edge draw per loop iteration. Texts, labels and the
+# split must stay equal to its output; edges only in distribution.
+
+def reference_generate_synthetic_tag(params):
+    params.validate()
+    rng = np.random.default_rng(params.seed)
+    n, c = params.n_nodes, params.num_classes
+
+    labels = np.repeat(np.arange(c), math.ceil(n / c))[:n]
+    rng.shuffle(labels)
+
+    # Text topics: correct class with prob 1 - p_t, else a uniform wrong class.
+    topics = labels.copy()
+    flip = rng.random(n) < params.text_noise
+    offsets = rng.integers(1, c, size=n)
+    topics[flip] = (labels[flip] + offsets[flip]) % c
+
+    v = params.topic_vocab_size
+    token_ids = rng.integers(0, v, size=(n, params.text_len))
+    words = topics[:, None] * v + token_ids
+    texts = [" ".join(map("w{}".format, row)) for row in words.tolist()]
+
+    by_class = [np.flatnonzero(labels == k) for k in range(c)]
+    target_edges = int(round(params.avg_degree * n / 2))
+    edges = set()
+    attempts = 0
+    max_attempts = 200 * target_edges
+    while len(edges) < target_edges and attempts < max_attempts:
+        attempts += 1
+        u = int(rng.integers(n))
+        if rng.random() < params.structure_signal:
+            pool = by_class[labels[u]]
+        else:
+            other = (labels[u] + int(rng.integers(1, c))) % c
+            pool = by_class[other]
+        w = int(pool[rng.integers(len(pool))])
+        if w == u:
+            continue
+        edges.add((min(u, w), max(u, w)))
+    if len(edges) < target_edges:
+        raise GraphFormatError("edge sampling failed to reach the target "
+                               "edge count; parameters too constrained")
+
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    indptr, indices = csr_adjacency(n, pairs[:, 0], pairs[:, 1])
+    return TextAttributedGraph(texts=texts, labels=labels.astype(np.int64),
+                               indptr=indptr, indices=indices,
+                               num_classes=c).validate()
 
 
 def random_graph(rng, n, edge_prob=0.15):

@@ -218,6 +218,18 @@ class TestCli:
         (("epochs = 20", "epochs = -2"), "sage.epochs must be >= 0, got -2"),
         (("epochs = 2\npatience = 2", "epochs = -1\npatience = 2"),
          "trainer.epochs must be >= 0, got -1"),
+        (("epochs = 20", "epochs = 20\nlr = nan"),
+         "sage.lr must be finite and > 0, got nan"),
+        (("epochs = 20", "epochs = 20\nweight_decay = inf"),
+         "sage.weight_decay must be finite and >= 0, got inf"),
+        (("patience = 5", "patience = -3"), "sage.patience must be >= 1, "
+         "got -3"),
+        (("batch_size = 16", "batch_size = 16\nlr = -1"),
+         "trainer.lr must be finite and > 0, got -1.0"),
+        (("batch_size = 16", "batch_size = 16\nweight_decay = -0.5"),
+         "trainer.weight_decay must be finite and >= 0, got -0.5"),
+        (("patience = 2", "patience = 0"), "trainer.patience must be >= 1, "
+         "got 0"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_graph, neighbors, random_graph
+from conftest import (make_graph, neighbors, random_graph,
+                      reference_generate_synthetic_tag)
+from sagefuse import tag
 from sagefuse.tag import (SPLITS, GeneratorParams, GraphFormatError,
                           SplitSpec, csr_adjacency, generate_synthetic_tag,
                           load_graph, load_splits, save_graph, save_splits,
@@ -244,6 +246,90 @@ class TestGenerator:
         degrees = np.diff(g.indptr)
         assert abs(np.mean(degrees) - 8.0) < 0.5
 
+    def test_unreachable_edge_count_raises(self):
+        # 200 edges are wanted, but 4 classes of 10 nodes hold only
+        # 4 * 45 = 180 same-class pairs.
+        with pytest.raises(GraphFormatError, match="edge sampling failed to "
+                           "reach the target edge count"):
+            generate_synthetic_tag(GeneratorParams(
+                n_nodes=40, num_classes=4, avg_degree=10,
+                structure_signal=1.0))
+
+
+# The pre-edge draws are unchanged, so these must equal the reference's:
+# small shapes, then the deep, acceptance and graph benchmark shapes.
+REFERENCE_CASES = [
+    GeneratorParams(n_nodes=200, num_classes=3, avg_degree=6,
+                    topic_vocab_size=20, text_len=8, text_noise=0.3, seed=7),
+    GeneratorParams(n_nodes=60, num_classes=3, avg_degree=4,
+                    topic_vocab_size=10, text_len=6, text_noise=0.2, seed=1),
+    GeneratorParams(n_nodes=90, num_classes=3, avg_degree=5,
+                    topic_vocab_size=8, text_len=4, structure_signal=0.6,
+                    seed=5),
+    GeneratorParams(n_nodes=250, num_classes=2, avg_degree=8,
+                    topic_vocab_size=50, text_len=16, text_noise=0.2, seed=2),
+    GeneratorParams(n_nodes=2000, num_classes=4, avg_degree=8,
+                    topic_vocab_size=50, text_len=16, seed=1),
+    GeneratorParams(n_nodes=4000, num_classes=3, avg_degree=16,
+                    topic_vocab_size=10, text_len=6, text_noise=0.2, seed=2),
+]
+
+
+@pytest.mark.parametrize("params", REFERENCE_CASES)
+def test_texts_labels_and_split_equal_the_reference(params):
+    new = generate_synthetic_tag(params)
+    ref = reference_generate_synthetic_tag(params)
+    assert new.texts == ref.texts
+    assert np.array_equal(new.labels, ref.labels)
+    spec = SplitSpec(0.6, 0.2, 0.2, split_seed=3)
+    assert np.array_equal(stratified_split(new, spec).split,
+                          stratified_split(ref, spec).split)
+    assert new.indices.size == ref.indices.size
+
+
+def _edge_stats(graph):
+    degrees = np.diff(graph.indptr)
+    return intra_class_edge_fraction(graph), degrees.mean(), degrees.std()
+
+
+def test_edge_statistics_agree_with_the_reference():
+    """Same edge-set distribution as the one-draw-per-iteration loop: over
+    150 seeds of a 200-node graph, the mean intra-class fraction and
+    degree std of the two samplers differ by less than 4 standard errors
+    of that difference, and the mean degree is the target exactly."""
+    new, ref = (np.array([_edge_stats(gen(GeneratorParams(n_nodes=200,
+                                                         seed=seed)))
+                          for seed in range(150)])
+                for gen in (generate_synthetic_tag,
+                            reference_generate_synthetic_tag))
+    assert np.all(new[:, 1] == 8.0) and np.all(ref[:, 1] == 8.0)
+    for col in (0, 2):
+        se = np.sqrt((new[:, col].var(ddof=1) + ref[:, col].var(ddof=1))
+                     / len(new))
+        assert abs(new[:, col].mean() - ref[:, col].mean()) < 4 * se
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.tuples(st.integers(0, 5),
+                                             st.integers(0, 5)), max_size=40),
+       st.lists(st.integers(0, 40), max_size=4), st.integers(0, 20))
+def test_new_edges_are_the_first_distinct_non_self_pairs(n, stream, cuts,
+                                                         limit):
+    """`_append_new_edges` over a stream cut into chunks keeps exactly what
+    a loop over the same (u, w) stream keeps."""
+    stream = np.array(stream, dtype=np.int64).reshape(-1, 2) % n
+    expected = []
+    for u, w in stream.tolist():
+        key = min(u, w) * n + max(u, w)
+        if len(expected) < limit and u != w and key not in expected:
+            expected.append(key)
+    keys = np.empty(0, dtype=np.int64)
+    for chunk in np.split(stream, sorted(cuts)):
+        keys = tag._append_new_edges(keys, n, chunk[:, 0], chunk[:, 1],
+                                     limit)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == expected
+
 
 NODE_OK = [_node_line(0), _node_line(1, label=1)]
 SPLIT_OK = ['{"id": 0, "split": "train"}', '{"id": 1, "split": "val"}']
@@ -325,6 +411,61 @@ def test_loader_error_names_file_line_and_fault(tmp_path, where, lines,
     text = str(err.value)
     assert text.startswith(prefix), text
     assert re.search(message, text[len(prefix):]), text
+
+
+# Plain endpoints of 3 nodes, then tokens that `int` reads or refuses, out
+# of range included.
+DIGIT_TOKENS = ["0", "1", "2", "07"]
+EDGE_TOKENS = DIGIT_TOKENS + ["3", "0000000000000000001", "+1", "1_0",
+                              "\u0663", "-1", "x", str(2 ** 70)]
+PLAIN_LINE = st.tuples(st.sampled_from(DIGIT_TOKENS), st.just("\t"),
+                       st.sampled_from(DIGIT_TOKENS), st.just(""),
+                       st.just("\n"))
+ANY_LINE = st.tuples(st.sampled_from(EDGE_TOKENS),
+                     st.sampled_from(["\t", " ", "\t\t"]),
+                     st.sampled_from(EDGE_TOKENS),
+                     st.sampled_from(["", " ", "\t"]),
+                     st.sampled_from(["\n", "\r\n", "\n\n"]))
+
+
+def _edges_by_line_loop(path, n):
+    """Rows of the graph the line loop alone reads from `path`, or its
+    error message."""
+    try:
+        u, v = tag._read_edge_lines(path, path.read_bytes(), n)
+    except GraphFormatError as e:
+        return str(e)
+    return _csr_rows(*csr_adjacency(n, u, v))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(PLAIN_LINE, max_size=5), st.lists(ANY_LINE, max_size=2),
+       st.integers(0, 5), st.sampled_from(["", "\n", "0\t1", "2"]))
+def test_edge_parse_paths_accept_the_same_files(tmp_path, plain, odd, at,
+                                                tail):
+    """Over edge files of 3 nodes, plain lines with a few odd ones among
+    them, `load_graph` gives what the line loop alone gives: the same rows,
+    or the same error message."""
+    lines = plain[:at] + odd + plain[at:]
+    nodes = tmp_path / "nodes.jsonl"
+    nodes.write_text("".join(_node_line(i) + "\n" for i in range(3)))
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(("".join(map("".join, lines)) + tail).encode())
+    try:
+        got = rows_of(load_graph(nodes, edges))
+    except GraphFormatError as e:
+        got = str(e)
+    assert got == _edges_by_line_loop(edges, 3)
+
+
+def test_saved_edge_file_skips_the_line_loop(tmp_path, micro_tag,
+                                             monkeypatch):
+    save_graph(micro_tag, tmp_path / "n.jsonl", tmp_path / "e.tsv")
+    expected = _edges_by_line_loop(tmp_path / "e.tsv", micro_tag.num_nodes)
+    monkeypatch.setattr(tag, "_read_edge_lines", None)
+    g = load_graph(tmp_path / "n.jsonl", tmp_path / "e.tsv")
+    assert rows_of(g) == expected == rows_of(micro_tag)
 
 
 def test_label_beyond_int64_rejected_without_num_classes(tmp_path):
