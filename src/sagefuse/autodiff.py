@@ -1,14 +1,24 @@
 """Reverse-mode autodiff over numpy arrays.
 
-A forward pass records a graph of `Node` objects; `backward` walks it in
-reverse topological order and accumulates gradients into the `Parameter`
-leaves. A constant, such as a frozen weight, is a plain array: every op
-treats it as such, so a forward pass with no `Parameter` below it runs as
-plain numpy with zero bookkeeping.
+A forward pass records a graph of `_Record`s, one per op with a graph
+input. A record holds what `backward` reads: the records of the op's
+parents, the closure that maps the op's gradient to theirs, and the
+gradient summed into it so far. The op's value lives apart, in the `Node`
+the op returns. Children link to their parents' records, never to their
+Nodes, so a value lives only while the caller holds its Node or while a
+closure reads it. A closure holds only what its gradient reads: an
+operand's shape where that is all the gradient needs, `relu`'s bool mask
+in place of its input, and nothing for a constant operand, which gets no
+closure at all. `backward` walks the records in reverse topological order
+and accumulates gradients into the `Parameter` leaves.
+
+A constant, such as a frozen weight, is a plain array: every op treats it
+as such, so a forward pass with no `Parameter` below it runs as plain numpy
+with zero bookkeeping.
 
 A recorded graph serves exactly one `backward`: the walk releases each
-interior node's closure, parents and gradient once it has passed them on,
-so the loss keeps only its own value and a second `backward` is refused.
+record's closure, parents and gradient once it has passed them on, so the
+loss keeps only its own value and a second `backward` is refused.
 
 Reductions and matmuls delegate to numpy, which keeps a fixed evaluation
 order for identical inputs, so losses are bitwise reproducible per seed.
@@ -50,16 +60,28 @@ def _check_finite(name, arr):
         raise NumericsError(f"non-finite values in {name}")
 
 
-class Node:
-    """One recorded value in the computation graph."""
+class _Record:
+    """The graph side of one recorded value. `backward(g)` returns
+    (parent record, gradient) pairs. A leaf (a Parameter's record) has no
+    parents and no closure; a record `backward` has passed has `parents`
+    None."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward")
 
-    def __init__(self, value, parents=(), backward=None):
-        self.value = value
+    def __init__(self, parents=(), backward=None):
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        self.parents = parents
+        self.backward = backward
+
+
+class Node:
+    """One recorded value: the op's output array and its graph record."""
+
+    __slots__ = ("value", "record")
+
+    def __init__(self, value, record):
+        self.value = value
+        self.record = record
 
     @property
     def shape(self):
@@ -77,10 +99,18 @@ class Parameter(Node):
     __slots__ = ("name",)
 
     def __init__(self, value, name=""):
-        super().__init__(np.asarray(value))
+        super().__init__(np.asarray(value), _Record())
         _check_finite(name or "parameter", self.value)
         self.name = name
         self.zero_grad()
+
+    @property
+    def grad(self):
+        return self.record.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.record.grad = g
 
     @property
     def size(self):
@@ -132,53 +162,53 @@ def _lift_pair(a, b):
 
 
 def _node(value, pairs):
-    """Create a Node from (parent_node, grad_fn) pairs, or a raw array if
-    no parent is a Node."""
-    live = [(p, fn) for p, fn in pairs if isinstance(p, Node)]
+    """A Node for `value` from (operand, grad_fn) pairs, or the raw array if
+    no operand is a Node. The record links to the operands' records only."""
+    live = [(p.record, fn) for p, fn in pairs if isinstance(p, Node)]
     if not live:
         return value
 
     def backward(g):
-        return [(p, fn(g)) for p, fn in live]
+        return [(r, fn(g)) for r, fn in live]
 
-    return Node(value, tuple(p for p, _ in live), backward)
+    return Node(value, _Record(tuple(r for r, _ in live), backward))
 
 
 def backward(loss):
     """Accumulate d(loss)/d(param) into the `grad` of every Parameter leaf,
-    consuming the graph: each interior node drops its closure, parents and
-    gradient as soon as it has passed its gradient on."""
+    consuming the graph: each interior record drops its closure, parents
+    and gradient as soon as it has passed its gradient on."""
     if not isinstance(loss, Node) or isinstance(loss, Parameter):
         raise NumericsError("backward called on a value with no recorded graph "
                             "(no trainable parameters in the forward pass?)")
     # Iterative post-order topological sort.
-    topo, visited, stack = [], set(), [(loss, False)]
+    topo, visited, stack = [], set(), [(loss.record, False)]
     while stack:
-        node, done = stack.pop()
+        rec, done = stack.pop()
         if done:
-            topo.append(node)
+            topo.append(rec)
             continue
-        if id(node) in visited:
+        if id(rec) in visited:
             continue
-        if node._backward is None and not isinstance(node, Parameter):
+        if rec.parents is None:
             raise NumericsError("backward: graph already consumed")
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        visited.add(id(rec))
+        stack.append((rec, True))
+        for p in rec.parents:
             if id(p) not in visited:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.value)
-    # Popping, rather than iterating, lets each node go once it is done.
+    loss.record.grad = np.ones_like(loss.value)
+    # Popping, rather than iterating, lets each record go once it is done.
     # Gradients are summed out of place: `add` and `_unbroadcast` pass `g`
-    # through, so two nodes can hold the same array.
+    # through, so two records can hold the same array.
     while topo:
-        node = topo.pop()
-        if node._backward is not None:
-            if node.grad is not None:
-                for parent, g in node._backward(node.grad):
+        rec = topo.pop()
+        if rec.backward is not None:
+            if rec.grad is not None:
+                for parent, g in rec.backward(rec.grad):
                     parent.grad = g if parent.grad is None else parent.grad + g
-            node._backward, node._parents, node.grad = None, (), None
+            rec.backward, rec.parents, rec.grad = None, None, None
 
 
 def _unbroadcast(g, shape):
@@ -197,25 +227,29 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
-    out = va + vb
-    return _node(out, [(a, lambda g: _unbroadcast(g, va.shape)),
-                       (b, lambda g: _unbroadcast(g, vb.shape))])
+    sa, sb = va.shape, vb.shape
+    return _node(va + vb, [(a, lambda g: _unbroadcast(g, sa)),
+                           (b, lambda g: _unbroadcast(g, sb))])
 
 
 def sub(a, b):
     a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
-    out = va - vb
-    return _node(out, [(a, lambda g: _unbroadcast(g, va.shape)),
-                       (b, lambda g: _unbroadcast(-g, vb.shape))])
+    sa, sb = va.shape, vb.shape
+    return _node(va - vb, [(a, lambda g: _unbroadcast(g, sa)),
+                           (b, lambda g: _unbroadcast(-g, sb))])
 
 
 def mul(a, b):
     a, b = _lift_pair(a, b)
     va, vb = val(a), val(b)
-    out = va * vb
-    return _node(out, [(a, lambda g: _unbroadcast(g * vb, va.shape)),
-                       (b, lambda g: _unbroadcast(g * va, vb.shape))])
+    sa, sb = va.shape, vb.shape
+    pairs = []
+    if isinstance(a, Node):
+        pairs.append((a, lambda g: _unbroadcast(g * vb, sa)))
+    if isinstance(b, Node):
+        pairs.append((b, lambda g: _unbroadcast(g * va, sb)))
+    return _node(va * vb, pairs)
 
 
 def sparse_matmul(m, x):
@@ -243,8 +277,8 @@ def concat_cols(a, b):
 def reshape(a, shape):
     a = lift(a)
     va = val(a)
-    out = va.reshape(shape)
-    return _node(out, [(a, lambda g: g.reshape(va.shape))])
+    sa = va.shape
+    return _node(va.reshape(shape), [(a, lambda g: g.reshape(sa))])
 
 
 def transpose(a, axes):
@@ -259,10 +293,15 @@ def gather_rows(table, ids):
     vt = val(table)
     ids = np.asarray(ids)
     out = vt[ids]
+    # The gradient is laid out as np.zeros_like(vt) lays it out (axes in
+    # the order of their strides), from the shape and strides alone.
+    order = sorted(range(vt.ndim), key=lambda i: -abs(vt.strides[i]))
+    shape, dtype = [vt.shape[i] for i in order], vt.dtype
+    inv = np.argsort(order)
 
     def g_table(g):
-        gt = np.zeros_like(vt)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, *vt.shape[1:]))
+        gt = np.zeros(shape, dtype).transpose(inv)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, *gt.shape[1:]))
         return gt
 
     return _node(out, [(table, g_table)])
@@ -271,14 +310,14 @@ def gather_rows(table, ids):
 def sum_(a, axis=None, keepdims=False):
     a = lift(a)
     va = val(a)
-    out = va.sum(axis=axis, keepdims=keepdims)
+    sa = va.shape
 
     def ga(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, va.shape).copy()
+        return np.broadcast_to(g, sa).copy()
 
-    return _node(out, [(a, ga)])
+    return _node(va.sum(axis=axis, keepdims=keepdims), [(a, ga)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +327,10 @@ def relu(a):
     a = lift(a)
     va = val(a)
     out = np.maximum(va, 0)
-    return _node(out, [(a, lambda g: g * (va > 0))])
+    if not isinstance(a, Node):
+        return out
+    mask = va > 0
+    return _node(out, [(a, lambda g: g * mask)])
 
 
 def sigmoid(a):
@@ -300,15 +342,16 @@ def sigmoid(a):
 def layernorm(x, gamma, beta, eps=1e-5):
     """Normalize the last axis, then scale and shift."""
     x, gamma, beta = lift(x), lift(gamma), lift(beta)
-    vx, vg = val(x), val(gamma)
+    vx, vg, vb = val(x), val(gamma), val(beta)
     if vx.shape[-1] != vg.shape[-1]:
         raise ShapeError("layernorm", vx.shape, vg.shape)
     mu = vx.mean(axis=-1, keepdims=True)
     var = vx.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (vx - mu) * inv
-    out = vg * xhat + val(beta)
+    out = vg * xhat + vb
     d = vx.shape[-1]
+    sg, sb = vg.shape, vb.shape
 
     def gx(g):
         gh = g * vg
@@ -316,10 +359,10 @@ def layernorm(x, gamma, beta, eps=1e-5):
                       - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
 
     def ggamma(g):
-        return _unbroadcast(g * xhat, vg.shape)
+        return _unbroadcast(g * xhat, sg)
 
     def gbeta(g):
-        return _unbroadcast(g, val(beta).shape)
+        return _unbroadcast(g, sb)
 
     return _node(out, [(x, gx), (gamma, ggamma), (beta, gbeta)])
 
@@ -329,11 +372,11 @@ def attention(q, k, v, mask_bias=None):
 
     `mask_bias` is an additive constant (e.g. -1e9 on padded key positions)
     broadcast onto the score matrix. The scores are scaled, masked and
-    softmaxed in place, so the op keeps only q, k, v and the softmax `s`.
-    numpy's matmul bits depend on operand strides, so every product keeps
-    the operand layout of the primitive-op chain this op replaced, and the
-    gradients of a shared q, k and v are summed in that chain's order
-    (v, q, k).
+    softmaxed in place, so the op keeps only the softmax `s` and the
+    operands another operand's gradient reads. numpy's matmul bits depend
+    on operand strides, so every product keeps the operand layout of the
+    primitive-op chain this op replaced, and the gradients of a shared q,
+    k and v are summed in that chain's order (v, q, k).
     """
     q, k, v = lift(q), lift(k), lift(v)
     vq, vk, vv = val(q), val(k), val(v)
@@ -347,29 +390,36 @@ def attention(q, k, v, mask_bias=None):
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = s @ vv
-    parents = tuple(p for p in (q, k, v) if isinstance(p, Node))
+    rq, rk, rv = (p.record if isinstance(p, Node) else None
+                  for p in (q, k, v))
+    parents = tuple(r for r in (rq, rk, rv) if r is not None)
     if not parents:
         return out
+    sq, skt, sv = vq.shape, kt.shape, vv.shape
+    # Only k's gradient reads q, only q's reads k, and v enters the q and k
+    # gradients alone.
+    vq = vq if rk else None
+    vk = vk if rq else None
+    vv = vv if rq or rk else None
 
     def grads(g):
         pairs = []
-        if isinstance(v, Node):
-            pairs.append((v, _unbroadcast(np.swapaxes(s, -1, -2) @ g,
-                                          vv.shape)))
-        if isinstance(q, Node) or isinstance(k, Node):
+        if rv:
+            pairs.append((rv, _unbroadcast(np.swapaxes(s, -1, -2) @ g, sv)))
+        if rq or rk:
             # d(scores): the softmax backward, then the scale.
             gs = g @ np.swapaxes(vv, -1, -2)
             gs -= (gs * s).sum(axis=-1, keepdims=True)
             gs *= s
             gs *= scale
-            if isinstance(q, Node):
-                pairs.append((q, _unbroadcast(gs @ vk, vq.shape)))
-            if isinstance(k, Node):
-                gkt = _unbroadcast(np.swapaxes(vq, -1, -2) @ gs, kt.shape)
-                pairs.append((k, np.swapaxes(gkt, -1, -2)))
+            if rq:
+                pairs.append((rq, _unbroadcast(gs @ vk, sq)))
+            if rk:
+                gkt = _unbroadcast(np.swapaxes(vq, -1, -2) @ gs, skt)
+                pairs.append((rk, np.swapaxes(gkt, -1, -2)))
         return pairs
 
-    return Node(out, parents, grads)
+    return Node(out, _Record(parents, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +441,15 @@ def cross_entropy(logits, labels):
     shifted = vl - vl.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), labels]
-    out = nll.mean(dtype=vl.dtype)
+    dtype = vl.dtype
+    out = nll.mean(dtype=dtype)
     _check_finite("cross_entropy", out)
 
     def ga(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        return (g * p / n).astype(vl.dtype)
+        return (g * p / n).astype(dtype)
 
     return _node(np.asarray(out), [(logits, ga)])
 
@@ -407,7 +458,9 @@ def linear(x, w, b=None):
     """x @ w.T (+ b) as one op; weights stored as (d_out, d_in).
 
     The bias is added in place to the product: one node and one output
-    array, where a product node and an add node would hold two.
+    array, where a product node and an add node would hold two. Only a
+    trainable weight's gradient reads x, so under a frozen weight the op
+    keeps no array of x.
     """
     x, w = lift(x), lift(w)
     vx, vw = val(x), val(w)
@@ -415,12 +468,16 @@ def linear(x, w, b=None):
         raise ShapeError("linear", vx.shape, vw.shape)
     wt = np.swapaxes(vw, -1, -2)
     out = vx @ wt
-    live = [(x, lambda g: _unbroadcast(g @ vw, vx.shape)),
-            (w, lambda g: np.swapaxes(_unbroadcast(
-                np.swapaxes(vx, -1, -2) @ g, wt.shape), -1, -2))]
+    sx = vx.shape
+    live = [(x, lambda g: _unbroadcast(g @ vw, sx))]
+    if isinstance(w, Node):
+        swt = wt.shape
+        live.append((w, lambda g: np.swapaxes(_unbroadcast(
+            np.swapaxes(vx, -1, -2) @ g, swt), -1, -2)))
     if b is not None:
         b = lift(b)
         vb = val(b)
         out += vb
-        live.append((b, lambda g: _unbroadcast(g, vb.shape)))
+        sb = vb.shape
+        live.append((b, lambda g: _unbroadcast(g, sb)))
     return _node(out, live)

@@ -136,6 +136,26 @@ def csr_adjacency(n, u, v):
     return indptr, keys - rows * n
 
 
+def _utf8_lines(path, lines):
+    """The lines of `lines`, a UTF-8 text-mode reader over the file at
+    `path`. A byte that is not UTF-8 raises a GraphFormatError naming the
+    file and the line that holds it."""
+    try:
+        yield from lines
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = data[:e.start].decode("utf-8")
+            lineno = 1 + head.count("\n") + head.count("\r") \
+                - head.count("\r\n")
+            raise GraphFormatError(f"{path}:{lineno}: not UTF-8 (byte "
+                                   f"0x{data[e.start]:02x})") from None
+        raise
+
+
 def load_graph(nodes_path, edges_path, num_classes=None):
     """Load a graph from a JSON Lines node file and a TSV edge file.
 
@@ -148,7 +168,7 @@ def load_graph(nodes_path, edges_path, num_classes=None):
     ids, texts, labels = [], [], []
     seen = set()
     with open(nodes_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(_utf8_lines(nodes_path, f), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -233,7 +253,7 @@ def _read_edge_lines(edges_path, data, n):
     mode reads it; the only source of line-numbered edge errors."""
     us, vs = [], []
     lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_utf8_lines(edges_path, lines), start=1):
         line = line.strip()
         if not line:
             continue
@@ -280,7 +300,7 @@ def load_splits(graph, path):
     """Return a copy of the graph with splits applied from a JSON Lines file."""
     assigned = {}
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(_utf8_lines(path, f), start=1):
             line = line.strip()
             if not line:
                 continue

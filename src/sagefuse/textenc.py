@@ -19,7 +19,10 @@ from . import autodiff as ad
 from .fusion import fusion_apply, lora_apply
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
-ENCODE_BATCH = 64  # rows per no-grad encoder pass over all nodes
+# Rows per no-grad encoder pass: node_features, prefix_states and the
+# encoder pieces of trainer.predict_logits, whose head batch is
+# trainer.EVAL_BATCH. A row's encoder bits do not depend on it.
+ENCODE_BATCH = 64
 RESERVED = {"<pad>": PAD_ID, "<unk>": UNK_ID, "<cls>": CLS_ID}
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")

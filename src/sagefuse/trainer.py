@@ -17,11 +17,13 @@ from .fusion import (ARMS, LORA_TARGETS, LoraPair, build_adapter_set,
 from .metrics import metric_name, split_metric
 from .optim import fit, schedule_problem
 from .tag import ids_in_split
-from .textenc import embed, encode, prefix_states, readout, tokenize_graph
+from .textenc import (ENCODE_BATCH, embed, encode, prefix_states, readout,
+                      tokenize_graph)
 
 BASELINES = tuple(ARMS)
-# Nodes per no-grad logits pass in predict_logits. The head's 2-D GEMM bits
-# can depend on which rows share a batch, so changing it can move metrics.
+# Rows per head pass in predict_logits; the encoder under it runs on
+# textenc.ENCODE_BATCH rows at a time. The head's 2-D GEMM bits can depend
+# on which rows share a batch, so changing EVAL_BATCH can move metrics.
 EVAL_BATCH = 128
 
 
@@ -211,17 +213,31 @@ class Phase2Assembly:
         reg.extend(("classifier_head", p) for p in (self.head_w, self.head_b))
         return reg
 
-    def logits(self, inputs, node_ids):
+    def logits(self, inputs, node_ids, piece=None):
         """Logits of `node_ids` from the `Phase2Inputs`; the encoder pass
-        starts at `inputs.layer`."""
+        starts at `inputs.layer`.
+
+        With `piece`, a no-grad pass runs the encoder and readout on at most
+        `piece` rows at a time and the head once on all of them. A row's
+        encoder bits do not depend on the rows that share its pass, while
+        the head's 2-D GEMM bits can, so the logits equal a one-piece pass
+        bit for bit."""
+        if piece is None:
+            features = self._features(inputs, node_ids)
+        else:
+            features = np.concatenate([
+                self._features(inputs, node_ids[lo:lo + piece])
+                for lo in range(0, len(node_ids), piece)])
+        return ad.linear(features, self.head_w, self.head_b)
+
+    def _features(self, inputs, node_ids):
         h2 = {"pass1": self.embeddings.pass1[node_ids],
               "pass2": self.embeddings.pass2[node_ids]}
         mask = inputs.mask[node_ids]
         hidden = encode(self.backbone, inputs.states[node_ids], mask,
                         inputs.layer, adapters=self.adapters,
                         node_embeddings=h2, lora=self.lora)
-        return ad.linear(readout(self.backbone, hidden, mask), self.head_w,
-                         self.head_b)
+        return readout(self.backbone, hidden, mask)
 
 
 def evaluate(assembly, inputs, split):
@@ -236,13 +252,14 @@ def evaluate(assembly, inputs, split):
 
 
 def predict_logits(assembly, inputs, node_ids):
-    """Logits of `node_ids` of the `Phase2Inputs`, in batches of
-    `EVAL_BATCH`."""
+    """Logits of `node_ids` of the `Phase2Inputs`: the head runs on
+    `EVAL_BATCH` rows at a time, the encoder on `ENCODE_BATCH`."""
     rows = []
     with ad.no_grad():
         for start in range(0, len(node_ids), EVAL_BATCH):
             b = node_ids[start:start + EVAL_BATCH]
-            rows.append(np.asarray(assembly.logits(inputs, b)))
+            rows.append(np.asarray(assembly.logits(inputs, b,
+                                                   piece=ENCODE_BATCH)))
     return np.concatenate(rows, axis=0)
 
 

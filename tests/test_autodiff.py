@@ -153,16 +153,21 @@ class TestBackward:
         assert np.array_equal(w.grad, [1.0, 2.0])
 
     def test_backward_releases_interior_values(self):
+        # `hidden` is read by v's gradient, `scaled` by no closure.
         w = Parameter(np.ones((3, 4)), name="w")
+        v = Parameter(np.full(4, 2.0), name="v")
         hidden = ad.relu(matmul(np.ones((5, 3)), w))
-        ref = weakref.ref(ad.val(hidden))
-        loss = ad.sum_(hidden)
-        del hidden
-        assert ref() is not None
+        scaled = ad.mul(hidden, v)
+        read, unread = weakref.ref(ad.val(hidden)), weakref.ref(ad.val(scaled))
+        loss = ad.sum_(scaled)
+        del hidden, scaled
+        assert unread() is None
+        assert read() is not None
         ad.backward(loss)
-        assert ref() is None
-        assert float(ad.val(loss)) == 60.0
-        assert np.array_equal(w.grad, np.full((3, 4), 5.0))
+        assert read() is None
+        assert float(ad.val(loss)) == 120.0
+        assert np.array_equal(w.grad, np.full((3, 4), 10.0))
+        assert np.array_equal(v.grad, np.full(4, 15.0))
 
 
 class TestStrictFinite:
@@ -241,6 +246,87 @@ def test_op_keeps_input_dtype_forward_and_backward(op, dtype):
     assert ad.val(out).dtype == dtype
     ad.backward(ad.sum_(out))
     assert x.grad.dtype == dtype
+
+
+# ---------------------------------------------------------------------------
+# Retention: a recorded op keeps alive only the arrays its gradients read.
+# Each case lists its operands as (name, kind, shape): a "node" is an
+# interior node that only the caller's Node references, a "const" a plain
+# array. After the caller drops every operand and the output, the arrays
+# still alive must be exactly the listed ones, and `backward` must release
+# them all.
+
+_RETENTION = {
+    "add": ([("a", "node", (3, 4)), ("b", "node", (4,))], ad.add, ()),
+    "sub": ([("a", "node", (3, 4)), ("b", "node", (3, 4))], ad.sub, ()),
+    "mul": ([("a", "node", (3, 4)), ("b", "node", (3, 4))], ad.mul,
+            ("a", "b")),
+    "mul_constant": ([("a", "node", (3, 4)), ("b", "const", (3, 4))],
+                     ad.mul, ("b",)),
+    "sparse_matmul": ([("x", "node", (4, 3))], lambda x: ad.sparse_matmul(
+        sp.identity(4, format="csr"), x), ()),
+    "concat_cols": ([("a", "node", (3, 4)), ("b", "node", (3, 2))],
+                    ad.concat_cols, ()),
+    "reshape": ([("a", "node", (3, 4))], lambda a: ad.reshape(a, (2, 6)), ()),
+    "transpose": ([("a", "node", (3, 4))],
+                  lambda a: ad.transpose(a, (1, 0)), ()),
+    "gather_rows": ([("a", "node", (3, 4))],
+                    lambda a: ad.gather_rows(a, [0, 2, 2]), ()),
+    "sum_": ([("a", "node", (3, 4))], lambda a: ad.sum_(a, axis=0), ()),
+    "relu": ([("a", "node", (3, 4))], ad.relu, ()),
+    "sigmoid": ([("a", "node", (3, 4))], ad.sigmoid, ("out",)),
+    "layernorm": ([("x", "node", (3, 4)), ("g", "const", (4,)),
+                   ("b", "const", (4,))], ad.layernorm, ("g",)),
+    "layernorm_trainable": ([("x", "node", (3, 4)), ("g", "node", (4,)),
+                             ("b", "node", (4,))], ad.layernorm, ("g",)),
+    "attention": ([("q", "node", (2, 3, 4)), ("k", "node", (2, 3, 4)),
+                   ("v", "node", (2, 3, 4))], ad.attention, ("q", "k", "v")),
+    "attention_q": ([("q", "node", (2, 3, 4)), ("k", "const", (2, 3, 4)),
+                     ("v", "const", (2, 3, 4))], ad.attention, ("k", "v")),
+    "attention_v": ([("q", "const", (2, 3, 4)), ("k", "const", (2, 3, 4)),
+                     ("v", "node", (2, 3, 4))], ad.attention, ()),
+    "cross_entropy": ([("a", "node", (3, 4))],
+                      lambda a: ad.cross_entropy(a, [0, 1, 3]), ()),
+    "linear_frozen": ([("x", "node", (3, 4)), ("w", "const", (5, 4)),
+                       ("b", "const", (5,))], ad.linear, ("w",)),
+    "linear_trainable": ([("x", "node", (3, 4)), ("w", "node", (5, 4)),
+                          ("b", "node", (5,))], ad.linear, ("x", "w")),
+    "linear_constant_input": ([("x", "const", (3, 4)),
+                               ("w", "node", (5, 4))], ad.linear, ("x",)),
+}
+
+
+def _operands(specs):
+    rng = np.random.default_rng(0)
+    return [ad.add(Parameter(rng.normal(0, 1, shape), name=name), 0.0)
+            if kind == "node" else rng.normal(0, 1, shape)
+            for name, kind, shape in specs]
+
+
+@pytest.mark.parametrize("case", sorted(_RETENTION))
+def test_op_keeps_only_the_arrays_its_gradients_read(case):
+    specs, op, kept = _RETENTION[case]
+    operands = _operands(specs)
+    out = op(*operands)
+    refs = {name: weakref.ref(ad.val(x))
+            for (name, _, _), x in zip(specs, operands)}
+    refs["out"] = weakref.ref(ad.val(out))
+    loss = ad.sum_(out)
+    del operands, out
+    alive = {name for name, ref in refs.items() if ref() is not None}
+    assert alive == set(kept)
+    ad.backward(loss)
+    assert all(ref() is None for ref in refs.values())
+
+
+def test_gather_rows_gradient_is_laid_out_like_its_table():
+    # The [CLS] readout gathers from a transposed view. The gradient keeps
+    # the layout np.zeros_like gives, since strides can move matmul bits.
+    x = ad.add(Parameter(np.ones((3, 5, 4)), name="x"), 0.0)
+    for table in (x, ad.transpose(x, (1, 0, 2))):
+        out = ad.gather_rows(table, 0)
+        [(_, g)] = out.record.backward(np.ones(ad.val(out).shape))
+        assert g.strides == np.zeros_like(ad.val(table)).strides
 
 
 # ---------------------------------------------------------------------------

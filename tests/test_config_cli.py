@@ -315,6 +315,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{splits}:2:" in err and message in err
 
+    @pytest.mark.parametrize("role", ["nodes", "edges", "splits"])
+    def test_non_utf8_data_file_exits_2_naming_its_line(self, tmp_path,
+                                                         capsys, role):
+        lines = {"nodes": [b'{"id": 0, "text": "a", "label": 0}',
+                           b'{"id": 1, "text": "b", "label": 1}'],
+                 "edges": [b"0\t1", b"1\t0"],
+                 "splits": [b'{"id": 0, "split": "train"}',
+                            b'{"id": 1, "split": "test"}']}
+        lines[role][1] += b"\xff"
+        paths = {r: tmp_path / f"{r}.data" for r in lines}
+        for r, rows in lines.items():
+            paths[r].write_bytes(b"\n".join(rows) + b"\n")
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(
+            f"[dataset]\nsource = files\nnum_classes = 2\n"
+            f"nodes_path = {paths['nodes']}\nedges_path = {paths['edges']}\n"
+            f"splits_path = {paths['splits']}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path), "phase1"]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {paths[role]}:2: not UTF-8 (byte 0xff)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_generated_split_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "m.cfg"
         cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(

@@ -88,6 +88,23 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=":2:.*dangling"):
             load_graph(nodes, edges)
 
+    @pytest.mark.parametrize("role", ["nodes", "edges", "splits"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, role):
+        # Lines end in CRLF and a lone CR, as text mode splits them.
+        nodes, edges = _write_dataset(
+            tmp_path, [_node_line(i) for i in range(3)], ["0\t1", "1\t2"])
+        splits = tmp_path / "splits.jsonl"
+        save_splits(stratified_split(load_graph(nodes, edges),
+                                     SplitSpec(1 / 3, 1 / 3, 1 / 3)), splits)
+        path = {"nodes": nodes, "edges": edges, "splits": splits}[role]
+        rows = path.read_bytes().splitlines()
+        path.write_bytes(rows[0] + b"\r\n" + rows[1] + b"\r" + b"\xfe"
+                         + rows[-1] + b"\n")
+        with pytest.raises(GraphFormatError,
+                           match=f"^{re.escape(str(path))}:3: not UTF-8 "
+                                 r"\(byte 0xfe\)$"):
+            load_splits(load_graph(nodes, edges), splits)
+
     def test_round_trip(self, tmp_path):
         g = generate_synthetic_tag(GeneratorParams(
             n_nodes=80, num_classes=2, avg_degree=4, topic_vocab_size=10,

@@ -38,7 +38,8 @@ class Setup:
                                         self.mask)
 
 
-def _setup(num_classes=3, n=48, seed=0, precision="f64", **config_overrides):
+def _setup(num_classes=3, n=48, seed=0, precision="f64", pooling="mean",
+           **config_overrides):
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % num_classes).tolist()
     base = random_graph(rng, n, edge_prob=0.1)
@@ -50,7 +51,7 @@ def _setup(num_classes=3, n=48, seed=0, precision="f64", **config_overrides):
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
         dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
-        precision=precision), vocab.size)
+        precision=precision, pooling=pooling), vocab.size)
     g = 8
     emb_rng = np.random.default_rng(1)
     pass1, pass2 = ((emb_rng.normal(0, 0.5, (n, g))
@@ -381,6 +382,86 @@ class TestSharedLoop:
 
         one, two = fit_peak(1), fit_peak(2)
         assert two <= 1.1 * one, (one, two)
+
+
+class TestEvalPieces:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("head_batch", [trainer.EVAL_BATCH, 150])
+    def test_predict_logits_equal_one_piece_passes(self, monkeypatch,
+                                                   precision, pooling,
+                                                   head_batch):
+        # 150 rows: head batches of 128 + 22 rows (encoder pieces 64 + 64
+        # and 22), or one of 150 rows (pieces 64 + 64 + 22).
+        s = _setup(n=150, precision=precision, pooling=pooling)
+        inputs = s.inputs
+        assembly = Phase2Assembly(s.backbone, s.embeddings,
+                                  inputs.num_classes, s.config, seed=0)
+        rng = np.random.default_rng(0)
+        for p in assembly.trainable_parameters():
+            p.value[...] = rng.normal(0, 0.05, p.value.shape)
+        node_ids = rng.permutation(150)
+        monkeypatch.setattr(trainer, "EVAL_BATCH", head_batch)
+        with ad.no_grad():
+            want = np.concatenate([
+                assembly.logits(inputs, node_ids[lo:lo + head_batch])
+                for lo in range(0, 150, head_batch)])
+        got = trainer.predict_logits(assembly, inputs, node_ids)
+        assert got.dtype == want.dtype == s.backbone.config.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_forward_keeps_only_what_backward_reads():
+    # One fused training step at the configs/micro.cfg encoder shape (f32),
+    # on 64 rows of 16 tokens. After the forward pass the graph may hold
+    # only the arrays the backward closures read, counted below from the
+    # shapes, plus 15% for the records, closures and array headers.
+    layers, d, heads, m, r, g, c = 4, 16, 2, 32, 2, 8, 3
+    b, t, n = 64, 16, 96
+    backbone = EncoderBackbone(BackboneConfig(
+        layers=layers, dim=d, heads=heads, mlp_width=m, max_tokens=t,
+        precision="f32"), vocab_size=40)
+    config = RunConfig(rank=r, pass1_layers=(1,), pass2_layers=(3,),
+                       batch_size=b, seq_len=t)
+    rng = np.random.default_rng(0)
+    inputs = Phase2Inputs(
+        labels=np.arange(n) % c, split=np.zeros(n, np.int8), num_classes=c,
+        mask=np.ones((n, t)), layer=1,
+        states=rng.normal(0, 1, (n, t, d)).astype(np.float32))
+    embeddings = SageEmbeddings(
+        *(rng.normal(0, 1, (n, g)).astype(np.float32) for _ in range(2)))
+    assembly = Phase2Assembly(backbone, embeddings, c, config, seed=0)
+    batch = np.arange(b)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = ad.cross_entropy(assembly.logits(inputs, batch),
+                                inputs.labels[batch])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    bt, btd, btr = b * t, b * t * d, b * t * r
+    # Every layer from the first adapted one: both layernorms' xhat and
+    # 1/std, the attention's q, k, v and softmax, and relu's bool mask.
+    layer = 5 * btd + 2 * bt + b * heads * t * t
+    # LoRA on q, k, v, o: the shared layernorm output and the attention
+    # output under A, each rank-r activation under B.
+    lora = 2 * btd + 4 * btr
+    # Fusion: h1 under W_A, the gated text part and the blend under W_C,
+    # the structural part and h2.
+    fusion = btd + 2 * btr + b * r + b * g
+    # Readout layernorm, pooling weights, features under the head, logits.
+    head = btd + 2 * bt + b * d + b * c
+    floats = (layers - 1) * layer + 2 * lora + 2 * fusion + head
+    bound = 1.15 * (4 * floats + (layers - 1) * bt * m)
+    assert retained <= bound, (retained, bound)
+
+    ad.backward(loss)
+    params = assembly.trainable_parameters()
+    assert all(np.isfinite(p.grad).all() for p in params)
+    AdamW(params, lr=0.01).step()
 
 
 class TestAblations:
