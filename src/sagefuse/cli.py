@@ -85,9 +85,9 @@ def _load_config(args):
         cfg.trainer.baseline = args.baseline
     cfg.validate()
     if cfg.backbone.fused_qkv and args.command in WEIGHT_COMMANDS:
-        raise ConfigError("backbone.fused_qkv = true is an audit-only shape; "
-                          f"{args.command} builds an encoder with separate "
-                          "q, k, v projections")
+        raise ConfigError("[backbone] fused_qkv = true is an audit-only "
+                          f"shape; {args.command} builds an encoder with "
+                          "separate q, k, v projections")
     return cfg
 
 
@@ -113,11 +113,7 @@ def _dispatch(args):
     elif args.command == "ablate":
         kwargs = {}
         if args.ranks:
-            ranks = _int_list("--ranks", args.ranks)
-            if min(ranks) < 1:
-                raise ConfigError(f"--ranks must all be >= 1, "
-                                  f"got {args.ranks!r}")
-            kwargs["ranks"] = ranks
+            kwargs["ranks"] = _int_list("--ranks", args.ranks)
         if args.prompts is not None:
             kwargs["prompts"] = tuple(args.prompts.split(";"))
         _, text = pipeline.run_ablate(cfg, args.what, **kwargs)

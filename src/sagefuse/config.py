@@ -8,21 +8,17 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields
 
-from .fusion import AdapterConfigError, check_placement
-from .sage import SageConfig, SageConfigError
-from .tag import GeneratorParams, GraphFormatError, SplitSpec
-from .textenc import BackboneConfig, VocabError
-from .trainer import (FusionConfig, RunConfig, TrainerConfig,
-                      TrainerConfigError)
-
-
-class ConfigError(ValueError):
-    pass
+from .fusion import LORA_TARGETS
+from .sage import SageConfig
+from .schema import ConfigError, check_declared, one_of
+from .tag import GeneratorParams, SplitSpec
+from .textenc import BackboneConfig
+from .trainer import FusionConfig, RunConfig, TrainerConfig
 
 
 @dataclass
 class DatasetSource:
-    source: str = "synthetic"          # synthetic | files
+    source: str = one_of("synthetic", ("synthetic", "files"))
     nodes_path: str = ""
     edges_path: str = ""
     splits_path: str = ""
@@ -33,15 +29,6 @@ class DatasetSection(SplitSpec, GeneratorParams, DatasetSource):
     """The [dataset] section; it is itself the generator's params and the
     split spec. Dataclass fields follow the reversed MRO, so the keys run
     source, generator, then split, as in the file."""
-
-    def validate(self):
-        if self.source not in ("synthetic", "files"):
-            raise ConfigError(f"dataset.source {self.source!r} must be "
-                              "'synthetic' or 'files'")
-        if self.source == "synthetic":
-            GeneratorParams.validate(self)
-        self.check_fractions()
-        return self
 
 
 @dataclass
@@ -137,25 +124,70 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_string().encode()).hexdigest()
 
     def validate(self):
-        """Check every section, and the [fusion] settings as the configured
-        arm uses them, so a bad value ends here instead of mid-run."""
-        b, t = self.backbone, self.trainer
-        try:
-            self.dataset.validate()
-            b.validate()
-            self.sage.validate()
-            run = self.run_config()
-            if any(run.toggles()):
-                check_placement(b.layers, *run.placement(b.layers))
-        except (GraphFormatError, VocabError, AdapterConfigError,
-                SageConfigError, TrainerConfigError) as e:
-            raise ConfigError(str(e))
-        if not 4 <= t.seq_len <= b.max_tokens:
-            raise ConfigError(f"trainer.seq_len {t.seq_len} outside [4, "
-                              f"backbone.max_tokens = {b.max_tokens}]")
+        """Every section against its declared ranges and choices, then the
+        rules between keys (`_cross_key_problems`), so a bad value ends here
+        in one ConfigError instead of mid-run."""
+        for s in fields(self):
+            check_declared(getattr(self, s.name), s.name)
+        problem = next(_cross_key_problems(self), None)
+        if problem:
+            raise ConfigError(problem)
         return self
 
     def run_config(self, **overrides):
         """The phase-2 run settings: [trainer] and [fusion] together."""
         return RunConfig(**{**vars(self.trainer), **vars(self.fusion),
                             **overrides})
+
+
+def _cross_key_problems(cfg):
+    """The rules that tie keys together, as one line each, first failure
+    first. Each rule may assume the declared ranges and every rule above
+    it hold; the placement rules apply only to an arm that places layers."""
+    d, b, t = cfg.dataset, cfg.backbone, cfg.trainer
+    run = cfg.run_config()
+    if b.dim % b.heads:
+        yield f"[backbone] dim {b.dim} not divisible by {b.heads} heads"
+    total = d.train_frac + d.val_frac + d.test_frac
+    if abs(total - 1.0) > 1e-9:
+        yield f"[dataset] split fractions sum to {total}, not 1"
+    if d.source == "synthetic" and d.n_nodes < 10 * d.num_classes:
+        yield (f"[dataset] n_nodes={d.n_nodes} too small for "
+               f"{d.num_classes} classes (need >= 10*C)")
+    if d.source == "synthetic" and d.avg_degree > (d.n_nodes - 1) / 2:
+        yield (f"[dataset] avg_degree={d.avg_degree} too dense for "
+               f"n_nodes={d.n_nodes} (need <= (n_nodes - 1) / 2)")
+    if t.seq_len > b.max_tokens:
+        yield (f"[trainer] seq_len {t.seq_len} outside [4, [backbone] "
+               f"max_tokens = {b.max_tokens}]")
+    if not t.seeds:
+        yield "[trainer] need at least one seed"
+    if len(set(t.seeds)) != len(t.seeds):
+        yield (f"[trainer] seeds {list(t.seeds)} list a seed more than "
+               "once")
+    unknown = sorted(set(run.lora_targets) - set(LORA_TARGETS))
+    if unknown:
+        yield f"[fusion] unknown LoRA targets {unknown}"
+    if bool(run.pass1_layers) != bool(run.pass2_layers):
+        yield ("[fusion] pass1_layers and pass2_layers must both be listed, "
+               "or both left empty for the default placement")
+    if any(run.toggles()):
+        pass1, pass2 = map(sorted, run.placement(b.layers))
+        overlap = sorted(set(pass1) & set(pass2))
+        if overlap:
+            yield f"[fusion] layers {overlap} assigned to both sources"
+        for name, layers in (("pass1", pass1), ("pass2", pass2)):
+            if len(set(layers)) != len(layers):
+                yield (f"[fusion] {name} layers {layers} list a layer more "
+                       "than once")
+        for layer in pass1 + pass2:
+            if not 0 <= layer < b.layers:
+                yield (f"[fusion] adapter layer {layer} outside "
+                       f"[0, {b.layers})")
+        if max(pass1) >= min(pass2):
+            yield (f"[fusion] pass1 layers {pass1} must all precede pass2 "
+                   f"layers {pass2}")
+    if run.toggles()[0] and run.tying == "shared" and \
+            "o" not in run.lora_targets:
+        yield ("[fusion] shared fusion tying needs LoRA pairs on the 'o' "
+               "projection to alias")

@@ -11,10 +11,6 @@ from . import autodiff as ad
 from .autodiff import Parameter
 
 
-class AdapterConfigError(ValueError):
-    pass
-
-
 PASS1, PASS2 = "pass1", "pass2"
 LORA_TARGETS = ("q", "k", "v", "o")
 # The phase-2 arms: whether each trains (fusion adapters, LoRA pairs).
@@ -30,8 +26,6 @@ class LoraPair:
     """
 
     def __init__(self, d_in, d_out, rank, target, seed=0, dtype=np.float64):
-        if rank < 1:
-            raise AdapterConfigError(f"LoRA rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
         self.a = Parameter(rng.normal(0.0, 0.02, (rank, d_in)).astype(dtype),
                            name=f"lora.{target}.a")
@@ -63,10 +57,6 @@ class FusionAdapter:
 
     def __init__(self, layer_index, source, rank, d, g, seed=0,
                  tie=None, dtype=np.float64):
-        if source not in (PASS1, PASS2):
-            raise AdapterConfigError(f"unknown source {source!r}")
-        if rank < 1:
-            raise AdapterConfigError(f"fusion rank must be >= 1, got {rank}")
         rng = np.random.default_rng(seed)
         self.source = source
         self.rank = rank
@@ -80,9 +70,8 @@ class FusionAdapter:
         else:
             a, c = tie
             if a.shape != (rank, d) or c.shape != (d, rank):
-                raise AdapterConfigError(
-                    f"tied projections have shapes {a.shape}/{c.shape}, "
-                    f"need {(rank, d)}/{(d, rank)}")
+                raise ad.ShapeError("tied projections", (a.shape, c.shape),
+                                    ((rank, d), (d, rank)))
             self.w_a, self.w_c = a, c
         self.w_b = Parameter(rng.normal(0.0, 0.02, (rank, g)).astype(dtype),
                              name=f"{prefix}.w_b")
@@ -107,9 +96,9 @@ def fusion_apply(adapter, h1, h2):
     d = adapter.w_a.shape[1]
     g = adapter.w_b.shape[1]
     if vh1.shape[-1] != d:
-        raise AdapterConfigError(f"hidden width {vh1.shape[-1]} != adapter d={d}")
+        raise ad.ShapeError("fusion_apply hidden states", vh1.shape, (..., d))
     if vh2.shape[-1] != g:
-        raise AdapterConfigError(f"embedding width {vh2.shape[-1]} != adapter g={g}")
+        raise ad.ShapeError("fusion_apply embeddings", vh2.shape, (..., g))
     alpha = ad.sigmoid(adapter.gate_logit)
     text_part = ad.linear(h1, adapter.w_a)
     struct_part = ad.reshape(ad.linear(h2, adapter.w_b),
@@ -127,38 +116,12 @@ def default_placement(num_layers):
     return pass1, pass2
 
 
-def check_placement(num_layers, pass1_layers, pass2_layers):
-    """Both sources need a layer, no layer is listed twice, every layer lies
-    in the backbone, and the pass-1 layers all sit strictly below every
-    pass-2 layer."""
-    pass1_layers = sorted(pass1_layers)
-    pass2_layers = sorted(pass2_layers)
-    if not pass1_layers or not pass2_layers:
-        raise AdapterConfigError("need at least one pass1 and one pass2 layer")
-    overlap = set(pass1_layers) & set(pass2_layers)
-    if overlap:
-        raise AdapterConfigError(f"layers {sorted(overlap)} assigned to both "
-                                 "sources")
-    for name, layers in ((PASS1, pass1_layers), (PASS2, pass2_layers)):
-        if len(set(layers)) != len(layers):
-            raise AdapterConfigError(f"{name} layers {layers} list a layer "
-                                     "more than once")
-    for layer in pass1_layers + pass2_layers:
-        if not 0 <= layer < num_layers:
-            raise AdapterConfigError(f"adapter layer {layer} outside "
-                                     f"[0, {num_layers})")
-    if max(pass1_layers) >= min(pass2_layers):
-        raise AdapterConfigError(
-            f"pass1 layers {pass1_layers} must all precede pass2 layers "
-            f"{pass2_layers}")
-
-
-def build_adapter_set(num_layers, pass1_layers, pass2_layers, rank, d, g,
-                      seed=0, tie_pairs=None, dtype=np.float64):
+def build_adapter_set(pass1_layers, pass2_layers, rank, d, g, seed=0,
+                      tie_pairs=None, dtype=np.float64):
     """{layer: FusionAdapter}, one adapter per listed layer in ascending
-    order, placed as `check_placement` requires. `tie_pairs` optionally maps
-    layer index to a LoraPair whose factors the adapter reuses as W_A/W_C."""
-    check_placement(num_layers, pass1_layers, pass2_layers)
+    order; the placement is taken as given (`config` checks it). `tie_pairs`
+    optionally maps layer index to a LoraPair whose factors the adapter
+    reuses as W_A/W_C."""
     adapters = {}
     for source, layers in ((PASS1, pass1_layers), (PASS2, pass2_layers)):
         for layer in sorted(layers):
@@ -258,10 +221,8 @@ def audit_from_shapes(backbone, vocab_size, adapted_layers, rank, g,
         if fusion_tying == "shared":
             # W_B and the gate; W_A/W_C alias the arm's LoRA pairs.
             per_adapter = rank * g + 1
-        elif fusion_tying == "separate":
-            per_adapter = rank * d + rank * g + d * rank + 1
         else:
-            raise AdapterConfigError(f"unknown fusion tying {fusion_tying!r}")
+            per_adapter = rank * d + rank * g + d * rank + 1
         fusion = len(adapted_layers) * per_adapter
 
     head = num_classes * d + num_classes

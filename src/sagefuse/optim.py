@@ -3,8 +3,6 @@ training phases run on it."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
@@ -46,21 +44,6 @@ class AdamW:
             mhat = m / (1.0 - self.beta1 ** self.t)
             vhat = v / (1.0 - self.beta2 ** self.t)
             p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def schedule_problem(schedule, section):
-    """Why `fit` cannot run `schedule`, as one line naming the
-    `section.key` at fault; None when it can."""
-    if not 0 < schedule.lr < math.inf:
-        return f"{section}.lr must be finite and > 0, got {schedule.lr}"
-    if not 0 <= schedule.weight_decay < math.inf:
-        return (f"{section}.weight_decay must be finite and >= 0, got "
-                f"{schedule.weight_decay}")
-    if schedule.epochs < 0:
-        return f"{section}.epochs must be >= 0, got {schedule.epochs}"
-    if schedule.patience < 1:
-        return f"{section}.patience must be >= 1, got {schedule.patience}"
-    return None
 
 
 def fit(params, schedule, epoch_losses, val_metric):

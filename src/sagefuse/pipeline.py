@@ -269,6 +269,11 @@ def _read_node_table(cfg):
                             "hold one entry per node")
     if not columns["lengths"].all():
         raise PipelineError(f"{path}: 'lengths' must be at least 1")
+    per_split = np.bincount(columns["split"], minlength=len(SPLITS))
+    if not per_split.all():
+        raise PipelineError(f"{path}: no node is in the "
+                            f"{SPLITS[per_split.argmin()]!r} split; re-run "
+                            "phase1")
     return {**table, **columns}
 
 

@@ -11,34 +11,21 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Parameter
 from .metrics import metric_name, split_metric
-from .optim import fit, schedule_problem
-
-
-class SageConfigError(ValueError):
-    pass
+from .optim import fit
+from .schema import ranged
 
 
 @dataclass
 class SageConfig:
     """The [sage] section: the phase-1 model's widths and init seed, and
     its training schedule."""
-    embed_dim: int = 64
-    classifier_hidden: int = 64
-    lr: float = 1e-2
-    weight_decay: float = 1e-2
-    epochs: int = 500
-    patience: int = 20
-    seed: int = 0
-
-    def validate(self):
-        for key in ("embed_dim", "classifier_hidden"):
-            if getattr(self, key) < 1:
-                raise SageConfigError(f"sage.{key} must be >= 1, got "
-                                      f"{getattr(self, key)}")
-        problem = schedule_problem(self, "sage")
-        if problem:
-            raise SageConfigError(problem)
-        return self
+    embed_dim: int = ranged(64, "[1, inf)")
+    classifier_hidden: int = ranged(64, "[1, inf)")
+    lr: float = ranged(1e-2, "(0, inf)")
+    weight_decay: float = ranged(1e-2, "[0, inf)")
+    epochs: int = ranged(500, "[0, inf)")
+    patience: int = ranged(20, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
 
 
 class SageModel:

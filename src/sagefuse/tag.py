@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .schema import check_declared, ranged
+
 SPLITS = ("train", "val", "test")
 _SPLIT_CODE = {name: code for code, name in enumerate(SPLITS)}
 
@@ -20,21 +22,11 @@ class GraphFormatError(ValueError):
 
 @dataclass
 class SplitSpec:
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-    split_seed: int = 0
-
-    def __post_init__(self):
-        self.check_fractions()
-
-    def check_fractions(self):
-        total = self.train_frac + self.val_frac + self.test_frac
-        if abs(total - 1.0) > 1e-9:
-            raise GraphFormatError(f"split fractions sum to {total}, not 1")
-        for f in (self.train_frac, self.val_frac, self.test_frac):
-            if not 0.0 < f < 1.0:
-                raise GraphFormatError(f"split fraction {f} outside (0, 1)")
+    """Per-class split fractions, which `config` requires to sum to 1."""
+    train_frac: float = ranged(0.8, "(0, 1)")
+    val_frac: float = ranged(0.1, "(0, 1)")
+    test_frac: float = ranged(0.1, "(0, 1)")
+    split_seed: int = ranged(0, "[0, inf)")
 
 
 @dataclass(eq=False)
@@ -370,31 +362,18 @@ def _append_new_edges(keys, n, u, w, limit):
 
 @dataclass
 class GeneratorParams:
-    n_nodes: int = 2000
-    num_classes: int = 4
-    avg_degree: float = 8.0
-    topic_vocab_size: int = 50
-    text_len: int = 16
-    text_noise: float = 0.35     # probability a node's text topic is wrong
-    structure_signal: float = 0.9  # target intra-class edge fraction
-    seed: int = 0
-
-    def validate(self):
-        if self.n_nodes < 10 * self.num_classes:
-            raise GraphFormatError(f"n_nodes={self.n_nodes} too small for "
-                                   f"{self.num_classes} classes (need >= 10*C)")
-        if not 0.5 < self.structure_signal <= 1.0:
-            raise GraphFormatError(f"structure_signal={self.structure_signal} "
-                                   "outside (0.5, 1]")
-        if not 0.0 <= self.text_noise < 1.0:
-            raise GraphFormatError(f"text_noise={self.text_noise} outside [0, 1)")
-        if self.num_classes < 2:
-            raise GraphFormatError("need at least 2 classes")
-        if self.topic_vocab_size < 1 or self.text_len < 1:
-            raise GraphFormatError("topic_vocab_size and text_len must be >= 1")
-        if self.avg_degree * self.n_nodes / 2 > self.n_nodes * (self.n_nodes - 1) / 4:
-            raise GraphFormatError(f"avg_degree={self.avg_degree} too dense")
-        return self
+    """The generator's keys; `config` also requires n_nodes >= 10 * C and
+    at most half of all node pairs as edges."""
+    n_nodes: int = ranged(2000, "[1, inf)")
+    num_classes: int = ranged(4, "[2, inf)")
+    avg_degree: float = ranged(8.0, "(0, inf)")
+    topic_vocab_size: int = ranged(50, "[1, inf)")
+    text_len: int = ranged(16, "[1, inf)")
+    # probability a node's text topic is wrong
+    text_noise: float = ranged(0.35, "[0, 1)")
+    # target intra-class edge fraction
+    structure_signal: float = ranged(0.9, "(0.5, 1]")
+    seed: int = ranged(0, "[0, inf)")
 
 
 def generate_synthetic_tag(params):
@@ -417,9 +396,10 @@ def generate_synthetic_tag(params):
     distinct edges are kept, or 200 draws per edge have failed to find
     them.
 
-    Pure function of `params`: same seed, byte-identical graph.
+    Pure function of `params`: same seed, byte-identical graph. A key
+    outside its declared range raises ConfigError (`check_declared`).
     """
-    params.validate()
+    check_declared(params, "dataset")
     rng = np.random.default_rng(params.seed)
     n, c = params.n_nodes, params.num_classes
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .fusion import fusion_apply, lora_apply
+from .schema import ConfigError, check_declared, one_of, ranged
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
 # Rows per no-grad encoder pass: node_features, prefix_states and the
@@ -102,37 +103,22 @@ def tokenize_graph(graph, vocab, prompt, seq_len):
 @dataclass
 class BackboneConfig:
     """The [backbone] section: shape, init seed and precision of the frozen
-    encoder. The vocabulary size comes from the phase-1 vocab."""
-    layers: int = 12
-    dim: int = 64
-    heads: int = 4
-    mlp_width: int = 256
-    max_tokens: int = 128
-    vocab_max: int = 8192
-    pooling: str = "mean"     # mean | cls
-    seed: int = 0
+    encoder. The vocabulary size comes from the phase-1 vocab; `config`
+    also requires `heads` to divide `dim`."""
+    layers: int = ranged(12, "[2, inf)")
+    dim: int = ranged(64, "[1, inf)")
+    heads: int = ranged(4, "[1, inf)")
+    mlp_width: int = ranged(256, "[1, inf)")
+    max_tokens: int = ranged(128, "[1, inf)")
+    vocab_max: int = ranged(8192, "[1, inf)")
+    pooling: str = one_of("mean", ("mean", "cls"))
+    seed: int = ranged(0, "[0, inf)")
     fused_qkv: bool = False   # audit-only shape variant (fused qkv projection)
-    precision: str = "f32"    # f32 | f64
+    precision: str = one_of("f32", ("f32", "f64"))
 
     @property
     def dtype(self):
         return np.float64 if self.precision == "f64" else np.float32
-
-    def validate(self):
-        if self.precision not in ("f32", "f64"):
-            raise VocabError(f"backbone.precision {self.precision!r} must be "
-                             "'f32' or 'f64'")
-        if self.pooling not in ("mean", "cls"):
-            raise VocabError(f"unknown pooling {self.pooling!r}")
-        if self.layers < 2:
-            raise VocabError(f"backbone needs >= 2 layers, got {self.layers}")
-        for key in ("dim", "mlp_width", "vocab_max"):
-            if getattr(self, key) < 1:
-                raise VocabError(f"backbone.{key} must be >= 1, got "
-                                 f"{getattr(self, key)}")
-        if self.heads < 1 or self.dim % self.heads != 0:
-            raise VocabError(f"dim {self.dim} not divisible by {self.heads} heads")
-        return self
 
     def param_count(self, vocab_size):
         """Scalars of the encoder over a token table of `vocab_size` rows,
@@ -162,10 +148,10 @@ class EncoderBackbone:
     """
 
     def __init__(self, config, vocab_size):
-        self.config = config.validate()
+        self.config = check_declared(config, "backbone")
         if config.fused_qkv:  # its audit counts would not match the weights
-            raise VocabError("fused_qkv is an audit-only shape; the encoder "
-                             "builds separate q, k and v projections")
+            raise ConfigError("fused_qkv is an audit-only shape; the encoder "
+                              "builds separate q, k and v projections")
         rng = np.random.default_rng(config.seed)
         d, m, dt = config.dim, config.mlp_width, config.dtype
 

@@ -14,8 +14,9 @@ from . import autodiff as ad
 from .autodiff import Parameter
 from .fusion import (ARMS, LORA_TARGETS, LoraPair, build_adapter_set,
                      default_placement)
-from .metrics import metric_name, split_metric
-from .optim import fit, schedule_problem
+from .metrics import MetricError, metric_name, split_metric
+from .optim import fit
+from .schema import ConfigError, one_of, ranged
 from .tag import ids_in_split
 from .textenc import (ENCODE_BATCH, embed, encode, prefix_states, readout,
                       tokenize_graph)
@@ -25,10 +26,6 @@ BASELINES = tuple(ARMS)
 # textenc.ENCODE_BATCH rows at a time. The head's 2-D GEMM bits can depend
 # on which rows share a batch, so changing EVAL_BATCH can move metrics.
 EVAL_BATCH = 128
-
-
-class TrainerConfigError(ValueError):
-    pass
 
 
 def derive_seed(*keys):
@@ -41,62 +38,31 @@ def derive_seed(*keys):
 @dataclass
 class FusionConfig:
     """The [fusion] section: adapter and LoRA placement, rank and targets."""
-    rank: int = 4
+    rank: int = ranged(4, "[1, inf)")
     pass1_layers: tuple = ()     # empty: proportional default placement
     pass2_layers: tuple = ()
     lora_targets: tuple = LORA_TARGETS
-    tying: str = "separate"      # separate | shared
+    tying: str = one_of("separate", ("separate", "shared"))
 
 
 @dataclass
 class TrainerConfig:
     """The [trainer] section: the phase-2 schedule, tokens and arm."""
-    lr: float = 3e-4
-    weight_decay: float = 1e-2
-    batch_size: int = 32
-    epochs: int = 100
-    patience: int = 10
+    lr: float = ranged(3e-4, "(0, inf)")
+    weight_decay: float = ranged(1e-2, "[0, inf)")
+    batch_size: int = ranged(32, "[1, inf)")
+    epochs: int = ranged(100, "[0, inf)")
+    patience: int = ranged(10, "[1, inf)")
     seeds: tuple = (0, 1, 2, 3, 4)
-    seq_len: int = 32
+    seq_len: int = ranged(32, "[4, inf)")
     prompt: str = ""
-    baseline: str = "fused"
+    baseline: str = one_of("fused", BASELINES)
 
 
 @dataclass
 class RunConfig(TrainerConfig, FusionConfig):
-    """Everything phase 2 reads: the [trainer] and [fusion] keys together."""
-
-    def __post_init__(self):
-        if self.baseline not in BASELINES:
-            raise TrainerConfigError(f"unknown baseline {self.baseline!r}; "
-                                     f"choose from {BASELINES}")
-        if self.rank < 1:
-            raise TrainerConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.batch_size < 1:
-            raise TrainerConfigError(f"batch_size must be >= 1, got "
-                                     f"{self.batch_size}")
-        problem = schedule_problem(self, "trainer")
-        if problem:
-            raise TrainerConfigError(problem)
-        if not self.seeds:
-            raise TrainerConfigError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise TrainerConfigError(f"seeds {list(self.seeds)} list a seed "
-                                     "more than once")
-        bad = set(self.lora_targets) - set(LORA_TARGETS)
-        if bad:
-            raise TrainerConfigError(f"unknown LoRA targets {sorted(bad)}")
-        if bool(self.pass1_layers) != bool(self.pass2_layers):
-            raise TrainerConfigError(
-                "pass1_layers and pass2_layers must both be listed, or both "
-                "left empty for the default placement")
-        if self.tying not in ("separate", "shared"):
-            raise TrainerConfigError(f"unknown fusion tying {self.tying!r}")
-        if self.toggles()[0] and self.tying == "shared" and \
-                "o" not in self.lora_targets:
-            raise TrainerConfigError(
-                "shared fusion tying needs LoRA pairs on the 'o' "
-                "projection to alias")
+    """Everything phase 2 reads: the [trainer] and [fusion] keys together.
+    Built unchecked; `ExperimentConfig.validate` checks the sections."""
 
     def toggles(self):
         """(fusion, lora): what the baseline arm trains."""
@@ -187,9 +153,9 @@ class Phase2Assembly:
             if config.tying == "shared":
                 tie_pairs = {layer: self.lora[layer]["o"] for layer in adapted}
             self.adapters = build_adapter_set(
-                backbone.config.layers, pass1_layers, pass2_layers,
-                config.rank, d, g, seed=derive_seed(seed, "fusion"),
-                tie_pairs=tie_pairs, dtype=dtype)
+                pass1_layers, pass2_layers, config.rank, d, g,
+                seed=derive_seed(seed, "fusion"), tie_pairs=tie_pairs,
+                dtype=dtype)
 
         rng = np.random.default_rng(derive_seed(seed, "head"))
         self.head_w = Parameter(rng.normal(0.0, 0.02, (num_classes, d))
@@ -246,7 +212,7 @@ def evaluate(assembly, inputs, split):
     tasks."""
     idx = inputs.split_ids(split)
     if len(idx) == 0:
-        raise TrainerConfigError(f"split {split!r} is empty")
+        raise MetricError(f"split {split!r} is empty")
     logits = predict_logits(assembly, inputs, idx)
     return split_metric(logits, inputs.labels[idx], inputs.num_classes)
 
@@ -359,7 +325,7 @@ def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
     leaves the frozen prefix alone, so the states are run forward once and
     every sweep shares them."""
     if any(r < 1 for r in ranks):
-        raise TrainerConfigError(f"ranks must be >= 1, got {list(ranks)}")
+        raise ConfigError(f"ranks must all be >= 1, got {list(ranks)}")
     inputs = inputs.at_layer(
         backbone, base_config.first_adapted_layer(backbone.config.layers))
     rows = []
@@ -378,7 +344,7 @@ def prompt_ablation(backbone, embeddings, graph, vocab, base_config, prompts):
     """One seed sweep per prompt, reported in the given order; each prompt
     tokenizes the graph's texts anew."""
     if not prompts:
-        raise TrainerConfigError("prompt ablation needs at least one prompt")
+        raise ConfigError("prompt ablation needs at least one prompt")
     rows = []
     for prompt in prompts:
         cfg = replace(base_config, prompt=prompt)

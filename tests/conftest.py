@@ -122,7 +122,6 @@ def transpose_last(a):
 # split must stay equal to its output; edges only in distribution.
 
 def reference_generate_synthetic_tag(params):
-    params.validate()
     rng = np.random.default_rng(params.seed)
     n, c = params.n_nodes, params.num_classes
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -61,6 +62,37 @@ dir = {out}
 FUSED_QKV = ("vocab_max = 256", "vocab_max = 256\nfused_qkv = true")
 
 
+SECTION_FIELDS = [(section.name, f)
+                  for section in dataclasses.fields(ExperimentConfig)
+                  for f in dataclasses.fields(section.default_factory)]
+# The str keys that take any text; every other str key declares choices.
+FREE_TEXT_KEYS = {("dataset", "nodes_path"), ("dataset", "edges_path"),
+                  ("dataset", "splits_path"), ("trainer", "prompt"),
+                  ("output", "dir")}
+
+
+def _outside(interval, is_float):
+    """Config text for values just outside each end of `interval` (inf is
+    outside an end open at inf), and nan for a float key."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if is_float:
+        below = low if interval[0] == "(" else np.nextafter(low, -np.inf)
+        above = high if interval[-1] == ")" else np.nextafter(high, np.inf)
+        return [repr(float(v)) for v in (below, above, np.nan)]
+    values = [int(low) - (interval[0] == "[")]
+    if high < np.inf:
+        values.append(int(high) + (interval[-1] == "]"))
+    return [str(v) for v in values]
+
+
+def _closed_ends(interval):
+    """The ends that `interval` includes, as config text."""
+    low, high = interval[1:-1].split(",")
+    return [end.strip() for end, bracket in ((low, interval[0]),
+                                             (high, interval[-1]))
+            if bracket in "[]"]
+
+
 class TestConfig:
     def test_empty_config_is_all_defaults(self):
         cfg = ExperimentConfig.from_string("")
@@ -105,6 +137,50 @@ class TestConfig:
             "[backbone]\nprecision = f64\n[trainer]\nbaseline = lora_only\n")
         assert cfg.backbone.dtype == np.float64
         assert cfg.run_config().toggles() == (False, True)
+
+    def test_every_key_declares_what_it_accepts(self):
+        """Each int and float key declares a range, and each str key but
+        the free-text ones declares its choices, so `check_declared` sees
+        every key a new section field adds."""
+        undeclared = []
+        for section, f in SECTION_FIELDS:
+            need = None if (section, f.name) in FREE_TEXT_KEYS else \
+                {int: "range", float: "range", str: "choices"}.get(
+                    type(f.default))
+            if need and need not in f.metadata:
+                undeclared.append(f"[{section}] {f.name}")
+        assert undeclared == []
+
+    @pytest.mark.parametrize("section, key, value", [
+        (section, f.name, value) for section, f in SECTION_FIELDS
+        if "range" in f.metadata
+        for value in _outside(f.metadata["range"],
+                              type(f.default) is float)])
+    def test_value_outside_a_declared_range_is_refused(self, section, key,
+                                                       value):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[{section}] {key} must lie in ")):
+            ExperimentConfig.from_string(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        (section, f.name, end) for section, f in SECTION_FIELDS
+        if "range" in f.metadata for end in _closed_ends(f.metadata["range"])])
+    def test_closed_end_of_a_declared_range_is_accepted(self, section, key,
+                                                        value):
+        """Other keys' rules may refuse the value; its own range may not."""
+        try:
+            ExperimentConfig.from_string(f"[{section}]\n{key} = {value}\n")
+        except ConfigError as e:
+            assert f"[{section}] {key} must lie in" not in str(e)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, f.name) for section, f in SECTION_FIELDS
+        if "choices" in f.metadata])
+    def test_value_outside_the_declared_choices_is_refused(self, section,
+                                                           key):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[{section}] {key} must be one of ")):
+            ExperimentConfig.from_string(f"[{section}]\n{key} = bogus\n")
 
     @pytest.mark.parametrize("path", sorted(
         [*CONFIG_DIR.glob("*.cfg"),
@@ -180,9 +256,11 @@ class TestCli:
 
     @pytest.mark.parametrize("edit, message", [
         (("heads = 2", "heads = 3"), "dim 16 not divisible by 3 heads"),
-        (("\nlayers = 4", "\nlayers = 1"), "needs >= 2 layers, got 1"),
+        (("\nlayers = 4", "\nlayers = 1"),
+         "[backbone] layers must lie in [2, inf), got 1"),
         (("seq_len = 8", "seq_len = 40"), "seq_len 40 outside [4, "),
-        (("seq_len = 8", "seq_len = 3"), "seq_len 3 outside [4, "),
+        (("seq_len = 8", "seq_len = 3"),
+         "[trainer] seq_len must lie in [4, inf), got 3"),
         (("pass1_layers = 1\npass2_layers = 3",
           "pass1_layers = 3\npass2_layers = 1"), "must all precede"),
         (("pass2_layers = 3", "pass2_layers = 3\ntying = shared\n"
@@ -197,8 +275,10 @@ class TestCli:
         (("seeds = 0", "seeds ="), "need at least one seed"),
         (("seeds = 0", "seeds = 0,0"),
          "seeds [0, 0] list a seed more than once"),
-        (("batch_size = 16", "batch_size = 0"), "batch_size must be >= 1"),
-        (("batch_size = 16", "batch_size = -4"), "batch_size must be >= 1"),
+        (("batch_size = 16", "batch_size = 0"),
+         "[trainer] batch_size must lie in [1, inf), got 0"),
+        (("batch_size = 16", "batch_size = -4"),
+         "[trainer] batch_size must lie in [1, inf), got -4"),
         (("pass1_layers = 1", "pass1_layers = 1,1"),
          "pass1 layers [1, 1] list a layer more than once"),
         # One placement list alone would silently run the default placement.
@@ -206,30 +286,71 @@ class TestCli:
          "pass1_layers and pass2_layers must both be listed"),
         (("pass1_layers = 1", "pass1_layers ="),
          "pass1_layers and pass2_layers must both be listed"),
-        (("\ndim = 16", "\ndim = 0"), "backbone.dim must be >= 1, got 0"),
+        (("\ndim = 16", "\ndim = 0"),
+         "[backbone] dim must lie in [1, inf), got 0"),
         (("mlp_width = 32", "mlp_width = 0"),
-         "backbone.mlp_width must be >= 1, got 0"),
+         "[backbone] mlp_width must lie in [1, inf), got 0"),
         (("vocab_max = 256", "vocab_max = 0"),
-         "backbone.vocab_max must be >= 1, got 0"),
+         "[backbone] vocab_max must lie in [1, inf), got 0"),
         (("embed_dim = 8", "embed_dim = 0"),
-         "sage.embed_dim must be >= 1, got 0"),
+         "[sage] embed_dim must lie in [1, inf), got 0"),
         (("classifier_hidden = 8", "classifier_hidden = 0"),
-         "sage.classifier_hidden must be >= 1, got 0"),
-        (("epochs = 20", "epochs = -2"), "sage.epochs must be >= 0, got -2"),
+         "[sage] classifier_hidden must lie in [1, inf), got 0"),
+        (("epochs = 20", "epochs = -2"),
+         "[sage] epochs must lie in [0, inf), got -2"),
         (("epochs = 2\npatience = 2", "epochs = -1\npatience = 2"),
-         "trainer.epochs must be >= 0, got -1"),
+         "[trainer] epochs must lie in [0, inf), got -1"),
         (("epochs = 20", "epochs = 20\nlr = nan"),
-         "sage.lr must be finite and > 0, got nan"),
+         "[sage] lr must lie in (0, inf), got nan"),
         (("epochs = 20", "epochs = 20\nweight_decay = inf"),
-         "sage.weight_decay must be finite and >= 0, got inf"),
-        (("patience = 5", "patience = -3"), "sage.patience must be >= 1, "
-         "got -3"),
+         "[sage] weight_decay must lie in [0, inf), got inf"),
+        (("patience = 5", "patience = -3"),
+         "[sage] patience must lie in [1, inf), got -3"),
         (("batch_size = 16", "batch_size = 16\nlr = -1"),
-         "trainer.lr must be finite and > 0, got -1.0"),
+         "[trainer] lr must lie in (0, inf), got -1.0"),
         (("batch_size = 16", "batch_size = 16\nweight_decay = -0.5"),
-         "trainer.weight_decay must be finite and >= 0, got -0.5"),
-        (("patience = 2", "patience = 0"), "trainer.patience must be >= 1, "
-         "got 0"),
+         "[trainer] weight_decay must lie in [0, inf), got -0.5"),
+        (("patience = 2", "patience = 0"),
+         "[trainer] patience must lie in [1, inf), got 0"),
+        # Seeds below 0 and a non-positive degree, once past the check.
+        (("text_noise = 0.2", "text_noise = 0.2\nseed = -1"),
+         "[dataset] seed must lie in [0, inf), got -1"),
+        (("test_frac = 0.2", "test_frac = 0.2\nsplit_seed = -2"),
+         "[dataset] split_seed must lie in [0, inf), got -2"),
+        (("vocab_max = 256", "vocab_max = 256\nseed = -1"),
+         "[backbone] seed must lie in [0, inf), got -1"),
+        (("classifier_hidden = 8", "classifier_hidden = 8\nseed = -5"),
+         "[sage] seed must lie in [0, inf), got -5"),
+        (("avg_degree = 4", "avg_degree = -3"),
+         "[dataset] avg_degree must lie in (0, inf), got -3.0"),
+        # Cases the section constructors checked before the config did.
+        (("rank = 2", "rank = 0"),
+         "[fusion] rank must lie in [1, inf), got 0"),
+        (("seq_len = 8", "seq_len = 8\nbaseline = gnn_only"),
+         "[trainer] baseline must be one of ('fused', 'text_only', "
+         "'lora_only'), got 'gnn_only'"),
+        (("vocab_max = 256", "vocab_max = 256\npooling = max"),
+         "[backbone] pooling must be one of ('mean', 'cls'), got 'max'"),
+        (("vocab_max = 256", "vocab_max = 256\nprecision = f16"),
+         "[backbone] precision must be one of ('f32', 'f64'), got 'f16'"),
+        (("pass2_layers = 3", "pass2_layers = 3\ntying = tied"),
+         "[fusion] tying must be one of ('separate', 'shared'), got 'tied'"),
+        (("n_nodes = 60", "n_nodes = 60\nsource = url"),
+         "[dataset] source must be one of ('synthetic', 'files'), got 'url'"),
+        (("text_noise = 0.2", "text_noise = 1.0"),
+         "[dataset] text_noise must lie in [0, 1), got 1.0"),
+        (("n_nodes = 60", "n_nodes = 29"),
+         "[dataset] n_nodes=29 too small for 3 classes (need >= 10*C)"),
+        (("avg_degree = 4", "avg_degree = 30"),
+         "[dataset] avg_degree=30.0 too dense for n_nodes=60"),
+        (("test_frac = 0.2", "test_frac = 0.3"),
+         "[dataset] split fractions sum to 1.1"),
+        (("pass2_layers = 3", "pass2_layers = 1,3"),
+         "[fusion] layers [1] assigned to both sources"),
+        (("pass2_layers = 3", "pass2_layers = 4"),
+         "[fusion] adapter layer 4 outside [0, 4)"),
+        (("pass2_layers = 3", "pass2_layers = 3\nlora_targets = q,x"),
+         "[fusion] unknown LoRA targets ['x']"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):
@@ -466,17 +587,20 @@ class TestCli:
         assert main(["--config", str(config_path), "--seeds", "0,0",
                      "phase2"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: seeds [0, 0] list a seed more than once\n"
+        assert err == ("error: [trainer] seeds [0, 0] list a seed more "
+                       "than once\n")
 
     @pytest.mark.parametrize("ranks, message", [
         ("2,x", "--ranks must be comma-separated integers"),
-        ("2,0", "--ranks must all be >= 1"),
+        ("2,0", "ranks must all be >= 1, got [2, 0]"),
     ])
     def test_bad_ranks_flag_exits_2(self, run_dir, capsys, ranks, message):
         _, config_path = run_dir
         assert main(["--config", str(config_path), "ablate", "--what",
                      "rank", "--ranks", ranks]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_audit_command_writes_component_table(self, run_dir, capsys):
         root, config_path = run_dir
@@ -1107,6 +1231,10 @@ class TestCorruptedArtifacts:
         ("phase1/nodes.json",
          lambda p: _rewrite_json(p, lambda t: t.update(num_classes="3")),
          "'num_classes' must be a positive integer"),
+        ("phase1/nodes.json",
+         lambda p: _rewrite_json(p, lambda t: t.update(
+             split=[min(code, 1) for code in t["split"]])),
+         "no node is in the 'test' split; re-run phase1"),
         # Rows at the full seq_len (8), as phase 1 saved them before it cut
         # them to the longest tokenized row.
         ("phase1/prefix.gtsr",

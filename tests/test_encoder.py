@@ -7,6 +7,7 @@ import pytest
 from conftest import (backbone_arrays, backbone_size, make_graph,
                       pad_columns, tokenize)
 from sagefuse import autodiff as ad
+from sagefuse.config import ConfigError
 from sagefuse.optim import AdamW
 from sagefuse.sage import SageEmbeddings
 from sagefuse.fusion import fusion_apply, lora_apply
@@ -192,7 +193,7 @@ class TestEncode:
     def test_adapter_layer_beyond_depth_rejected(self, micro_backbone):
         from sagefuse.fusion import build_adapter_set
         states = embed(micro_backbone, np.array([[CLS_ID]]))
-        adapters = build_adapter_set(8, [1], [6], rank=2, d=16, g=8)
+        adapters = build_adapter_set([1], [6], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
         with pytest.raises(VocabError, match="layer 6"):
             encode(micro_backbone, states, np.array([[1.0]]),
@@ -230,7 +231,7 @@ class TestEncode:
         from sagefuse.fusion import LoraPair, build_adapter_set
         mask = np.ones((1, 4))
         states = np.zeros((1, 4, 16))
-        adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
+        adapters = build_adapter_set([1], [3], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
         with pytest.raises(VocabError, match="adapted layer 1 lies outside"):
             encode(micro_backbone, states, mask, 2, adapters=adapters,
@@ -243,7 +244,7 @@ class TestEncode:
         from sagefuse.fusion import LoraPair, build_adapter_set
         states = embed(micro_backbone, np.array([[CLS_ID, 3, 4]]))
         mask = np.ones((1, 3))
-        adapters = build_adapter_set(4, [1], [3], rank=2, d=16, g=8)
+        adapters = build_adapter_set([1], [3], rank=2, d=16, g=8)
         h = {"pass1": np.zeros((1, 8)), "pass2": np.zeros((1, 8))}
         with pytest.raises(VocabError, match=r"layer 3 lies outside the "
                                              r"encoded layers \[0, 2\)"):
@@ -270,7 +271,7 @@ class TestEncode:
             micro_backbone.config.param_count(40)
 
     def test_fused_qkv_backbone_refused(self):
-        with pytest.raises(VocabError, match="audit-only shape"):
+        with pytest.raises(ConfigError, match="audit-only shape"):
             EncoderBackbone(BackboneConfig(dim=16, heads=2, layers=2,
                                            fused_qkv=True), vocab_size=40)
 
@@ -336,7 +337,8 @@ class TestNodeFeatures:
                                  backbone.ln_f_g, backbone.ln_f_b)
         assert x.shape == (2, 16)
         assert np.array_equal(x, final[:, 0])
-        with pytest.raises(VocabError, match="unknown pooling"):
+        with pytest.raises(ConfigError, match=r"\[backbone\] pooling must be "
+                           "one of"):
             _with_pooling(micro_backbone, "max")
 
 

@@ -7,8 +7,8 @@ from conftest import (CONFIG_DIR, GPT2_BACKBONE, audit_parameters,
                       backbone_size, gpt2_audit, matmul, transpose_last)
 from sagefuse import autodiff as ad
 from sagefuse.config import ExperimentConfig
-from sagefuse.fusion import (LORA_TARGETS, AdapterConfigError, FusionAdapter,
-                             LoraPair, audit_from_shapes, build_adapter_set,
+from sagefuse.fusion import (LORA_TARGETS, FusionAdapter, LoraPair,
+                             audit_from_shapes, build_adapter_set,
                              default_placement, fusion_apply, lora_apply)
 from sagefuse.textenc import BackboneConfig
 
@@ -65,9 +65,9 @@ class TestFusionApply:
 
     def test_dimension_mismatch_rejected(self):
         a = make_adapter(rank=1, d=2, g=1)
-        with pytest.raises(AdapterConfigError):
+        with pytest.raises(ad.ShapeError, match="hidden states"):
             fusion_apply(a, np.ones((1, 3)), np.ones((1, 1)))
-        with pytest.raises(AdapterConfigError):
+        with pytest.raises(ad.ShapeError, match="embeddings"):
             fusion_apply(a, np.ones((1, 2)), np.ones((1, 2)))
 
     def test_gate_stays_in_open_interval(self):
@@ -91,7 +91,7 @@ class TestFusionApply:
 class TestBuildAdapterSet:
     def test_default_12_layer_placement(self):
         assert default_placement(12) == ([5, 6, 7], [9, 10, 11])
-        adapters = build_adapter_set(12, [5, 6, 7], [9, 10, 11],
+        adapters = build_adapter_set([5, 6, 7], [9, 10, 11],
                                      rank=4, d=16, g=8)
         assert list(adapters) == [5, 6, 7, 9, 10, 11]
         sources = {layer: a.source for layer, a in adapters.items()}
@@ -99,27 +99,15 @@ class TestBuildAdapterSet:
                            9: "pass2", 10: "pass2", 11: "pass2"}
 
     def test_scaled_down_placement(self):
-        adapters = build_adapter_set(4, [1], [3], rank=2, d=8, g=4)
+        adapters = build_adapter_set([1], [3], rank=2, d=8, g=4)
         assert list(adapters) == [1, 3]
 
     def test_placement_scales_proportionally(self):
         assert default_placement(4) == ([1, 2], [3])
         assert default_placement(24) == ([10, 12, 14], [18, 20, 22])
 
-    def test_ordering_violation_rejected(self):
-        with pytest.raises(AdapterConfigError, match="precede"):
-            build_adapter_set(12, [7], [5], rank=2, d=8, g=4)
-
-    def test_overlapping_layers_rejected(self):
-        with pytest.raises(AdapterConfigError, match="both"):
-            build_adapter_set(12, [5, 6], [6, 9], rank=2, d=8, g=4)
-
-    def test_out_of_range_layer_rejected(self):
-        with pytest.raises(AdapterConfigError, match="outside"):
-            build_adapter_set(4, [1], [5], rank=2, d=8, g=4)
-
     def test_initialization_contract(self):
-        adapters = build_adapter_set(12, [5], [9], rank=2, d=8, g=4)
+        adapters = build_adapter_set([5], [9], rank=2, d=8, g=4)
         for a in adapters.values():
             assert np.array_equal(a.w_c.value, np.zeros((8, 2)))
             assert float(a.gate_logit.value) == 0.0
@@ -128,7 +116,7 @@ class TestBuildAdapterSet:
 
     def test_tied_projections_alias_lora_factors(self):
         pair = LoraPair(8, 8, rank=2, target="o")
-        adapters = build_adapter_set(4, [1], [3], rank=2, d=8, g=4,
+        adapters = build_adapter_set([1], [3], rank=2, d=8, g=4,
                                      tie_pairs={1: pair, 3: pair})
         for a in adapters.values():
             assert a.w_a is pair.a
@@ -158,10 +146,6 @@ class TestLora:
     def test_pair_parameter_count(self):
         pair = LoraPair(768, 2304, rank=4, target="qkv")
         assert sum(p.size for p in pair.parameters()) == 4 * (768 + 2304)
-
-    def test_invalid_rank_rejected(self):
-        with pytest.raises(AdapterConfigError):
-            LoraPair(4, 4, rank=0, target="q")
 
     def test_frozen_weight_untouched_by_training_step(self):
         from sagefuse.optim import AdamW
