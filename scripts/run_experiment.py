@@ -9,6 +9,11 @@ arm's report is snapshotted to report_<arm>.json (phase-2 always writes
 report.json, so later arms would otherwise overwrite earlier ones) and
 a comparison table is printed at the end.
 
+The full method runs last, and the final evaluation loads its
+checkpoint under the config's arm. A config naming another arm
+therefore stops at that `evaluate`, which refuses a checkpoint holding
+tensors the configured arm does not train (exit 1).
+
 Usage:
     python3 scripts/run_experiment.py --config configs/micro.cfg --force
 """

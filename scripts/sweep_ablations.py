@@ -4,7 +4,8 @@
 Requires a completed phase-1 run for the config (see run_experiment.py
 or the `phase1` CLI subcommand). Writes ablate_rank.csv and
 ablate_prompt.csv under the configured output directory and echoes
-both tables.
+both tables. Without --ranks or --prompts a sweep runs the `ablate`
+command's default list.
 
 Usage:
     python3 scripts/sweep_ablations.py --config configs/micro.cfg \
@@ -33,11 +34,9 @@ def main():
     parser.add_argument("--seeds", help="comma-separated seed override")
     parser.add_argument("--ranks", help="comma-separated adapter ranks "
                         "(default: the `ablate` command's)")
-    parser.add_argument("--prompts",
-                        default="; classify this node;"
-                                " classify this node by topic:",
-                        help="semicolon-separated prompt prefixes "
-                             "(leading empty entry = no prompt)")
+    parser.add_argument("--prompts", help="semicolon-separated prompt "
+                        "prefixes, an empty entry for no prompt (default: "
+                        "the `ablate` command's)")
     args = parser.parse_args()
 
     common = ["--config", args.config]
@@ -47,8 +46,9 @@ def main():
         common += ["--seeds", args.seeds]
 
     ranks = ["--ranks", args.ranks] if args.ranks else []
+    prompts = [] if args.prompts is None else ["--prompts", args.prompts]
     run(common + ["ablate", "--what", "rank", *ranks])
-    run(common + ["ablate", "--what", "prompt", "--prompts", args.prompts])
+    run(common + ["ablate", "--what", "prompt", *prompts])
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from .fusion import LORA_TARGETS
 from .sage import SageConfig
 from .schema import ConfigError, check_declared, one_of
-from .tag import GeneratorParams, SplitSpec
+from .tag import GeneratorParams, SplitSpec, split_sum_problem
 from .textenc import BackboneConfig
 from .trainer import FusionConfig, RunConfig, TrainerConfig
 
@@ -134,10 +134,9 @@ class ExperimentConfig:
             raise ConfigError(problem)
         return self
 
-    def run_config(self, **overrides):
+    def run_config(self):
         """The phase-2 run settings: [trainer] and [fusion] together."""
-        return RunConfig(**{**vars(self.trainer), **vars(self.fusion),
-                            **overrides})
+        return RunConfig(**vars(self.trainer), **vars(self.fusion))
 
 
 def _cross_key_problems(cfg):
@@ -148,9 +147,9 @@ def _cross_key_problems(cfg):
     run = cfg.run_config()
     if b.dim % b.heads:
         yield f"[backbone] dim {b.dim} not divisible by {b.heads} heads"
-    total = d.train_frac + d.val_frac + d.test_frac
-    if abs(total - 1.0) > 1e-9:
-        yield f"[dataset] split fractions sum to {total}, not 1"
+    problem = split_sum_problem(d)
+    if problem:
+        yield problem
     if d.source == "synthetic" and d.n_nodes < 10 * d.num_classes:
         yield (f"[dataset] n_nodes={d.n_nodes} too small for "
                f"{d.num_classes} classes (need >= 10*C)")

@@ -140,20 +140,6 @@ def load_dataset(cfg):
     return stratified_split(graph, cfg.dataset)
 
 
-def _data_fingerprint(cfg, files):
-    """Everything `load_dataset` reads: the sha256 of each data file, the
-    class count and, when the split is computed in process, its keys."""
-    d = cfg.dataset
-    fingerprint = {"files": {role: _sha256(p) for role, p in files.items()},
-                   "num_classes": d.num_classes}
-    if "splits" not in files:
-        fingerprint["split"] = {"train_frac": d.train_frac,
-                                "val_frac": d.val_frac,
-                                "test_frac": d.test_frac,
-                                "split_seed": d.split_seed}
-    return fingerprint
-
-
 def run_phase1(cfg, force=False):
     """Node features under the frozen backbone, then GraphSAGE training;
     persists embeddings, prefix states, vocab, the node table with the
@@ -171,11 +157,8 @@ def run_phase1(cfg, force=False):
                                cfg.trainer.seq_len)
     x, states = node_features(backbone, ids, mask, key["layer"])
     _write_json(out / "nodes.json", {
-        "num_classes": graph.num_classes, "labels": graph.labels.tolist(),
-        "split": graph.split.tolist(),
-        "lengths": np.count_nonzero(mask, axis=1).tolist(),
-        "key": key,
-        "fingerprint": _data_fingerprint(cfg, _dataset_files(cfg))})
+        "labels": graph.labels.tolist(), "split": graph.split.tolist(),
+        "lengths": np.count_nonzero(mask, axis=1).tolist(), "key": key})
     save_tensor(out / "prefix.gtsr", states)
     del ids, mask, states
 
@@ -195,27 +178,37 @@ def run_phase1(cfg, force=False):
     return result
 
 
-KEY_SECTIONS = ("backbone", "sage", "trainer")
+KEY_SECTIONS = ("dataset", "backbone", "sage", "trainer")
 
 
 def _phase1_key(cfg):
-    """What phase 1's outputs depend on besides the data, by section: all of
-    [backbone] and [sage], the prompt and seq_len of the tokens, and `layer`,
-    the first layer the phase-1 arm adapts, whose input `prefix.gtsr` holds."""
-    t = cfg.trainer
-    return {"backbone": asdict(cfg.backbone), "sage": asdict(cfg.sage),
+    """What phase 1's outputs depend on, by section: what `load_dataset`
+    reads (the sha256 of each data file by role, `num_classes` and, when the
+    split is computed in process, its keys), all of [backbone] and [sage],
+    the prompt and seq_len of the tokens, and `layer`, the first layer the
+    phase-1 arm adapts, whose input `prefix.gtsr` holds."""
+    d, t = cfg.dataset, cfg.trainer
+    files = _dataset_files(cfg)
+    dataset = {role: _sha256(p) for role, p in files.items()}
+    dataset["num_classes"] = d.num_classes
+    if "splits" not in files:
+        dataset.update(train_frac=d.train_frac, val_frac=d.val_frac,
+                       test_frac=d.test_frac, split_seed=d.split_seed)
+    return {"dataset": dataset, "backbone": asdict(cfg.backbone),
+            "sage": asdict(cfg.sage),
             "trainer": {"prompt": t.prompt, "seq_len": t.seq_len},
             "layer": cfg.run_config().first_adapted_layer(cfg.backbone.layers)}
 
 
 def _check_key(saved, cfg, path):
     """Raise PipelineError unless the key phase 1 saved in `path` holds this
-    config's settings; a difference is named as `[section] key`."""
+    config's data and settings; a difference is named as `[section] key`,
+    [dataset] first, so a changed data file is named by its role."""
     if not (isinstance(saved, dict) and type(saved.get("layer")) is int
             and saved["layer"] >= 0
             and all(isinstance(saved.get(s), dict) for s in KEY_SECTIONS)):
-        raise PipelineError(f"{path}: 'key' needs [backbone], [sage], "
-                            "[trainer] and 'layer'; re-run phase1")
+        raise PipelineError(f"{path}: 'key' needs [dataset], [backbone], "
+                            "[sage], [trainer] and 'layer'; re-run phase1")
     key = _phase1_key(cfg)
     for section in KEY_SECTIONS:
         for name, value in key[section].items():
@@ -237,29 +230,14 @@ def _int_column(table, key, high, path):
 
 
 def _read_node_table(cfg):
-    """The phase-1 node table (`nodes.json`) once phase 1 is known to have run
-    on the config's dataset and key settings; a changed data file or setting
-    raises PipelineError, since every phase-1 output describes the old one."""
+    """The phase-1 node table (`nodes.json`) once its key matches the config
+    (`_check_key`); a changed data file or setting raises PipelineError,
+    since every phase-1 output describes the old one."""
     path = phase1_dir(cfg) / "nodes.json"
     table = _read_json(path)
-    files = _dataset_files(cfg)
-    current = _data_fingerprint(cfg, files)
-    saved = table.get("fingerprint")
-    if saved != current:
-        old = saved.get("files") if isinstance(saved, dict) else None
-        old = old if isinstance(old, dict) else {}
-        changed = [str(files[role]) for role, digest in
-                   current["files"].items() if old.get(role) != digest]
-        what = (f"data file {changed[0]}" if changed
-                else "the [dataset] settings it was read with")
-        raise PipelineError(f"{what} changed since phase1 wrote {path}; "
-                            "re-run phase1")
     _check_key(table.get("key"), cfg, path)
-    num_classes = table.get("num_classes")
-    if type(num_classes) is not int or num_classes < 1:
-        raise PipelineError(f"{path}: 'num_classes' must be a positive "
-                            "integer")
-    columns = {"labels": _int_column(table, "labels", num_classes, path),
+    columns = {"labels": _int_column(table, "labels",
+                                     cfg.dataset.num_classes, path),
                "split": _int_column(table, "split", len(SPLITS), path),
                "lengths": _int_column(table, "lengths",
                                       cfg.trainer.seq_len + 1, path)}
@@ -306,7 +284,7 @@ def load_phase2_inputs(cfg, backbone, vocab, table):
     mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
     return Phase2Inputs(labels=table["labels"],
                         split=table["split"].astype(np.int8),
-                        num_classes=table["num_classes"], mask=mask,
+                        num_classes=cfg.dataset.num_classes, mask=mask,
                         states=states, layer=layer)
 
 
@@ -350,7 +328,17 @@ def _save_checkpoint(directory, assembly):
 
 
 def _load_checkpoint(directory, assembly):
-    for p in assembly.trainable_parameters():
+    """`assembly` with the tensors of `directory`, which must hold one
+    `<name>.gtsr` of the right shape per trainable parameter and no other
+    (a checkpoint of another arm is refused)."""
+    params = assembly.trainable_parameters()
+    other = sorted({f.stem for f in directory.glob("*.gtsr")}
+                   - {p.name for p in params})
+    if other:
+        raise PipelineError(f"checkpoint {directory} holds {other[0]!r}, "
+                            "which the configured arm does not train; "
+                            "re-run phase2")
+    for p in params:
         path = directory / f"{p.name}.gtsr"
         if not path.exists():
             raise PipelineError(f"checkpoint {directory} missing tensor for "

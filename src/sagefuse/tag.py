@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schema import check_declared, ranged
+from .schema import ConfigError, check_declared, ranged
 
 SPLITS = ("train", "val", "test")
 _SPLIT_CODE = {name: code for code, name in enumerate(SPLITS)}
@@ -22,11 +22,18 @@ class GraphFormatError(ValueError):
 
 @dataclass
 class SplitSpec:
-    """Per-class split fractions, which `config` requires to sum to 1."""
+    """Per-class split fractions, which must sum to 1 (`split_sum_problem`)."""
     train_frac: float = ranged(0.8, "(0, 1)")
     val_frac: float = ranged(0.1, "(0, 1)")
     test_frac: float = ranged(0.1, "(0, 1)")
     split_seed: int = ranged(0, "[0, inf)")
+
+
+def split_sum_problem(spec):
+    """The line naming fractions of `spec` that do not sum to 1, or None."""
+    total = spec.train_frac + spec.val_frac + spec.test_frac
+    if abs(total - 1.0) > 1e-9:
+        return f"[dataset] split fractions sum to {total}, not 1"
 
 
 @dataclass(eq=False)
@@ -322,7 +329,11 @@ def load_splits(graph, path):
 
 def stratified_split(graph, spec):
     """Assign train/val/test per class with proportions within one node of
-    the requested fractions. Rounding remainders go to train."""
+    the requested fractions. Rounding remainders go to train. Fractions
+    that do not sum to 1 raise ConfigError."""
+    problem = split_sum_problem(spec)
+    if problem:
+        raise ConfigError(problem)
     labels = graph.labels
     nodes_by_class = [np.flatnonzero(labels == c) for c in range(graph.num_classes)]
     for c, ids in enumerate(nodes_by_class):

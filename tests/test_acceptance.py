@@ -222,7 +222,8 @@ def test_criterion_7_structure_beats_text_only():
     structural = train_phase2(backbone, phase1.embeddings, inputs,
                               cfg.run_config())
     text_only = train_phase2(backbone, phase1.embeddings, inputs,
-                             cfg.run_config(baseline="text_only"))
+                             dataclasses.replace(cfg.run_config(),
+                                                 baseline="text_only"))
     elapsed = time.perf_counter() - started
     margin = structural.metric_mean - text_only.metric_mean
     ok = (phase1.val_metric >= 0.75 and margin >= 0.03 and elapsed < 600.0)

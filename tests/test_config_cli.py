@@ -248,6 +248,16 @@ class TestCli:
                              / "nodes.jsonl").read_text()
         assert outputs[1] != outputs[2]
 
+    def test_gen_data_of_file_sourced_data_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text(MICRO_CONFIG.format(out=tmp_path / "out").replace(
+            "[dataset]\n", "[dataset]\nsource = files\n"
+            "nodes_path = nodes.jsonl\nedges_path = edges.tsv\n"))
+        assert main(["--config", str(cfg_path), "gen-data"]) == 2
+        assert _one_error_line(capsys) == (
+            "error: gen-data requires dataset.source = synthetic\n")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_generator_param_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("[dataset]\nstructure_signal = 0.4\n")
@@ -691,6 +701,16 @@ class TestCli:
         assert (out / "audit.json").exists()
 
 
+def _data_key(root):
+    """The [dataset] section of the phase-1 key of the micro run under
+    `root`: the digest of each generated file and the class count."""
+    data = root / "out" / "data"
+    return {"nodes": pipeline._sha256(data / "nodes.jsonl"),
+            "edges": pipeline._sha256(data / "edges.tsv"),
+            "splits": pipeline._sha256(data / "splits.jsonl"),
+            "num_classes": 3}
+
+
 def _copy_run(source, tmp_path, *edits):
     """A copy of a module fixture's run (by default the micro phase-1 run)
     under its config with text edits applied."""
@@ -755,9 +775,10 @@ AFTER_PHASE1 = (["--force", "phase2"], ["evaluate"],
                 ["ablate", "--what", "rank", "--ranks", "2"])
 
 
-# A new value for every [backbone] and [sage] key, the prompt and seq_len
-# (`fused_qkv` is refused at config load).
+# A new value for the class count, every [backbone] and [sage] key, the
+# prompt and seq_len (`fused_qkv` is refused at config load).
 KEY_EDITS = [
+    ("dataset", "num_classes", ("num_classes = 3", "num_classes = 4")),
     ("backbone", "layers", ("layers = 4", "layers = 5")),
     ("backbone", "dim", ("dim = 16", "dim = 32")),
     ("backbone", "heads", ("heads = 2", "heads = 4")),
@@ -788,7 +809,8 @@ class TestFrozenPrefixFile:
         cfg = ExperimentConfig.from_file(config_path)
         phase1 = root / "out" / "phase1"
         key = json.loads((phase1 / "nodes.json").read_text())["key"]
-        assert key == {"backbone": dataclasses.asdict(cfg.backbone),
+        assert key == {"dataset": _data_key(root), "backbone":
+                       dataclasses.asdict(cfg.backbone),
                        "sage": dataclasses.asdict(cfg.sage),
                        "trainer": {"prompt": "", "seq_len": 8}, "layer": 1}
         assert key["backbone"]["precision"] == "f32"
@@ -835,16 +857,20 @@ class TestFrozenPrefixFile:
             assert f"[{section}] {name}" in err and "re-run phase1" in err
         assert _snapshot(out) == before
 
+    @pytest.mark.parametrize("edit, named", [
+        (("vocab_max = 256", "vocab_max = 256\npooling = cls"),
+         "[backbone] pooling changed since phase1 wrote {nodes} "
+         "('mean' → 'cls')"),
+        (("num_classes = 3", "num_classes = 4"),
+         "[dataset] num_classes changed since phase1 wrote {nodes} (3 → 4)"),
+    ], ids=["pooling", "num_classes"])
     def test_changed_key_names_old_and_new_value(self, phase2_run, tmp_path,
-                                                 capsys):
-        _, cfg_path = _copy_run(phase2_run, tmp_path,
-                                ("vocab_max = 256",
-                                 "vocab_max = 256\npooling = cls"))
+                                                 capsys, edit, named):
+        _, cfg_path = _copy_run(phase2_run, tmp_path, edit)
         assert main(["--config", str(cfg_path), "--force", "phase2"]) == 1
         nodes = tmp_path / "out" / "phase1" / "nodes.json"
         assert _one_error_line(capsys) == (
-            f"error: [backbone] pooling changed since phase1 wrote {nodes} "
-            "('mean' → 'cls'); re-run phase1\n")
+            f"error: {named.format(nodes=nodes)}; re-run phase1\n")
 
     def test_f64_run_writes_and_reads_the_prefix_file(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -987,17 +1013,14 @@ class TestNodeTable:
         graph = pipeline.load_dataset(cfg)
         vocab, _ = pipeline.load_phase1_artifacts(cfg)
         _, mask = textenc.tokenize_graph(graph, vocab, "", 8)
-        assert table["num_classes"] == 3
+        assert sorted(table) == ["key", "labels", "lengths", "split"]
         assert table["labels"] == graph.labels.tolist()
         assert table["split"] == graph.split.tolist()
         assert table["lengths"] == mask.sum(axis=1).astype(int).tolist()
+        assert sorted(table["key"]) == ["backbone", "dataset", "layer",
+                                        "sage", "trainer"]
         assert table["key"]["trainer"] == {"prompt": "", "seq_len": 8}
-        data = root / "out" / "data"
-        assert table["fingerprint"] == {
-            "files": {role: pipeline._sha256(data / name) for role, name in
-                      (("nodes", "nodes.jsonl"), ("edges", "edges.tsv"),
-                       ("splits", "splits.jsonl"))},
-            "num_classes": 3}
+        assert table["key"]["dataset"] == _data_key(root)
 
     @pytest.mark.parametrize("arm", list(ARMS_ON_THE_PREFIX))
     def test_matching_table_reads_no_dataset_file(self, request, tmp_path,
@@ -1085,21 +1108,24 @@ class TestNodeTable:
                 "[dataset]\n", "[dataset]\nseed = 7\n", 1))
             assert main(["--config", str(reseeded), "--force",
                          "gen-data"]) == 0
-            cfg_path, changed = reseeded, data / "nodes.jsonl"
+            cfg_path, role, changed = reseeded, "nodes", data / "nodes.jsonl"
         else:
-            changed = data / "edges.tsv"
+            role, changed = "edges", data / "edges.tsv"
             lines = changed.read_text().splitlines(keepends=True)
             u, v = lines[0].split()
             lines[0] = f"{u}\t{int(v) + 1}\n"
             changed.write_text("".join(lines))
+        old = json.loads((out / "phase1" / "nodes.json").read_text())[
+            "key"]["dataset"][role]
         capsys.readouterr()
         before = _snapshot(out)
         for command in AFTER_PHASE1 + (["ablate", "--what", "prompt",
                                         "--prompts", ""],):
             assert main(["--config", str(cfg_path), *command]) == 1, command
-            err = _one_error_line(capsys)
-            assert f"data file {changed} changed since phase1" in err
-            assert "re-run phase1" in err
+            assert _one_error_line(capsys) == (
+                f"error: [dataset] {role} changed since phase1 wrote "
+                f"{out / 'phase1' / 'nodes.json'} ({old!r} → "
+                f"{pipeline._sha256(changed)!r}); re-run phase1\n")
         assert _snapshot(out) == before
 
     def test_regenerated_identical_dataset_is_accepted(self, run_dir,
@@ -1110,7 +1136,7 @@ class TestNodeTable:
             assert main(["--config", str(cfg_path), *command]) == 0, command
 
     def test_changed_split_keys_are_refused(self, run_dir, tmp_path, capsys):
-        """A split computed in process is part of the fingerprint."""
+        """A split computed in process is part of the key."""
         root, _ = run_dir
         data = root / "out" / "data"
         text = MICRO_CONFIG.format(out=tmp_path / "out").replace(
@@ -1125,8 +1151,10 @@ class TestNodeTable:
                                          "test_frac = 0.2\nsplit_seed = 3"))
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
-        err = _one_error_line(capsys)
-        assert "[dataset] settings" in err and "re-run phase1" in err
+        assert _one_error_line(capsys) == (
+            "error: [dataset] split_seed changed since phase1 wrote "
+            f"{tmp_path / 'out' / 'phase1' / 'nodes.json'} (0 → 3); "
+            "re-run phase1\n")
 
 
 class TestRunDirectory:
@@ -1182,16 +1210,31 @@ def _oversized_header(path):
                      + path.read_bytes()[24:])
 
 
+KEY_NEEDS = ("'key' needs [dataset], [backbone], [sage], [trainer] and "
+             "'layer'; re-run phase1")
+
+
+def _old_layout(table):
+    """A node table as phase 1 wrote it before the data went into the key:
+    a separate `fingerprint` and class count, and no [dataset] section."""
+    dataset = table["key"].pop("dataset")
+    table["num_classes"] = dataset.pop("num_classes")
+    table["fingerprint"] = {"files": dataset, "num_classes":
+                            table["num_classes"]}
+
+
 class TestCorruptedArtifacts:
     """A damaged phase-1 or phase-2 file ends in one error line that names
     it, exit 1, never a traceback."""
 
     @pytest.mark.parametrize("name, damage, message", [
         ("phase1/nodes.json", lambda p: _rewrite_json(p, lambda t: t.update(
-            key=3)), "'key' needs [backbone], [sage], [trainer] and 'layer'"),
+            key=3)), KEY_NEEDS),
         ("phase1/nodes.json", lambda p: _rewrite_json(p, lambda t: t["key"]
                                                       .pop("sage")),
-         "'key' needs [backbone], [sage], [trainer] and 'layer'"),
+         KEY_NEEDS),
+        ("phase1/nodes.json", lambda p: _rewrite_json(p, _old_layout),
+         KEY_NEEDS),
         ("phase1/pass1.gtsr", _oversized_header,
          f"truncated payload: the header gives {4 * 2 ** 62} bytes"),
         ("phase1/prefix.gtsr",
@@ -1228,9 +1271,6 @@ class TestCorruptedArtifacts:
         ("phase1/nodes.json",
          lambda p: _rewrite_json(p, lambda t: t["split"].pop()),
          "one entry per node"),
-        ("phase1/nodes.json",
-         lambda p: _rewrite_json(p, lambda t: t.update(num_classes="3")),
-         "'num_classes' must be a positive integer"),
         ("phase1/nodes.json",
          lambda p: _rewrite_json(p, lambda t: t.update(
              split=[min(code, 1) for code in t["split"]])),
@@ -1280,6 +1320,24 @@ class TestCorruptedArtifacts:
         assert main(["--config", str(cfg_path), "evaluate"]) == 1
         assert _one_error_line(capsys).startswith(
             f"error: checkpoint {ckpt} missing tensor for 'fusion")
+
+    @pytest.mark.parametrize("edit, held", [
+        (_baseline("lora_only"), "fusion.layer1.gate_logit"),
+        (_baseline("text_only"), "fusion.layer1.gate_logit"),
+        (("[fusion]\n", "[fusion]\nlora_targets = q,v\n"),
+         "lora.layer1.k.a"),
+    ], ids=["lora_only", "text_only", "lora_targets"])
+    def test_checkpoint_of_another_arm_exits_1(self, phase2_run, tmp_path,
+                                               capsys, edit, held):
+        """The fused run's checkpoint, evaluated under an arm that trains
+        fewer tensors, is refused instead of scored without them."""
+        out, cfg_path = _copy_run(phase2_run, tmp_path, edit)
+        ckpt = out / "phase2" / "checkpoints" / "seed0"
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "evaluate"]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: checkpoint {ckpt} holds {held!r}, which the configured "
+            "arm does not train; re-run phase2\n")
 
     @pytest.mark.parametrize("name", ["nodes.json", "prefix.gtsr"])
     def test_missing_phase1_artifact_exits_1(self, run_dir, tmp_path, capsys,

@@ -174,6 +174,17 @@ class TestStratifiedSplit:
         counts = [split_count(split, s) for s in ("train", "val", "test")]
         assert counts == [9, 1, 1]
 
+    @pytest.mark.parametrize("fractions, total", [
+        ((0.3, 0.3, 0.3), 0.8999999999999999), ((0.2, 0.6, 0.6), 1.4)])
+    def test_fractions_not_summing_to_1_rejected(self, fractions, total):
+        """The library call gives the config's message, not a split."""
+        g = make_graph({i: [] for i in range(100)},
+                       labels=[i % 2 for i in range(100)])
+        with pytest.raises(ConfigError) as e:
+            stratified_split(g, SplitSpec(*fractions))
+        assert str(e.value) == (f"[dataset] split fractions sum to {total}, "
+                                "not 1")
+
     def test_large_graph_proportions_within_one_node(self):
         sizes = [20000, 16000, 10198]  # 46,198 nodes total
         labels = np.repeat(np.arange(3), sizes)
