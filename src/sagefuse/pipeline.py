@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,10 @@ import numpy as np
 from .config import ConfigError
 from .fusion import audit_from_shapes
 from .metrics import metric_name
-from .sage import SageEmbeddings, SageModel, train_phase1
-from .tag import (SPLITS, generate_synthetic_tag, load_graph, load_splits,
-                  save_graph, save_splits, stratified_split)
+from .sage import SageModel, train_phase1
+from .tag import (SPLITS, GeneratorParams, SplitSpec, generate_synthetic_tag,
+                  load_graph, load_splits, save_graph, save_splits,
+                  stratified_split)
 from .tensorio import load_tensor, save_tensor
 from .textenc import (RESERVED, EncoderBackbone, Vocabulary, build_vocab,
                       node_features, tokenize_graph)
@@ -88,10 +89,16 @@ def _refuse_overwrite(out, force):
                           "overwrite")
 
 
+def _generated_from(cfg):
+    """The [dataset] keys the generated files follow from."""
+    return {f.name: getattr(cfg.dataset, f.name)
+            for spec in (GeneratorParams, SplitSpec) for f in fields(spec)}
+
+
 def run_gen_data(cfg, force=False):
     """Materialize the synthetic dataset as nodes.jsonl / edges.tsv /
-    splits.jsonl, with a manifest of their hashes and the config hash.
-    Idempotent given the seed."""
+    splits.jsonl, with a manifest of the [dataset] keys they follow from,
+    for `_check_manifest`, and the config hash. Idempotent given the seed."""
     if cfg.dataset.source != "synthetic":
         raise ConfigError("gen-data requires dataset.source = synthetic")
     out = data_dir(cfg)
@@ -103,9 +110,11 @@ def run_gen_data(cfg, force=False):
                             out / "splits.jsonl")
     save_graph(graph, nodes, edges)
     save_splits(graph, splits)
+    # Nothing in the pipeline reads `config_hash`, but the benchmark's
+    # worker checks it against the config it ran with.
     _write_json(out / "manifest.json", {
         "command": "gen-data", "config_hash": cfg.hash(),
-        "artifacts": {p.name: _sha256(p) for p in (nodes, edges, splits)}})
+        "dataset": _generated_from(cfg)})
     return graph, out
 
 
@@ -124,15 +133,28 @@ def _dataset_files(cfg):
     out = data_dir(cfg)
     files = {"nodes": out / "nodes.jsonl", "edges": out / "edges.tsv",
              "splits": out / "splits.jsonl"}
-    for p in files.values():
+    for p in (*files.values(), out / "manifest.json"):
         if not p.exists():
             raise PipelineError(f"missing dataset file {p}; run gen-data first")
     return files
 
 
+def _check_manifest(cfg):
+    """For a synthetic source, raise PipelineError unless the generated files
+    follow from this config's [dataset] keys (`_generated_from`), as
+    `data/manifest.json` records them."""
+    if cfg.dataset.source == "synthetic":
+        path = data_dir(cfg) / "manifest.json"
+        saved = _read_json(path).get("dataset")
+        _refuse_changes({"dataset": saved if isinstance(saved, dict) else {}},
+                        {"dataset": _generated_from(cfg)}, path, "gen-data")
+
+
 def load_dataset(cfg):
-    """Load the graph (with splits applied) for this config."""
+    """Load the graph (with splits applied) for this config; generated files
+    must pass `_check_manifest`."""
     files = _dataset_files(cfg)
+    _check_manifest(cfg)
     graph = load_graph(files["nodes"], files["edges"],
                        num_classes=cfg.dataset.num_classes)
     if "splits" in files:
@@ -167,8 +189,8 @@ def run_phase1(cfg, force=False):
                       num_classes=graph.num_classes, seed=cfg.sage.seed,
                       dtype=cfg.backbone.dtype)
     result = train_phase1(model, x, graph, cfg.sage)
-    save_tensor(out / "pass1.gtsr", result.embeddings.pass1)
-    save_tensor(out / "pass2.gtsr", result.embeddings.pass2)
+    save_tensor(out / "pass1.gtsr", result.pass1)
+    save_tensor(out / "pass2.gtsr", result.pass2)
     _write_json(out / "metrics.json", {
         "metric_name": result.metric_name,
         "val_metric": result.val_metric,
@@ -200,23 +222,32 @@ def _phase1_key(cfg):
             "layer": cfg.run_config().first_adapted_layer(cfg.backbone.layers)}
 
 
+def _refuse_changes(saved, current, path, command):
+    """Raise PipelineError at the first `[section] key` whose value in the
+    `current` sections differs from the `saved` ones, which `command` wrote
+    in `path`; a key missing from `saved` differs as None."""
+    for section, values in current.items():
+        for name, value in values.items():
+            old = saved[section].get(name)
+            if old != value:
+                raise PipelineError(
+                    f"[{section}] {name} changed since {command} wrote {path} "
+                    f"({old!r} → {value!r}); re-run {command}")
+
+
 def _check_key(saved, cfg, path):
     """Raise PipelineError unless the key phase 1 saved in `path` holds this
-    config's data and settings; a difference is named as `[section] key`,
-    [dataset] first, so a changed data file is named by its role."""
+    config's data and settings, and the data still pass `_check_manifest`;
+    a difference is named as `[section] key`, [dataset] first, so a changed
+    data file is named by its role."""
     if not (isinstance(saved, dict) and type(saved.get("layer")) is int
             and saved["layer"] >= 0
             and all(isinstance(saved.get(s), dict) for s in KEY_SECTIONS)):
         raise PipelineError(f"{path}: 'key' needs [dataset], [backbone], "
                             "[sage], [trainer] and 'layer'; re-run phase1")
     key = _phase1_key(cfg)
-    for section in KEY_SECTIONS:
-        for name, value in key[section].items():
-            old = saved[section].get(name)
-            if old != value:
-                raise PipelineError(
-                    f"[{section}] {name} changed since phase1 wrote {path} "
-                    f"({old!r} → {value!r}); re-run phase1")
+    _refuse_changes(saved, {s: key[s] for s in KEY_SECTIONS}, path, "phase1")
+    _check_manifest(cfg)
 
 
 def _int_column(table, key, high, path):
@@ -264,36 +295,16 @@ def _load_shaped(path, shape, dtype):
     return array
 
 
-def load_phase2_inputs(cfg, backbone, vocab, table):
-    """The `Phase2Inputs` of the commands after phase 1: the checked node
-    `table` and `prefix.gtsr`, at the layer the states were saved at, so the
-    dataset is not parsed or tokenized. Only an arm adapting a layer below
-    that one (after a `text_only` phase 1, or a placement moved down) reads
-    the dataset, tokenizes it and starts at the embedding output."""
-    t = cfg.trainer
-    layer = table["key"]["layer"]
-    if cfg.run_config().first_adapted_layer(cfg.backbone.layers) < layer:
-        graph = load_dataset(cfg)
-        ids, mask = tokenize_graph(graph, vocab, t.prompt, t.seq_len)
-        return Phase2Inputs.from_tokens(graph, backbone, ids, mask)
-    lengths = table["lengths"]
-    width = int(lengths.max())
-    states = _load_shaped(phase1_dir(cfg) / "prefix.gtsr",
-                          (len(lengths), width, cfg.backbone.dim),
-                          cfg.backbone.dtype)
-    mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
-    return Phase2Inputs(labels=table["labels"],
-                        split=table["split"].astype(np.int8),
-                        num_classes=cfg.dataset.num_classes, mask=mask,
-                        states=states, layer=layer)
-
-
 def load_phase1(cfg):
     """What the commands after phase 1 read of its outputs, checked:
-    (node table, vocabulary, embeddings). The table comes first, so a
+    (vocabulary, backbone, `Phase2Inputs`). The node table comes first, so a
     changed data file or key setting is named as such before any other
-    file is read; `pass1.gtsr` and `pass2.gtsr` must be (nodes,
-    `[sage] embed_dim`)."""
+    file is read; `pass1.gtsr` and `pass2.gtsr` must be finite and (nodes,
+    `[sage] embed_dim`). The states are `prefix.gtsr`'s, at the layer they
+    were saved at, so the dataset is not parsed or tokenized. Only an arm
+    adapting a layer below that one (after a `text_only` phase 1, or a
+    placement moved down) reads the dataset, tokenizes it and starts at the
+    embedding output."""
     out = phase1_dir(cfg)
     for name in ("vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
                  "pass2.gtsr"):
@@ -308,16 +319,36 @@ def load_phase1(cfg):
         raise PipelineError(f"{out / 'vocab.json'}: token ids must be "
                             f"integers {base} .. {base + len(tokens) - 1}, "
                             "each once")
+    vocab = Vocabulary.from_dict(tokens)
+    b, t = cfg.backbone, cfg.trainer
     shape = (len(table["labels"]), cfg.sage.embed_dim)
-    embeddings = SageEmbeddings(**{
-        name: _load_shaped(out / f"{name}.gtsr", shape, cfg.backbone.dtype)
-        for name in ("pass1", "pass2")})
-    return table, Vocabulary.from_dict(tokens), embeddings
+    pass1, pass2 = (_load_shaped(out / f"{name}.gtsr", shape, b.dtype)
+                    for name in ("pass1", "pass2"))
+    for name, array in (("pass1", pass1), ("pass2", pass2)):
+        if not np.isfinite(array).all():
+            raise PipelineError(f"{out / name}.gtsr: non-finite entries; "
+                                "re-run phase1")
+    backbone = EncoderBackbone(b, vocab.size)
+    lengths = table["lengths"]
+    width = int(lengths.max())
+    mask = (np.arange(width) < lengths[:, None]).astype(np.float64)
+    inputs = Phase2Inputs(labels=table["labels"],
+                          split=table["split"].astype(np.int8),
+                          num_classes=cfg.dataset.num_classes, mask=mask,
+                          states=None, layer=table["key"]["layer"],
+                          pass1=pass1, pass2=pass2)
+    if cfg.run_config().first_adapted_layer(b.layers) < inputs.layer:
+        ids, mask = tokenize_graph(load_dataset(cfg), vocab, t.prompt,
+                                   t.seq_len)
+        return vocab, backbone, inputs.with_tokens(backbone, ids, mask)
+    states = _load_shaped(out / "prefix.gtsr", (len(lengths), width, b.dim),
+                          b.dtype)
+    return vocab, backbone, replace(inputs, states=states)
 
 
 def load_phase1_artifacts(cfg):
-    """The (vocabulary, embeddings) of `load_phase1`."""
-    return load_phase1(cfg)[1:]
+    """The (vocabulary, `Phase2Inputs`) of `load_phase1`."""
+    return load_phase1(cfg)[::2]
 
 
 def _save_checkpoint(directory, assembly):
@@ -357,13 +388,11 @@ def run_phase2(cfg, force=False):
     """Seed sweep of phase-2 fine-tuning; writes the run report, its wall
     clock and one adapter checkpoint per seed."""
     _refuse_overwrite(phase2_dir(cfg), force)
-    table, vocab, embeddings = load_phase1(cfg)
-    backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs = load_phase2_inputs(cfg, backbone, vocab, table)
+    vocab, backbone, inputs = load_phase1(cfg)
     out = phase2_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
-    report = train_phase2(backbone, embeddings, inputs, cfg.run_config())
+    report = train_phase2(backbone, inputs, cfg.run_config())
     report.audit = _audit(cfg, vocab.size).as_dict()
 
     _write_json(out / "report.json", report.as_dict())
@@ -380,16 +409,13 @@ def run_phase2(cfg, force=False):
 
 def run_evaluate(cfg, split="test", seed=None):
     """Evaluate a saved phase-2 checkpoint on one split."""
-    table, vocab, embeddings = load_phase1(cfg)
+    _, backbone, inputs = load_phase1(cfg)
     run_cfg = cfg.run_config()
     seed = run_cfg.seeds[0] if seed is None else seed
     ckpt = phase2_dir(cfg) / "checkpoints" / f"seed{seed}"
     if not ckpt.exists():
         raise PipelineError(f"missing checkpoint {ckpt}; run phase2 first")
-    backbone = EncoderBackbone(cfg.backbone, vocab.size)
-    inputs = load_phase2_inputs(cfg, backbone, vocab, table)
-    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                              run_cfg, seed)
+    assembly = Phase2Assembly(backbone, inputs, run_cfg, seed)
     _load_checkpoint(ckpt, assembly)
     value = evaluate(assembly, inputs, split)
     return {"split": split, "seed": seed,
@@ -423,17 +449,14 @@ def run_audit(cfg):
 
 def run_ablate(cfg, what, ranks=DEFAULT_ABLATION_RANKS,
                prompts=DEFAULT_ABLATION_PROMPTS):
-    table, vocab, embeddings = load_phase1(cfg)
-    backbone = EncoderBackbone(cfg.backbone, vocab.size)
+    vocab, backbone, inputs = load_phase1(cfg)
     base = cfg.run_config()
     if what == "rank":
-        rows = rank_ablation(backbone, embeddings,
-                             load_phase2_inputs(cfg, backbone, vocab, table),
-                             base, ranks=ranks)
+        rows = rank_ablation(backbone, inputs, base, ranks=ranks)
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
     elif what == "prompt":
         # The prompts change the tokens, so the texts are always read.
-        rows = prompt_ablation(backbone, embeddings, load_dataset(cfg), vocab,
+        rows = prompt_ablation(backbone, inputs, load_dataset(cfg), vocab,
                                base, prompts=prompts)
         columns = ["prompt", "metric_mean", "metric_std"]
     else:

@@ -100,23 +100,9 @@ def forward_embeddings(model, first_hop, agg):
 
 
 @dataclass
-class SageEmbeddings:
+class Phase1Result:
     pass1: np.ndarray
     pass2: np.ndarray
-
-    def validate(self, graph):
-        for name, m in (("pass1", self.pass1), ("pass2", self.pass2)):
-            if m.shape[0] != graph.num_nodes:
-                raise ad.ShapeError(f"embeddings.{name}", m.shape,
-                                    (graph.num_nodes, ...))
-            if not np.all(np.isfinite(m)):
-                raise ad.NumericsError(f"non-finite entries in {name}")
-        return self
-
-
-@dataclass
-class Phase1Result:
-    embeddings: SageEmbeddings
     best_epoch: int
     val_metric: float
     metric_name: str
@@ -158,8 +144,9 @@ def train_phase1(model, x, graph, config):
     recorded.clear()
     with ad.no_grad():
         pass1, pass2 = forward_embeddings(model, first_hop, agg)
-    embeddings = SageEmbeddings(pass1=np.asarray(pass1),
-                                pass2=np.asarray(pass2)).validate(graph)
-    return Phase1Result(embeddings, best_epoch, best_metric,
+    for name, m in (("pass1", pass1), ("pass2", pass2)):
+        if not np.all(np.isfinite(m)):
+            raise ad.NumericsError(f"non-finite entries in {name}")
+    return Phase1Result(pass1, pass2, best_epoch, best_metric,
                         metric_name(graph.num_classes), loss_trace,
                         val_trace[1:])

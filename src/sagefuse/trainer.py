@@ -16,7 +16,7 @@ from .fusion import (ARMS, LORA_TARGETS, LoraPair, build_adapter_set,
                      default_placement)
 from .metrics import MetricError, metric_name, split_metric
 from .optim import fit
-from .schema import ConfigError, one_of, ranged
+from .schema import ConfigError, check_declared, one_of, ranged
 from .tag import ids_in_split
 from .textenc import (ENCODE_BATCH, embed, encode, prefix_states, readout,
                       tokenize_graph)
@@ -84,27 +84,27 @@ class RunConfig(TrainerConfig, FusionConfig):
 
 @dataclass
 class Phase2Inputs:
-    """What phase 2 reads of the dataset: int64 labels, int8 split codes
-    into `SPLITS`, the class count, the (N, T) token mask and every node's
-    (N, T, d) hidden states at the input of encoder layer `layer`. T is L*,
-    the longest tokenized row (`tokenize_graph`), so no column is padding
-    in every row. Nothing below an adapted layer trains, so these states
-    stand in for the tokens wherever `layer` lies at or below the first
-    adapted layer."""
+    """Everything phase 2 reads per node: int64 labels, int8 split codes
+    into `SPLITS`, the class count, the (N, T) token mask, every node's
+    (N, T, d) hidden states at the input of encoder layer `layer`, and
+    phase 1's frozen (N, g) pass-1 and pass-2 embeddings. T is L*, the
+    longest tokenized row (`tokenize_graph`), so no column is padding in
+    every row. Nothing below an adapted layer trains, so these states stand
+    in for the tokens wherever `layer` lies at or below the first adapted
+    layer."""
     labels: np.ndarray
     split: np.ndarray | None
     num_classes: int
     mask: np.ndarray
     states: np.ndarray
     layer: int
+    pass1: np.ndarray
+    pass2: np.ndarray
 
-    @classmethod
-    def from_tokens(cls, graph, backbone, ids, mask):
-        """The inputs of `graph` tokenized as (ids, mask) at layer 0 (the
-        embedding output)."""
-        return cls(labels=graph.labels, split=graph.split,
-                   num_classes=graph.num_classes, mask=mask,
-                   states=embed(backbone, ids), layer=0)
+    def with_tokens(self, backbone, ids, mask):
+        """These inputs with the nodes tokenized as (ids, mask), at layer 0
+        (the embedding output)."""
+        return replace(self, mask=mask, states=embed(backbone, ids), layer=0)
 
     @property
     def num_nodes(self):
@@ -124,15 +124,14 @@ class Phase2Inputs:
 
 
 class Phase2Assembly:
-    """Frozen backbone + frozen structural embeddings, with trainable
-    fusion adapters, LoRA pairs, and a linear classification head."""
+    """Frozen backbone with trainable fusion adapters, LoRA pairs, and a
+    linear classification head, sized for the `Phase2Inputs`' class count
+    and embedding width; the per-node arrays stay in the inputs."""
 
-    def __init__(self, backbone, embeddings, num_classes, config, seed):
+    def __init__(self, backbone, inputs, config, seed):
         self.backbone = backbone
-        self.embeddings = embeddings
-        self.config = config
         d = backbone.config.dim
-        g = embeddings.pass1.shape[1]
+        g, num_classes = inputs.pass1.shape[1], inputs.num_classes
         dtype = backbone.config.dtype
         use_fusion, use_lora = config.toggles()
         pass1_layers, pass2_layers = config.placement(backbone.config.layers)
@@ -197,8 +196,8 @@ class Phase2Assembly:
         return ad.linear(features, self.head_w, self.head_b)
 
     def _features(self, inputs, node_ids):
-        h2 = {"pass1": self.embeddings.pass1[node_ids],
-              "pass2": self.embeddings.pass2[node_ids]}
+        h2 = {"pass1": inputs.pass1[node_ids],
+              "pass2": inputs.pass2[node_ids]}
         mask = inputs.mask[node_ids]
         hidden = encode(self.backbone, inputs.states[node_ids], mask,
                         inputs.layer, adapters=self.adapters,
@@ -244,13 +243,11 @@ class SeedResult:
                 "loss_trace": self.loss_trace, "val_trace": self.val_trace}
 
 
-def run_phase2_seed(backbone, embeddings, inputs, config, seed):
+def run_phase2_seed(backbone, inputs, config, seed):
     """One deterministic phase-2 run on the `Phase2Inputs`: minibatch AdamW
     over train nodes, early stop on the validation metric (`optim.fit`),
     test metric from the best checkpoint."""
-    embeddings.validate(inputs)
-    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                              config, seed)
+    assembly = Phase2Assembly(backbone, inputs, config, seed)
     labels = inputs.labels
     train_idx = inputs.split_ids("train")
     rng = np.random.default_rng(derive_seed(seed, "shuffle"))
@@ -302,7 +299,7 @@ def seed_sweep(runner, seeds, baseline, metric):
                      wall_clock_sec=time.perf_counter() - started)
 
 
-def train_phase2(backbone, embeddings, inputs, config):
+def train_phase2(backbone, inputs, config):
     """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`, tokenized
     under `config`'s prompt and seq_len; the states are run forward to the
     first adapted layer once and shared across seeds."""
@@ -310,7 +307,7 @@ def train_phase2(backbone, embeddings, inputs, config):
         backbone, config.first_adapted_layer(backbone.config.layers))
 
     def runner(seed):
-        return run_phase2_seed(backbone, embeddings, inputs, config, seed)
+        return run_phase2_seed(backbone, inputs, config, seed)
 
     return seed_sweep(runner, config.seeds, config.baseline,
                       metric_name(inputs.num_classes))
@@ -319,19 +316,19 @@ def train_phase2(backbone, embeddings, inputs, config):
 # ---------------------------------------------------------------------------
 # ablations
 
-def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
+def rank_ablation(backbone, inputs, base_config, ranks):
     """One seed sweep per rank on the `Phase2Inputs`, each row with the
-    trained assembly's parameter count, which rises with the rank. The rank
-    leaves the frozen prefix alone, so the states are run forward once and
-    every sweep shares them."""
-    if any(r < 1 for r in ranks):
-        raise ConfigError(f"ranks must all be >= 1, got {list(ranks)}")
+    trained assembly's parameter count, which rises with the rank. Each
+    rank must lie in `[fusion] rank`'s range. The rank leaves the frozen
+    prefix alone, so the states are run forward once and every sweep
+    shares them."""
+    for r in ranks:
+        check_declared(FusionConfig(rank=r), "fusion")
     inputs = inputs.at_layer(
         backbone, base_config.first_adapted_layer(backbone.config.layers))
     rows = []
     for r in ranks:
-        report = train_phase2(backbone, embeddings, inputs,
-                              replace(base_config, rank=r))
+        report = train_phase2(backbone, inputs, replace(base_config, rank=r))
         assembly = report.per_seed[0].assembly
         rows.append({"rank": r, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std,
@@ -340,18 +337,17 @@ def rank_ablation(backbone, embeddings, inputs, base_config, ranks):
     return rows
 
 
-def prompt_ablation(backbone, embeddings, graph, vocab, base_config, prompts):
-    """One seed sweep per prompt, reported in the given order; each prompt
-    tokenizes the graph's texts anew."""
+def prompt_ablation(backbone, inputs, graph, vocab, base_config, prompts):
+    """One seed sweep per prompt on the `Phase2Inputs`, reported in the given
+    order; each prompt tokenizes the texts of `graph` anew."""
     if not prompts:
         raise ConfigError("prompt ablation needs at least one prompt")
     rows = []
     for prompt in prompts:
         cfg = replace(base_config, prompt=prompt)
         ids, mask = tokenize_graph(graph, vocab, prompt, cfg.seq_len)
-        report = train_phase2(
-            backbone, embeddings,
-            Phase2Inputs.from_tokens(graph, backbone, ids, mask), cfg)
+        tokens = inputs.with_tokens(backbone, ids, mask)
+        report = train_phase2(backbone, tokens, cfg)
         rows.append({"prompt": prompt, "metric_mean": report.metric_mean,
                      "metric_std": report.metric_std})
     return rows

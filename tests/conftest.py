@@ -22,7 +22,8 @@ from sagefuse.fusion import ParamAudit, audit_from_shapes
 from sagefuse.tag import (SPLITS, GeneratorParams, GraphFormatError,
                           SplitSpec, TextAttributedGraph, csr_adjacency,
                           generate_synthetic_tag, stratified_split)
-from sagefuse.textenc import PAD_ID, BackboneConfig, tokenize_graph
+from sagefuse.textenc import PAD_ID, BackboneConfig, embed, tokenize_graph
+from sagefuse.trainer import Phase2Inputs
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -58,6 +59,16 @@ def make_graph(adjacency, labels=None, texts=None, num_classes=None,
                                labels=np.array(labels, dtype=np.int64),
                                indptr=indptr, indices=indices,
                                num_classes=c, split=split)
+
+
+def token_inputs(graph, backbone, ids, mask, pass1, pass2):
+    """The `Phase2Inputs` of `graph` tokenized as (ids, mask), at layer 0
+    (the embedding output), with the structural embeddings pass1 and
+    pass2."""
+    return Phase2Inputs(labels=graph.labels, split=graph.split,
+                        num_classes=graph.num_classes, mask=mask,
+                        states=embed(backbone, ids), layer=0, pass1=pass1,
+                        pass2=pass2)
 
 
 def neighbors(graph, v):

@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 from conftest import (CONFIG_DIR, backbone_arrays, gpt2_audit, grad_check,
-                      make_graph, neighbors, random_graph)
+                      make_graph, neighbors, random_graph, token_inputs)
 from sagefuse import autodiff as ad
 from sagefuse.cli import main
 from sagefuse.config import ExperimentConfig
@@ -25,8 +25,7 @@ from sagefuse.tag import (SPLITS, GeneratorParams, SplitSpec,
                           generate_synthetic_tag, stratified_split)
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
                               embed, encode, node_features, tokenize_graph)
-from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
-                              train_phase2)
+from sagefuse.trainer import Phase2Assembly, RunConfig, train_phase2
 
 from test_metrics import pair_counting_auc
 from test_sage import brute_force_pass, forward_from_features
@@ -55,19 +54,18 @@ def _micro_phase2(seed=0):
     backbone = EncoderBackbone(BackboneConfig(
         dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
         precision="f64"), vocab.size)
-    embeddings_src = rng.normal(0, 0.5, (n, 8))
-    from sagefuse.sage import SageEmbeddings
-    embeddings = SageEmbeddings(pass1=embeddings_src,
-                                pass2=rng.normal(0, 0.5, (n, 8)))
+    pass1 = rng.normal(0, 0.5, (n, 8))
+    pass2 = rng.normal(0, 0.5, (n, 8))
     config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
                        seq_len=8, seeds=(0,), epochs=1, batch_size=8)
     ids, mask = tokenize_graph(graph, vocab, "", 8)
-    return graph, vocab, backbone, embeddings, config, ids, mask
+    inputs = token_inputs(graph, backbone, ids, mask, pass1, pass2)
+    return graph, vocab, backbone, inputs, config, ids, mask
 
 
 def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
-    graph, vocab, backbone, embeddings, config, ids, mask = _micro_phase2()
+    graph, vocab, backbone, inputs, config, ids, mask = _micro_phase2()
     labels = graph.labels
     batch = graph.split_ids("train")[:8]
     rng = np.random.default_rng(0)
@@ -94,11 +92,9 @@ def test_criterion_1_gradient_fidelity():
 
     # Phase-2: fusion adapters + LoRA pairs + head, randomized away from the
     # zero-initialized identity point so every gradient path is exercised.
-    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              config, seed=0)
+    assembly = Phase2Assembly(backbone, inputs, config, seed=0)
     for p in assembly.trainable_parameters():
         p.value[...] = rng.normal(0, 0.05, p.value.shape)
-    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
 
     def phase2_loss():
         return ad.cross_entropy(assembly.logits(inputs, batch), labels[batch])
@@ -136,9 +132,9 @@ def test_criterion_2_aggregation_oracle():
 
 
 def test_criterion_3_zero_adapter_identity():
-    graph, vocab, backbone, embeddings, config, _, _ = _micro_phase2()
-    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              config, seed=0)  # up-projections start at zero
+    graph, vocab, backbone, inputs, config, _, _ = _micro_phase2()
+    assembly = Phase2Assembly(backbone, inputs, config,
+                              seed=0)  # up-projections start at zero
     rng = np.random.default_rng(7)
     identical = True
     for _ in range(100):
@@ -163,15 +159,14 @@ def test_criterion_4_frozen_invariance():
     setup = _setup()
     config = dataclasses.replace(setup.config, epochs=10, patience=10)
     backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
-    emb_before = (setup.embeddings.pass1.copy(), setup.embeddings.pass2.copy())
+    emb_before = (setup.pass1.copy(), setup.pass2.copy())
     from sagefuse.trainer import run_phase2_seed
-    result = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
-                             config, seed=0)
+    result = run_phase2_seed(setup.backbone, setup.inputs, config, seed=0)
     ok = (len(result.loss_trace) >= 10
           and all(np.array_equal(a, before) for a, before in
                   zip(backbone_arrays(setup.backbone), backbone_before))
-          and np.array_equal(setup.embeddings.pass1, emb_before[0])
-          and np.array_equal(setup.embeddings.pass2, emb_before[1]))
+          and np.array_equal(setup.pass1, emb_before[0])
+          and np.array_equal(setup.pass2, emb_before[1]))
     _report(4, f"backbone and structural embeddings bitwise unchanged after "
                f"{len(result.loss_trace)}-epoch run", ok)
 
@@ -218,10 +213,10 @@ def test_criterion_7_structure_beats_text_only():
                       dtype=cfg.backbone.dtype)
     phase1 = train_phase1(model, x, graph, cfg.sage)
 
-    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
-    structural = train_phase2(backbone, phase1.embeddings, inputs,
-                              cfg.run_config())
-    text_only = train_phase2(backbone, phase1.embeddings, inputs,
+    inputs = token_inputs(graph, backbone, ids, mask, phase1.pass1,
+                          phase1.pass2)
+    structural = train_phase2(backbone, inputs, cfg.run_config())
+    text_only = train_phase2(backbone, inputs,
                              dataclasses.replace(cfg.run_config(),
                                                  baseline="text_only"))
     elapsed = time.perf_counter() - started

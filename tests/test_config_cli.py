@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, token_inputs
 from sagefuse.cli import main
 from sagefuse.config import ConfigError, ExperimentConfig
 from sagefuse import pipeline, textenc, trainer
@@ -232,9 +232,13 @@ class TestCli:
         graph.validate()
         manifest = json.loads(
             (root / "out" / "data" / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config_hash", "dataset"]
         assert manifest["config_hash"] == cfg.hash()
-        assert set(manifest["artifacts"]) == {"nodes.jsonl", "edges.tsv",
-                                              "splits.jsonl"}
+        assert manifest["dataset"] == {
+            name: getattr(cfg.dataset, name) for name in (
+                "n_nodes", "num_classes", "avg_degree", "topic_vocab_size",
+                "text_len", "text_noise", "structure_signal", "seed",
+                "train_frac", "val_frac", "test_frac", "split_seed")}
 
     def test_gen_data_seed_changes_files(self, tmp_path):
         outputs = {}
@@ -602,7 +606,7 @@ class TestCli:
 
     @pytest.mark.parametrize("ranks, message", [
         ("2,x", "--ranks must be comma-separated integers"),
-        ("2,0", "ranks must all be >= 1, got [2, 0]"),
+        ("2,0", "[fusion] rank must lie in [1, inf), got 0"),
     ])
     def test_bad_ranks_flag_exits_2(self, run_dir, capsys, ranks, message):
         _, config_path = run_dir
@@ -733,16 +737,22 @@ TRAINS = ("[trainer]\n", "[trainer]\nlr = 0.01\n")
 
 def _in_process_run(cfg_path):
     """The phase-2 report computed directly by the trainer from the tokens
-    (no phase-1 node table or prefix file), and its inputs."""
+    and phase 1's embedding files (no node table or prefix file), and its
+    inputs."""
     cfg = ExperimentConfig.from_file(cfg_path)
     graph = pipeline.load_dataset(cfg)
-    vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
+    phase1 = pipeline.phase1_dir(cfg)
+    vocab = textenc.Vocabulary.from_dict(
+        json.loads((phase1 / "vocab.json").read_text()))
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
     run_cfg = cfg.run_config()
     ids, mask = textenc.tokenize_graph(graph, vocab, run_cfg.prompt,
                                        run_cfg.seq_len)
-    inputs = trainer.Phase2Inputs.from_tokens(graph, backbone, ids, mask)
-    return trainer.train_phase2(backbone, embeddings, inputs, run_cfg), inputs
+    pass1, pass2 = (load_tensor(phase1 / f"{name}.gtsr",
+                                dtype=cfg.backbone.dtype)
+                    for name in ("pass1", "pass2"))
+    inputs = token_inputs(graph, backbone, ids, mask, pass1, pass2)
+    return trainer.train_phase2(backbone, inputs, run_cfg), inputs
 
 
 def _in_process_report(cfg_path):
@@ -1062,10 +1072,8 @@ class TestNodeTable:
             assert _evaluated(cfg_path, capsys, "--split", split) == float(
                 trainer.evaluate(report.per_seed[0].assembly, inputs, split))
         cfg = ExperimentConfig.from_file(cfg_path)
-        vocab, embeddings = pipeline.load_phase1_artifacts(cfg)
-        rows = trainer.rank_ablation(
-            EncoderBackbone(cfg.backbone, vocab.size), embeddings, inputs,
-            cfg.run_config(), ranks=(2, 4))
+        rows = trainer.rank_ablation(report.per_seed[0].assembly.backbone,
+                                     inputs, cfg.run_config(), ranks=(2, 4))
         columns = ["rank", "metric_mean", "metric_std", "trainable_params"]
         trainer.write_table_csv(tmp_path / "rank.csv", rows, columns)
         assert (tmp_path / "rank.csv").read_bytes() == \
@@ -1130,9 +1138,10 @@ class TestNodeTable:
 
     def test_regenerated_identical_dataset_is_accepted(self, run_dir,
                                                        tmp_path):
+        """The phase-1 key and the data manifest both pass."""
         out, cfg_path = _copy_run(run_dir, tmp_path)
         assert main(["--config", str(cfg_path), "--force", "gen-data"]) == 0
-        for command in AFTER_PHASE1:
+        for command in AFTER_PHASE1 + (["--force", "phase1"],):
             assert main(["--config", str(cfg_path), *command]) == 0, command
 
     def test_changed_split_keys_are_refused(self, run_dir, tmp_path, capsys):
@@ -1157,6 +1166,46 @@ class TestNodeTable:
             "re-run phase1\n")
 
 
+class TestDataManifest:
+    """Generated data are read only under the [dataset] keys gen-data
+    generated them from, as `data/manifest.json` records them."""
+
+    def test_reseeded_config_is_refused(self, phase2_run, tmp_path, capsys):
+        out, cfg_path = _copy_run(
+            phase2_run, tmp_path, ("[dataset]\n", "[dataset]\nseed = 5\n"),
+            ("test_frac = 0.2", "test_frac = 0.2\nsplit_seed = 3"))
+        before = _snapshot(out)
+        capsys.readouterr()
+        for command in (["--force", "phase1"],) + AFTER_PHASE1 + (
+                ["ablate", "--what", "prompt", "--prompts", ""],):
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            assert _one_error_line(capsys) == (
+                "error: [dataset] seed changed since gen-data wrote "
+                f"{out / 'data' / 'manifest.json'} (0 → 5); re-run "
+                "gen-data\n")
+        assert _snapshot(out) == before
+        # Generating the data anew under the config clears the refusal.
+        for command in ("gen-data", "phase1"):
+            assert main(["--config", str(cfg_path), "--force", command]) == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: _rewrite_json(p, lambda m: m.pop("dataset")),
+         "[dataset] n_nodes changed since gen-data wrote {manifest} "
+         "(None → 60); re-run gen-data"),
+        (lambda p: p.unlink(),
+         "missing dataset file {manifest}; run gen-data first"),
+    ], ids=["without_the_keys", "missing"])
+    def test_damaged_manifest_is_refused(self, run_dir, tmp_path, capsys,
+                                         damage, message):
+        out, cfg_path = _copy_run(run_dir, tmp_path)
+        manifest = out / "data" / "manifest.json"
+        damage(manifest)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "--force", "phase1"]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: {message.format(manifest=manifest)}\n")
+
+
 class TestRunDirectory:
     def test_each_phase_writes_exactly_its_files(self, phase2_run):
         """What gen-data, phase1 and phase2 leave in phase1/ and phase2/;
@@ -1174,10 +1223,9 @@ class TestRunDirectory:
                                          "timing.json"]
         assert names(out / "phase2" / "checkpoints") == ["seed0"]
         cfg = ExperimentConfig.from_file(cfg_path)
-        _, vocab, embeddings = pipeline.load_phase1(cfg)
-        assembly = trainer.Phase2Assembly(
-            EncoderBackbone(cfg.backbone, vocab.size), embeddings, 3,
-            cfg.run_config(), seed=0)
+        _, backbone, inputs = pipeline.load_phase1(cfg)
+        assembly = trainer.Phase2Assembly(backbone, inputs, cfg.run_config(),
+                                          seed=0)
         assert names(out / "phase2" / "checkpoints" / "seed0") == sorted(
             f"{p.name}.gtsr" for p in assembly.trainable_parameters())
 
@@ -1295,6 +1343,24 @@ class TestCorruptedArtifacts:
         err = _one_error_line(capsys)
         assert err.startswith(f"error: {out / name}: ") and \
             message.format(width=width) in err
+
+    @pytest.mark.parametrize("name", ["pass1.gtsr", "pass2.gtsr"])
+    def test_non_finite_embeddings_exit_1(self, phase2_run, tmp_path, capsys,
+                                          name):
+        """Refused at load by every command after phase 1, before it
+        writes anything."""
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        path = out / "phase1" / name
+        embeddings = load_tensor(path)
+        embeddings[3, 1] = np.nan
+        save_tensor(path, embeddings)
+        before = _snapshot(out)
+        capsys.readouterr()
+        for command in AFTER_PHASE1:
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            assert _one_error_line(capsys) == (
+                f"error: {path}: non-finite entries; re-run phase1\n")
+        assert _snapshot(out) == before
 
     def test_missing_checkpoint_tensor_exits_1(self, phase2_run, tmp_path,
                                                capsys):

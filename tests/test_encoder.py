@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import (backbone_arrays, backbone_size, make_graph,
-                      pad_columns, tokenize)
+                      pad_columns, token_inputs, tokenize)
 from sagefuse import autodiff as ad
 from sagefuse.config import ConfigError
 from sagefuse.optim import AdamW
-from sagefuse.sage import SageEmbeddings
 from sagefuse.fusion import fusion_apply, lora_apply
 from sagefuse.textenc import (CLS_ID, ENCODE_BATCH, PAD_ID, UNK_ID,
                               BackboneConfig, EncoderBackbone, Vocabulary,
                               VocabError, build_vocab, embed, encode,
                               node_features, prefix_states, readout,
                               split_tokens, tokenize_graph)
-from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
-                              predict_logits)
+from sagefuse.trainer import Phase2Assembly, RunConfig, predict_logits
 
 PRECISION = {np.float32: "f32", np.float64: "f64"}
 
@@ -488,14 +486,13 @@ def _fused_assembly(graph, dtype):
         precision=PRECISION[dtype]), vocab.size)
     rng = np.random.default_rng(0)
     n = graph.num_nodes
-    embeddings = SageEmbeddings(pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
-                                pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+    pass1, pass2 = (rng.normal(0, 0.5, (n, 8)).astype(dtype)
+                    for _ in range(2))
     config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
                        seq_len=8, baseline="fused")
-    assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                              config, seed=0)
     ids, mask = tokenize_graph(graph, vocab, "", 8)
-    inputs = Phase2Inputs.from_tokens(graph, backbone, ids, mask)
+    inputs = token_inputs(graph, backbone, ids, mask, pass1, pass2)
+    assembly = Phase2Assembly(backbone, inputs, config, seed=0)
     return vocab, backbone, assembly, ids, mask, inputs
 
 
@@ -552,9 +549,8 @@ class TestFrozenPrefix:
             precision=PRECISION[dtype], pooling=pooling), vocab.size)
         rng = np.random.default_rng(0)
         n = micro_tag.num_nodes
-        embeddings = SageEmbeddings(
-            pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
-            pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+        pass1, pass2 = (rng.normal(0, 0.5, (n, 8)).astype(dtype)
+                        for _ in range(2))
         config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
                            seq_len=8, baseline=baseline)
         start = config.first_adapted_layer(4)
@@ -563,10 +559,9 @@ class TestFrozenPrefix:
         x, states = node_features(backbone, ids, mask, start)
         assert np.array_equal(states, prefix_states(
             backbone, embed(backbone, ids), mask, 0, start))
-        tokens = Phase2Inputs.from_tokens(micro_tag, backbone, ids, mask)
+        tokens = token_inputs(micro_tag, backbone, ids, mask, pass1, pass2)
         cached = dataclasses.replace(tokens, states=states, layer=start)
-        assembly = Phase2Assembly(backbone, embeddings,
-                                  micro_tag.num_classes, config, seed=0)
+        assembly = Phase2Assembly(backbone, tokens, config, seed=0)
         # Move the zero-initialized up-projections off the identity point.
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
@@ -575,8 +570,8 @@ class TestFrozenPrefix:
             full = reference_encode(backbone, ids[batch], mask[batch],
                                     adapters=assembly.adapters,
                                     node_embeddings={
-                                        "pass1": embeddings.pass1[batch],
-                                        "pass2": embeddings.pass2[batch]},
+                                        "pass1": pass1[batch],
+                                        "pass2": pass2[batch]},
                                     lora=assembly.lora)
             reference = np.asarray(ad.linear(
                 reference_pool_states(full, mask[batch], pooling),
@@ -640,24 +635,22 @@ class TestRaggedLengths:
             dim=16, heads=2, layers=4, mlp_width=32, max_tokens=32, seed=0,
             precision=PRECISION[dtype], pooling=pooling), vocab.size)
         rng = np.random.default_rng(0)
-        embeddings = SageEmbeddings(
-            pass1=rng.normal(0, 0.5, (n, 8)).astype(dtype),
-            pass2=rng.normal(0, 0.5, (n, 8)).astype(dtype))
+        pass1, pass2 = (rng.normal(0, 0.5, (n, 8)).astype(dtype)
+                        for _ in range(2))
         config = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,),
                            seq_len=seq_len, baseline=baseline)
-        assembly = Phase2Assembly(backbone, embeddings, graph.num_classes,
-                                  config, seed=0)
+        ids, mask = tokenize_graph(graph, vocab, "", seq_len)
+        tokens = token_inputs(graph, backbone, ids, mask, pass1, pass2)
+        assembly = Phase2Assembly(backbone, tokens, config, seed=0)
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
-        ids, mask = tokenize_graph(graph, vocab, "", seq_len)
         lengths = mask.sum(axis=1)
         assert lengths.min() == 2 and lengths.max() == width
         assert ids.shape == (n, width)
         # The untrimmed oracle runs on the same rows padded to seq_len.
         full_ids, full_mask = pad_columns(ids, mask, seq_len)
         start = config.first_adapted_layer(4)
-        inputs = Phase2Inputs.from_tokens(graph, backbone, ids,
-                                          mask).at_layer(backbone, start)
+        inputs = tokens.at_layer(backbone, start)
         assert inputs.mask.shape == (n, width)
         assert inputs.states.shape == (n, width, 16)
         # Phase 1's prefix states are the ones phase 2 runs from.
@@ -669,8 +662,7 @@ class TestRaggedLengths:
             full = reference_encode(backbone, full_ids, full_mask,
                                     adapters=assembly.adapters,
                                     node_embeddings={
-                                        "pass1": embeddings.pass1,
-                                        "pass2": embeddings.pass2},
+                                        "pass1": pass1, "pass2": pass2},
                                     lora=assembly.lora)
             reference = np.asarray(ad.linear(
                 reference_pool_states(full, full_mask, pooling),

@@ -310,15 +310,16 @@ class TestAudit:
     def test_analytic_audit_matches_registry_walk(self):
         from sagefuse.sage import SageModel
         from sagefuse.textenc import EncoderBackbone
-        from sagefuse.trainer import Phase2Assembly, RunConfig
-        from sagefuse.sage import SageEmbeddings
+        from sagefuse.trainer import Phase2Assembly, Phase2Inputs, RunConfig
         cfg = BackboneConfig(dim=16, heads=2, layers=4, mlp_width=32,
                              max_tokens=8, precision="f64")
         backbone = EncoderBackbone(cfg, vocab_size=50)
-        emb = SageEmbeddings(pass1=np.zeros((10, 8)), pass2=np.zeros((10, 8)))
+        inputs = Phase2Inputs(
+            labels=np.zeros(10, np.int64), split=None, num_classes=3,
+            mask=np.ones((10, 8)), states=np.zeros((10, 8, 16)), layer=0,
+            pass1=np.zeros((10, 8)), pass2=np.zeros((10, 8)))
         run = RunConfig(rank=2, pass1_layers=(1,), pass2_layers=(3,))
-        assembly = Phase2Assembly(backbone, emb, num_classes=3, config=run,
-                                  seed=0)
+        assembly = Phase2Assembly(backbone, inputs, config=run, seed=0)
         gnn = SageModel(in_dim=16, embed_dim=8, hidden=6, num_classes=3)
         walked = audit_parameters(
             [("gnn", p) for p in gnn.parameters()] + assembly.registry(),

@@ -8,9 +8,9 @@ from sagefuse import autodiff as ad
 from sagefuse import sage
 from sagefuse.metrics import split_metric
 from sagefuse.optim import AdamW
-from sagefuse.sage import (SageModel, SageConfig, SageEmbeddings,
-                           forward_embeddings, mean_aggregation_matrix,
-                           neighbor_concat, sage_pass, train_phase1)
+from sagefuse.sage import (SageModel, SageConfig, forward_embeddings,
+                           mean_aggregation_matrix, neighbor_concat,
+                           sage_pass, train_phase1)
 from sagefuse.tag import (GeneratorParams, SplitSpec, csr_adjacency,
                           generate_synthetic_tag, stratified_split)
 
@@ -191,8 +191,8 @@ class TestTrainPhase1:
                                            mean_aggregation_matrix(g))
         init_p1, init_p2 = np.asarray(p1).copy(), np.asarray(p2).copy()
         result = train_phase1(model, x, g, SageConfig(epochs=0))
-        assert np.array_equal(result.embeddings.pass1, init_p1)
-        assert np.array_equal(result.embeddings.pass2, init_p2)
+        assert np.array_equal(result.pass1, init_p1)
+        assert np.array_equal(result.pass2, init_p2)
         assert result.best_epoch == 0
 
     def test_separable_features_reach_high_train_accuracy(self):
@@ -285,8 +285,7 @@ def reference_train_phase1(model, x, graph, config):
     restore(model.parameters(), best[2])
     with ad.no_grad():
         pass1, pass2 = forward_from_features(model, x, agg)
-    embeddings = SageEmbeddings(pass1=np.asarray(pass1),
-                                pass2=np.asarray(pass2))
+    embeddings = {"pass1": np.asarray(pass1), "pass2": np.asarray(pass2)}
     return embeddings, best[1], float(best[0]), loss_trace, val_trace
 
 
@@ -315,9 +314,9 @@ class TestOneForwardPerEpoch:
         assert result.best_epoch == best_epoch
         assert result.val_metric == val_metric
         for name in ("pass1", "pass2"):
-            got = getattr(result.embeddings, name)
+            got = getattr(result, name)
             assert got.dtype == dtype
-            assert got.tobytes() == getattr(emb, name).tobytes()
+            assert got.tobytes() == emb[name].tobytes()
         for p, q in zip(new_model.parameters(), ref_model.parameters()):
             assert p.value.tobytes() == q.value.tobytes(), p.name
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 
 from conftest import (audit_parameters, backbone_arrays, backbone_size,
                       grad_check, make_graph, neighbors, random_graph,
-                      restore, snapshot)
+                      restore, snapshot, token_inputs)
 from sagefuse import autodiff as ad
 from sagefuse import pipeline, trainer
 from sagefuse.config import ConfigError, ExperimentConfig
 from sagefuse.metrics import MetricError
 from sagefuse.optim import AdamW, fit
-from sagefuse.sage import SageConfig, SageEmbeddings, SageModel
+from sagefuse.sage import SageConfig, SageModel
 from sagefuse.tag import SplitSpec, stratified_split
 from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
                               tokenize_graph)
@@ -28,15 +29,16 @@ class Setup:
     graph: object
     vocab: object
     backbone: object
-    embeddings: object
+    pass1: object
+    pass2: object
     ids: object
     mask: object
     config: RunConfig
 
     @property
     def inputs(self):
-        return Phase2Inputs.from_tokens(self.graph, self.backbone, self.ids,
-                                        self.mask)
+        return token_inputs(self.graph, self.backbone, self.ids, self.mask,
+                            self.pass1, self.pass2)
 
 
 def _setup(num_classes=3, n=48, seed=0, precision="f64", pooling="mean",
@@ -58,13 +60,12 @@ def _setup(num_classes=3, n=48, seed=0, precision="f64", pooling="mean",
     pass1, pass2 = ((emb_rng.normal(0, 0.5, (n, g))
                      + np.eye(num_classes, g)[labels] * 2.0)
                     .astype(backbone.config.dtype) for _ in range(2))
-    embeddings = SageEmbeddings(pass1=pass1, pass2=pass2)
     kwargs = dict(epochs=1, patience=2, seeds=(0,), seq_len=8, rank=2,
                   pass1_layers=(1,), pass2_layers=(3,), batch_size=16)
     kwargs.update(config_overrides)
     config = RunConfig(**kwargs)
     ids, mask = tokenize_graph(graph, vocab, config.prompt, config.seq_len)
-    return Setup(graph, vocab, backbone, embeddings, ids, mask, config)
+    return Setup(graph, vocab, backbone, pass1, pass2, ids, mask, config)
 
 
 @pytest.fixture(scope="module")
@@ -148,40 +149,36 @@ class TestPhase2Training:
             self, setup):
         cfg = dataclasses.replace(setup.config, epochs=0)
         backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
-        emb_before = (setup.embeddings.pass1.copy(),
-                      setup.embeddings.pass2.copy())
-        result = run_phase2_seed(setup.backbone, setup.embeddings,
-                                 setup.inputs, cfg, seed=0)
+        emb_before = (setup.pass1.copy(), setup.pass2.copy())
+        result = run_phase2_seed(setup.backbone, setup.inputs, cfg, seed=0)
         assert 0.0 <= result.test_metric <= 1.0
         assert result.best_epoch == 0
         assert result.loss_trace == []
         for a, before in zip(backbone_arrays(setup.backbone),
                              backbone_before):
             assert np.array_equal(a, before)
-        assert np.array_equal(setup.embeddings.pass1, emb_before[0])
-        assert np.array_equal(setup.embeddings.pass2, emb_before[1])
+        assert np.array_equal(setup.pass1, emb_before[0])
+        assert np.array_equal(setup.pass2, emb_before[1])
 
     def test_frozen_tensors_unchanged_after_training(self, setup):
         backbone_before = [a.copy() for a in backbone_arrays(setup.backbone)]
-        run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
-                        setup.config, seed=0)
+        run_phase2_seed(setup.backbone, setup.inputs, setup.config, seed=0)
         for a, before in zip(backbone_arrays(setup.backbone),
                              backbone_before):
             assert np.array_equal(a, before)
 
     def test_deterministic_per_seed(self, setup):
-        a = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
-                            setup.config, seed=3)
-        b = run_phase2_seed(setup.backbone, setup.embeddings, setup.inputs,
-                            setup.config, seed=3)
+        a = run_phase2_seed(setup.backbone, setup.inputs, setup.config,
+                            seed=3)
+        b = run_phase2_seed(setup.backbone, setup.inputs, setup.config,
+                            seed=3)
         assert a.loss_trace == b.loss_trace
         assert a.val_trace == b.val_trace
         assert a.test_metric == b.test_metric
 
     def test_text_only_baseline_reports_finite_metric(self, setup):
         cfg = dataclasses.replace(setup.config, baseline="text_only")
-        report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
-                              cfg)
+        report = train_phase2(setup.backbone, setup.inputs, cfg)
         assert report.baseline == "text_only"
         assert np.isfinite(report.metric_mean)
 
@@ -197,7 +194,7 @@ class TestPhase2Training:
         assert at_prefix.layer == (4 if baseline == "text_only" else 1)
         assert at_prefix.at_layer(setup.backbone, at_prefix.layer) is \
             at_prefix
-        reports = [train_phase2(setup.backbone, setup.embeddings, inputs, cfg)
+        reports = [train_phase2(setup.backbone, inputs, cfg)
                    for inputs in (tokens, at_prefix)]
         assert reports[0].as_dict() == \
             reports[1].as_dict()
@@ -209,8 +206,7 @@ class TestPhase2Training:
         {"pass1_layers": (0, 1), "pass2_layers": (2, 3)}])
     def test_report_audit_equals_the_registry_walk(self, setup, overrides):
         cfg = dataclasses.replace(setup.config, **overrides)
-        probe = Phase2Assembly(setup.backbone, setup.embeddings,
-                               setup.graph.num_classes, cfg, seed=0)
+        probe = Phase2Assembly(setup.backbone, setup.inputs, cfg, seed=0)
         gnn = SageModel(in_dim=16, embed_dim=8, hidden=6, num_classes=3)
         walked = audit_parameters(
             [("gnn", p) for p in gnn.parameters()] + probe.registry(),
@@ -227,8 +223,7 @@ class TestPhase2Training:
 
     def test_shared_tying_lists_each_parameter_once(self, setup):
         cfg = dataclasses.replace(setup.config, tying="shared")
-        assembly = Phase2Assembly(setup.backbone, setup.embeddings,
-                                  setup.graph.num_classes, cfg, seed=0)
+        assembly = Phase2Assembly(setup.backbone, setup.inputs, cfg, seed=0)
         assert assembly.adapters[1].w_c is assembly.lora[1]["o"].b
         params = assembly.trainable_parameters()
         assert len({id(p) for p in params}) == len(params)
@@ -240,24 +235,24 @@ class TestPhase2Training:
             "head.w", "head.b"]
 
     def test_report_serializes_without_wall_clock(self, setup):
-        report = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
-                              setup.config)
+        report = train_phase2(setup.backbone, setup.inputs, setup.config)
         d = report.as_dict()
         assert "wall_clock_sec" not in d
         assert d["audit"] is None  # `run_phase2` audits the report it writes
         assert d["metric_name"] == "accuracy"
 
     def test_evaluate_rejects_empty_split(self, setup):
-        assembly = Phase2Assembly(setup.backbone, setup.embeddings,
-                                  setup.graph.num_classes, setup.config, 0)
+        assembly = Phase2Assembly(setup.backbone, setup.inputs, setup.config,
+                                  0)
         bare = make_graph({0: [1], 1: [0]}, labels=[0, 1])
         with pytest.raises(MetricError, match="split 'val' is empty"):
-            evaluate(assembly, Phase2Inputs.from_tokens(
-                bare, setup.backbone, setup.ids, setup.mask), "val")
+            evaluate(assembly, token_inputs(
+                bare, setup.backbone, setup.ids, setup.mask, setup.pass1,
+                setup.pass2), "val")
 
     def test_gate_receives_nonzero_gradient_on_task_loss(self, setup):
-        assembly = Phase2Assembly(setup.backbone, setup.embeddings,
-                                  setup.graph.num_classes, setup.config, 0)
+        assembly = Phase2Assembly(setup.backbone, setup.inputs, setup.config,
+                                  0)
         rng = np.random.default_rng(2)
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
@@ -274,17 +269,15 @@ class TestPhase2Training:
         states = inputs.states.copy()
         states[inputs.split_ids("train")[0]] = np.nan
         with pytest.raises(ad.NumericsError, match="cross_entropy"):
-            run_phase2_seed(setup.backbone, setup.embeddings,
+            run_phase2_seed(setup.backbone,
                             dataclasses.replace(inputs, states=states),
                             setup.config, seed=0)
 
 
-def reference_run_phase2_seed(backbone, embeddings, inputs, config, seed):
+def reference_run_phase2_seed(backbone, inputs, config, seed):
     """The phase-2 loop as it was written out before both phases shared
     `optim.fit`: (test metric, best epoch, loss trace, val trace, assembly)."""
-    embeddings.validate(inputs)
-    assembly = Phase2Assembly(backbone, embeddings, inputs.num_classes,
-                              config, seed)
+    assembly = Phase2Assembly(backbone, inputs, config, seed)
     params = assembly.trainable_parameters()
     labels = inputs.labels
     train_idx = inputs.split_ids("train")
@@ -330,10 +323,8 @@ class TestSharedLoop:
         s = _setup(precision=precision, epochs=epochs, patience=patience,
                    lr=0.05)
         test, best_epoch, loss_trace, val_trace, ref = \
-            reference_run_phase2_seed(s.backbone, s.embeddings, s.inputs,
-                                      s.config, seed=0)
-        result = run_phase2_seed(s.backbone, s.embeddings, s.inputs,
-                                 s.config, seed=0)
+            reference_run_phase2_seed(s.backbone, s.inputs, s.config, seed=0)
+        result = run_phase2_seed(s.backbone, s.inputs, s.config, seed=0)
         if epochs:
             assert 0 < best_epoch and len(loss_trace) < epochs  # stops early
         assert result.loss_trace == loss_trace
@@ -353,8 +344,7 @@ class TestSharedLoop:
         batch = inputs.split_ids("train")[:16]
 
         def fit_peak(steps):
-            assembly = Phase2Assembly(setup.backbone, setup.embeddings,
-                                      inputs.num_classes, setup.config, 0)
+            assembly = Phase2Assembly(setup.backbone, inputs, setup.config, 0)
 
             def epoch_losses(epoch):
                 for _ in range(steps):
@@ -384,8 +374,7 @@ class TestEvalPieces:
         # and 22), or one of 150 rows (pieces 64 + 64 + 22).
         s = _setup(n=150, precision=precision, pooling=pooling)
         inputs = s.inputs
-        assembly = Phase2Assembly(s.backbone, s.embeddings,
-                                  inputs.num_classes, s.config, seed=0)
+        assembly = Phase2Assembly(s.backbone, inputs, s.config, seed=0)
         rng = np.random.default_rng(0)
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
@@ -416,10 +405,10 @@ def test_forward_keeps_only_what_backward_reads():
     inputs = Phase2Inputs(
         labels=np.arange(n) % c, split=np.zeros(n, np.int8), num_classes=c,
         mask=np.ones((n, t)), layer=1,
-        states=rng.normal(0, 1, (n, t, d)).astype(np.float32))
-    embeddings = SageEmbeddings(
-        *(rng.normal(0, 1, (n, g)).astype(np.float32) for _ in range(2)))
-    assembly = Phase2Assembly(backbone, embeddings, c, config, seed=0)
+        states=rng.normal(0, 1, (n, t, d)).astype(np.float32),
+        pass1=rng.normal(0, 1, (n, g)).astype(np.float32),
+        pass2=rng.normal(0, 1, (n, g)).astype(np.float32))
+    assembly = Phase2Assembly(backbone, inputs, config, seed=0)
     batch = np.arange(b)
 
     tracemalloc.start()
@@ -455,14 +444,14 @@ def test_forward_keeps_only_what_backward_reads():
 
 class TestAblations:
     def test_rank_table_has_strictly_increasing_counts(self, setup):
-        rows = rank_ablation(setup.backbone, setup.embeddings, setup.inputs,
-                             setup.config, ranks=(1, 2, 4))
+        rows = rank_ablation(setup.backbone, setup.inputs, setup.config,
+                             ranks=(1, 2, 4))
         assert [r["rank"] for r in rows] == [1, 2, 4]
         counts = [r["trainable_params"] for r in rows]
         assert counts == sorted(counts) and len(set(counts)) == 3
         for row in rows:
             probe = Phase2Assembly(
-                setup.backbone, setup.embeddings, setup.graph.num_classes,
+                setup.backbone, setup.inputs,
                 dataclasses.replace(setup.config, rank=row["rank"]), seed=0)
             assert row["trainable_params"] == \
                 sum(p.size for p in probe.trainable_parameters())
@@ -481,41 +470,40 @@ class TestAblations:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "prefix_states", spy)
-        rank_ablation(setup.backbone, setup.embeddings, tokens, setup.config,
-                      ranks=(1, 2, 4))
+        rank_ablation(setup.backbone, tokens, setup.config, ranks=(1, 2, 4))
         assert calls == [layer]
         calls.clear()
-        rank_ablation(setup.backbone, setup.embeddings, at_prefix,
-                      setup.config, ranks=(1, 2, 4))
+        rank_ablation(setup.backbone, at_prefix, setup.config,
+                      ranks=(1, 2, 4))
         assert calls == []
 
     def test_rank_zero_rejected(self, setup):
-        with pytest.raises(ConfigError, match="ranks must all be >= 1"):
-            rank_ablation(setup.backbone, setup.embeddings, setup.inputs,
-                          setup.config, ranks=(0,))
+        with pytest.raises(ConfigError, match=re.escape(
+                "[fusion] rank must lie in [1, inf), got 0")):
+            rank_ablation(setup.backbone, setup.inputs, setup.config,
+                          ranks=(0,))
 
     def test_single_empty_prompt_equals_base_run(self, setup):
-        base = train_phase2(setup.backbone, setup.embeddings, setup.inputs,
-                            setup.config)
-        rows = prompt_ablation(setup.backbone, setup.embeddings, setup.graph,
+        base = train_phase2(setup.backbone, setup.inputs, setup.config)
+        rows = prompt_ablation(setup.backbone, setup.inputs, setup.graph,
                                setup.vocab, setup.config, prompts=[""])
         assert rows[0]["metric_mean"] == base.metric_mean
 
     def test_two_prompts_two_ordered_rows(self, setup):
-        rows = prompt_ablation(setup.backbone, setup.embeddings, setup.graph,
+        rows = prompt_ablation(setup.backbone, setup.inputs, setup.graph,
                                setup.vocab, setup.config,
                                prompts=["classify:", ""])
         assert [r["prompt"] for r in rows] == ["classify:", ""]
 
     def test_empty_prompt_list_rejected(self, setup):
         with pytest.raises(ConfigError):
-            prompt_ablation(setup.backbone, setup.embeddings, setup.graph,
+            prompt_ablation(setup.backbone, setup.inputs, setup.graph,
                             setup.vocab, setup.config, prompts=[])
 
 
 def test_assembly_gradients_match_finite_differences(setup):
-    assembly = Phase2Assembly(setup.backbone, setup.embeddings,
-                              setup.graph.num_classes, setup.config, seed=0)
+    assembly = Phase2Assembly(setup.backbone, setup.inputs, setup.config,
+                              seed=0)
     rng = np.random.default_rng(0)
     # Randomize the zero-initialized factors so the check exercises every
     # parameter's gradient path, not just the identity point.
