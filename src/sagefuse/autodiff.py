@@ -7,8 +7,8 @@ gradient summed into it so far. The op's value lives apart, in the `Node`
 the op returns. Children link to their parents' records, never to their
 Nodes, so a value lives only while the caller holds its Node or while a
 closure reads it. A closure holds only what its gradient reads: an
-operand's shape where that is all the gradient needs, `relu`'s bool mask
-in place of its input, and nothing for a constant operand, which gets no
+operand's shape where that is all the gradient needs, a ReLU's bool mask
+in place of its output, and nothing for a constant operand, which gets no
 closure at all. `backward` walks the records in reverse topological order
 and accumulates gradients into the `Parameter` leaves.
 
@@ -323,16 +323,6 @@ def sum_(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def relu(a):
-    a = lift(a)
-    va = val(a)
-    out = np.maximum(va, 0)
-    if not isinstance(a, Node):
-        return out
-    mask = va > 0
-    return _node(out, [(a, lambda g: g * mask)])
-
-
 def sigmoid(a):
     a = lift(a)
     s = 1.0 / (1.0 + np.exp(-val(a)))
@@ -345,12 +335,12 @@ def layernorm(x, gamma, beta, eps=1e-5):
     vx, vg, vb = val(x), val(gamma), val(beta)
     if vx.shape[-1] != vg.shape[-1]:
         raise ShapeError("layernorm", vx.shape, vg.shape)
-    mu = vx.mean(axis=-1, keepdims=True)
-    var = vx.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (vx - mu) * inv
-    out = vg * xhat + vb
     d = vx.shape[-1]
+    # One centering pass: `np.var` would compute the mean and x - μ again.
+    xhat = vx - vx.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = vg * xhat + vb
     sg, sb = vg.shape, vb.shape
 
     def gx(g):
@@ -454,20 +444,26 @@ def cross_entropy(logits, labels):
     return _node(np.asarray(out), [(logits, ga)])
 
 
-def linear(x, w, b=None):
-    """x @ w.T (+ b) as one op; weights stored as (d_out, d_in).
+def linear(x, w, b=None, relu=False):
+    """x @ w.T (+ b), then with `relu` max(·, 0), as one op; weights stored
+    as (d_out, d_in).
 
-    The bias is added in place to the product: one node and one output
-    array, where a product node and an add node would hold two. Only a
-    trainable weight's gradient reads x, so under a frozen weight the op
-    keeps no array of x.
+    The bias is added, and the ReLU applied, in place to the product: one
+    node and one output array, where a product node, an add node and a
+    ReLU node would hold three. A 3-D input is multiplied by a C-contiguous
+    copy of w.T: numpy makes one BLAS call per batch row, and at the
+    encoder's widths those run up to twice as fast on a contiguous operand.
+    A 2-D input keeps the strided view, which keeps the bits of the
+    GraphSAGE layers and the heads. Only a trainable weight's gradient
+    reads x, so under a frozen weight the op keeps no array of x, and the
+    ReLU keeps only its bool mask.
     """
     x, w = lift(x), lift(w)
     vx, vw = val(x), val(w)
     if vw.ndim < 2 or vx.shape[-1] != vw.shape[-1]:
         raise ShapeError("linear", vx.shape, vw.shape)
     wt = np.swapaxes(vw, -1, -2)
-    out = vx @ wt
+    out = vx @ (np.ascontiguousarray(wt) if vx.ndim > 2 else wt)
     sx = vx.shape
     live = [(x, lambda g: _unbroadcast(g @ vw, sx))]
     if isinstance(w, Node):
@@ -480,4 +476,11 @@ def linear(x, w, b=None):
         out += vb
         sb = vb.shape
         live.append((b, lambda g: _unbroadcast(g, sb)))
-    return _node(out, live)
+    if relu:
+        np.maximum(out, 0, out=out)
+    node = _node(out, live)
+    if relu and isinstance(node, Node):
+        # The ReLU's gradient, once, ahead of every operand's.
+        mask, grads = out > 0, node.record.backward
+        node.record.backward = lambda g: grads(g * mask)
+    return node

@@ -287,11 +287,14 @@ def _read_node_table(cfg):
 
 
 def _load_shaped(path, shape, dtype):
-    """The GTSR array in `path`; PipelineError unless it has `shape`."""
+    """The GTSR array in `path`; PipelineError unless it has `shape` and
+    only finite entries."""
     array = load_tensor(path, dtype=dtype)
     if array.shape != shape:
         raise PipelineError(f"{path}: shape {array.shape}, expected "
                             f"{shape}; re-run phase1")
+    if not np.isfinite(array).all():
+        raise PipelineError(f"{path}: non-finite entries; re-run phase1")
     return array
 
 
@@ -300,11 +303,11 @@ def load_phase1(cfg):
     (vocabulary, backbone, `Phase2Inputs`). The node table comes first, so a
     changed data file or key setting is named as such before any other
     file is read; `pass1.gtsr` and `pass2.gtsr` must be finite and (nodes,
-    `[sage] embed_dim`). The states are `prefix.gtsr`'s, at the layer they
-    were saved at, so the dataset is not parsed or tokenized. Only an arm
-    adapting a layer below that one (after a `text_only` phase 1, or a
-    placement moved down) reads the dataset, tokenizes it and starts at the
-    embedding output."""
+    `[sage] embed_dim`). The states are `prefix.gtsr`'s, finite and at the
+    layer they were saved at, so the dataset is not parsed or tokenized.
+    Only an arm adapting a layer below that one (after a `text_only` phase
+    1, or a placement moved down) reads the dataset, tokenizes it and
+    starts at the embedding output."""
     out = phase1_dir(cfg)
     for name in ("vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
                  "pass2.gtsr"):
@@ -324,10 +327,6 @@ def load_phase1(cfg):
     shape = (len(table["labels"]), cfg.sage.embed_dim)
     pass1, pass2 = (_load_shaped(out / f"{name}.gtsr", shape, b.dtype)
                     for name in ("pass1", "pass2"))
-    for name, array in (("pass1", pass1), ("pass2", pass2)):
-        if not np.isfinite(array).all():
-            raise PipelineError(f"{out / name}.gtsr: non-finite entries; "
-                                "re-run phase1")
     backbone = EncoderBackbone(b, vocab.size)
     lengths = table["lengths"]
     width = int(lengths.max())

@@ -58,7 +58,7 @@ class SageModel:
                 self.cls_w1, self.cls_b1, self.cls_w2, self.cls_b2]
 
     def classify(self, embeddings):
-        h = ad.relu(ad.linear(embeddings, self.cls_w1, self.cls_b1))
+        h = ad.linear(embeddings, self.cls_w1, self.cls_b1, relu=True)
         return ad.linear(h, self.cls_w2, self.cls_b2)
 
 
@@ -86,7 +86,7 @@ def sage_pass(x, agg, w, b):
     k = ad.val(x).shape[-1]
     if ad.val(w).shape[-1] != 2 * k:
         raise ad.ShapeError("sage_pass", ad.val(w).shape, (..., 2 * k))
-    return ad.relu(ad.linear(neighbor_concat(x, agg), w, b))
+    return ad.linear(neighbor_concat(x, agg), w, b, relu=True)
 
 
 def forward_embeddings(model, first_hop, agg):
@@ -94,7 +94,7 @@ def forward_embeddings(model, first_hop, agg):
     `mean_aggregation_matrix` `agg`, the second pass consuming the first
     pass's states. `first_hop` is `neighbor_concat(x, agg)` of the node
     features `x`: they are constant, so one array serves every epoch."""
-    pass1 = ad.relu(ad.linear(first_hop, model.w0, model.b0))
+    pass1 = ad.linear(first_hop, model.w0, model.b0, relu=True)
     pass2 = sage_pass(pass1, agg, model.w1, model.b1)
     return pass1, pass2
 

@@ -251,7 +251,7 @@ def encode(backbone, states, mask, start=0, stop=None, adapters=None,
         att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (bsz, seq, cfg.dim))
         x = ad.add(x, _proj(att, blk["o"], blk["o_b"], pairs.get("o")))
         h = ad.layernorm(x, blk["ln2_g"], blk["ln2_b"])
-        h = ad.linear(ad.relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
+        h = ad.linear(ad.linear(h, blk["mlp1"], blk["mlp1_b"], relu=True),
                       blk["mlp2"], blk["mlp2_b"])
         x = ad.add(x, h)
     return x

@@ -101,16 +101,19 @@ def backbone_size(backbone):
     return sum(a.size for a in backbone_arrays(backbone))
 
 
-# A general batched matmul and the last-two-axes transpose, as the package
-# defined them before every product became one `ad.linear`. The parent-op
-# oracles build their reference chains from these.
+# A general batched matmul, the last-two-axes transpose and ReLU, as the
+# package defined them before every product became one `ad.linear` and the
+# ReLU moved into it. The parent-op oracles build their reference chains
+# from these.
 
-def matmul(a, b):
+def matmul(a, b, contiguous=False):
+    """a @ b; with `contiguous` the product reads a C-contiguous copy of b,
+    while the gradients read b as it is."""
     a, b = ad.lift(a), ad.lift(b)
     va, vb = ad.val(a), ad.val(b)
     if vb.ndim < 2 or va.shape[-1] != vb.shape[-2]:
         raise ShapeError("matmul", va.shape, vb.shape)
-    out = va @ vb
+    out = va @ (np.ascontiguousarray(vb) if contiguous else vb)
 
     def ga(g):
         return ad._unbroadcast(g @ np.swapaxes(vb, -1, -2), va.shape)
@@ -126,6 +129,24 @@ def transpose_last(a):
     nd = ad.val(a).ndim
     axes = list(range(nd - 2)) + [nd - 1, nd - 2]
     return ad.transpose(a, axes)
+
+
+def matmul_transposed(a, w):
+    """a @ w.T as a matmul by the transposed view of w. For a 3-D `a` the
+    product reads a C-contiguous copy of that view, as `ad.linear`'s does."""
+    a = ad.lift(a)
+    return matmul(a, transpose_last(ad.lift(w)),
+                  contiguous=ad.val(a).ndim > 2)
+
+
+def relu(a):
+    a = ad.lift(a)
+    va = ad.val(a)
+    out = np.maximum(va, 0)
+    if not isinstance(a, ad.Node):
+        return out
+    mask = va > 0
+    return ad._node(out, [(a, lambda g: g * mask)])
 
 
 # The generator as the package defined it before its edge stream was drawn

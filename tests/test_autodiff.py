@@ -5,15 +5,15 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import matmul, transpose_last
+from conftest import matmul, matmul_transposed, relu, transpose_last
 from sagefuse import autodiff as ad
 from sagefuse.autodiff import NumericsError, Parameter, ShapeError
 
 
 class TestForwardOps:
     def test_relu(self):
-        assert np.array_equal(np.asarray(ad.relu(np.array([-1.0, 0.0, 2.0]))),
-                              [0.0, 0.0, 2.0])
+        out = ad.linear(np.array([[-1.0, 0.0, 2.0]]), np.eye(3), relu=True)
+        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_attention_single_token_returns_value_row(self):
         # Softmax over a singleton is 1, so the output is exactly V.
@@ -156,7 +156,7 @@ class TestBackward:
         # `hidden` is read by v's gradient, `scaled` by no closure.
         w = Parameter(np.ones((3, 4)), name="w")
         v = Parameter(np.full(4, 2.0), name="v")
-        hidden = ad.relu(matmul(np.ones((5, 3)), w))
+        hidden = relu(matmul(np.ones((5, 3)), w))
         scaled = ad.mul(hidden, v)
         read, unread = weakref.ref(ad.val(hidden)), weakref.ref(ad.val(scaled))
         loss = ad.sum_(scaled)
@@ -225,7 +225,6 @@ _DTYPE_OPS = {
     "gather_rows": lambda x: ad.gather_rows(x, [0, 2, 2]),
     "sum_": lambda x: ad.sum_(x, axis=0),
     "mean_": lambda x: mean_(x, axis=1),
-    "relu": ad.relu,
     "sigmoid": ad.sigmoid,
     "layernorm": lambda x: ad.layernorm(
         x, np.ones(4, ad.val(x).dtype), np.zeros(4, ad.val(x).dtype)),
@@ -234,6 +233,7 @@ _DTYPE_OPS = {
         x, x, x, mask_bias=np.zeros((1, 4), ad.val(x).dtype)),
     "cross_entropy": lambda x: ad.cross_entropy(x, [0, 1, 2, 3]),
     "linear": lambda x: ad.linear(x, x, ad.val(x)[0]),
+    "linear_relu": lambda x: ad.linear(x, x, ad.val(x)[0], relu=True),
 }
 
 
@@ -256,6 +256,10 @@ def test_op_keeps_input_dtype_forward_and_backward(op, dtype):
 # still alive must be exactly the listed ones, and `backward` must release
 # them all.
 
+def _linear_relu(x, w, b):
+    return ad.linear(x, w, b, relu=True)
+
+
 _RETENTION = {
     "add": ([("a", "node", (3, 4)), ("b", "node", (4,))], ad.add, ()),
     "sub": ([("a", "node", (3, 4)), ("b", "node", (3, 4))], ad.sub, ()),
@@ -273,7 +277,6 @@ _RETENTION = {
     "gather_rows": ([("a", "node", (3, 4))],
                     lambda a: ad.gather_rows(a, [0, 2, 2]), ()),
     "sum_": ([("a", "node", (3, 4))], lambda a: ad.sum_(a, axis=0), ()),
-    "relu": ([("a", "node", (3, 4))], ad.relu, ()),
     "sigmoid": ([("a", "node", (3, 4))], ad.sigmoid, ("out",)),
     "layernorm": ([("x", "node", (3, 4)), ("g", "const", (4,)),
                    ("b", "const", (4,))], ad.layernorm, ("g",)),
@@ -293,6 +296,11 @@ _RETENTION = {
                           ("b", "node", (5,))], ad.linear, ("x", "w")),
     "linear_constant_input": ([("x", "const", (3, 4)),
                                ("w", "node", (5, 4))], ad.linear, ("x",)),
+    "linear_relu_frozen": ([("x", "node", (2, 3, 4)), ("w", "const", (5, 4)),
+                            ("b", "const", (5,))], _linear_relu, ("w",)),
+    "linear_relu_trainable": ([("x", "node", (2, 3, 4)), ("w", "node", (5, 4)),
+                               ("b", "node", (5,))], _linear_relu,
+                              ("x", "w")),
 }
 
 
@@ -357,10 +365,41 @@ def reference_attention(q, k, v, mask_bias=None):
 
 
 def reference_linear(x, w, b=None):
-    out = matmul(x, transpose_last(ad.lift(w)))
+    out = matmul_transposed(x, w)
     if b is not None:
         out = ad.add(out, b)
     return out
+
+
+def reference_layernorm(x, gamma, beta, eps=1e-5):
+    """`ad.layernorm` as it stood with `np.var`, which computes the mean and
+    x - μ a second time."""
+    x, gamma, beta = ad.lift(x), ad.lift(gamma), ad.lift(beta)
+    vx, vg, vb = ad.val(x), ad.val(gamma), ad.val(beta)
+    mu = vx.mean(axis=-1, keepdims=True)
+    var = vx.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (vx - mu) * inv
+    out = vg * xhat + vb
+    d = vx.shape[-1]
+    sg, sb = vg.shape, vb.shape
+
+    def gx(g):
+        gh = g * vg
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
+
+    def ggamma(g):
+        return ad._unbroadcast(g * xhat, sg)
+
+    def gbeta(g):
+        return ad._unbroadcast(g, sb)
+
+    return ad._node(out, [(x, gx), (gamma, ggamma), (beta, gbeta)])
+
+
+def reference_linear_relu(x, w, b=None):
+    return relu(ad.linear(x, w, b))
 
 
 def _leaf(rng, shape, dtype, name, frozen=False):
@@ -451,3 +490,72 @@ class TestParentOpOracle:
         weight = rng.normal(0, 1, x_shape[:-1] + (32,)).astype(dtype)
         _assert_same_bits(ad.linear, reference_linear, trainable,
                           lambda: (ad.lift(x), w, b), weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(64, 17, 32), (64, 17, 64),
+                                         (64, 7, 16), (6, 32)])
+    def test_layernorm_matches_the_var_form(self, dtype, x_shape):
+        rng = np.random.default_rng(6)
+        d = x_shape[-1]
+        x = Parameter((rng.normal(0.5, 2, x_shape)).astype(dtype), name="x")
+        gamma = _leaf(rng, (d,), dtype, "gamma")
+        beta = _leaf(rng, (d,), dtype, "beta")
+        weight = rng.normal(0, 1, x_shape).astype(dtype)
+        _assert_same_bits(ad.layernorm, reference_layernorm, [x, gamma, beta],
+                          lambda: (ad.lift(x), gamma, beta), weight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("w_frozen", [False, True])
+    @pytest.mark.parametrize("bias", ["none", "frozen", "trainable"])
+    @pytest.mark.parametrize("x_shape", [(6, 32), (2, 8, 32)])
+    def test_linear_relu_matches_relu_over_linear(self, dtype, w_frozen, bias,
+                                                  x_shape):
+        rng = np.random.default_rng(7)
+        x = _leaf(rng, x_shape, dtype, "x")
+        w = _leaf(rng, (64, 32), dtype, "w", frozen=w_frozen)
+        b = None if bias == "none" else _leaf(rng, (64,), dtype, "b",
+                                              frozen=bias == "frozen")
+        trainable = [p for p in (x, w, b) if isinstance(p, Parameter)]
+        weight = rng.normal(0, 1, x_shape[:-1] + (64,)).astype(dtype)
+
+        def fused(x, w, b):
+            return ad.linear(x, w, b, relu=True)
+
+        _assert_same_bits(fused, reference_linear_relu, trainable,
+                          lambda: (ad.lift(x), w, b), weight)
+
+
+def test_linear_relu_closure_holds_only_the_mask():
+    # Beyond the closure of the product's own gradients, the ReLU keeps its
+    # bool mask and no float array: not the output, not the pre-ReLU sum.
+    x = ad.add(Parameter(np.ones((2, 3, 4)), name="x"), 0.0)
+    out = ad.linear(x, np.eye(5, 4) - 0.5, np.zeros(5), relu=True)
+    held = [c.cell_contents for c in out.record.backward.__closure__]
+    arrays = [h for h in held if isinstance(h, np.ndarray)]
+    assert len(held) == 2 and len(arrays) == 1
+    assert arrays[0].dtype == bool
+    assert np.array_equal(arrays[0], ad.val(out) > 0)
+
+
+# ---------------------------------------------------------------------------
+# A row's bits do not depend on the batch it sits in: `ENCODE_BATCH`'s
+# pieces and the ragged-length layouts rely on it. A 3-D `linear` runs one
+# product per batch row over a C-contiguous weight copy, so any run of rows
+# must give the bits those rows have in the full batch.
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu_", [False, True])
+@pytest.mark.parametrize("t, d_in, d_out", [
+    (17, 32, 32), (17, 64, 256), (17, 256, 64), (7, 16, 32), (17, 32, 4),
+    (17, 4, 32)])
+def test_linear_rows_independent_of_their_batch(dtype, relu_, t, d_in,
+                                                d_out):
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 1, (64, t, d_in)).astype(dtype)
+    w = rng.normal(0, 1, (d_out, d_in)).astype(dtype)
+    b = rng.normal(0, 1, d_out).astype(dtype)
+    full = ad.linear(x, w, b, relu=relu_)
+    for size in (1, 2, 5, 33):
+        for rows in (slice(0, size), slice(64 - size, 64)):
+            part = ad.linear(x[rows], w, b, relu=relu_)
+            assert part.tobytes() == full[rows].tobytes(), (size, rows)

@@ -1344,16 +1344,17 @@ class TestCorruptedArtifacts:
         assert err.startswith(f"error: {out / name}: ") and \
             message.format(width=width) in err
 
-    @pytest.mark.parametrize("name", ["pass1.gtsr", "pass2.gtsr"])
+    @pytest.mark.parametrize("name", ["pass1.gtsr", "pass2.gtsr",
+                                      "prefix.gtsr"])
     def test_non_finite_embeddings_exit_1(self, phase2_run, tmp_path, capsys,
                                           name):
-        """Refused at load by every command after phase 1, before it
-        writes anything."""
+        """The structural embeddings and the prefix states are refused at
+        load by every command after phase 1, before it writes anything."""
         out, cfg_path = _copy_run(phase2_run, tmp_path)
         path = out / "phase1" / name
-        embeddings = load_tensor(path)
-        embeddings[3, 1] = np.nan
-        save_tensor(path, embeddings)
+        array = load_tensor(path)
+        array[3, 1] = np.nan
+        save_tensor(path, array)
         before = _snapshot(out)
         capsys.readouterr()
         for command in AFTER_PHASE1:

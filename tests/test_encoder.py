@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (backbone_arrays, backbone_size, make_graph,
-                      pad_columns, token_inputs, tokenize)
+                      pad_columns, relu, token_inputs, tokenize)
 from sagefuse import autodiff as ad
 from sagefuse.config import ConfigError
 from sagefuse.optim import AdamW
@@ -392,7 +392,7 @@ def reference_encode(backbone, ids, mask, adapters=None, node_embeddings=None,
         x = ad.add(x, _reference_proj(att, blk["o"], blk["o_b"],
                                       pairs.get("o")))
         h = ad.layernorm(x, blk["ln2_g"], blk["ln2_b"])
-        h = ad.linear(ad.relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
+        h = ad.linear(relu(ad.linear(h, blk["mlp1"], blk["mlp1_b"])),
                       blk["mlp2"], blk["mlp2_b"])
         x = ad.add(x, h)
     if stop is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (CONFIG_DIR, GPT2_BACKBONE, audit_parameters,
-                      backbone_size, gpt2_audit, matmul, transpose_last)
+                      backbone_size, gpt2_audit, matmul_transposed)
 from sagefuse import autodiff as ad
 from sagefuse.config import ExperimentConfig
 from sagefuse.fusion import (LORA_TARGETS, FusionAdapter, LoraPair,
@@ -165,28 +165,29 @@ class TestLora:
 # ---------------------------------------------------------------------------
 # Bitwise oracle: `lora_apply` and `fusion_apply` as they stood before every
 # product became one `ad.linear`, each projection a matmul by the
-# transposed view of its weight. The new forms must give the same forward
-# bits and the same bits in every gradient. A width of 32 and a rank of 16
+# transposed view of its weight, read C-contiguous on a 3-D input as
+# `ad.linear` reads it. The new forms must give the same forward bits and
+# the same bits in every gradient. A width of 32 and a rank of 16
 # are used because there numpy's matmul bits depend on operand strides (at
 # rank 4 they do not, and a change of layout would go unseen).
 
 def reference_lora_apply(pair, frozen_w, x, bias=None):
     base = ad.linear(x, frozen_w, bias)
-    low = matmul(x, transpose_last(ad.lift(pair.a)))
-    delta = matmul(low, transpose_last(ad.lift(pair.b)))
+    low = matmul_transposed(x, pair.a)
+    delta = matmul_transposed(low, pair.b)
     return ad.add(base, delta)
 
 
 def reference_fusion_apply(adapter, h1, h2):
     vh1, vh2 = ad.val(h1), np.asarray(h2)
     alpha = ad.sigmoid(ad.lift(adapter.gate_logit))
-    text_part = matmul(h1, transpose_last(ad.lift(adapter.w_a)))
-    struct_part = matmul(h2, transpose_last(ad.lift(adapter.w_b)))
+    text_part = matmul_transposed(h1, adapter.w_a)
+    struct_part = matmul_transposed(h2, adapter.w_b)
     if vh1.ndim == 3:
         struct_part = ad.reshape(struct_part, (vh2.shape[0], 1, adapter.rank))
     fused = ad.add(ad.mul(alpha, text_part),
                    ad.mul(ad.sub(1.0, alpha), struct_part))
-    z = matmul(fused, transpose_last(ad.lift(adapter.w_c)))
+    z = matmul_transposed(fused, adapter.w_c)
     return ad.add(h1, z)
 
 

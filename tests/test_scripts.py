@@ -33,3 +33,21 @@ def test_experiment_then_ablation_sweep(tmp_path, precision):
     assert sweep.returncode == 0, sweep.stderr
     for what in ("rank", "prompt"):
         assert (out / f"ablate_{what}.csv").exists()
+
+
+def test_compare_seeds_same_checkout_shows_no_difference(tmp_path):
+    """The same checkout on both sides, on micro with patience equal to the
+    epochs, so no run stops early and every worker check is null: zero
+    differences and matching reports at every seed."""
+    config = tmp_path / "micro.cfg"
+    config.write_text(MICRO.read_text().replace("patience = 5",
+                                                "patience = 20")
+                      .replace("seeds = 0,1", "seeds = 0"))
+    run = _script("compare_seeds.py", "--base", ROOT, "--head", ROOT,
+                  "--config", config, "--seeds", "3-4")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["3", "4"]
+    assert all(line.split()[3:] == ["+0.0000", "same"] for line in lines[1:3])
+    assert "mean diff +0.0000 over 2 seeds; 0 fell, 0 rose, 2 equal" in lines
+    assert "report_sha256 equal on 2 of 2 seeds" in lines

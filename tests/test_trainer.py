@@ -422,7 +422,8 @@ def test_forward_keeps_only_what_backward_reads():
 
     bt, btd, btr = b * t, b * t * d, b * t * r
     # Every layer from the first adapted one: both layernorms' xhat and
-    # 1/std, the attention's q, k, v and softmax, and relu's bool mask.
+    # 1/std, the attention's q, k, v and softmax, and the MLP ReLU's bool
+    # mask.
     layer = 5 * btd + 2 * bt + b * heads * t * t
     # LoRA on q, k, v, o: the shared layernorm output and the attention
     # output under A, each rank-r activation under B.
