@@ -20,9 +20,9 @@ from .fusion import fusion_apply, lora_apply
 from .schema import ConfigError, check_declared, one_of, ranged
 
 PAD_ID, UNK_ID, CLS_ID = 0, 1, 2
-# Rows per no-grad encoder pass: node_features, prefix_states and the
-# encoder pieces of trainer.predict_logits, whose head batch is
-# trainer.EVAL_BATCH. A row's encoder bits do not depend on it.
+# Rows per piece of every no-grad pass over the node table (`row_pieces`).
+# A 2-D product's bits (the head's, a fusion adapter's) depend on its row
+# count, so changing this can move metrics.
 ENCODE_BATCH = 64
 RESERVED = {"<pad>": PAD_ID, "<unk>": UNK_ID, "<cls>": CLS_ID}
 
@@ -269,17 +269,28 @@ def readout(backbone, hidden, mask):
     return ad.sum_(ad.mul(x, weights.astype(ad.val(x).dtype)), axis=1)
 
 
+def row_pieces(n):
+    """The row slices of every no-grad pass over n rows (`prefix_states`,
+    `node_features`, `trainer.predict_logits`): `ENCODE_BATCH` rows each,
+    in order. A lone last row joins the piece before it: a one-row 2-D
+    product (the head's, a fusion adapter's on the node embeddings) takes
+    another BLAS path, and its bits would differ from the same row's in a
+    larger piece. A frozen encoder row's bits do not depend on its piece,
+    so the join moves no prefix state or feature."""
+    bounds = [0, *range(ENCODE_BATCH, n - 1, ENCODE_BATCH), n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def prefix_states(backbone, states, mask, start, stop):
     """The hidden states (N, T, d) at the input of layer `stop`, from the
     `states` at the input of layer `start`; T is the width of the (N, T)
-    `mask`, L* for a `tokenize_graph` table. They are computed in batches of
-    `ENCODE_BATCH` rows into one preallocated array. Nothing below an
-    adapted layer trains, so these states are a fixed function of the
+    `mask`, L* for a `tokenize_graph` table. They are computed one
+    `row_pieces` piece at a time into one preallocated array. Nothing below
+    an adapted layer trains, so these states are a fixed function of the
     tokens and later passes can start `encode` from them."""
     out = np.empty_like(states)
     with ad.no_grad():
-        for lo in range(0, len(mask), ENCODE_BATCH):
-            sl = slice(lo, lo + ENCODE_BATCH)
+        for sl in row_pieces(len(mask)):
             out[sl] = encode(backbone, states[sl], mask[sl], start, stop)
     return out
 
@@ -291,13 +302,12 @@ def node_features(backbone, ids, mask, layer):
     Returns (X, states) for the tokenized texts (ids, mask) of width T (L*
     from `tokenize_graph`): X (N, d) holds the `readout` of each row's final
     hidden states, and states (N, T, d) the hidden states at the input of
-    `layer`. Both are filled one batch of `ENCODE_BATCH` rows at a time."""
+    `layer`. Both are filled one `row_pieces` piece at a time."""
     cfg = backbone.config
     states = np.empty(mask.shape + (cfg.dim,), dtype=cfg.dtype)
     x = np.empty((len(mask), cfg.dim), dtype=cfg.dtype)
     with ad.no_grad():
-        for lo in range(0, len(mask), ENCODE_BATCH):
-            sl = slice(lo, lo + ENCODE_BATCH)
+        for sl in row_pieces(len(mask)):
             states[sl] = encode(backbone, embed(backbone, ids[sl]), mask[sl],
                                 0, layer)
             x[sl] = readout(backbone, encode(backbone, states[sl], mask[sl],

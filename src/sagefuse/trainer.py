@@ -18,14 +18,10 @@ from .metrics import MetricError, metric_name, split_metric
 from .optim import fit
 from .schema import ConfigError, check_declared, one_of, ranged
 from .tag import ids_in_split
-from .textenc import (ENCODE_BATCH, embed, encode, prefix_states, readout,
+from .textenc import (embed, encode, prefix_states, readout, row_pieces,
                       tokenize_graph)
 
 BASELINES = tuple(ARMS)
-# Rows per head pass in predict_logits; the encoder under it runs on
-# textenc.ENCODE_BATCH rows at a time. The head's 2-D GEMM bits can depend
-# on which rows share a batch, so changing EVAL_BATCH can move metrics.
-EVAL_BATCH = 128
 
 
 def derive_seed(*keys):
@@ -178,31 +174,17 @@ class Phase2Assembly:
         reg.extend(("classifier_head", p) for p in (self.head_w, self.head_b))
         return reg
 
-    def logits(self, inputs, node_ids, piece=None):
-        """Logits of `node_ids` from the `Phase2Inputs`; the encoder pass
-        starts at `inputs.layer`.
-
-        With `piece`, a no-grad pass runs the encoder and readout on at most
-        `piece` rows at a time and the head once on all of them. A row's
-        encoder bits do not depend on the rows that share its pass, while
-        the head's 2-D GEMM bits can, so the logits equal a one-piece pass
-        bit for bit."""
-        if piece is None:
-            features = self._features(inputs, node_ids)
-        else:
-            features = np.concatenate([
-                self._features(inputs, node_ids[lo:lo + piece])
-                for lo in range(0, len(node_ids), piece)])
-        return ad.linear(features, self.head_w, self.head_b)
-
-    def _features(self, inputs, node_ids):
+    def logits(self, inputs, node_ids):
+        """Logits of `node_ids` from the `Phase2Inputs`, the one forward of
+        training and evaluation; the encoder pass starts at `inputs.layer`."""
         h2 = {"pass1": inputs.pass1[node_ids],
               "pass2": inputs.pass2[node_ids]}
         mask = inputs.mask[node_ids]
         hidden = encode(self.backbone, inputs.states[node_ids], mask,
                         inputs.layer, adapters=self.adapters,
                         node_embeddings=h2, lora=self.lora)
-        return readout(self.backbone, hidden, mask)
+        return ad.linear(readout(self.backbone, hidden, mask), self.head_w,
+                         self.head_b)
 
 
 def evaluate(assembly, inputs, split):
@@ -217,15 +199,12 @@ def evaluate(assembly, inputs, split):
 
 
 def predict_logits(assembly, inputs, node_ids):
-    """Logits of `node_ids` of the `Phase2Inputs`: the head runs on
-    `EVAL_BATCH` rows at a time, the encoder on `ENCODE_BATCH`."""
-    rows = []
+    """Logits of `node_ids` of the `Phase2Inputs`: a no-grad `logits` pass
+    on each `textenc.row_pieces` piece, so no row's head or adapter product
+    runs on it alone unless `node_ids` holds one row."""
     with ad.no_grad():
-        for start in range(0, len(node_ids), EVAL_BATCH):
-            b = node_ids[start:start + EVAL_BATCH]
-            rows.append(np.asarray(assembly.logits(inputs, b,
-                                                   piece=ENCODE_BATCH)))
-    return np.concatenate(rows, axis=0)
+        return np.concatenate([assembly.logits(inputs, node_ids[sl])
+                               for sl in row_pieces(len(node_ids))])
 
 
 @dataclass

@@ -14,7 +14,7 @@ from sagefuse.textenc import (CLS_ID, ENCODE_BATCH, PAD_ID, UNK_ID,
                               BackboneConfig, EncoderBackbone, Vocabulary,
                               VocabError, build_vocab, embed, encode,
                               node_features, prefix_states, readout,
-                              split_tokens, tokenize_graph)
+                              row_pieces, split_tokens, tokenize_graph)
 from sagefuse.trainer import Phase2Assembly, RunConfig, predict_logits
 
 PRECISION = {np.float32: "f32", np.float64: "f64"}
@@ -415,22 +415,34 @@ def reference_batches(n, size=64):
 
 
 @pytest.fixture(scope="module",
-                params=[(p, pool) for p in ("f32", "f64")
-                        for pool in ("mean", "cls")],
-                ids=lambda param: "-".join(param))
+                params=[(p, pool, tail) for p in ("f32", "f64")
+                        for pool in ("mean", "cls") for tail in (1, 6)],
+                ids=lambda param: "{}-{}-tail{}".format(*param))
 def oracle_case(request):
-    """A backbone and ENCODE_BATCH + 6 random rows (a partial last batch)
-    with lengths from 1 to 8 tokens."""
-    precision, pooling = request.param
+    """A backbone and ENCODE_BATCH + `tail` random rows with lengths from 1
+    to 8 tokens: a partial last piece, or a lone last row that joins the
+    piece before it while `reference_batches` encodes it alone."""
+    precision, pooling, tail = request.param
     backbone = EncoderBackbone(BackboneConfig(
         dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
         precision=precision, pooling=pooling), vocab_size=40)
     rng = np.random.default_rng(5)
-    n = ENCODE_BATCH + 6
+    n = ENCODE_BATCH + tail
     mask = (np.arange(8) < rng.integers(1, 9, n)[:, None]).astype(np.float64)
     ids = np.where(mask > 0, rng.integers(3, 40, (n, 8)), PAD_ID)
     ids[:, 0] = CLS_ID
     return backbone, ids, mask
+
+
+def test_row_pieces_cover_the_rows_in_order():
+    for n in range(1, 301):
+        pieces = row_pieces(n)
+        rows = np.arange(n)
+        assert np.array_equal(np.concatenate([rows[sl] for sl in pieces]),
+                              rows), n
+        sizes = [len(rows[sl]) for sl in pieces]
+        assert max(sizes) <= ENCODE_BATCH + 1, (n, sizes)
+        assert n == 1 or 1 not in sizes, (n, sizes)
 
 
 class TestParentEncoderOracle:

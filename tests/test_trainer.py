@@ -16,8 +16,8 @@ from sagefuse.metrics import MetricError
 from sagefuse.optim import AdamW, fit
 from sagefuse.sage import SageConfig, SageModel
 from sagefuse.tag import SplitSpec, stratified_split
-from sagefuse.textenc import (BackboneConfig, EncoderBackbone, build_vocab,
-                              tokenize_graph)
+from sagefuse.textenc import (ENCODE_BATCH, BackboneConfig, EncoderBackbone,
+                              build_vocab, tokenize_graph)
 from sagefuse.trainer import (Phase2Assembly, Phase2Inputs, RunConfig,
                               derive_seed, evaluate, prompt_ablation,
                               rank_ablation, run_phase2_seed, seed_sweep,
@@ -366,24 +366,27 @@ class TestSharedLoop:
 class TestEvalPieces:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("pooling", ["mean", "cls"])
-    @pytest.mark.parametrize("head_batch", [trainer.EVAL_BATCH, 150])
-    def test_predict_logits_equal_one_piece_passes(self, monkeypatch,
-                                                   precision, pooling,
-                                                   head_batch):
-        # 150 rows: head batches of 128 + 22 rows (encoder pieces 64 + 64
-        # and 22), or one of 150 rows (pieces 64 + 64 + 22).
+    @pytest.mark.parametrize(
+        "sizes", [(1,), (2,), (ENCODE_BATCH,), (ENCODE_BATCH + 1,),
+                  (ENCODE_BATCH, ENCODE_BATCH + 1),
+                  (ENCODE_BATCH, ENCODE_BATCH, 22)],
+        ids=lambda sizes: f"n{sum(sizes)}")
+    def test_predict_logits_equal_one_piece_passes(self, precision, pooling,
+                                                   sizes):
+        # The pieces of n rows hold ENCODE_BATCH rows each, and a lone last
+        # row joins the piece before it (n = 65 and 129): the head's and the
+        # adapters' 2-D products on that row alone take another BLAS path.
         s = _setup(n=150, precision=precision, pooling=pooling)
         inputs = s.inputs
         assembly = Phase2Assembly(s.backbone, inputs, s.config, seed=0)
         rng = np.random.default_rng(0)
         for p in assembly.trainable_parameters():
             p.value[...] = rng.normal(0, 0.05, p.value.shape)
-        node_ids = rng.permutation(150)
-        monkeypatch.setattr(trainer, "EVAL_BATCH", head_batch)
+        node_ids = rng.permutation(150)[:sum(sizes)]
+        bounds = np.cumsum((0, *sizes))
         with ad.no_grad():
-            want = np.concatenate([
-                assembly.logits(inputs, node_ids[lo:lo + head_batch])
-                for lo in range(0, 150, head_batch)])
+            want = np.concatenate([assembly.logits(inputs, node_ids[lo:hi])
+                                   for lo, hi in zip(bounds, bounds[1:])])
         got = trainer.predict_logits(assembly, inputs, node_ids)
         assert got.dtype == want.dtype == s.backbone.config.dtype
         assert got.tobytes() == want.tobytes()
