@@ -8,7 +8,6 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields
 
-from .fusion import LORA_TARGETS
 from .sage import SageConfig
 from .schema import ConfigError, check_declared, one_of
 from .tag import GeneratorParams, SplitSpec, split_sum_problem
@@ -164,9 +163,6 @@ def _cross_key_problems(cfg):
     if len(set(t.seeds)) != len(t.seeds):
         yield (f"[trainer] seeds {list(t.seeds)} list a seed more than "
                "once")
-    unknown = sorted(set(run.lora_targets) - set(LORA_TARGETS))
-    if unknown:
-        yield f"[fusion] unknown LoRA targets {unknown}"
     if bool(run.pass1_layers) != bool(run.pass2_layers):
         yield ("[fusion] pass1_layers and pass2_layers must both be listed, "
                "or both left empty for the default placement")
@@ -186,7 +182,3 @@ def _cross_key_problems(cfg):
         if max(pass1) >= min(pass2):
             yield (f"[fusion] pass1 layers {pass1} must all precede pass2 "
                    f"layers {pass2}")
-    if run.toggles()[0] and run.tying == "shared" and \
-            "o" not in run.lora_targets:
-        yield ("[fusion] shared fusion tying needs LoRA pairs on the 'o' "
-               "projection to alias")

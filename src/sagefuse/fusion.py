@@ -193,7 +193,7 @@ class ParamAudit:
 
 def audit_from_shapes(backbone, vocab_size, adapted_layers, rank, g,
                       num_classes, gnn_hidden, arm="fused",
-                      fusion_tying="separate", lora_targets=LORA_TARGETS):
+                      fusion_tying="separate"):
     """Analytic audit of the `ARMS` entry `arm` for the encoder described by
     the `BackboneConfig` `backbone` over a token table of `vocab_size` rows,
     with a phase-1 GNN of width g over its d-wide features and a classifier
@@ -213,7 +213,7 @@ def audit_from_shapes(backbone, vocab_size, adapted_layers, rank, g,
     lora = 0
     if lora_on:
         per_layer = sum(rank * (d_in + d_out) for d_in, d_out
-                        in backbone.lora_target_shapes(lora_targets))
+                        in backbone.lora_target_shapes())
         lora = len(adapted_layers) * per_layer
 
     fusion = 0

@@ -432,7 +432,7 @@ def _audit(cfg, vocab_size):
         rank=run.rank, g=cfg.sage.embed_dim,
         num_classes=cfg.dataset.num_classes,
         gnn_hidden=cfg.sage.classifier_hidden, arm=run.baseline,
-        fusion_tying=run.tying, lora_targets=run.lora_targets)
+        fusion_tying=run.tying)
 
 
 def run_audit(cfg):

@@ -111,7 +111,6 @@ class BackboneConfig:
     mlp_width: int = ranged(256, "[1, inf)")
     max_tokens: int = ranged(128, "[1, inf)")
     vocab_max: int = ranged(8192, "[1, inf)")
-    pooling: str = one_of("mean", ("mean", "cls"))
     seed: int = ranged(0, "[0, inf)")
     fused_qkv: bool = False   # audit-only shape variant (fused qkv projection)
     precision: str = one_of("f32", ("f32", "f64"))
@@ -129,14 +128,13 @@ class BackboneConfig:
         return (vocab_size + self.max_tokens) * d + self.layers * per_layer \
             + 2 * d
 
-    def lora_target_shapes(self, targets):
-        """(d_in, d_out) per adapted projection within one layer. With
-        `fused_qkv`, one (d, 3d) pair serves any of the q, k, v targets."""
+    def lora_target_shapes(self):
+        """(d_in, d_out) per adapted projection within one layer: q, k, v
+        and o, or with `fused_qkv` one (d, 3d) pair for q, k and v."""
         d = self.dim
         if self.fused_qkv:
-            qkv = [(d, 3 * d)] if {"q", "k", "v"} & set(targets) else []
-            return qkv + ([(d, d)] if "o" in targets else [])
-        return [(d, d)] * len(set(targets))
+            return [(d, 3 * d), (d, d)]
+        return [(d, d)] * 4
 
 
 class EncoderBackbone:
@@ -259,25 +257,24 @@ def encode(backbone, states, mask, start=0, stop=None, adapters=None,
 
 def readout(backbone, hidden, mask):
     """Per-node features (B, d) from the final hidden states (B, T, d): the
-    closing layernorm, then the backbone's pooling (the [CLS] state, or the
-    mean over unmasked positions)."""
+    closing layernorm, then the mean over unmasked positions."""
     x = ad.layernorm(hidden, backbone.ln_f_g, backbone.ln_f_b)
-    if backbone.config.pooling == "cls":
-        return ad.gather_rows(ad.transpose(x, (1, 0, 2)), 0)
     m = np.asarray(mask)
     weights = (m / m.sum(axis=1, keepdims=True))[..., None]
     return ad.sum_(ad.mul(x, weights.astype(ad.val(x).dtype)), axis=1)
 
 
-def row_pieces(n):
-    """The row slices of every no-grad pass over n rows (`prefix_states`,
-    `node_features`, `trainer.predict_logits`): `ENCODE_BATCH` rows each,
-    in order. A lone last row joins the piece before it: a one-row 2-D
-    product (the head's, a fusion adapter's on the node embeddings) takes
-    another BLAS path, and its bits would differ from the same row's in a
-    larger piece. A frozen encoder row's bits do not depend on its piece,
-    so the join moves no prefix state or feature."""
-    bounds = [0, *range(ENCODE_BATCH, n - 1, ENCODE_BATCH), n]
+def row_pieces(n, size=ENCODE_BATCH):
+    """The row slices of every pass over n rows, `size` rows each in order:
+    `ENCODE_BATCH` in the no-grad passes (`prefix_states`, `node_features`,
+    `trainer.predict_logits`), the minibatch size in phase-2 training. A
+    lone last row joins the piece before it unless `size` is 1: a one-row
+    2-D product (the head's, a fusion adapter's on the node embeddings)
+    takes another BLAS path, and its bits would differ from the same row's
+    in a larger piece. A frozen encoder row's bits do not depend on its
+    piece, so the join moves no prefix state or feature."""
+    stop = n - 1 if size > 1 else n
+    bounds = [0, *range(size, stop, size), n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 

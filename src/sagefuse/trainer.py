@@ -33,11 +33,10 @@ def derive_seed(*keys):
 
 @dataclass
 class FusionConfig:
-    """The [fusion] section: adapter and LoRA placement, rank and targets."""
+    """The [fusion] section: adapter and LoRA placement, rank and tying."""
     rank: int = ranged(4, "[1, inf)")
     pass1_layers: tuple = ()     # empty: proportional default placement
     pass2_layers: tuple = ()
-    lora_targets: tuple = LORA_TARGETS
     tying: str = one_of("separate", ("separate", "shared"))
 
 
@@ -140,7 +139,7 @@ class Phase2Assembly:
                     t: LoraPair(d, d, config.rank, f"layer{layer}.{t}",
                                 seed=derive_seed(seed, "lora", layer, t),
                                 dtype=dtype)
-                    for t in config.lora_targets}
+                    for t in LORA_TARGETS}
 
         self.adapters = {}
         if use_fusion:
@@ -233,8 +232,8 @@ def run_phase2_seed(backbone, inputs, config, seed):
 
     def epoch_losses(epoch):
         order = train_idx[rng.permutation(len(train_idx))]
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for sl in row_pieces(len(order), config.batch_size):
+            batch = order[sl]
             yield (ad.cross_entropy(assembly.logits(inputs, batch),
                                     labels[batch]), len(batch))
 
@@ -279,9 +278,9 @@ def seed_sweep(runner, seeds, baseline, metric):
 
 
 def train_phase2(backbone, inputs, config):
-    """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`, tokenized
-    under `config`'s prompt and seq_len; the states are run forward to the
-    first adapted layer once and shared across seeds."""
+    """Seed sweep of phase-2 fine-tuning on the `Phase2Inputs`; the states
+    are run forward to the first adapted layer once and shared across
+    seeds."""
     inputs = inputs.at_layer(
         backbone, config.first_adapted_layer(backbone.config.layers))
 

@@ -328,8 +328,8 @@ def test_op_keeps_only_the_arrays_its_gradients_read(case):
 
 
 def test_gather_rows_gradient_is_laid_out_like_its_table():
-    # The [CLS] readout gathers from a transposed view. The gradient keeps
-    # the layout np.zeros_like gives, since strides can move matmul bits.
+    # Gathering from a transposed view: the gradient keeps the layout
+    # np.zeros_like gives, since strides can move matmul bits.
     x = ad.add(Parameter(np.ones((3, 5, 4)), name="x"), 0.0)
     for table in (x, ad.transpose(x, (1, 0, 2))):
         out = ad.gather_rows(table, 0)

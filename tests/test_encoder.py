@@ -274,13 +274,6 @@ class TestEncode:
                                            fused_qkv=True), vocab_size=40)
 
 
-def _with_pooling(backbone, pooling):
-    """A backbone with the same weights as `backbone` and `pooling`."""
-    return EncoderBackbone(dataclasses.replace(backbone.config,
-                                               pooling=pooling),
-                           vocab_size=len(backbone.tok_emb))
-
-
 class TestNodeFeatures:
     def test_identical_texts_get_identical_rows(self, micro_backbone):
         g = make_graph({0: [1], 1: [0], 2: []},
@@ -303,8 +296,8 @@ class TestNodeFeatures:
             hidden = encode(micro_backbone, embed(micro_backbone, ids[None]),
                             mask[None])
             pooled = np.asarray(readout(micro_backbone, hidden, mask[None]))
-            first = readout(_with_pooling(micro_backbone, "cls"), hidden,
-                            mask[None])
+            first = ad.layernorm(hidden, micro_backbone.ln_f_g,
+                                 micro_backbone.ln_f_b)[:, 0]
         assert np.allclose(pooled[0], first[0], atol=1e-15)
 
     def test_batched_matches_per_node_recomputation(self, micro_backbone):
@@ -322,22 +315,6 @@ class TestNodeFeatures:
                 ref = np.asarray(readout(micro_backbone, hidden,
                                          mask[row]))[0]
             assert np.allclose(x[i], ref, atol=1e-12)
-
-    def test_cls_pooling_supported(self, micro_backbone):
-        g = make_graph({0: [], 1: []}, texts=["a b", "b"],
-                       splits=["train"] * 2)
-        v = build_vocab(g)
-        ids, mask = tokenize_graph(g, v, "", 8)
-        backbone = _with_pooling(micro_backbone, "cls")
-        x, _ = node_features(backbone, ids, mask, layer=2)
-        with ad.no_grad():
-            final = ad.layernorm(encode(backbone, embed(backbone, ids), mask),
-                                 backbone.ln_f_g, backbone.ln_f_b)
-        assert x.shape == (2, 16)
-        assert np.array_equal(x, final[:, 0])
-        with pytest.raises(ConfigError, match=r"\[backbone\] pooling must be "
-                           "one of"):
-            _with_pooling(micro_backbone, "max")
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +377,7 @@ def reference_encode(backbone, ids, mask, adapters=None, node_embeddings=None,
     return ad.layernorm(x, backbone.ln_f_g, backbone.ln_f_b)
 
 
-def reference_pool_states(hidden, mask, pooling):
-    if pooling == "cls":
-        return hidden[:, 0, :] if not isinstance(hidden, ad.Node) \
-            else ad.gather_rows(ad.transpose(hidden, (1, 0, 2)), 0)
+def reference_pool_states(hidden, mask):
     m = np.asarray(mask)
     weights = (m / m.sum(axis=1, keepdims=True))[..., None]
     return ad.sum_(ad.mul(hidden, weights.astype(ad.val(hidden).dtype)),
@@ -415,17 +389,18 @@ def reference_batches(n, size=64):
 
 
 @pytest.fixture(scope="module",
-                params=[(p, pool, tail) for p in ("f32", "f64")
-                        for pool in ("mean", "cls") for tail in (1, 6)],
-                ids=lambda param: "{}-{}-tail{}".format(*param))
+                params=[(p, heads, tail) for p in ("f32", "f64")
+                        for heads in (2, 4) for tail in (1, 6)],
+                ids=lambda param: "{}-heads{}-tail{}".format(*param))
 def oracle_case(request):
-    """A backbone and ENCODE_BATCH + `tail` random rows with lengths from 1
-    to 8 tokens: a partial last piece, or a lone last row that joins the
-    piece before it while `reference_batches` encodes it alone."""
-    precision, pooling, tail = request.param
+    """A backbone with 2 or 4 attention heads and ENCODE_BATCH + `tail`
+    random rows with lengths from 1 to 8 tokens: a partial last piece, or a
+    lone last row that joins the piece before it while `reference_batches`
+    encodes it alone."""
+    precision, heads, tail = request.param
     backbone = EncoderBackbone(BackboneConfig(
-        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
-        precision=precision, pooling=pooling), vocab_size=40)
+        dim=16, heads=heads, layers=4, mlp_width=32, max_tokens=16, seed=0,
+        precision=precision), vocab_size=40)
     rng = np.random.default_rng(5)
     n = ENCODE_BATCH + tail
     mask = (np.arange(8) < rng.integers(1, 9, n)[:, None]).astype(np.float64)
@@ -434,14 +409,19 @@ def oracle_case(request):
     return backbone, ids, mask
 
 
-def test_row_pieces_cover_the_rows_in_order():
+@pytest.mark.parametrize("size", [1, 16, ENCODE_BATCH])
+def test_row_pieces_cover_the_rows_in_order(size):
     for n in range(1, 301):
-        pieces = row_pieces(n)
+        pieces = row_pieces(n, size)
         rows = np.arange(n)
         assert np.array_equal(np.concatenate([rows[sl] for sl in pieces]),
                               rows), n
         sizes = [len(rows[sl]) for sl in pieces]
-        assert max(sizes) <= ENCODE_BATCH + 1, (n, sizes)
+        if size == 1:
+            assert sizes == [1] * n
+            continue
+        assert sizes[:-1] == [size] * (len(sizes) - 1), (n, sizes)
+        assert max(sizes) <= size + 1, (n, sizes)
         assert n == 1 or 1 not in sizes, (n, sizes)
 
 
@@ -454,7 +434,7 @@ class TestParentEncoderOracle:
                 backbone, ids, mask, stop=backbone.config.layers))
             got = readout(backbone, hidden, mask)
             want = reference_pool_states(reference_encode(backbone, ids, mask),
-                                         mask, backbone.config.pooling)
+                                         mask)
         assert got.dtype == backbone.config.dtype
         assert np.array_equal(got, want)
 
@@ -475,7 +455,6 @@ class TestParentEncoderOracle:
     @pytest.mark.parametrize("layer", [0, 1, 4])
     def test_node_features_equal_the_parent(self, oracle_case, layer):
         backbone, ids, mask = oracle_case
-        pooling = backbone.config.pooling
         want_states = np.empty(mask.shape + (16,), backbone.config.dtype)
         want_x = np.empty((len(ids), 16), backbone.config.dtype)
         with ad.no_grad():
@@ -485,7 +464,7 @@ class TestParentEncoderOracle:
             for sl in reference_batches(len(ids)):
                 want_x[sl] = reference_pool_states(reference_encode(
                     backbone, None, mask[sl], states=want_states[sl],
-                    start=layer), mask[sl], pooling)
+                    start=layer), mask[sl])
         x, states = node_features(backbone, ids, mask, layer)
         assert np.array_equal(states, want_states)
         assert np.array_equal(x, want_x)
@@ -550,15 +529,15 @@ class TestFrozenPrefix:
     """Phase-2 logits from precomputed prefix states equal a full pass of
     the parent encoder."""
 
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("baseline", ["fused", "lora_only", "text_only"])
     def test_logits_bitwise_equal_with_and_without_states(
-            self, micro_tag, dtype, baseline, pooling):
+            self, micro_tag, dtype, baseline, heads):
         vocab = build_vocab(micro_tag)
         backbone = EncoderBackbone(BackboneConfig(
-            dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16, seed=0,
-            precision=PRECISION[dtype], pooling=pooling), vocab.size)
+            dim=16, heads=heads, layers=4, mlp_width=32, max_tokens=16, seed=0,
+            precision=PRECISION[dtype]), vocab.size)
         rng = np.random.default_rng(0)
         n = micro_tag.num_nodes
         pass1, pass2 = (rng.normal(0, 0.5, (n, 8)).astype(dtype)
@@ -586,7 +565,7 @@ class TestFrozenPrefix:
                                         "pass2": pass2[batch]},
                                     lora=assembly.lora)
             reference = np.asarray(ad.linear(
-                reference_pool_states(full, mask[batch], pooling),
+                reference_pool_states(full, mask[batch]),
                 assembly.head_w, assembly.head_b))
             got = np.asarray(assembly.logits(cached, batch))
         assert got.dtype == dtype
@@ -634,18 +613,18 @@ class TestRaggedLengths:
                           num_classes=3, splits=["train"] * n)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("baseline", ["fused", "text_only"])
     def test_trimmed_logits_match_the_untrimmed_oracle(self, dtype, baseline,
-                                                       pooling, layout):
+                                                       heads, layout):
         words, seq_len, width = self.LAYOUTS[layout]
         graph = self._graph(words)
         n = graph.num_nodes
         vocab = build_vocab(graph)
         backbone = EncoderBackbone(BackboneConfig(
-            dim=16, heads=2, layers=4, mlp_width=32, max_tokens=32, seed=0,
-            precision=PRECISION[dtype], pooling=pooling), vocab.size)
+            dim=16, heads=heads, layers=4, mlp_width=32, max_tokens=32, seed=0,
+            precision=PRECISION[dtype]), vocab.size)
         rng = np.random.default_rng(0)
         pass1, pass2 = (rng.normal(0, 0.5, (n, 8)).astype(dtype)
                         for _ in range(2))
@@ -677,7 +656,7 @@ class TestRaggedLengths:
                                         "pass1": pass1, "pass2": pass2},
                                     lora=assembly.lora)
             reference = np.asarray(ad.linear(
-                reference_pool_states(full, full_mask, pooling),
+                reference_pool_states(full, full_mask),
                 assembly.head_w, assembly.head_b))
             got = np.asarray(assembly.logits(inputs, nodes))
             # A row's bits do not depend on the rows that share its batch:

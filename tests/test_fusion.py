@@ -7,9 +7,9 @@ from conftest import (CONFIG_DIR, GPT2_BACKBONE, audit_parameters,
                       backbone_size, gpt2_audit, matmul_transposed)
 from sagefuse import autodiff as ad
 from sagefuse.config import ExperimentConfig
-from sagefuse.fusion import (LORA_TARGETS, FusionAdapter, LoraPair,
-                             audit_from_shapes, build_adapter_set,
-                             default_placement, fusion_apply, lora_apply)
+from sagefuse.fusion import (FusionAdapter, LoraPair, audit_from_shapes,
+                             build_adapter_set, default_placement,
+                             fusion_apply, lora_apply)
 from sagefuse.textenc import BackboneConfig
 
 
@@ -351,7 +351,7 @@ class TestAudit:
         assert cfg.param_count(10) == 10 * 8 + 4 * 8 + per_layer + 16
         assert cfg.param_count(10) == \
             dataclasses.replace(cfg, fused_qkv=False).param_count(10)
-        assert cfg.lora_target_shapes(LORA_TARGETS) == [(8, 24), (8, 8)]
+        assert cfg.lora_target_shapes() == [(8, 24), (8, 8)]
 
     def test_table_renders_all_components(self):
         audit = gpt2_audit(adapted_layers=[5, 9], rank=4)

@@ -41,7 +41,7 @@ class Setup:
                             self.pass1, self.pass2)
 
 
-def _setup(num_classes=3, n=48, seed=0, precision="f64", pooling="mean",
+def _setup(num_classes=3, n=48, seed=0, precision="f64", heads=2,
            **config_overrides):
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % num_classes).tolist()
@@ -53,8 +53,8 @@ def _setup(num_classes=3, n=48, seed=0, precision="f64", pooling="mean",
     graph = stratified_split(graph, SplitSpec(0.6, 0.2, 0.2, split_seed=0))
     vocab = build_vocab(graph)
     backbone = EncoderBackbone(BackboneConfig(
-        dim=16, heads=2, layers=4, mlp_width=32, max_tokens=8, seed=0,
-        precision=precision, pooling=pooling), vocab.size)
+        dim=16, heads=heads, layers=4, mlp_width=32, max_tokens=8, seed=0,
+        precision=precision), vocab.size)
     g = 8
     emb_rng = np.random.default_rng(1)
     pass1, pass2 = ((emb_rng.normal(0, 0.5, (n, g))
@@ -201,8 +201,7 @@ class TestPhase2Training:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"baseline": "lora_only"}, {"baseline": "text_only"},
-        {"tying": "shared"},
-        {"lora_targets": ("q", "v"), "rank": 3},
+        {"tying": "shared"}, {"rank": 3},
         {"pass1_layers": (0, 1), "pass2_layers": (2, 3)}])
     def test_report_audit_equals_the_registry_walk(self, setup, overrides):
         cfg = dataclasses.replace(setup.config, **overrides)
@@ -365,18 +364,18 @@ class TestSharedLoop:
 
 class TestEvalPieces:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("pooling", ["mean", "cls"])
+    @pytest.mark.parametrize("heads", [2, 4])
     @pytest.mark.parametrize(
         "sizes", [(1,), (2,), (ENCODE_BATCH,), (ENCODE_BATCH + 1,),
                   (ENCODE_BATCH, ENCODE_BATCH + 1),
                   (ENCODE_BATCH, ENCODE_BATCH, 22)],
         ids=lambda sizes: f"n{sum(sizes)}")
-    def test_predict_logits_equal_one_piece_passes(self, precision, pooling,
+    def test_predict_logits_equal_one_piece_passes(self, precision, heads,
                                                    sizes):
         # The pieces of n rows hold ENCODE_BATCH rows each, and a lone last
         # row joins the piece before it (n = 65 and 129): the head's and the
         # adapters' 2-D products on that row alone take another BLAS path.
-        s = _setup(n=150, precision=precision, pooling=pooling)
+        s = _setup(n=150, precision=precision, heads=heads)
         inputs = s.inputs
         assembly = Phase2Assembly(s.backbone, inputs, s.config, seed=0)
         rng = np.random.default_rng(0)
@@ -390,6 +389,28 @@ class TestEvalPieces:
         got = trainer.predict_logits(assembly, inputs, node_ids)
         assert got.dtype == want.dtype == s.backbone.config.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch_size, sizes", [(16, [16, 17]),
+                                               (1, [1] * 33)])
+def test_training_minibatches_follow_the_lone_row_rule(monkeypatch,
+                                                       batch_size, sizes):
+    # 33 train rows: at batch 16 the lone last row joins the minibatch
+    # before it, as in `textenc.row_pieces`; at batch 1 each row trains
+    # alone.
+    s = _setup(n=51, epochs=2, patience=2, batch_size=batch_size)
+    assert len(s.inputs.split_ids("train")) == 33
+    seen = []
+    logits = Phase2Assembly.logits
+
+    def spy(self, inputs, node_ids):
+        if ad._GRAD_ENABLED:
+            seen.append(len(node_ids))
+        return logits(self, inputs, node_ids)
+
+    monkeypatch.setattr(Phase2Assembly, "logits", spy)
+    run_phase2_seed(s.backbone, s.inputs, s.config, seed=0)
+    assert seen == sizes * 2
 
 
 def test_forward_keeps_only_what_backward_reads():
