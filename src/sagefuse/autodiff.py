@@ -253,15 +253,21 @@ def mul(a, b):
 
 
 def sparse_matmul(m, x):
-    """m @ x where `m` is a constant scipy sparse matrix."""
+    """m @ x where `m` is a constant scipy sparse matrix. The gradient
+    multiplies by m.T (a CSC view of a CSR `m`), built at the first backward
+    pass that reaches a product with `m` and kept on `m`, so a matrix that
+    every epoch multiplies by builds it once."""
     x = lift(x)
     vx = val(x)
     if m.shape[1] != vx.shape[0]:
         raise ShapeError("sparse_matmul", m.shape, vx.shape)
     out = np.asarray(m @ vx)
-    # m.T of a CSR matrix is a CSC view: no transpose is built unless a
-    # backward pass reaches this node.
-    return _node(out, [(x, lambda g: np.asarray(m.T @ g))])
+
+    def grad(g):
+        if "_transpose" not in vars(m):
+            m._transpose = m.T
+        return np.asarray(m._transpose @ g)
+    return _node(out, [(x, grad)])
 
 
 def concat_cols(a, b):
@@ -357,6 +363,16 @@ def layernorm(x, gamma, beta, eps=1e-5):
     return _node(out, [(x, gx), (gamma, ggamma), (beta, gbeta)])
 
 
+def _row_max(s):
+    """s.max(axis=-1, keepdims=True) as a running maximum over the columns,
+    which is faster than numpy's reduction over a short last axis; a
+    maximum does not round, so the bits are the same."""
+    out = s[..., :1].copy()
+    for j in range(1, s.shape[-1]):
+        np.maximum(out, s[..., j:j + 1], out=out)
+    return out
+
+
 def attention(q, k, v, mask_bias=None):
     """Scaled dot-product attention over the last two axes, as one op.
 
@@ -376,7 +392,7 @@ def attention(q, k, v, mask_bias=None):
     s *= scale
     if mask_bias is not None:
         s += mask_bias
-    s -= s.max(axis=-1, keepdims=True)
+    s -= _row_max(s)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = s @ vv

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -164,8 +165,8 @@ def load_dataset(cfg):
 
 def run_phase1(cfg, force=False):
     """Node features under the frozen backbone, then GraphSAGE training;
-    persists embeddings, prefix states, vocab, the node table with the
-    phase-1 key, and metrics."""
+    persists the backbone's drawn weights, embeddings, prefix states, vocab,
+    the node table with the phase-1 key, and metrics."""
     out = phase1_dir(cfg)
     _refuse_overwrite(out, force)
     graph = load_dataset(cfg)
@@ -173,6 +174,7 @@ def run_phase1(cfg, force=False):
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "vocab.json", vocab.to_dict())
     backbone = EncoderBackbone(cfg.backbone, vocab.size)
+    save_tensor(out / "backbone.gtsr", backbone.weights)
 
     key = _phase1_key(cfg)
     ids, mask = tokenize_graph(graph, vocab, cfg.trainer.prompt,
@@ -303,14 +305,17 @@ def load_phase1(cfg):
     (vocabulary, backbone, `Phase2Inputs`). The node table comes first, so a
     changed data file or key setting is named as such before any other
     file is read; `pass1.gtsr` and `pass2.gtsr` must be finite and (nodes,
-    `[sage] embed_dim`). The states are `prefix.gtsr`'s, finite and at the
-    layer they were saved at, so the dataset is not parsed or tokenized.
-    Only an arm adapting a layer below that one (after a `text_only` phase
-    1, or a placement moved down) reads the dataset, tokenizes it and
-    starts at the embedding output."""
+    `[sage] embed_dim`). The backbone is built on `backbone.gtsr`, the
+    weights phase 1 drew, which must be finite and of the size the config
+    and the vocabulary give, so nothing draws them again. The states are
+    `prefix.gtsr`'s, finite and at the layer they were saved at, so the
+    dataset is not parsed or tokenized. Only an arm adapting a layer below
+    that one (after a `text_only` phase 1, or a placement moved down) reads
+    the dataset, tokenizes it and starts at the embedding output, on the
+    same loaded backbone."""
     out = phase1_dir(cfg)
-    for name in ("vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
-                 "pass2.gtsr"):
+    for name in ("vocab.json", "nodes.json", "backbone.gtsr", "prefix.gtsr",
+                 "pass1.gtsr", "pass2.gtsr"):
         if not (out / name).exists():
             raise PipelineError(f"missing phase-1 artifact {out / name}; "
                                 "run phase1 first")
@@ -327,7 +332,9 @@ def load_phase1(cfg):
     shape = (len(table["labels"]), cfg.sage.embed_dim)
     pass1, pass2 = (_load_shaped(out / f"{name}.gtsr", shape, b.dtype)
                     for name in ("pass1", "pass2"))
-    backbone = EncoderBackbone(b, vocab.size)
+    size = sum(map(math.prod, b.weight_shapes(vocab.size)))
+    backbone = EncoderBackbone(b, vocab.size, weights=_load_shaped(
+        out / "backbone.gtsr", (size,), b.dtype))
     lengths = table["lengths"]
     width = int(lengths.max())
     mask = (np.arange(width) < lengths[:, None]).astype(np.float64)

@@ -8,6 +8,8 @@ phases; only adapters, LoRA pairs, and heads ever train.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import warnings
 from collections import Counter
@@ -128,6 +130,15 @@ class BackboneConfig:
         return (vocab_size + self.max_tokens) * d + self.layers * per_layer \
             + 2 * d
 
+    def weight_shapes(self, vocab_size):
+        """The shapes of the drawn encoder weights over a token table of
+        `vocab_size` rows, in draw order: the token and position tables,
+        then q, k, v, o, mlp1 and mlp2 of each block. The biases and
+        layernorm gains are the rest of `param_count`."""
+        d, m = self.dim, self.mlp_width
+        block = [(d, d)] * 4 + [(m, d), (d, m)]
+        return [(vocab_size, d), (self.max_tokens, d), *block * self.layers]
+
     def lora_target_shapes(self):
         """(d_in, d_out) per adapted projection within one layer: q, k, v
         and o, or with `fused_qkv` one (d, 3d) pair for q, k and v."""
@@ -137,24 +148,46 @@ class BackboneConfig:
         return [(d, d)] * 4
 
 
+def _draw_into(views, seed):
+    """Fill each array of `views` in turn with normal(0, 0.02) draws from
+    `seed`: the random sequence and bits of drawing each weight alone, with
+    no float64 temporary of the whole backbone."""
+    rng = np.random.default_rng(seed)
+    for view in views:
+        view[...] = rng.normal(0.0, 0.02, view.shape)
+
+
 class EncoderBackbone:
     """Pre-norm transformer encoder whose weights are plain arrays:
     constants to every autodiff op, so nothing in it ever trains.
 
     Init: normal(0, 0.02) embeddings and projections, zero biases, unit
-    layernorm gains, fixed per seed.
+    layernorm gains, fixed per seed. The drawn weights are views into one
+    flat array of the config dtype, `weights`, laid out as
+    `config.weight_shapes(vocab_size)`. Phase 1 draws it and saves it; the
+    commands after phase 1 pass the saved array as `weights`, and the
+    backbone takes views of it instead of drawing again.
     """
 
-    def __init__(self, config, vocab_size):
+    def __init__(self, config, vocab_size, weights=None):
         self.config = check_declared(config, "backbone")
         if config.fused_qkv:  # its audit counts would not match the weights
             raise ConfigError("fused_qkv is an audit-only shape; the encoder "
                               "builds separate q, k and v projections")
-        rng = np.random.default_rng(config.seed)
         d, m, dt = config.dim, config.mlp_width, config.dtype
-
-        def w(*shape):
-            return rng.normal(0.0, 0.02, shape).astype(dt)
+        shapes = config.weight_shapes(vocab_size)
+        bounds = [0, *itertools.accumulate(map(math.prod, shapes))]
+        drawn = weights is None
+        self.weights = np.empty(bounds[-1], dt) if drawn else weights
+        if self.weights.shape != (bounds[-1],) or self.weights.dtype != dt:
+            raise ValueError(f"backbone weights {weights.shape} "
+                             f"{weights.dtype}, expected ({bounds[-1]},) "
+                             f"{np.dtype(dt)}")
+        views = [self.weights[lo:hi].reshape(shape)
+                 for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+        if drawn:
+            _draw_into(views, config.seed)
+        views = iter(views)
 
         def zeros(n):
             return np.zeros(n, dtype=dt)
@@ -162,19 +195,19 @@ class EncoderBackbone:
         def ones(n):
             return np.ones(n, dtype=dt)
 
-        self.tok_emb = w(vocab_size, d)
-        self.pos_emb = w(config.max_tokens, d)
+        self.tok_emb = next(views)
+        self.pos_emb = next(views)
         self.blocks = []
         for _ in range(config.layers):
             self.blocks.append({
                 "ln1_g": ones(d), "ln1_b": zeros(d),
-                "q": w(d, d), "q_b": zeros(d),
-                "k": w(d, d), "k_b": zeros(d),
-                "v": w(d, d), "v_b": zeros(d),
-                "o": w(d, d), "o_b": zeros(d),
+                "q": next(views), "q_b": zeros(d),
+                "k": next(views), "k_b": zeros(d),
+                "v": next(views), "v_b": zeros(d),
+                "o": next(views), "o_b": zeros(d),
                 "ln2_g": ones(d), "ln2_b": zeros(d),
-                "mlp1": w(m, d), "mlp1_b": zeros(m),
-                "mlp2": w(d, m), "mlp2_b": zeros(d),
+                "mlp1": next(views), "mlp1_b": zeros(m),
+                "mlp2": next(views), "mlp2_b": zeros(d),
             })
         self.ln_f_g = ones(d)
         self.ln_f_b = zeros(d)

@@ -429,6 +429,38 @@ def _assert_same_bits(op, reference, params, make_inputs, weight):
         assert a.tobytes() == b.tobytes(), p.name
 
 
+class TestRowMax:
+    """`attention`'s running row maximum against numpy's reduction."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 4, 17, 17), (64, 2, 8, 8),
+                                       (3, 2, 5, 1), (2, 1, 3, 33)])
+    def test_equals_the_reduction_bitwise(self, dtype, shape):
+        """On scores with -1e9-masked keys in every other batch row, a
+        fully masked row, one key (T = 1) and rows of many ties."""
+        rng = np.random.default_rng(11)
+        s = rng.normal(0, 1, shape).astype(dtype)
+        s[::2, ..., 1::3] += np.asarray(-1e9, dtype)
+        s[0, 0, 0] = np.asarray(-1e9, dtype)
+        s[-1] = rng.integers(-2, 3, s[-1].shape)
+        got = ad._row_max(s)
+        assert got.dtype == dtype
+        assert got.tobytes() == s.max(axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_leave_the_softmax_bits(self, dtype):
+        """A row whose maximum is zero and that holds both signs of it can
+        get the other sign of zero than numpy's reduction, whose order
+        depends on the row length. The two maxima are equal values, and
+        the shifted exponentials, all that the softmax reads of them, have
+        the same bits."""
+        rng = np.random.default_rng(12)
+        s = rng.choice(np.array([0.0, -0.0, -1.0, -1e9], dtype), (8, 2, 6, 17))
+        got, want = ad._row_max(s), s.max(axis=-1, keepdims=True)
+        assert np.array_equal(got, want)
+        assert np.exp(s - got).tobytes() == np.exp(s - want).tobytes()
+
+
 class TestParentOpOracle:
     B, T, H, DH = 2, 32, 2, 32
 

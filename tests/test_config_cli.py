@@ -269,102 +269,156 @@ class TestCli:
         assert "structure_signal" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (("heads = 2", "heads = 3"), "dim 16 not divisible by 3 heads"),
-        (("\nlayers = 4", "\nlayers = 1"),
-         "[backbone] layers must lie in [2, inf), got 1"),
-        (("seq_len = 8", "seq_len = 40"), "seq_len 40 outside [4, "),
-        (("seq_len = 8", "seq_len = 3"),
-         "[trainer] seq_len must lie in [4, inf), got 3"),
-        (("pass1_layers = 1\npass2_layers = 3",
-          "pass1_layers = 3\npass2_layers = 1"), "must all precede"),
+        pytest.param(("heads = 2", "heads = 3"),
+                     "dim 16 not divisible by 3 heads", id="backbone.heads=3"),
+        pytest.param(("\nlayers = 4", "\nlayers = 1"),
+                     "[backbone] layers must lie in [2, inf), got 1",
+                     id="backbone.layers=1"),
+        pytest.param(("seq_len = 8", "seq_len = 40"),
+                     "seq_len 40 outside [4, ", id="trainer.seq_len=40"),
+        pytest.param(("seq_len = 8", "seq_len = 3"),
+                     "[trainer] seq_len must lie in [4, inf), got 3",
+                     id="trainer.seq_len=3"),
+        pytest.param(("pass1_layers = 1\npass2_layers = 3",
+                      "pass1_layers = 3\npass2_layers = 1"),
+                     "must all precede", id="fusion.pass1_above_pass2"),
         # The arm is `[trainer] baseline` alone; these keys are gone.
-        (("pass2_layers = 3", "pass2_layers = 3\nenable_fusion = false"),
-         "unknown key 'enable_fusion' in [fusion]"),
-        (("pass2_layers = 3", "pass2_layers = 3\nenable_lora = false"),
-         "unknown key 'enable_lora' in [fusion]"),
-        (("pass2_layers = 3", "pass2_layers = 3\nmode = replace"),
-         "unknown key 'mode' in [fusion]"),
+        pytest.param(("pass2_layers = 3",
+                      "pass2_layers = 3\nenable_fusion = false"),
+                     "unknown key 'enable_fusion' in [fusion]",
+                     id="fusion.enable_fusion"),
+        pytest.param(("pass2_layers = 3",
+                      "pass2_layers = 3\nenable_lora = false"),
+                     "unknown key 'enable_lora' in [fusion]",
+                     id="fusion.enable_lora"),
+        pytest.param(("pass2_layers = 3", "pass2_layers = 3\nmode = replace"),
+                     "unknown key 'mode' in [fusion]", id="fusion.mode"),
         # Every readout is the masked mean and every adapted layer carries
         # q, k, v and o pairs; these keys are gone too.
-        (("vocab_max = 256", "vocab_max = 256\npooling = mean"),
-         "unknown key 'pooling' in [backbone]"),
-        (("pass2_layers = 3", "pass2_layers = 3\nlora_targets = q,k,v,o"),
-         "unknown key 'lora_targets' in [fusion]"),
-        (("seeds = 0", "seeds ="), "need at least one seed"),
-        (("seeds = 0", "seeds = 0,0"),
-         "seeds [0, 0] list a seed more than once"),
-        (("batch_size = 16", "batch_size = 0"),
-         "[trainer] batch_size must lie in [1, inf), got 0"),
-        (("batch_size = 16", "batch_size = -4"),
-         "[trainer] batch_size must lie in [1, inf), got -4"),
-        (("pass1_layers = 1", "pass1_layers = 1,1"),
-         "pass1 layers [1, 1] list a layer more than once"),
+        pytest.param(("vocab_max = 256", "vocab_max = 256\npooling = mean"),
+                     "unknown key 'pooling' in [backbone]",
+                     id="backbone.pooling"),
+        pytest.param(("pass2_layers = 3",
+                      "pass2_layers = 3\nlora_targets = q,k,v,o"),
+                     "unknown key 'lora_targets' in [fusion]",
+                     id="fusion.lora_targets"),
+        pytest.param(("seeds = 0", "seeds ="),
+                     "need at least one seed", id="trainer.seeds=none"),
+        pytest.param(("seeds = 0", "seeds = 0,0"),
+                     "seeds [0, 0] list a seed more than once",
+                     id="trainer.seeds=0,0"),
+        pytest.param(("batch_size = 16", "batch_size = 0"),
+                     "[trainer] batch_size must lie in [1, inf), got 0",
+                     id="trainer.batch_size=0"),
+        pytest.param(("batch_size = 16", "batch_size = -4"),
+                     "[trainer] batch_size must lie in [1, inf), got -4",
+                     id="trainer.batch_size=-4"),
+        pytest.param(("pass1_layers = 1", "pass1_layers = 1,1"),
+                     "pass1 layers [1, 1] list a layer more than once",
+                     id="fusion.pass1_layers=1,1"),
         # One placement list alone would silently run the default placement.
-        (("pass2_layers = 3", "pass2_layers ="),
-         "pass1_layers and pass2_layers must both be listed"),
-        (("pass1_layers = 1", "pass1_layers ="),
-         "pass1_layers and pass2_layers must both be listed"),
-        (("\ndim = 16", "\ndim = 0"),
-         "[backbone] dim must lie in [1, inf), got 0"),
-        (("mlp_width = 32", "mlp_width = 0"),
-         "[backbone] mlp_width must lie in [1, inf), got 0"),
-        (("vocab_max = 256", "vocab_max = 0"),
-         "[backbone] vocab_max must lie in [1, inf), got 0"),
-        (("embed_dim = 8", "embed_dim = 0"),
-         "[sage] embed_dim must lie in [1, inf), got 0"),
-        (("classifier_hidden = 8", "classifier_hidden = 0"),
-         "[sage] classifier_hidden must lie in [1, inf), got 0"),
-        (("epochs = 20", "epochs = -2"),
-         "[sage] epochs must lie in [0, inf), got -2"),
-        (("epochs = 2\npatience = 2", "epochs = -1\npatience = 2"),
-         "[trainer] epochs must lie in [0, inf), got -1"),
-        (("epochs = 20", "epochs = 20\nlr = nan"),
-         "[sage] lr must lie in (0, inf), got nan"),
-        (("epochs = 20", "epochs = 20\nweight_decay = inf"),
-         "[sage] weight_decay must lie in [0, inf), got inf"),
-        (("patience = 5", "patience = -3"),
-         "[sage] patience must lie in [1, inf), got -3"),
-        (("batch_size = 16", "batch_size = 16\nlr = -1"),
-         "[trainer] lr must lie in (0, inf), got -1.0"),
-        (("batch_size = 16", "batch_size = 16\nweight_decay = -0.5"),
-         "[trainer] weight_decay must lie in [0, inf), got -0.5"),
-        (("patience = 2", "patience = 0"),
-         "[trainer] patience must lie in [1, inf), got 0"),
+        pytest.param(("pass2_layers = 3", "pass2_layers ="),
+                     "pass1_layers and pass2_layers must both be listed",
+                     id="fusion.pass2_layers=none"),
+        pytest.param(("pass1_layers = 1", "pass1_layers ="),
+                     "pass1_layers and pass2_layers must both be listed",
+                     id="fusion.pass1_layers=none"),
+        pytest.param(("\ndim = 16", "\ndim = 0"),
+                     "[backbone] dim must lie in [1, inf), got 0",
+                     id="backbone.dim=0"),
+        pytest.param(("mlp_width = 32", "mlp_width = 0"),
+                     "[backbone] mlp_width must lie in [1, inf), got 0",
+                     id="backbone.mlp_width=0"),
+        pytest.param(("vocab_max = 256", "vocab_max = 0"),
+                     "[backbone] vocab_max must lie in [1, inf), got 0",
+                     id="backbone.vocab_max=0"),
+        pytest.param(("embed_dim = 8", "embed_dim = 0"),
+                     "[sage] embed_dim must lie in [1, inf), got 0",
+                     id="sage.embed_dim=0"),
+        pytest.param(("classifier_hidden = 8", "classifier_hidden = 0"),
+                     "[sage] classifier_hidden must lie in [1, inf), got 0",
+                     id="sage.classifier_hidden=0"),
+        pytest.param(("epochs = 20", "epochs = -2"),
+                     "[sage] epochs must lie in [0, inf), got -2",
+                     id="sage.epochs=-2"),
+        pytest.param(("epochs = 2\npatience = 2", "epochs = -1\npatience = 2"),
+                     "[trainer] epochs must lie in [0, inf), got -1",
+                     id="trainer.epochs=-1"),
+        pytest.param(("epochs = 20", "epochs = 20\nlr = nan"),
+                     "[sage] lr must lie in (0, inf), got nan",
+                     id="sage.lr=nan"),
+        pytest.param(("epochs = 20", "epochs = 20\nweight_decay = inf"),
+                     "[sage] weight_decay must lie in [0, inf), got inf",
+                     id="sage.weight_decay=inf"),
+        pytest.param(("patience = 5", "patience = -3"),
+                     "[sage] patience must lie in [1, inf), got -3",
+                     id="sage.patience=-3"),
+        pytest.param(("batch_size = 16", "batch_size = 16\nlr = -1"),
+                     "[trainer] lr must lie in (0, inf), got -1.0",
+                     id="trainer.lr=-1"),
+        pytest.param(("batch_size = 16",
+                      "batch_size = 16\nweight_decay = -0.5"),
+                     "[trainer] weight_decay must lie in [0, inf), got -0.5",
+                     id="trainer.weight_decay=-0.5"),
+        pytest.param(("patience = 2", "patience = 0"),
+                     "[trainer] patience must lie in [1, inf), got 0",
+                     id="trainer.patience=0"),
         # Seeds below 0 and a non-positive degree, once past the check.
-        (("text_noise = 0.2", "text_noise = 0.2\nseed = -1"),
-         "[dataset] seed must lie in [0, inf), got -1"),
-        (("test_frac = 0.2", "test_frac = 0.2\nsplit_seed = -2"),
-         "[dataset] split_seed must lie in [0, inf), got -2"),
-        (("vocab_max = 256", "vocab_max = 256\nseed = -1"),
-         "[backbone] seed must lie in [0, inf), got -1"),
-        (("classifier_hidden = 8", "classifier_hidden = 8\nseed = -5"),
-         "[sage] seed must lie in [0, inf), got -5"),
-        (("avg_degree = 4", "avg_degree = -3"),
-         "[dataset] avg_degree must lie in (0, inf), got -3.0"),
+        pytest.param(("text_noise = 0.2", "text_noise = 0.2\nseed = -1"),
+                     "[dataset] seed must lie in [0, inf), got -1",
+                     id="dataset.seed=-1"),
+        pytest.param(("test_frac = 0.2", "test_frac = 0.2\nsplit_seed = -2"),
+                     "[dataset] split_seed must lie in [0, inf), got -2",
+                     id="dataset.split_seed=-2"),
+        pytest.param(("vocab_max = 256", "vocab_max = 256\nseed = -1"),
+                     "[backbone] seed must lie in [0, inf), got -1",
+                     id="backbone.seed=-1"),
+        pytest.param(("classifier_hidden = 8",
+                      "classifier_hidden = 8\nseed = -5"),
+                     "[sage] seed must lie in [0, inf), got -5",
+                     id="sage.seed=-5"),
+        pytest.param(("avg_degree = 4", "avg_degree = -3"),
+                     "[dataset] avg_degree must lie in (0, inf), got -3.0",
+                     id="dataset.avg_degree=-3"),
         # Cases the section constructors checked before the config did.
-        (("rank = 2", "rank = 0"),
-         "[fusion] rank must lie in [1, inf), got 0"),
-        (("seq_len = 8", "seq_len = 8\nbaseline = gnn_only"),
-         "[trainer] baseline must be one of ('fused', 'text_only', "
-         "'lora_only'), got 'gnn_only'"),
-        (("vocab_max = 256", "vocab_max = 256\nprecision = f16"),
-         "[backbone] precision must be one of ('f32', 'f64'), got 'f16'"),
-        (("pass2_layers = 3", "pass2_layers = 3\ntying = tied"),
-         "[fusion] tying must be one of ('separate', 'shared'), got 'tied'"),
-        (("n_nodes = 60", "n_nodes = 60\nsource = url"),
-         "[dataset] source must be one of ('synthetic', 'files'), got 'url'"),
-        (("text_noise = 0.2", "text_noise = 1.0"),
-         "[dataset] text_noise must lie in [0, 1), got 1.0"),
-        (("n_nodes = 60", "n_nodes = 29"),
-         "[dataset] n_nodes=29 too small for 3 classes (need >= 10*C)"),
-        (("avg_degree = 4", "avg_degree = 30"),
-         "[dataset] avg_degree=30.0 too dense for n_nodes=60"),
-        (("test_frac = 0.2", "test_frac = 0.3"),
-         "[dataset] split fractions sum to 1.1"),
-        (("pass2_layers = 3", "pass2_layers = 1,3"),
-         "[fusion] layers [1] assigned to both sources"),
-        (("pass2_layers = 3", "pass2_layers = 4"),
-         "[fusion] adapter layer 4 outside [0, 4)"),
+        pytest.param(("rank = 2", "rank = 0"),
+                     "[fusion] rank must lie in [1, inf), got 0",
+                     id="fusion.rank=0"),
+        pytest.param(("seq_len = 8", "seq_len = 8\nbaseline = gnn_only"),
+                     "[trainer] baseline must be one of ('fused', "
+                     "'text_only', 'lora_only'), got 'gnn_only'",
+                     id="trainer.baseline=gnn_only"),
+        pytest.param(("vocab_max = 256", "vocab_max = 256\nprecision = f16"),
+                     "[backbone] precision must be one of ('f32', 'f64'), "
+                     "got 'f16'",
+                     id="backbone.precision=f16"),
+        pytest.param(("pass2_layers = 3", "pass2_layers = 3\ntying = tied"),
+                     "[fusion] tying must be one of ('separate', 'shared'), "
+                     "got 'tied'",
+                     id="fusion.tying=tied"),
+        pytest.param(("n_nodes = 60", "n_nodes = 60\nsource = url"),
+                     "[dataset] source must be one of ('synthetic', 'files'), "
+                     "got 'url'",
+                     id="dataset.source=url"),
+        pytest.param(("text_noise = 0.2", "text_noise = 1.0"),
+                     "[dataset] text_noise must lie in [0, 1), got 1.0",
+                     id="dataset.text_noise=1.0"),
+        pytest.param(("n_nodes = 60", "n_nodes = 29"),
+                     "[dataset] n_nodes=29 too small for 3 classes "
+                     "(need >= 10*C)",
+                     id="dataset.n_nodes=29"),
+        pytest.param(("avg_degree = 4", "avg_degree = 30"),
+                     "[dataset] avg_degree=30.0 too dense for n_nodes=60",
+                     id="dataset.avg_degree=30"),
+        pytest.param(("test_frac = 0.2", "test_frac = 0.3"),
+                     "[dataset] split fractions sum to 1.1",
+                     id="dataset.test_frac=0.3"),
+        pytest.param(("pass2_layers = 3", "pass2_layers = 1,3"),
+                     "[fusion] layers [1] assigned to both sources",
+                     id="fusion.pass2_layers=1,3"),
+        pytest.param(("pass2_layers = 3", "pass2_layers = 4"),
+                     "[fusion] adapter layer 4 outside [0, 4)",
+                     id="fusion.pass2_layers=4"),
     ])
     def test_impossible_config_exits_2_at_load(self, tmp_path, capsys, edit,
                                                message):
@@ -784,6 +838,39 @@ def test_micro_phase1_trains_past_chance(tmp_path, precision):
     metrics = json.loads(
         (tmp_path / "out" / "phase1" / "metrics.json").read_text())
     assert metrics["val_metric"] > 1 / 3, metrics["val_trace"]
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_commands_after_phase1_never_draw_the_backbone(tmp_path, monkeypatch,
+                                                       precision):
+    """On configs/micro.cfg, phase 1 draws the frozen backbone and saves
+    it; with the draw made to raise, every later command runs on the saved
+    weights: phase2, evaluate, both ablations, and a phase2 whose arm
+    adapts a layer below the saved prefix, so it starts from the tokens."""
+    cfg_path = tmp_path / "micro.cfg"
+    text = (CONFIG_DIR / "micro.cfg").read_text().replace(
+        "runs/micro", str(tmp_path / "out")).replace(
+        "vocab_max = 256", f"vocab_max = 256\nprecision = {precision}")
+    cfg_path.write_text(text)
+    for command in ("gen-data", "phase1"):
+        assert main(["--config", str(cfg_path), command]) == 0
+    cfg = ExperimentConfig.from_file(cfg_path)
+    vocab = pipeline.load_phase1(cfg)[0]
+    drawn = EncoderBackbone(cfg.backbone, vocab.size).weights
+
+    def draw(views, seed):
+        raise AssertionError("the backbone was drawn after phase 1")
+
+    monkeypatch.setattr(textenc, "_draw_into", draw)
+    assert pipeline.load_phase1(cfg)[1].weights.tobytes() == drawn.tobytes()
+    token_path = tmp_path / "token_path.cfg"
+    token_path.write_text(text.replace("pass1_layers = 1", "pass1_layers = 0"))
+    for path, command in [
+            (cfg_path, ["phase2"]), (cfg_path, ["evaluate"]),
+            (cfg_path, ["ablate", "--what", "rank", "--ranks", "2"]),
+            (cfg_path, ["ablate", "--what", "prompt", "--prompts", ";go:"]),
+            (token_path, ["--force", "phase2"])]:
+        assert main(["--config", str(path), *command]) == 0, command
 
 
 # A new value for the class count, every [backbone] and [sage] key, the
@@ -1215,8 +1302,8 @@ class TestRunDirectory:
             return sorted(p.name for p in directory.iterdir())
 
         assert names(out / "phase1") == sorted([
-            "vocab.json", "nodes.json", "prefix.gtsr", "pass1.gtsr",
-            "pass2.gtsr", "metrics.json"])
+            "vocab.json", "backbone.gtsr", "nodes.json", "prefix.gtsr",
+            "pass1.gtsr", "pass2.gtsr", "metrics.json"])
         assert names(out / "phase2") == ["checkpoints", "report.json",
                                          "timing.json"]
         assert names(out / "phase2" / "checkpoints") == ["seed0"]
@@ -1254,6 +1341,12 @@ def _oversized_header(path):
     """A header that claims 2^62 elements over the file's own payload."""
     path.write_bytes(b"GTSR" + struct.pack("<IQ", 1, 2 ** 62)
                      + path.read_bytes()[24:])
+
+
+def _set_nan(path):
+    array = load_tensor(path)
+    array.flat[5] = np.nan
+    save_tensor(path, array)
 
 
 KEY_NEEDS = ("'key' needs [dataset], [backbone], [sage], [trainer] and "
@@ -1359,6 +1452,36 @@ class TestCorruptedArtifacts:
             assert main(["--config", str(cfg_path), *command]) == 1, command
             assert _one_error_line(capsys) == (
                 f"error: {path}: non-finite entries; re-run phase1\n")
+        assert _snapshot(out) == before
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.unlink(), None),
+        (lambda p: p.write_bytes(p.read_bytes()[:-4]),
+         "truncated payload: the header gives {size} bytes, {short} follow"),
+        (lambda p: save_tensor(p, load_tensor(p)[:-1]),
+         "shape ({n_short},), expected ({n},); re-run phase1"),
+        (_set_nan, "non-finite entries; re-run phase1"),
+    ], ids=["missing", "truncated", "wrong_length", "nan"])
+    def test_damaged_backbone_exits_1(self, phase2_run, tmp_path, capsys,
+                                      damage, message):
+        """`backbone.gtsr`, the weights phase 1 drew, is checked at load by
+        every command after phase 1, before it writes anything."""
+        out, cfg_path = _copy_run(phase2_run, tmp_path)
+        path = out / "phase1" / "backbone.gtsr"
+        n = load_tensor(path).size
+        damage(path)
+        before = _snapshot(out)
+        capsys.readouterr()
+        for command in AFTER_PHASE1 + (["ablate", "--what", "prompt",
+                                        "--prompts", ""],):
+            assert main(["--config", str(cfg_path), *command]) == 1, command
+            err = _one_error_line(capsys)
+            if message is None:
+                assert err == (f"error: missing phase-1 artifact {path}; "
+                               "run phase1 first\n")
+            else:
+                assert err.startswith(f"error: {path}: ") and message.format(
+                    n=n, n_short=n - 1, size=4 * n, short=4 * n - 4) in err
         assert _snapshot(out) == before
 
     def test_missing_checkpoint_tensor_exits_1(self, phase2_run, tmp_path,

@@ -7,6 +7,7 @@ import pytest
 from conftest import (backbone_arrays, backbone_size, make_graph,
                       pad_columns, relu, token_inputs, tokenize)
 from sagefuse import autodiff as ad
+from sagefuse import textenc
 from sagefuse.config import ConfigError
 from sagefuse.optim import AdamW
 from sagefuse.fusion import fusion_apply, lora_apply
@@ -272,6 +273,96 @@ class TestEncode:
         with pytest.raises(ConfigError, match="audit-only shape"):
             EncoderBackbone(BackboneConfig(dim=16, heads=2, layers=2,
                                            fused_qkv=True), vocab_size=40)
+
+
+def reference_drawn_weights(config, vocab_size):
+    """The drawn backbone weights as the encoder drew them before they
+    shared one flat array: one `rng.normal(...).astype(dtype)` per weight,
+    the tables first, then q, k, v, o, mlp1 and mlp2 of each block."""
+    rng = np.random.default_rng(config.seed)
+    d, m, dt = config.dim, config.mlp_width, config.dtype
+
+    def w(*shape):
+        return rng.normal(0.0, 0.02, shape).astype(dt)
+
+    out = [w(vocab_size, d), w(config.max_tokens, d)]
+    for _ in range(config.layers):
+        out += [w(d, d), w(d, d), w(d, d), w(d, d), w(m, d), w(d, m)]
+    return out
+
+
+def drawn_arrays(backbone):
+    """The backbone's drawn weights in draw order."""
+    out = [backbone.tok_emb, backbone.pos_emb]
+    for blk in backbone.blocks:
+        out += [blk[name] for name in ("q", "k", "v", "o", "mlp1", "mlp2")]
+    return out
+
+
+BACKBONE_SHAPES = {
+    "micro": dict(dim=16, heads=2, layers=4, mlp_width=32, max_tokens=16),
+    "deep": dict(),  # the [backbone] defaults: 12 layers, dim 64
+}
+
+
+class TestFlatWeights:
+    """The drawn weights are views into one flat array, which phase 1 saves
+    and the later commands pass back as `weights`."""
+
+    @pytest.fixture(params=[(shape, precision, seed)
+                            for shape in BACKBONE_SHAPES
+                            for precision in ("f32", "f64")
+                            for seed in (0, 3)],
+                    ids=lambda p: f"{p[0]}-{p[1]}-seed{p[2]}")
+    def config(self, request):
+        shape, precision, seed = request.param
+        return BackboneConfig(**BACKBONE_SHAPES[shape], seed=seed,
+                              precision=precision)
+
+    def test_views_equal_the_per_array_draws(self, config):
+        backbone = EncoderBackbone(config, vocab_size=103)
+        got, want = drawn_arrays(backbone), reference_drawn_weights(config,
+                                                                    103)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+            assert np.shares_memory(a, backbone.weights)
+        assert backbone.weights.dtype == config.dtype
+        assert backbone.weights.tobytes() == b"".join(
+            a.tobytes() for a in want)
+
+    def test_flat_size_plus_constants_is_the_param_count(self, config):
+        backbone = EncoderBackbone(config, vocab_size=103)
+        constants = [a for a in backbone_arrays(backbone)
+                     if not np.shares_memory(a, backbone.weights)]
+        assert len(constants) == 10 * config.layers + 2
+        assert backbone.weights.size + sum(a.size for a in constants) == \
+            config.param_count(103) == backbone_size(backbone)
+
+    def test_given_weights_are_taken_as_views_without_a_draw(
+            self, config, monkeypatch):
+        drawn = EncoderBackbone(config, vocab_size=103)
+        weights = drawn.weights.copy()
+
+        def draw(views, seed):
+            raise AssertionError("drew weights it was given")
+
+        monkeypatch.setattr(textenc, "_draw_into", draw)
+        backbone = EncoderBackbone(config, vocab_size=103, weights=weights)
+        assert backbone.weights is weights
+        for a, b in zip(drawn_arrays(backbone), drawn_arrays(drawn)):
+            assert a.tobytes() == b.tobytes()
+            assert np.shares_memory(a, weights)
+
+    def test_weights_of_another_size_or_dtype_refused(self, config):
+        weights = EncoderBackbone(config, vocab_size=103).weights
+        other = np.float32 if config.dtype == np.float64 else np.float64
+        for bad in (weights[:-1], np.append(weights, weights[:1]),
+                    weights.astype(other)):
+            with pytest.raises(ValueError, match="backbone weights"):
+                EncoderBackbone(config, vocab_size=103, weights=bad)
 
 
 class TestNodeFeatures:

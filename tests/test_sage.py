@@ -380,6 +380,21 @@ class TestSparseMatmulTranspose:
         reference = sp.csr_matrix(counted).T.tocsr() @ coeff
         assert w.grad.tobytes() == np.asarray(reference).tobytes()
 
+    def test_one_transpose_per_phase1_run(self, monkeypatch):
+        """Every epoch's backward reaches the aggregation matrix; only the
+        first builds its transpose."""
+        monkeypatch.setattr(CountingTransposeCSR, "transposes", 0)
+        build = sage.mean_aggregation_matrix
+        monkeypatch.setattr(sage, "mean_aggregation_matrix",
+                            lambda graph, dtype: CountingTransposeCSR(
+                                build(graph, dtype)))
+        g, x = _trainable_graph()
+        model = SageModel(in_dim=6, embed_dim=8, hidden=8, num_classes=3)
+        result = train_phase1(model, x, g, SageConfig(epochs=12,
+                                                      patience=12))
+        assert len(result.loss_trace) == 12
+        assert CountingTransposeCSR.transposes == 1
+
 
 def test_gradients_match_finite_differences():
     g, x = _trainable_graph(n=20)
